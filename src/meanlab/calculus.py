@@ -262,7 +262,7 @@ def diagonal_derivatives_numeric(
     lo, hi = pair.interval
     if not pair.contains(x):
         raise OutOfInterval(x, pair.interval)
-    mu_hat1 = measure.integrate(lambda t: t)
+    mu_hat1 = moments(measure, 1).mu_hat1
     wmax = max(mu_hat1, 1.0 - mu_hat1, 1e-9)
     dist = min(x - lo, hi - x)
     if h is None:

@@ -24,7 +24,7 @@ from . import expr as ex
 from .calculus import phi_psi, diagonal_derivatives
 from .errors import IllConditionedFit, NotApplicable, OutOfInterval, QuadratureNonFinite
 from .expr import FunctionPair, interior_grid
-from .means import MeanSpec, mean_eval, quasiarithmetic
+from .means import MeanSpec, mean_eval, mean_table, quasiarithmetic_table
 from .measures import Discrete, Lebesgue, Measure, Regime, RegimeInfo, classify, preset_measure
 
 PANEL_WIDTH = 0.1
@@ -308,58 +308,85 @@ def _lstsq(design: np.ndarray, target: np.ndarray, context: str) -> np.ndarray:
 # ------------------------------------------------------------ antiderivative
 
 
-def _panel_integral(func: Callable[[float], float], a: float, b: float) -> float:
+def _panel_sums(
+    func: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray
+) -> np.ndarray:
+    """16-point Gauss-Legendre integrals of func over the panels [a[k], b[k]].
+
+    All nodes go to func in one call; each panel's weights are summed in
+    node order, as a scalar loop over the nodes would.
+    """
     nodes, weights = _GL_PANEL
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    total = 0.0
-    for u, w in zip(nodes, weights):
-        t = mid + half * u
-        v = func(t)
-        if not math.isfinite(v):
-            raise QuadratureNonFinite(t, v)
-        total += w * v
+    ts = mid[:, None] + half[:, None] * nodes
+    vs = func(ts)
+    bad = ~np.isfinite(vs)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise QuadratureNonFinite(float(ts.flat[k]), float(vs.flat[k]))
+    total = np.zeros(len(a))
+    for k, w in enumerate(weights):
+        total += w * vs[:, k]
     return half * total
+
+
+def _elementwise(func: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
+    """Array adapter for a scalar integrand: func applied point by point."""
+
+    def apply(ts: np.ndarray) -> np.ndarray:
+        ts = np.asarray(ts, dtype=float)
+        return np.array([func(t) for t in ts.ravel().tolist()]).reshape(ts.shape)
+
+    return apply
 
 
 class CumulativeIntegral:
     """Antiderivative of func anchored to 0 at x0.
 
-    Values at a fixed panel lattice rooted at x0 are cached, so repeated
-    evaluation costs one remainder panel; the lattice depends only on x0,
-    never on the evaluation order.
+    func is elementwise on numpy arrays; wrap a scalar integrand with
+    _elementwise. The instance takes a float or an array of points. Values
+    at a fixed panel lattice rooted at x0 are cached, so repeated
+    evaluation costs one remainder panel per point; the lattice depends
+    only on x0, never on the evaluation order or on how points are batched.
     """
 
-    def __init__(self, func: Callable[[float], float], x0: float):
+    def __init__(self, func: Callable[[np.ndarray], np.ndarray], x0: float):
         self.func = func
         self.x0 = float(x0)
         self._fwd = [0.0]
         self._bwd = [0.0]
 
     def _extend(self, prefix: list[float], k: int, sign: float) -> None:
-        while len(prefix) <= k:
-            i = len(prefix) - 1
-            a = self.x0 + sign * i * PANEL_WIDTH
-            prefix.append(prefix[-1] + _panel_integral(self.func, a, a + sign * PANEL_WIDTH))
+        if len(prefix) > k:
+            return
+        a = self.x0 + sign * np.arange(len(prefix) - 1, k) * PANEL_WIDTH
+        for s in _panel_sums(self.func, a, a + sign * PANEL_WIDTH).tolist():
+            prefix.append(prefix[-1] + s)
 
-    def __call__(self, x: float) -> float:
-        x = float(x)
-        if x >= self.x0:
-            k = int((x - self.x0) / PANEL_WIDTH)
-            self._extend(self._fwd, k, 1.0)
-            return self._fwd[k] + _panel_integral(self.func, self.x0 + k * PANEL_WIDTH, x)
-        k = int((self.x0 - x) / PANEL_WIDTH)
-        self._extend(self._bwd, k, -1.0)
-        return self._bwd[k] + _panel_integral(self.func, self.x0 - k * PANEL_WIDTH, x)
+    def __call__(self, x: float | np.ndarray) -> float | np.ndarray:
+        xa = np.asarray(x, dtype=float)
+        xs = xa.ravel()
+        fwd = xs >= self.x0
+        k = (np.abs(xs - self.x0) / PANEL_WIDTH).astype(int)
+        start = np.empty_like(xs)
+        base = np.empty_like(xs)
+        for mask, prefix, sign in ((fwd, self._fwd, 1.0), (~fwd, self._bwd, -1.0)):
+            if mask.any():
+                self._extend(prefix, int(k[mask].max()), sign)
+                start[mask] = self.x0 + sign * k[mask] * PANEL_WIDTH
+                base[mask] = np.asarray(prefix)[k[mask]]
+        out = base + _panel_sums(self.func, start, xs)
+        return float(out[0]) if xa.ndim == 0 else out.reshape(xa.shape)
 
 
 def antiderivative(func: Callable[[float], float], x0: float, x: float) -> float:
-    """Integral of func from x0 to x.
+    """Integral of the scalar integrand func from x0 to x.
 
     Composite Gauss-Legendre quadrature with 16 points per panel of width
     at most PANEL_WIDTH; exact for polynomial integrands up to degree 31.
     """
-    return CumulativeIntegral(func, x0)(x)
+    return CumulativeIntegral(_elementwise(func), x0)(x)
 
 
 # --------------------------------------------------------------- equivalence
@@ -771,8 +798,7 @@ def check_N3(
             phi, w = _phi_w_at(pairA, t)
             return phi**3 * abs(w)
 
-        integral = CumulativeIntegral(integrand_iii, anchor)
-        J = np.array([integral(x) for x in xs])
+        J = CumulativeIntegral(_elementwise(integrand_iii), anchor)(np.asarray(xs))
         inv_w = 1.0 / np.abs(wA)
         known = -0.5 * r * dphiA + 0.25 * (r - 5.0) * phiA**2 - (3.0 * r - 7.0) / 12.0 * inv_w * J
         design = np.vstack(
@@ -813,8 +839,7 @@ def check_N3(
             phi, w = _phi_w_at(pairA, t)
             return phi**3 * abs(w) ** (-q)
 
-        integral = CumulativeIntegral(integrand_iv, anchor)
-        K = np.array([integral(x) for x in xs])
+        K = CumulativeIntegral(_elementwise(integrand_iv), anchor)(np.asarray(xs))
     basis_p = np.abs(wA) ** p
     basis_q = np.abs(wA) ** q
     known = c1 * dphiA + c2 * phiA**2 + c3 * basis_q * K
@@ -1033,20 +1058,14 @@ def _is_ebm_measure(m: Measure) -> bool:
 def _mean_tables(
     pairA: FunctionPair, pairB: FunctionPair, measure: Measure, xs: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray]:
-    sa = MeanSpec(pairA, measure)
-    sb = MeanSpec(pairB, measure)
-    n = len(xs)
-    ma = np.empty((n, n))
-    mb = np.empty((n, n))
-    for i, x in enumerate(xs):
-        for j, y in enumerate(xs):
-            ma[i, j] = mean_eval(sa, x, y)
-            mb[i, j] = mean_eval(sb, x, y)
-    return ma, mb
+    return mean_table(MeanSpec(pairA, measure), xs), mean_table(MeanSpec(pairB, measure), xs)
 
 
-def _signed_cbrt(v: float) -> float:
-    return math.copysign(abs(v) ** (1.0 / 3.0), v)
+def _w10_array(pair: FunctionPair) -> Callable[[np.ndarray], np.ndarray]:
+    """The Wronskian W10 = f'g - fg' as an elementwise array callable."""
+    f, g = ex.compile_array(pair.f), ex.compile_array(pair.g)
+    df, dg = ex.compile_array(ex._derivative(pair.f)), ex.compile_array(ex._derivative(pair.g))
+    return lambda t: df(t) * g(t) - f(t) * dg(t)
 
 
 def _sincos_battery(
@@ -1263,8 +1282,8 @@ def _sincos_battery(
         rG = float(np.max(np.abs(gb - recon_G))) / (1.0 + float(np.max(np.abs(gb))))
         ip = CumulativeIntegral(lambda t: 1.0 / P(t), 0.5 * (float(np.min(ta)) + float(np.max(ta))))
         iq = CumulativeIntegral(lambda t: 1.0 / Q(t), 0.5 * (float(np.min(tb)) + float(np.max(tb))))
-        u = np.array([iq(t) for t in tb])
-        v = np.array([ip(t) for t in ta])
+        u = iq(tb)
+        v = ip(ta)
         coef = _lstsq(np.column_stack([v, np.ones(n)]), u, context="antiderivative relation fit")
         slope, delta_vi = float(coef[0]), float(coef[1])
         r_rel = float(np.max(np.abs(np.column_stack([v, np.ones(n)]) @ coef - u))) / (
@@ -1353,18 +1372,14 @@ def _sincos_battery(
             "first alternative: the pairs are equivalent",
         )
     else:
-        if ebm:
-            integrand = lambda t: calculus.wronskian(pairA, t, 1, 0)
-        else:
-            integrand = lambda t: _signed_cbrt(calculus.wronskian(pairA, t, 1, 0))
+        w10 = _w10_array(pairA)
+        integrand = w10 if ebm else lambda t: np.cbrt(w10(t))
         phi_int = CumulativeIntegral(integrand, 0.5 * (lo + hi))
         stride = max(1, gsize // 12)
-        idx = list(range(0, gsize, stride))
-        aphi_gap = 0.0
-        for i in idx:
-            for j in idx:
-                z = quasiarithmetic(phi_int, xs[i], xs[j])
-                aphi_gap = max(aphi_gap, abs(ma[i, j] - z), abs(mb[i, j] - z))
+        idx = np.arange(0, gsize, stride)
+        z = quasiarithmetic_table(phi_int, np.asarray(xs)[idx])
+        sub = np.ix_(idx, idx)
+        aphi_gap = float(max(np.max(np.abs(ma[sub] - z)), np.max(np.abs(mb[sub] - z))))
         holds_viii = aphi_gap <= tols["quasiarithmetic_gap"]
         a_viii = AssertionResult(
             "viii",

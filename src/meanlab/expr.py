@@ -23,13 +23,15 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Union
 
+import numpy as np
+
 from . import jets
 from .errors import DomainViolation, NonSmooth, NotPositive, ParseError, WronskianVanishes
 from .jets import Jet
 
 __all__ = [
     "Expr", "Const", "Var", "BinOp", "Neg", "Pow", "Call", "SType", "CType",
-    "parse", "to_string", "eval_scalar", "eval_jet", "compile_scalar",
+    "parse", "to_string", "eval_scalar", "eval_jet", "compile_scalar", "compile_array",
     "validate_pair", "FunctionPair", "TOL_WRONSKIAN", "DEFAULT_GRID_SIZE",
 ]
 
@@ -487,6 +489,109 @@ def compile_scalar(e: Expr) -> Callable[[float], float]:
     raise TypeError(f"not an Expr node: {e!r}")
 
 
+def _reject(mask, x, message: str) -> None:
+    """Raise DomainViolation naming the first point of x where mask holds."""
+    if mask.any():
+        bad = np.asarray(x, dtype=float).flat[int(np.argmax(mask))]
+        raise DomainViolation(f"{message} at {float(bad)!r}")
+
+
+_ARRAY_CALLS = {"sin": np.sin, "cos": np.cos, "sinh": np.sinh, "cosh": np.cosh}
+
+
+@lru_cache(maxsize=1024)
+def compile_array(e: Expr) -> Callable[[np.ndarray], np.ndarray]:
+    """Compile to an elementwise numpy callable, the array twin of compile_scalar.
+
+    The result has the shape of its argument. Each domain check of
+    compile_scalar becomes a mask; DomainViolation names the first point, in
+    C order, where the mask holds. Values agree with compile_scalar to a few
+    ulps (numpy's elementary functions are not libm's). Where compile_scalar
+    lets OverflowError escape (sinh, cosh, powers), the array value is inf.
+    """
+    if isinstance(e, Const):
+        c = e.value
+        return lambda x: np.full(np.shape(x), c)
+    if isinstance(e, Var):
+        return lambda x: np.asarray(x, dtype=float)
+    if isinstance(e, Neg):
+        f = compile_array(e.operand)
+        return lambda x: -f(x)
+    if isinstance(e, BinOp):
+        lf, rf = compile_array(e.left), compile_array(e.right)
+        if e.op == "+":
+            return lambda x: lf(x) + rf(x)
+        if e.op == "-":
+            return lambda x: lf(x) - rf(x)
+        if e.op == "*":
+            return lambda x: lf(x) * rf(x)
+
+        def _div(x):
+            d = rf(x)
+            _reject(d == 0.0, x, "division by zero")
+            return lf(x) / d
+
+        return _div
+    if isinstance(e, Pow):
+        bf = compile_array(e.base)
+        q = e.exponent
+        if q.denominator == 1:
+            n = q.numerator
+
+            def _ipow(x):
+                b = bf(x)
+                if n < 0:
+                    _reject(b == 0.0, x, "zero base with negative power")
+                return b**n
+
+            return _ipow
+        ef = float(q)
+
+        def _rpow(x):
+            b = bf(x)
+            _reject(b <= 0.0, x, "non-integer power of non-positive base")
+            return b**ef
+
+        return _rpow
+    if isinstance(e, Call):
+        af = compile_array(e.arg)
+        if e.func == "exp":
+            def _exp(x):
+                a = af(x)
+                with np.errstate(over="ignore"):
+                    v = np.exp(a)
+                _reject(np.isinf(v) & np.isfinite(a), x, "exp overflow")
+                return v
+            return _exp
+        if e.func == "log":
+            def _log(x):
+                v = af(x)
+                _reject(v <= 0.0, x, "log of non-positive value")
+                return np.log(v)
+            return _log
+        if e.func == "sqrt":
+            def _sqrt(x):
+                v = af(x)
+                _reject(v < 0.0, x, "sqrt of negative value")
+                return np.sqrt(v)
+            return _sqrt
+        fn = _ARRAY_CALLS[e.func]
+        return lambda x: fn(af(x))
+    if isinstance(e, (SType, CType)):
+        af = compile_array(e.arg)
+        scale, call = _stype_pieces(e.t)
+        if isinstance(e, SType):
+            if call == "":
+                return af
+            fn = np.sin if call == "sin" else np.sinh
+            return lambda x: fn(scale * af(x))
+        if call == "":
+            return lambda x: np.ones(np.shape(x))
+        fn = np.cos if call == "sin" else np.cosh
+        return lambda x: fn(scale * af(x))
+    raise TypeError(f"not an Expr node: {e!r}")
+
+
 def eval_scalar(e: Expr, x: float) -> float:
     return compile_scalar(e)(x)
 
@@ -525,7 +630,11 @@ def eval_jet(e: Expr, x: float, order: int) -> Jet:
 # ------------------------------------------------- exact AST differentiation
 
 def _derivative(e: Expr) -> Expr:
-    """Exact derivative tree. Internal helper for pair construction only."""
+    """Exact derivative tree.
+
+    Used for pair construction, and compiled with compile_array for the
+    Wronskian W10 = f'g - fg' that the (viii) antiderivative integrates.
+    """
     if isinstance(e, Const):
         return Const(0.0)
     if isinstance(e, Var):

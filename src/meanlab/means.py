@@ -7,16 +7,23 @@ is unique in [min(x,y), max(x,y)] for an admissible pair, so a bracketed
 solver cannot miss it. The classical specializations (quasiarithmetic,
 Bajraktarevic, Cauchy) are separate entry points with their own closed
 forms, used in tests as independent routes to the same values.
+
+mean_table and quasiarithmetic_table fill a whole n x n table of those
+means with one vectorized bracketed solve (Chandrupatla's method, Adv. Eng.
+Software 28 (1997) 145-149). The scalar mean_eval and quasiarithmetic stay
+the reference: every table element that the batched solve cannot certify is
+recomputed by them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.optimize.elementwise import find_root
 
 from . import expr as ex
 from .errors import (
@@ -26,14 +33,16 @@ from .errors import (
     OutOfInterval,
 )
 from .expr import FunctionPair
-from .measures import Measure
+from .measures import Measure, moments
 
 __all__ = [
-    "MeanSpec", "mean_eval", "quasiarithmetic", "bajraktarevic", "cauchy", "m_curve",
+    "MeanSpec", "mean_eval", "mean_table", "quasiarithmetic", "quasiarithmetic_table",
+    "bajraktarevic", "cauchy", "m_curve",
 ]
 
 RESIDUAL_TOL = 1e-12
 _BRENTQ_RTOL = 4.0 * float(np.finfo(float).eps)
+_FIND_ROOT_TOL = {"xatol": 1e-15, "xrtol": _BRENTQ_RTOL}
 
 
 @dataclass(frozen=True)
@@ -56,6 +65,31 @@ def _solve_bracketed(func: Callable[[float], float], lo: float, hi: float) -> fl
         return float(brentq(func, lo, hi, xtol=1e-15, rtol=_BRENTQ_RTOL, maxiter=100))
     except (ValueError, RuntimeError) as exc:
         raise BracketFailure(lo, hi, flo, fhi, detail=str(exc)) from exc
+
+
+def _bracketed_roots(
+    resid: Callable[..., np.ndarray], lo: np.ndarray, hi: np.ndarray, *args: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of resid(z, *args) on [lo, hi], elementwise, in one batched solve.
+
+    resid must be elementwise in z and args. As in _solve_bracketed, an end
+    whose residual is exactly 0 is the root. Returns the roots and a mask
+    of the elements solved; elsewhere (no sign change, or no convergence)
+    the root is nan.
+    """
+    flo = resid(lo, *args)
+    fhi = resid(hi, *args)
+    z = np.where(flo == 0.0, lo, np.where(fhi == 0.0, hi, np.nan))
+    ok = (flo == 0.0) | (fhi == 0.0)
+    solve = ~ok & ((flo > 0.0) != (fhi > 0.0))
+    if solve.any():
+        res = find_root(
+            resid, (lo[solve], hi[solve]), args=tuple(a[solve] for a in args),
+            tolerances=_FIND_ROOT_TOL,
+        )
+        z[solve] = np.where(res.success, res.x, np.nan)
+        ok[solve] = res.success
+    return z, ok
 
 
 def _as_expr(e: Union[ex.Expr, str]) -> ex.Expr:
@@ -99,6 +133,72 @@ def mean_eval(spec: MeanSpec, x: float, y: float) -> float:
     if abs(f(z) / g(z) - r) > RESIDUAL_TOL * (1.0 + abs(r)):
         raise BracketFailure(lo, hi, resid(lo), resid(hi), detail="residual above tolerance")
     return z
+
+
+def mean_table(spec: MeanSpec, xs: Sequence[float]) -> np.ndarray:
+    """The n x n table T[i, j] = mean_eval(spec, xs[i], xs[j]).
+
+    The segment integrals of all pairs are taken node by node, with
+    mean_eval's arithmetic, and all off-diagonal roots are found in one
+    batched solve. The diagonal is exact. Each solved element must pass
+    mean_eval's residual certificate; an element that does not bracket,
+    converge or certify is recomputed by mean_eval, which keeps its
+    endpoint fallback and raises its BracketFailure.
+    """
+    xs = np.asarray(xs, dtype=float)
+    for x in xs:
+        if not spec.pair.contains(x):
+            raise OutOfInterval(float(x), spec.pair.interval)
+    f = ex.compile_array(spec.pair.f)
+    g = ex.compile_array(spec.pair.g)
+    X, Y = xs[:, None], xs[None, :]
+    num = spec.measure.integrate(lambda t: f(t * X + (1.0 - t) * Y))
+    den = spec.measure.integrate(lambda t: g(t * X + (1.0 - t) * Y))
+    off = X != Y
+    r = (num / den)[off]
+    z, ok = _bracketed_roots(
+        lambda z, r: f(z) - r * g(z), np.minimum(X, Y)[off], np.maximum(X, Y)[off], r
+    )
+    zk, rk = z[ok], r[ok]
+    ok[ok] = np.abs(f(zk) / g(zk) - rk) <= RESIDUAL_TOL * (1.0 + np.abs(rk))
+    return _fill_table(xs, off, z, ok, lambda x, y: mean_eval(spec, x, y))
+
+
+def quasiarithmetic_table(
+    phi: Callable[[np.ndarray], np.ndarray], xs: Sequence[float]
+) -> np.ndarray:
+    """The n x n table T[i, j] = quasiarithmetic(phi, xs[i], xs[j]).
+
+    phi must be elementwise on arrays and also accept floats. All
+    off-diagonal inversions are solved in one batch; an element that does
+    not bracket or converge is recomputed by quasiarithmetic, which raises
+    its BracketFailure.
+    """
+    xs = np.asarray(xs, dtype=float)
+    p = np.asarray(phi(xs), dtype=float)
+    X, Y = xs[:, None], xs[None, :]
+    off = X != Y
+    target = (0.5 * (p[:, None] + p[None, :]))[off]
+    z, ok = _bracketed_roots(
+        lambda z, c: phi(z) - c, np.minimum(X, Y)[off], np.maximum(X, Y)[off], target
+    )
+    ok &= (p[:, None] != p[None, :])[off]
+    return _fill_table(xs, off, z, ok, lambda x, y: quasiarithmetic(phi, x, y))
+
+
+def _fill_table(
+    xs: np.ndarray, off: np.ndarray, z: np.ndarray, ok: np.ndarray,
+    scalar: Callable[[float, float], float],
+) -> np.ndarray:
+    """x on the diagonal, the batched roots off it, and the scalar route
+    wherever the batch gave no certified root."""
+    table = np.repeat(xs[:, None], len(xs), axis=1)
+    table[off] = z
+    miss = np.zeros_like(off)
+    miss[off] = ~ok
+    for i, j in zip(*np.nonzero(miss)):
+        table[i, j] = scalar(float(xs[i]), float(xs[j]))
+    return table
 
 
 def quasiarithmetic(
@@ -176,7 +276,7 @@ def m_curve(spec: MeanSpec, x: float, u: float) -> float:
     """Diagonal section through x: the mean of x + (1-m1)u and x - m1*u,
     with m1 the measure's first raw moment. u = 0 returns x exactly."""
     x, u = float(x), float(u)
-    mu_hat1 = spec.measure.integrate(lambda t: t)
+    mu_hat1 = moments(spec.measure, 1).mu_hat1
     a = x + (1.0 - mu_hat1) * u
     b = x - mu_hat1 * u
     for point in (a, b):

@@ -50,15 +50,27 @@ class Measure:
     def _nodes(self) -> tuple[Sequence[float], Sequence[float]]:
         raise NotImplementedError
 
-    def integrate(self, integrand: Callable[[float], float]) -> float:
+    def integrate(
+        self, integrand: Callable[[float], Union[float, np.ndarray]]
+    ) -> Union[float, np.ndarray]:
+        """Weighted sum of integrand(t) over the nodes, in node order.
+
+        A scalar integrand gives a plain float. An array-valued one gives an
+        array, each element summed in the same order with the same
+        arithmetic as the scalar integral of that element.
+        """
         ts, ws = self._nodes()
         total = 0.0
         for t, w in zip(ts, ws):
             v = integrand(t)
-            if not math.isfinite(v):
+            if isinstance(v, np.ndarray):
+                bad = ~np.isfinite(v)
+                if bad.any():
+                    raise QuadratureNonFinite(t, float(v[bad][0]))
+            elif not math.isfinite(v):
                 raise QuadratureNonFinite(t, v)
-            total += w * v
-        return total
+            total = total + w * v
+        return total if isinstance(total, np.ndarray) else float(total)
 
 
 @dataclass(frozen=True)
@@ -171,12 +183,10 @@ def moments(m: Measure, nmax: int = 6) -> MomentData:
     if isinstance(m, Lebesgue):
         mu = tuple(0.0 if n % 2 else 1.0 / ((n + 1) * 2**n) for n in range(nmax + 1))
         return MomentData(mu_hat1=0.5, mu=mu)
-    # quadrature backends hand back numpy scalars; pin plain floats so the
-    # values repr cleanly and serialize everywhere
-    mu_hat1 = float(m.integrate(lambda t: t))
-    mu = [float(m.integrate(lambda t: 1.0))]
+    mu_hat1 = m.integrate(lambda t: t)
+    mu = [m.integrate(lambda t: 1.0)]
     for n in range(1, nmax + 1):
-        mu.append(float(m.integrate(lambda t, _n=n: (t - mu_hat1) ** _n)))
+        mu.append(m.integrate(lambda t, _n=n: (t - mu_hat1) ** _n))
     return MomentData(mu_hat1=mu_hat1, mu=tuple(mu))
 
 

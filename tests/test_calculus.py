@@ -8,6 +8,7 @@ import pytest
 
 from meanlab import calculus as ca
 from meanlab import expr as ex
+from meanlab import means as mn
 from meanlab.errors import (
     DegenerateMeasure,
     IllConditionedFit,
@@ -261,6 +262,15 @@ class TestNumericOracle:
         assert all(abs(v) <= 1e-9 for v in got)
         got = ca.diagonal_derivatives_numeric(LINEAR, EBM, 1.5)
         assert all(abs(v) <= 1e-5 for v in got)
+
+    def test_first_moment_is_exact(self, monkeypatch):
+        # 3-point Gauss-Legendre puts the first moment one ulp above 1/2; with
+        # the exact 1/2 every sampled section through 0 is symmetric
+        seen = []
+        monkeypatch.setattr(mn, "mean_eval", lambda s, a, b: seen.append((a, b)) or 0.0)
+        ca.diagonal_derivatives_numeric(EXP, Lebesgue(order=3), 0.0)
+        assert len(seen) == ca.ORACLE_NODES
+        assert all(a == -b for a, b in seen)
 
     def test_trig_lebesgue_cross_check(self):
         want = ca.diagonal_derivatives(SINCOS, Lebesgue(), 0.3)

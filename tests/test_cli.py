@@ -205,10 +205,16 @@ class TestCheckEquality:
         assert doc["result"]["r"] == pytest.approx(-1.0, abs=1e-10)
 
     def test_tolerance_override_echoed(self, capsys):
-        doc = run_json(capsys, EBM_WITNESS + ["--tol", "mean_gap=1e-22"])
-        assert doc["config"]["tolerances"] == {"mean_gap": 1e-22}
-        assert doc["result"]["tolerances"]["mean_gap"] == 1e-22
-        assert doc["result"]["failing"] == ["i"]
+        # (exp, 1) vs (x, 1): unequal means, so (i) fails whatever the
+        # tolerances; a loose quasiarithmetic tolerance flips (viii) and (ix)
+        argv = EBM_WITNESS[:1] + ["--f", "exp(x)", "--g", "1"] + EBM_WITNESS[5:]
+        base = run_json(capsys, argv)
+        assert base["result"]["failing"] == ["i", "ii", "iii", "iv", "v", "vi", "viii", "ix"]
+        doc = run_json(capsys, argv + ["--tol", "quasiarithmetic_gap=1"])
+        assert doc["config"]["tolerances"] == {"quasiarithmetic_gap": 1.0}
+        assert doc["result"]["tolerances"]["quasiarithmetic_gap"] == 1.0
+        assert doc["result"]["failing"] == ["i", "ii", "iii", "iv", "v", "vi"]
+        assert any("(ix) holds but (i) fails" in n for n in doc["result"]["notes"])
 
     def test_bad_tolerance_exits_2(self, capsys):
         code, out, err = run_cli(capsys, EBM_WITNESS + ["--tol", "nonsense"])

@@ -7,9 +7,11 @@ import math
 import numpy as np
 import pytest
 
+from meanlab import calculus
 from meanlab import equality as eq
 from meanlab import expr as ex
 from meanlab.errors import NotApplicable, NotPositive
+from meanlab.means import MeanSpec, mean_eval, quasiarithmetic
 from meanlab.measures import Discrete, Lebesgue, preset_measure
 
 INTERVAL = (-0.7, 0.7)
@@ -110,18 +112,49 @@ class TestAntiderivative:
             assert got == pytest.approx(math.sin(x), abs=1e-13)
 
     def test_cumulative_is_call_order_independent(self):
-        c1 = eq.CumulativeIntegral(math.exp, 0.0)
+        c1 = eq.CumulativeIntegral(np.exp, 0.0)
         far = c1(1.57)
         near = c1(0.03)
-        c2 = eq.CumulativeIntegral(math.exp, 0.0)
+        c2 = eq.CumulativeIntegral(np.exp, 0.0)
         assert c2(0.03) == near
         assert c2(1.57) == far
         assert far == pytest.approx(math.exp(1.57) - 1.0, rel=1e-14)
+        # one array call gives the per-point values, on both sides of x0
+        xs = np.array([1.57, -0.83, 0.03, 0.0, -2.2, 0.45])
+        batch = eq.CumulativeIntegral(np.exp, 0.0)(xs)
+        assert batch.tolist() == [eq.CumulativeIntegral(np.exp, 0.0)(x) for x in xs]
+        assert batch == pytest.approx(np.exp(xs) - 1.0, rel=1e-14, abs=1e-15)
 
     def test_backward_direction(self):
         got = eq.antiderivative(lambda t: 1.0 + t * t, 0.5, -0.5)
         exact = (-0.5 + (-0.5) ** 3 / 3.0) - (0.5 + 0.5**3 / 3.0)
         assert got == pytest.approx(exact, abs=1e-14)
+
+
+@pytest.mark.parametrize("check", [eq.check_EBM, eq.check_ECM])
+def test_viii_matches_scalar_route(check):
+    # (viii) from per-point jet Wronskians, scalar mean_eval and scalar
+    # quasiarithmetic, against the batched residual of the report
+    grid = 13
+    rep = check(EXP, LINEAR, grid=grid)
+    measure = preset_measure("ebm") if check is eq.check_EBM else Lebesgue()
+
+    def w(t):
+        v = calculus.wronskian(EXP, t, 1, 0)
+        return v if check is eq.check_EBM else math.copysign(abs(v) ** (1.0 / 3.0), v)
+
+    phi = eq.CumulativeIntegral(eq._elementwise(w), 0.0)
+    xs = ex.interior_grid(INTERVAL, grid)[:: max(1, grid // 12)]
+    sa, sb = MeanSpec(EXP, measure), MeanSpec(LINEAR, measure)
+    gap = 0.0
+    for x in xs:
+        for y in xs:
+            z = quasiarithmetic(phi, x, y)
+            gap = max(gap, abs(mean_eval(sa, x, y) - z), abs(mean_eval(sb, x, y) - z))
+    viii = rep.verdict_per_assertion["viii"]
+    assert viii.holds is False
+    assert viii.constants["subgrid"] == len(xs)
+    assert viii.residual == pytest.approx(gap, rel=1e-12)
 
 
 class TestFitEquivalence:
@@ -324,15 +357,19 @@ class TestBinarySymmetricLadder:
         assert a == b
 
     def test_tolerance_override_and_ladder_note(self):
-        # an impossibly tight mean tolerance fails (i) while (ix) still
-        # holds, which the report flags as a ladder violation
-        rep = eq.check_EBM(SINCOS, LINEAR, grid=10, tolerances={"mean_gap": 1e-22})
+        # (exp, 1) and (x, 1) have different means, so (i) fails; a loose
+        # quasiarithmetic tolerance lets (viii) and (ix) hold all the same,
+        # which the report flags as a ladder violation
+        default = eq.check_EBM(EXP, LINEAR, grid=10).verdict_per_assertion
+        assert default["viii"].holds is False and default["ix"].holds is False
+        rep = eq.check_EBM(EXP, LINEAR, grid=10, tolerances={"quasiarithmetic_gap": 1.0})
         v = rep.verdict_per_assertion
+        assert v["viii"].holds is True
         assert v["i"].holds is False
         assert v["ix"].holds is True
         assert not rep.all_hold
         assert "i" in rep.failing
-        assert any("ladder violation" in n for n in rep.notes)
+        assert any("ladder violation: (ix) holds but (i) fails" in n for n in rep.notes)
 
 
 class TestLebesgueLadder:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from meanlab import expr as ex
@@ -140,6 +141,41 @@ class TestEvaluation:
         for k in range(1, 4):
             est = fd_derivative(f, x, k, h=0.03)
             assert est == pytest.approx(j.derivative_value(k), rel=1e-6, abs=1e-8)
+
+    # one expression per node type, S and C with each sign of the parameter
+    ARRAY_CASES = [
+        "2.5", "x", "-(x * x)", "x + 1", "x - 3", "x * x", "x / (x + 2)",
+        "x^3", "(x + 2)^(-2)", "(x + 2)^(3/2)", "exp(x)", "log(x + 2)",
+        "sin(x)", "cos(x)", "sinh(x)", "cosh(x)", "sqrt(x + 2)",
+        "S(-2; x)", "S(0; x)", "S(1.5; x)", "C(-2; x)", "C(0; x)", "C(1.5; x)",
+    ]
+
+    @pytest.mark.parametrize("text", ARRAY_CASES)
+    def test_compile_array_matches_scalar(self, text):
+        e = ex.parse(text)
+        xs = np.linspace(-1.3, 1.7, 13).reshape(13, 1) + np.array([0.0, 0.011])
+        got = ex.compile_array(e)(xs)
+        assert got.shape == xs.shape
+        want = np.vectorize(ex.compile_scalar(e))(xs)
+        np.testing.assert_allclose(got, want, rtol=4e-16 * 8, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "text", ["log(x)", "1 / x", "x^(1/2)", "sqrt(x)", "x^(-2)", "exp(900 * x)"]
+    )
+    def test_compile_array_domain_error_names_first_bad_point(self, text):
+        e = ex.parse(text)
+        xs = [1.5, 0.7, 0.0, -0.3, -2.0]
+        first = None
+        for x in xs:
+            try:
+                ex.compile_scalar(e)(x)
+            except DomainViolation as exc:
+                first = str(exc)
+                break
+        assert first is not None
+        with pytest.raises(DomainViolation) as info:
+            ex.compile_array(e)(np.array(xs))
+        assert str(info.value) == first
 
     def test_compile_scalar_cached(self):
         e = ex.parse("sin(x) + x")

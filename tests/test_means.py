@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import math
+import types
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from meanlab import expr as ex
@@ -15,10 +17,20 @@ from meanlab.errors import (
     NotPositive,
     OutOfInterval,
 )
-from meanlab.means import MeanSpec, bajraktarevic, cauchy, m_curve, mean_eval, quasiarithmetic
-from meanlab.measures import Discrete, Lebesgue
+from meanlab.equality import CumulativeIntegral
+from meanlab.means import (
+    MeanSpec,
+    bajraktarevic,
+    cauchy,
+    m_curve,
+    mean_eval,
+    mean_table,
+    quasiarithmetic,
+    quasiarithmetic_table,
+)
+from meanlab.measures import Density, Discrete, Lebesgue
 
-from conftest import random_admissible_pair
+from conftest import PAIR_FAMILIES, random_admissible_pair
 
 EBM = Discrete(((0.0, 0.5), (1.0, 0.5)))
 THREE_ATOM = Discrete(((0.0, 1 / 6), (0.5, 2 / 3), (1.0, 1 / 6)))
@@ -95,6 +107,21 @@ class TestQuasiarithmetic:
         with pytest.raises(BracketFailure):
             quasiarithmetic("1", 1.0, 2.0)
 
+    @pytest.mark.parametrize("integrand", [np.cos, np.exp, lambda t: np.cbrt(t * t + 0.1)])
+    def test_table_matches_scalar(self, integrand):
+        phi = CumulativeIntegral(integrand, 0.1)
+        xs = np.linspace(-1.2, 1.3, 11)
+        table = quasiarithmetic_table(phi, xs)
+        for i, x in enumerate(xs):
+            for j, y in enumerate(xs):
+                z = quasiarithmetic(phi, x, y)
+                assert abs(table[i, j] - z) <= 1e-14 * max(1.0, abs(z))
+        assert np.array_equal(np.diag(table), xs)
+
+    def test_table_constant_phi_rejected(self):
+        with pytest.raises(BracketFailure):
+            quasiarithmetic_table(CumulativeIntegral(np.zeros_like, 0.0), [1.0, 2.0])
+
 
 class TestBajraktarevic:
     def test_unit_weight_reduces_to_quasiarithmetic(self):
@@ -170,6 +197,17 @@ class TestMCurve:
         with pytest.raises(OutOfInterval):
             m_curve(spec, 1.0, 2.0)
 
+    def test_first_moment_is_exact(self, monkeypatch):
+        # 3-point Gauss-Legendre integrates t to 0.5000000000000001; the
+        # section must use the measure's exact first moment 1/2 instead
+        measure = Lebesgue(order=3)
+        assert measure.integrate(lambda t: t) != 0.5
+        spec = spec_of("exp(x)", "1", (-1.0, 1.0), measure)
+        seen = []
+        monkeypatch.setattr(mn, "mean_eval", lambda s, a, b: seen.append((a, b)) or 0.0)
+        m_curve(spec, 0.0, 0.125)
+        assert seen == [(0.0625, -0.0625)]
+
 
 class TestStructuralProperties:
     def test_mean_value_inequality(self, rng):
@@ -225,3 +263,80 @@ class TestStructuralProperties:
                     y = lo + (hi - lo) * (j + 0.5) / 20
                     worst = max(worst, abs(mean_eval(spec, x, y) - mean_eval(ispec, x, y)))
             assert worst <= 1e-11
+
+
+MEAN_TABLE_MEASURES = [
+    EBM,
+    Lebesgue(),
+    Discrete(((0.0, 0.3), (0.7, 0.7))),
+    Density("2 * x"),
+]
+
+
+def _grid(pair, n: int = 9) -> np.ndarray:
+    lo, hi = pair.interval
+    return lo + (hi - lo) * (np.arange(n) + 0.5) / n
+
+
+def _scalar_table(spec: MeanSpec, xs) -> np.ndarray:
+    return np.array([[mean_eval(spec, x, y) for y in xs] for x in xs])
+
+
+def _unconverged(f, init, **kwargs):
+    lo, _ = init
+    return types.SimpleNamespace(success=np.zeros(lo.shape, bool), x=lo)
+
+
+def _uncertified(f, init, **kwargs):
+    # "converges" to the left end of each bracket, which fails the certificate
+    lo, _ = init
+    return types.SimpleNamespace(success=np.ones(lo.shape, bool), x=lo.copy())
+
+
+class TestMeanTable:
+    @pytest.mark.parametrize("family", PAIR_FAMILIES)
+    @pytest.mark.parametrize(
+        "measure", MEAN_TABLE_MEASURES, ids=["ebm", "lebesgue", "atoms", "density"]
+    )
+    def test_matches_mean_eval(self, family, measure, rng, monkeypatch):
+        spec = MeanSpec(pair=random_admissible_pair(rng, family), measure=measure)
+        xs = _grid(spec.pair)
+        want = _scalar_table(spec, xs)
+        fallbacks = []
+        monkeypatch.setattr(mn, "mean_eval", lambda *a: fallbacks.append(a) or mean_eval(*a))
+        table = mean_table(spec, xs)
+        assert fallbacks == []
+        assert np.all(np.abs(table - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+        assert np.array_equal(np.diag(table), xs)
+
+    def test_exact_end_roots_need_no_fallback(self, monkeypatch):
+        # a point mass at t = 1 makes the mean of x and y equal x, where the
+        # residual f - r g is exactly 0 for g = 1
+        spec = spec_of("exp(x)", "1", (-1.0, 1.0), Discrete(((1.0, 1.0),)))
+        xs = np.linspace(-0.8, 0.8, 5)
+        monkeypatch.setattr(mn, "mean_eval", None)
+        assert np.array_equal(mean_table(spec, xs), np.repeat(xs[:, None], 5, axis=1))
+
+    @pytest.mark.parametrize("solver", [_unconverged, _uncertified])
+    def test_batched_miss_falls_back_to_mean_eval(self, monkeypatch, solver):
+        spec = spec_of("sinh(x)", "cosh(x)", (-1.0, 1.0), Lebesgue())
+        xs = np.linspace(-0.8, 0.8, 6)
+        want = _scalar_table(spec, xs)
+        monkeypatch.setattr(mn, "find_root", solver)
+        assert np.array_equal(mean_table(spec, xs), want)
+
+    def test_scalar_bracket_failure_propagates(self, monkeypatch):
+        spec = spec_of("sinh(x)", "cosh(x)", (-1.0, 1.0), Lebesgue())
+
+        def broken_brentq(*args, **kwargs):
+            raise RuntimeError("failed to converge")
+
+        monkeypatch.setattr(mn, "find_root", _unconverged)
+        monkeypatch.setattr(mn, "brentq", broken_brentq)
+        with pytest.raises(BracketFailure):
+            mean_table(spec, [-0.5, 0.5])
+
+    def test_out_of_interval(self):
+        spec = spec_of("x", "1", (0.0, 1.0), EBM)
+        with pytest.raises(OutOfInterval):
+            mean_table(spec, [0.5, 2.0])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from meanlab import measures as ms
@@ -45,6 +46,18 @@ class TestIntegrate:
     def test_lebesgue_square(self):
         assert ms.integrate(Lebesgue(), lambda t: t * t) == pytest.approx(1 / 3, abs=1e-15)
 
+    @pytest.mark.parametrize("m", [EBM, Lebesgue(), Density("2 * x")])
+    def test_scalar_integrand_gives_plain_float(self, m):
+        assert type(ms.integrate(m, lambda t: t)) is float
+
+    @pytest.mark.parametrize("m", [EBM, Lebesgue(), Density("2 * x")])
+    def test_array_integrand_matches_scalar_integrals(self, m):
+        cs = np.array([[0.5, -1.0], [2.0, 3.5]])
+        got = ms.integrate(m, lambda t: np.exp(cs * t))
+        assert got.shape == cs.shape
+        for c, v in zip(cs.ravel(), got.ravel()):
+            assert v == ms.integrate(m, lambda t, c=c: np.exp(c * t))
+
     def test_point_mass_cube(self):
         m = Discrete(((0.3, 1.0),))
         assert ms.integrate(m, lambda t: t**3) == pytest.approx(0.027, abs=1e-16)
@@ -52,6 +65,8 @@ class TestIntegrate:
     def test_non_finite_integrand(self):
         with pytest.raises(QuadratureNonFinite):
             ms.integrate(Lebesgue(), lambda t: float("nan"))
+        with pytest.raises(QuadratureNonFinite):
+            ms.integrate(Lebesgue(), lambda t: np.array([t, np.inf]))
 
     def test_density_linear(self):
         m = Density("2 * x")
