@@ -31,7 +31,9 @@ from .measures import DEGENERATE_TOL, MOMENT_ZERO_TOL, Measure, moments
 
 __all__ = [
     "PhiPsi", "SeqPair",
+    "GridSamples", "sample",
     "wronskian", "phi_psi", "recursion_seq", "closed_form_seq",
+    "diagonal_moments", "diagonal_closed_form",
     "diagonal_derivatives", "diagonal_derivatives_numeric",
 ]
 
@@ -88,16 +90,24 @@ def wronskian(pair: FunctionPair, x: float, i: int, j: int) -> float:
     ) * jg.derivative_value(i)
 
 
-def _wronskian_jets(pair: FunctionPair, x: float, order: int) -> tuple[Jet, Jet, Jet]:
-    """Jets of W10, W20, W21 at x, each truncated at the given order."""
-    jf, jg = _pair_jets(pair, x, order + 2)
+def _check_phi_psi_order(pair: FunctionPair, order: int) -> None:
+    if order < 0 or order + 2 > pair.validated_order:
+        raise OrderOutOfRange(
+            f"Phi/Psi jets of order {order} need the pair validated to order {order + 2}"
+        )
+
+
+def _phi_psi_jets(jf: Jet, jg: Jet, order: int) -> tuple[Jet, Jet]:
+    """Jets of Phi = W20/W10 and Psi = -W21/W10 from pair jets of order order + 2."""
     f0, g0 = jf.truncate(order), jg.truncate(order)
     f1, g1 = jf.derivative().truncate(order), jg.derivative().truncate(order)
     f2, g2 = jf.derivative().derivative(), jg.derivative().derivative()
     w10 = sub(mul(f1, g0), mul(f0, g1))
     w20 = sub(mul(f2, g0), mul(f0, g2))
     w21 = sub(mul(f2, g1), mul(f1, g2))
-    return w10, w20, w21
+    if abs(w10.value) <= ex.TOL_WRONSKIAN:
+        raise WronskianVanishes(jf.base_point, w10.value)
+    return div(w20, w10), -div(w21, w10)
 
 
 def phi_psi(pair: FunctionPair, x: float, order: int = 4) -> PhiPsi:
@@ -106,14 +116,48 @@ def phi_psi(pair: FunctionPair, x: float, order: int = 4) -> PhiPsi:
     Needs pair jets of order order + 2, so the validated order bounds the
     reachable jet order of Phi and Psi.
     """
-    if order < 0 or order + 2 > pair.validated_order:
-        raise OrderOutOfRange(
-            f"Phi/Psi jets of order {order} need the pair validated to order {order + 2}"
-        )
-    w10, w20, w21 = _wronskian_jets(pair, x, order)
-    if abs(w10.value) <= ex.TOL_WRONSKIAN:
-        raise WronskianVanishes(x, w10.value)
-    return PhiPsi(x=x, phi_jet=div(w20, w10), psi_jet=-div(w21, w10))
+    _check_phi_psi_order(pair, order)
+    phi_jet, psi_jet = _phi_psi_jets(*_pair_jets(pair, x, order + 2), order)
+    return PhiPsi(x=x, phi_jet=phi_jet, psi_jet=psi_jet)
+
+
+@dataclass(frozen=True)
+class GridSamples:
+    """Derivatives of a pair and of its Phi and Psi at every point of a grid.
+
+    Each array has the shape of xs: d_f[k] and d_g[k] hold f^(k) and g^(k)
+    for k <= order + 2, and phi[k] and psi[k] hold Phi^(k) and Psi^(k) for
+    k <= order. Every value equals the pointwise wronskian and phi_psi
+    value bit for bit, since jet coefficients never depend on the order.
+    """
+
+    d_f: tuple[np.ndarray, ...]
+    d_g: tuple[np.ndarray, ...]
+    phi: tuple[np.ndarray, ...]
+    psi: tuple[np.ndarray, ...]
+
+    def w(self, i: int, j: int) -> np.ndarray:
+        """Wronskian f^(i) g^(j) - f^(j) g^(i) on the grid."""
+        return self.d_f[i] * self.d_g[j] - self.d_f[j] * self.d_g[i]
+
+
+def sample(pair: FunctionPair, xs, order: int) -> GridSamples:
+    """One pass of pair jets of order order + 2 over the points xs, in C order.
+
+    Raises what phi_psi raises, at the first offending point.
+    """
+    _check_phi_psi_order(pair, order)
+    pts = np.asarray(xs, dtype=float)
+    rows = []
+    for x in pts.ravel().tolist():
+        jf, jg = _pair_jets(pair, x, order + 2)
+        jets = (jf, jg, *_phi_psi_jets(jf, jg, order))
+        rows.append([j.derivative_value(k) for j in jets for k in range(j.order + 1)])
+    width = 2 * (order + 3) + 2 * (order + 1)
+    cols = np.array(rows, dtype=float).reshape(pts.size, width).T.reshape((width,) + pts.shape)
+    cuts = np.cumsum([order + 3, order + 3, order + 1])
+    d_f, d_g, phi, psi = (tuple(part) for part in np.split(cols, cuts))
+    return GridSamples(d_f=d_f, d_g=d_g, phi=phi, psi=psi)
 
 
 def _match(a: Jet, b: Jet) -> tuple[Jet, Jet]:
@@ -155,40 +199,110 @@ def recursion_seq(pair: FunctionPair, x: float, n: int = 6) -> SeqPair:
     return SeqPair(x=x, phi=tuple(phis), psi=tuple(psis))
 
 
-def closed_form_seq(pair: FunctionPair, x: float) -> SeqPair:
-    """Evaluate the displayed polynomial formulas for phi_i, psi_i up to 6."""
-    pp = phi_psi(pair, x, order=4)
-    P = pp.phi(0)
-    P1, P2, P3, P4 = pp.phi(1), pp.phi(2), pp.phi(3), pp.phi(4)
-    Q = pp.psi(0)
-    Q1, Q2, Q3, Q4 = pp.psi(1), pp.psi(2), pp.psi(3), pp.psi(4)
-    phi = (
+def _seq_closed_form(phi, psi) -> tuple[tuple, tuple]:
+    """The displayed polynomial formulas for phi_i, psi_i up to i = 6.
+
+    phi and psi hold Phi, Psi and their first four derivatives, as floats
+    or as arrays over a grid. Powers are written as products, so a float
+    and an array element round alike.
+    """
+    P, P1, P2, P3, P4 = phi
+    Q, Q1, Q2, Q3, Q4 = psi
+    PP, QQ, P1P1 = P * P, Q * Q, P1 * P1
+    PPP = PP * P
+    seq_phi = (
         0.0,
         1.0,
         P,
-        P1 + P**2 + Q,
-        P2 + 3 * P1 * P + P**3 + 2 * P * Q + 2 * Q1,
-        P3 + 4 * P2 * P + 3 * P1**2 + 6 * P1 * P**2 + P**4
-        + (4 * P1 + 3 * P**2) * Q + 5 * P * Q1 + Q**2 + 3 * Q2,
-        P4 + 5 * P3 * P + 10 * P2 * P1 + 10 * P2 * P**2 + 10 * P1 * P**3
-        + 15 * P1**2 * P + P**5 + 3 * P * Q**2
-        + (7 * P2 + 15 * P1 * P + 4 * P**3) * Q
-        + (12 * P1 + 9 * P**2) * Q1 + 9 * P * Q2 + 6 * Q1 * Q + 4 * Q3,
+        P1 + PP + Q,
+        P2 + 3 * P1 * P + PPP + 2 * P * Q + 2 * Q1,
+        P3 + 4 * P2 * P + 3 * P1P1 + 6 * P1 * PP + PP * PP
+        + (4 * P1 + 3 * PP) * Q + 5 * P * Q1 + QQ + 3 * Q2,
+        P4 + 5 * P3 * P + 10 * P2 * P1 + 10 * P2 * PP + 10 * P1 * PPP
+        + 15 * P1P1 * P + PP * PPP + 3 * P * QQ
+        + (7 * P2 + 15 * P1 * P + 4 * PPP) * Q
+        + (12 * P1 + 9 * PP) * Q1 + 9 * P * Q2 + 6 * Q1 * Q + 4 * Q3,
     )
-    psi = (
+    seq_psi = (
         1.0,
         0.0,
         Q,
         P * Q + Q1,
-        (2 * P1 + P**2) * Q + P * Q1 + Q**2 + Q2,
-        2 * P * Q**2 + (3 * P2 + 5 * P1 * P + P**3) * Q
-        + (3 * P1 + P**2) * Q1 + P * Q2 + 4 * Q1 * Q + Q3,
-        (6 * P1 + 3 * P**2) * Q**2
-        + (4 * P3 + 9 * P2 * P + 8 * P1**2 + 9 * P1 * P**2 + P**4) * Q
-        + (4 * P1 + P**2) * Q2 + (6 * P2 + 7 * P1 * P + P**3) * Q1
-        + P * (Q3 + 9 * Q1 * Q) + Q**3 + 4 * Q1**2 + 7 * Q2 * Q + Q4,
+        (2 * P1 + PP) * Q + P * Q1 + QQ + Q2,
+        2 * P * QQ + (3 * P2 + 5 * P1 * P + PPP) * Q
+        + (3 * P1 + PP) * Q1 + P * Q2 + 4 * Q1 * Q + Q3,
+        (6 * P1 + 3 * PP) * QQ
+        + (4 * P3 + 9 * P2 * P + 8 * P1P1 + 9 * P1 * PP + PP * PP) * Q
+        + (4 * P1 + PP) * Q2 + (6 * P2 + 7 * P1 * P + PPP) * Q1
+        + P * (Q3 + 9 * Q1 * Q) + QQ * Q + 4 * Q1 * Q1 + 7 * Q2 * Q + Q4,
+    )
+    return seq_phi, seq_psi
+
+
+def closed_form_seq(pair: FunctionPair, x: float) -> SeqPair:
+    """Evaluate the displayed polynomial formulas for phi_i, psi_i up to 6."""
+    pp = phi_psi(pair, x, order=4)
+    phi, psi = _seq_closed_form(
+        [pp.phi(k) for k in range(5)], [pp.psi(k) for k in range(5)]
     )
     return SeqPair(x=x, phi=phi, psi=psi)
+
+
+def diagonal_moments(measure: Measure) -> tuple[float, float, float, float, float]:
+    """mu2, ..., mu6 as the diagonal closed forms use them.
+
+    Rejects a degenerate mu2; mu3 and mu5 that vanish to tolerance are
+    zeroed outright, so symmetric measures give exact structural zeros in
+    the odd derivatives instead of noise.
+    """
+    mu2, mu3, mu4, mu5, mu6 = moments(measure, 6).mu[2:7]
+    if mu2 <= DEGENERATE_TOL:
+        raise DegenerateMeasure(mu2)
+    if abs(mu3) <= MOMENT_ZERO_TOL * max(1.0, mu2**1.5):
+        mu3 = 0.0
+    if abs(mu5) <= MOMENT_ZERO_TOL * max(1.0, mu2**2.5):
+        mu5 = 0.0
+    return mu2, mu3, mu4, mu5, mu6
+
+
+def diagonal_closed_form(phi, psi, mu: tuple[float, ...]) -> tuple:
+    """(m'(0), ..., m^(6)(0)) from Phi, Psi and their first four derivatives.
+
+    phi and psi are as in the phi_i, psi_i closed forms, floats or arrays;
+    mu comes from diagonal_moments.
+    """
+    mu2, mu3, mu4, mu5, mu6 = mu
+    P, P1, P2 = phi[:3]
+    Q, Q1, Q2 = psi[:3]
+    PP, QQ = P * P, Q * Q
+    PPP = PP * P
+    seq = _seq_closed_form(phi, psi)[0]
+    m1 = 0.0
+    m2 = mu2 * P
+    m3 = mu3 * seq[3]
+    m4 = -3.0 * mu2**2 * (PPP + 2 * P * Q) + mu4 * seq[4]
+    m5 = (
+        -10.0 * mu3 * mu2 * (PP * P1 + PP * PP + (P1 + 3 * PP) * Q + P * Q1 + QQ)
+        + mu5 * seq[5]
+    )
+    m6 = (
+        15.0 * mu2**3 * (-P1 * PPP + 2 * PP * PPP + 8 * PPP * Q + 6 * P * QQ)
+        - 10.0
+        * mu3**2
+        * (
+            P1 * P1 * P + 2 * P1 * PPP + PP * PPP + 3 * P * QQ
+            + 4 * (P1 * P + PPP) * Q + 2 * (P1 + PP) * Q1 + 2 * Q1 * Q
+        )
+        - 15.0
+        * mu2
+        * mu4
+        * (
+            P2 * PP + 3 * P1 * PPP + PP * PPP + 3 * P * QQ
+            + (P2 + 5 * P1 * P + 4 * PPP) * Q + 3 * PP * Q1 + P * Q2 + 2 * Q1 * Q
+        )
+        + mu6 * seq[6]
+    )
+    return (m1, m2, m3, m4, m5, m6)
 
 
 def diagonal_derivatives(
@@ -200,46 +314,11 @@ def diagonal_derivatives(
     moments; when mu3 or mu5 vanish to tolerance they are zeroed outright so
     symmetric measures report exact structural zeros instead of noise.
     """
-    md = moments(measure, 6)
-    mu2, mu3, mu4, mu5, mu6 = md.mu[2], md.mu[3], md.mu[4], md.mu[5], md.mu[6]
-    if mu2 <= DEGENERATE_TOL:
-        raise DegenerateMeasure(mu2)
-    if abs(mu3) <= MOMENT_ZERO_TOL * max(1.0, mu2**1.5):
-        mu3 = 0.0
-    if abs(mu5) <= MOMENT_ZERO_TOL * max(1.0, mu2**2.5):
-        mu5 = 0.0
+    mu = diagonal_moments(measure)
     pp = phi_psi(pair, x, order=4)
-    P = pp.phi(0)
-    P1, P2 = pp.phi(1), pp.phi(2)
-    Q = pp.psi(0)
-    Q1, Q2 = pp.psi(1), pp.psi(2)
-    seq = closed_form_seq(pair, x)
-    m1 = 0.0
-    m2 = mu2 * P
-    m3 = mu3 * seq.phi[3]
-    m4 = -3.0 * mu2**2 * (P**3 + 2 * P * Q) + mu4 * seq.phi[4]
-    m5 = (
-        -10.0 * mu3 * mu2 * (P**2 * P1 + P**4 + (P1 + 3 * P**2) * Q + P * Q1 + Q**2)
-        + mu5 * seq.phi[5]
+    return diagonal_closed_form(
+        [pp.phi(k) for k in range(5)], [pp.psi(k) for k in range(5)], mu
     )
-    m6 = (
-        15.0 * mu2**3 * (-P1 * P**3 + 2 * P**5 + 8 * P**3 * Q + 6 * P * Q**2)
-        - 10.0
-        * mu3**2
-        * (
-            P1**2 * P + 2 * P1 * P**3 + P**5 + 3 * P * Q**2
-            + 4 * (P1 * P + P**3) * Q + 2 * (P1 + P**2) * Q1 + 2 * Q1 * Q
-        )
-        - 15.0
-        * mu2
-        * mu4
-        * (
-            P2 * P**2 + 3 * P1 * P**3 + P**5 + 3 * P * Q**2
-            + (P2 + 5 * P1 * P + 4 * P**3) * Q + 3 * P**2 * Q1 + P * Q2 + 2 * Q1 * Q
-        )
-        + mu6 * seq.phi[6]
-    )
-    return (m1, m2, m3, m4, m5, m6)
 
 
 def diagonal_derivatives_numeric(

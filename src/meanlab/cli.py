@@ -91,18 +91,6 @@ def _emit(args: argparse.Namespace, command: str, config: dict, result: dict, te
         print(payload)
 
 
-def _regime_result(info) -> dict:
-    return {
-        "regime": info.regime.value,
-        "p": info.p,
-        "q": info.q,
-        "r": info.r,
-        "moment_condition_6": info.moment_condition_6,
-        "mu_hat1": info.moment_data.mu_hat1,
-        "mu": list(info.moment_data.mu),
-    }
-
-
 def _regime_text(info) -> list[str]:
     lines = [f"regime = {info.regime.value}"]
     for name in ("p", "q", "r"):
@@ -140,7 +128,7 @@ def _cmd_moments(args: argparse.Namespace) -> None:
     lines += [f"mu{n} = {md.mu[n]!r}" for n in range(2, nmax + 1)]
     if nmax >= 6:
         info = classify(measure)
-        result["regime"] = _regime_result(info)
+        result["regime"] = info.as_dict()
         lines += _regime_text(info)
     config = {"measure": measure_to_json(measure), "nmax": nmax}
     _emit(args, "moments", config, result, "\n".join(lines))
@@ -150,7 +138,7 @@ def _cmd_classify(args: argparse.Namespace) -> None:
     measure = _parse_measure(args.measure)
     info = classify(measure)
     config = {"measure": measure_to_json(measure)}
-    _emit(args, "classify", config, _regime_result(info), "\n".join(_regime_text(info)))
+    _emit(args, "classify", config, info.as_dict(), "\n".join(_regime_text(info)))
 
 
 def _cmd_derivatives(args: argparse.Namespace) -> None:
@@ -209,25 +197,19 @@ def _cmd_check_equality(args: argparse.Namespace) -> None:
         "grid": grid, "tolerances": tols,
     }
 
+    report = None
     if eqmod._is_ebm_measure(measure):
-        report = eqmod.check_EBM(pairA, pairB, grid=grid, measure=measure,
-                                 tolerances=tols or None)
-        _emit(args, "check-equality", config, report.as_dict(), _ladder_text(report))
-        return
-    if isinstance(measure, Lebesgue):
-        report = eqmod.check_ECM(pairA, pairB, grid=grid, measure=measure,
-                                 tolerances=tols or None)
-        _emit(args, "check-equality", config, report.as_dict(), _ladder_text(report))
-        return
-
-    info = classify(measure)
-    if info.regime is Regime.MU3_NONZERO:
+        report = eqmod.check_EBM(pairA, pairB, grid=grid, measure=measure, tolerances=tols or None)
+    elif isinstance(measure, Lebesgue):
+        report = eqmod.check_ECM(pairA, pairB, grid=grid, measure=measure, tolerances=tols or None)
+    elif (info := classify(measure)).regime is Regime.MU3_NONZERO:
         report = eqmod.check_N15(pairA, pairB, measure, grid=grid, tolerances=tols or None)
+    if report is not None:
         _emit(args, "check-equality", config, report.as_dict(), _ladder_text(report))
         return
     if info.regime is Regime.MU3_ZERO_MU5_NONZERO:
         split = eqmod.check_N25(pairA, pairB, measure, grid)
-        result = {"battery": "N2.5", "regime": _regime_result(info), **split.as_dict()}
+        result = {"battery": "N2.5", "regime": info.as_dict(), **split.as_dict()}
         text = (
             f"battery N2.5 on ({lo}, {hi})\n"
             f"[{'PASS' if split.holds else 'FAIL'}] alternative {split.alternative}"
@@ -238,7 +220,7 @@ def _cmd_check_equality(args: argparse.Namespace) -> None:
         _emit(args, "check-equality", config, result, text)
         return
     branch = eqmod.check_N3(pairA, pairB, measure, grid)
-    result = {"battery": "N3", "regime": _regime_result(info), **branch.as_dict()}
+    result = {"battery": "N3", "regime": info.as_dict(), **branch.as_dict()}
     constants = ", ".join(
         f"{k} = {getattr(branch, k)!r}" for k in ("gamma", "delta", "alpha", "beta")
         if getattr(branch, k) is not None

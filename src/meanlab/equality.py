@@ -21,7 +21,7 @@ import numpy as np
 
 from . import calculus, measures
 from . import expr as ex
-from .calculus import phi_psi, diagonal_derivatives
+from .calculus import GridSamples, sample
 from .errors import IllConditionedFit, NotApplicable, OutOfInterval, QuadratureNonFinite
 from .expr import FunctionPair, interior_grid
 from .means import MeanSpec, mean_eval, mean_table, quasiarithmetic_table
@@ -41,18 +41,6 @@ DEFAULT_BATTERY_GRID = 50
 GridSpec = Union[int, Sequence[float]]
 
 _GL_PANEL = np.polynomial.legendre.leggauss(PANEL_POINTS)
-
-
-def _coerce_plain(obj) -> None:
-    """Swap numpy scalar fields of a frozen dataclass for plain python ones."""
-    import dataclasses
-
-    for f in dataclasses.fields(obj):
-        v = getattr(obj, f.name)
-        if isinstance(v, np.bool_):
-            object.__setattr__(obj, f.name, bool(v))
-        elif isinstance(v, np.floating):
-            object.__setattr__(obj, f.name, float(v))
 
 
 # ------------------------------------------------------------------- types
@@ -224,7 +212,7 @@ class EqualityReport:
             "battery": self.battery,
             "interval": list(self.interval),
             "grid": list(self.grid),
-            "regime": _regime_dict(self.regime),
+            "regime": self.regime.as_dict(),
             "assertions": [a.as_dict() for a in self.assertions],
             "fitted": dict(self.fitted),
             "R_values": list(self.R_values),
@@ -238,18 +226,6 @@ class EqualityReport:
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), sort_keys=True, indent=2)
-
-
-def _regime_dict(info: RegimeInfo) -> dict:
-    return {
-        "regime": info.regime.value,
-        "p": info.p,
-        "q": info.q,
-        "r": info.r,
-        "moment_condition_6": info.moment_condition_6,
-        "mu_hat1": info.moment_data.mu_hat1,
-        "mu": list(info.moment_data.mu),
-    }
 
 
 # ------------------------------------------------------------------ helpers
@@ -274,18 +250,6 @@ def _resolve_grid(interval: tuple[float, float], grid: GridSpec) -> list[float]:
         if not lo < x < hi:
             raise OutOfInterval(x, interval)
     return xs
-
-
-def _wronskian_values(pair: FunctionPair, x: float, kmax: int) -> Callable[[int, int], float]:
-    jf = ex.eval_jet(pair.f, x, kmax)
-    jg = ex.eval_jet(pair.g, x, kmax)
-
-    def w(i: int, j: int) -> float:
-        return jf.derivative_value(i) * jg.derivative_value(j) - jf.derivative_value(
-            j
-        ) * jg.derivative_value(i)
-
-    return w
 
 
 def _spread(values: np.ndarray) -> float:
@@ -455,9 +419,6 @@ class PhiPsiGaps:
     holds: bool
     tolerance: float
 
-    def __post_init__(self):
-        _coerce_plain(self)
-
     def as_dict(self) -> dict:
         return {
             "phi_gap": self.phi_gap,
@@ -476,15 +437,14 @@ def check_phi_psi(pairA: FunctionPair, pairB: FunctionPair, grid: GridSpec) -> P
     scale taken as the largest magnitude either pair attains on the grid.
     """
     xs = _resolve_grid(_common_interval(pairA, pairB), grid)
-    phi_gap = psi_gap = 0.0
-    phi_scale = psi_scale = 0.0
-    for x in xs:
-        a = phi_psi(pairA, x, order=0)
-        b = phi_psi(pairB, x, order=0)
-        phi_gap = max(phi_gap, abs(a.phi(0) - b.phi(0)))
-        psi_gap = max(psi_gap, abs(a.psi(0) - b.psi(0)))
-        phi_scale = max(phi_scale, abs(a.phi(0)), abs(b.phi(0)))
-        psi_scale = max(psi_scale, abs(a.psi(0)), abs(b.psi(0)))
+    return _phi_psi_gaps(sample(pairA, xs, 0), sample(pairB, xs, 0))
+
+
+def _phi_psi_gaps(sa: GridSamples, sb: GridSamples) -> PhiPsiGaps:
+    phi_gap = float(np.max(np.abs(sa.phi[0] - sb.phi[0])))
+    psi_gap = float(np.max(np.abs(sa.psi[0] - sb.psi[0])))
+    phi_scale = float(max(np.max(np.abs(sa.phi[0])), np.max(np.abs(sb.phi[0]))))
+    psi_scale = float(max(np.max(np.abs(sa.psi[0])), np.max(np.abs(sb.psi[0]))))
     holds = phi_gap <= PHI_PSI_TOL * (1.0 + phi_scale) and psi_gap <= PHI_PSI_TOL * (
         1.0 + psi_scale
     )
@@ -514,32 +474,16 @@ def check_power_law_R(
         raise NotApplicable("the exponent p needs a positive fourth moment")
     p = info.p
     xs = _resolve_grid(_common_interval(pairA, pairB), grid)
-    n = len(xs)
-    phiA = np.empty(n)
-    dphiA = np.empty(n)
-    psiA = np.empty(n)
-    dpsiA = np.empty(n)
-    phiB = np.empty(n)
-    psiB = np.empty(n)
-    dpsiB = np.empty(n)
-    wA = np.empty(n)
-    for i, x in enumerate(xs):
-        a = phi_psi(pairA, x, order=1)
-        b = phi_psi(pairB, x, order=1)
-        phiA[i], dphiA[i] = a.phi(0), a.phi(1)
-        psiA[i], dpsiA[i] = a.psi(0), a.psi(1)
-        phiB[i] = b.phi(0)
-        psiB[i], dpsiB[i] = b.psi(0), b.psi(1)
-        wA[i] = calculus.wronskian(pairA, x, 1, 0)
-    phi_scale = max(np.max(np.abs(phiA)), np.max(np.abs(phiB)))
-    if np.max(np.abs(phiA - phiB)) > PHI_PSI_TOL * (1.0 + phi_scale):
+    sa, sb = sample(pairA, xs, 1), sample(pairB, xs, 1)
+    gaps = _phi_psi_gaps(sa, sb)
+    if gaps.phi_gap > PHI_PSI_TOL * (1.0 + gaps.phi_scale):
         raise NotApplicable("the Phi functions differ, so no single power law applies")
-    R = psiA - psiB
-    basis = 2.0 * np.abs(wA) ** p
+    R = sa.psi[0] - sb.psi[0]
+    basis = 2.0 * np.abs(sa.w(1, 0)) ** p
     gamma = float(_lstsq(basis, R, context="power-law gap fit")[0])
     fit_resid = float(np.max(np.abs(R - gamma * basis))) / (1.0 + float(np.max(np.abs(R))))
-    dR = dpsiA - dpsiB
-    ode_gap = np.abs(dR - p * phiA * R)
+    dR = sa.psi[1] - sb.psi[1]
+    ode_gap = np.abs(dR - p * sa.phi[0] * R)
     ode_resid = float(np.max(ode_gap)) / (1.0 + float(np.max(np.abs(dR))))
     return gamma, max(fit_resid, ode_resid)
 
@@ -554,9 +498,6 @@ class PowerLawSplit:
     residual: float
     tolerance: float
     note: str = ""
-
-    def __post_init__(self):
-        _coerce_plain(self)
 
     def as_dict(self) -> dict:
         return {
@@ -587,37 +528,24 @@ def check_N25(
     if p is None:
         raise NotApplicable("the exponent p needs a positive fourth moment")
     xs = _resolve_grid(_common_interval(pairA, pairB), grid)
-    n = len(xs)
-    phiA = np.empty(n)
-    dphiA = np.empty(n)
-    psiA = np.empty(n)
-    psiB = np.empty(n)
-    phiB = np.empty(n)
-    wA = np.empty(n)
-    for i, x in enumerate(xs):
-        a = phi_psi(pairA, x, order=1)
-        b = phi_psi(pairB, x, order=1)
-        phiA[i], dphiA[i] = a.phi(0), a.phi(1)
-        psiA[i], psiB[i] = a.psi(0), b.psi(0)
-        phiB[i] = b.phi(0)
-        wA[i] = calculus.wronskian(pairA, x, 1, 0)
-    psi_scale = max(np.max(np.abs(psiA)), np.max(np.abs(psiB)))
+    sa, sb = sample(pairA, xs, 1), sample(pairB, xs, 1)
+    (phiA, dphiA), psiA, psiB = sa.phi, sa.psi[0], sb.psi[0]
+    gaps = _phi_psi_gaps(sa, sb)
+    psi_scale = gaps.psi_scale
     note = ""
-    phi_scale = max(np.max(np.abs(phiA)), np.max(np.abs(phiB)))
-    if np.max(np.abs(phiA - phiB)) > PHI_PSI_TOL * (1.0 + phi_scale):
+    if gaps.phi_gap > PHI_PSI_TOL * (1.0 + gaps.phi_scale):
         note = "the Phi functions differ; residuals measured against the first pair"
     R = psiA - psiB
-    psi_gap = float(np.max(np.abs(R)))
-    if psi_gap <= PHI_PSI_TOL * (1.0 + psi_scale) and not note:
+    if gaps.psi_gap <= PHI_PSI_TOL * (1.0 + psi_scale) and not note:
         return PowerLawSplit(
             alternative="psi_equal",
             holds=True,
             gamma=0.0,
-            residual=psi_gap / (1.0 + psi_scale),
+            residual=gaps.psi_gap / (1.0 + psi_scale),
             tolerance=PHI_PSI_TOL,
             note="the Psi functions already agree",
         )
-    basis = np.abs(wA) ** p
+    basis = np.abs(sa.w(1, 0)) ** p
     gamma = float(_lstsq(2.0 * basis, R, context="split gap fit")[0])
     tail = -0.5 * (4.0 + 3.0 * p) * dphiA - 0.5 * (3.0 + 5.0 * p + 3.0 * p * p) * phiA**2
     resid = max(
@@ -652,9 +580,6 @@ class BranchReport:
     grid_used: int
     note: str = ""
 
-    def __post_init__(self):
-        _coerce_plain(self)
-
     def as_dict(self) -> dict:
         return {
             "alternative": self.alternative,
@@ -671,11 +596,6 @@ class BranchReport:
             "grid_used": self.grid_used,
             "note": self.note,
         }
-
-
-def _phi_w_at(pair: FunctionPair, t: float) -> tuple[float, float]:
-    pp = phi_psi(pair, t, order=0)
-    return pp.phi(0), calculus.wronskian(pair, t, 1, 0)
 
 
 def check_N3(
@@ -704,20 +624,11 @@ def check_N3(
     interval = _common_interval(pairA, pairB)
     xs = _resolve_grid(interval, grid)
     n = len(xs)
-    phiA = np.empty(n)
-    dphiA = np.empty(n)
-    d2phiA = np.empty(n)
-    psiA = np.empty(n)
-    psiB = np.empty(n)
-    wA = np.empty(n)
-    for i, x in enumerate(xs):
-        a = phi_psi(pairA, x, order=2)
-        b = phi_psi(pairB, x, order=0)
-        phiA[i], dphiA[i], d2phiA[i] = a.phi(0), a.phi(1), a.phi(2)
-        psiA[i], psiB[i] = a.psi(0), b.psi(0)
-        wA[i] = calculus.wronskian(pairA, x, 1, 0)
+    sa, sb = sample(pairA, xs, 2), sample(pairB, xs, 0)
+    (phiA, dphiA, d2phiA), psiA, psiB = sa.phi, sa.psi[0], sb.psi[0]
+    wA = sa.w(1, 0)
     R = psiA - psiB
-    psi_scale = 1.0 + max(np.max(np.abs(psiA)), np.max(np.abs(psiB)))
+    psi_scale = 1.0 + float(max(np.max(np.abs(psiA)), np.max(np.abs(psiB))))
     anchor = 0.5 * (interval[0] + interval[1])
 
     if mu6_matches and mu4_matches:
@@ -794,11 +705,11 @@ def check_N3(
     if mu4_matches:
         r = info.r
 
-        def integrand_iii(t: float) -> float:
-            phi, w = _phi_w_at(pairA, t)
-            return phi**3 * abs(w)
+        def integrand_iii(t: np.ndarray) -> np.ndarray:
+            s = sample(pairA, t, 0)
+            return s.phi[0] ** 3 * np.abs(s.w(1, 0))
 
-        J = CumulativeIntegral(_elementwise(integrand_iii), anchor)(np.asarray(xs))
+        J = CumulativeIntegral(integrand_iii, anchor)(np.asarray(xs))
         inv_w = 1.0 / np.abs(wA)
         known = -0.5 * r * dphiA + 0.25 * (r - 5.0) * phiA**2 - (3.0 * r - 7.0) / 12.0 * inv_w * J
         design = np.vstack(
@@ -835,11 +746,11 @@ def check_N3(
         K = np.zeros(n)
     else:
 
-        def integrand_iv(t: float) -> float:
-            phi, w = _phi_w_at(pairA, t)
-            return phi**3 * abs(w) ** (-q)
+        def integrand_iv(t: np.ndarray) -> np.ndarray:
+            s = sample(pairA, t, 0)
+            return s.phi[0] ** 3 * np.abs(s.w(1, 0)) ** (-q)
 
-        K = CumulativeIntegral(_elementwise(integrand_iv), anchor)(np.asarray(xs))
+        K = CumulativeIntegral(integrand_iv, anchor)(np.asarray(xs))
     basis_p = np.abs(wA) ** p
     basis_q = np.abs(wA) ** q
     known = c1 * dphiA + c2 * phiA**2 + c3 * basis_q * K
@@ -1055,17 +966,94 @@ def _is_ebm_measure(m: Measure) -> bool:
     )
 
 
-def _mean_tables(
-    pairA: FunctionPair, pairB: FunctionPair, measure: Measure, xs: Sequence[float]
-) -> tuple[np.ndarray, np.ndarray]:
-    return mean_table(MeanSpec(pairA, measure), xs), mean_table(MeanSpec(pairB, measure), xs)
-
-
 def _w10_array(pair: FunctionPair) -> Callable[[np.ndarray], np.ndarray]:
     """The Wronskian W10 = f'g - fg' as an elementwise array callable."""
     f, g = ex.compile_array(pair.f), ex.compile_array(pair.g)
     df, dg = ex.compile_array(ex._derivative(pair.f)), ex.compile_array(ex._derivative(pair.g))
     return lambda t: df(t) * g(t) - f(t) * dg(t)
+
+
+def _mean_rows(
+    pairA: FunctionPair,
+    pairB: FunctionPair,
+    measure: Measure,
+    xs: Sequence[float],
+    tols: Mapping[str, float],
+) -> tuple[AssertionResult, AssertionResult, np.ndarray, np.ndarray]:
+    """Rows (i) and (ii), the means on the square grid and near its diagonal,
+    and the two mean tables they compare."""
+    ma = mean_table(MeanSpec(pairA, measure), xs)
+    mb = mean_table(MeanSpec(pairB, measure), xs)
+    gap = np.abs(ma - mb)
+    sup_gap = float(np.max(gap))
+    lo, hi = pairA.interval
+    xcol = np.asarray(xs)
+    near_mask = np.abs(xcol[:, None] - xcol[None, :]) <= 0.2 * (hi - lo)
+    near_gap = float(np.max(gap[near_mask]))
+    a_i = AssertionResult(
+        "i", sup_gap <= tols["mean_gap"], sup_gap, tols["mean_gap"], {},
+        "the two means agree on the square grid",
+    )
+    a_ii = AssertionResult(
+        "ii", near_gap <= tols["near_diagonal_gap"], near_gap, tols["near_diagonal_gap"], {},
+        "the two means agree near the diagonal",
+    )
+    return a_i, a_ii, ma, mb
+
+
+def _equivalence_fit(
+    pairA: FunctionPair, pairB: FunctionPair, gsize: int, tols: Mapping[str, float]
+) -> tuple[Union[Matrix2, NotEquivalent], float]:
+    """The ladders' equivalence fit on at least 101 points, and its residual."""
+    matrix, resid = _fit_matrix(pairA, pairB, interior_grid(pairA.interval, max(gsize, 101)))
+    if resid <= tols["equivalence_residual"] and abs(matrix.det()) >= DETERMINANT_FLOOR:
+        return matrix, resid
+    return NotEquivalent(resid), resid
+
+
+def _equivalent_row(assertion_id: str, eq_resid: float, tols: Mapping[str, float]) -> AssertionResult:
+    return AssertionResult(
+        assertion_id,
+        True,
+        eq_resid,
+        tols["equivalence_residual"],
+        {"equivalent": 1.0},
+        "first alternative: the pairs are equivalent",
+    )
+
+
+def _rel_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest |a - b| / (1 + |a|) over the grid."""
+    return float(np.max(np.abs(a - b) / (1.0 + np.abs(a))))
+
+
+def _quadratic_form_fit(
+    s: GridSamples, target: np.ndarray
+) -> tuple[QuadraticForm, float, np.ndarray, float]:
+    """Least-squares a f^2 + b f g + c g^2 = target on the grid.
+
+    Returns P(t) = a t^2 + b t + c, its relative residual, t = f/g on the
+    grid and the minimum of P over the sampled range of t.
+    """
+    f, g = s.d_f[0], s.d_g[0]
+    design = np.column_stack([f**2, f * g, g**2])
+    coef = _lstsq(design, target, context="quadratic form fit")
+    resid = float(np.max(np.abs(design @ coef - target))) / (1.0 + float(np.max(np.abs(target))))
+    P = QuadraticForm(*(float(v) for v in coef))
+    t = f / g
+    return P, resid, t, P.min_on(float(np.min(t)), float(np.max(t)))
+
+
+def _reconstruction(
+    s: GridSamples, P: QuadraticForm, t: np.ndarray, ebm: bool
+) -> tuple[float, np.ndarray]:
+    """Relative gap between g and the g rebuilt from P, and the
+    antiderivative of 1/P at t, anchored mid-range."""
+    g = s.d_g[0]
+    recon = 1.0 / np.sqrt(P(t)) if ebm else (s.w(1, 0) / g**2) * P(t) ** -1.5
+    gap = float(np.max(np.abs(g - recon))) / (1.0 + float(np.max(np.abs(g))))
+    anchor = 0.5 * (float(np.min(t)) + float(np.max(t)))
+    return gap, CumulativeIntegral(lambda u: 1.0 / P(u), anchor)(t)
 
 
 def _sincos_battery(
@@ -1077,10 +1065,7 @@ def _sincos_battery(
     flavor: str,
 ) -> EqualityReport:
     ebm = flavor == "ebm"
-    defaults = EBM_TOLERANCES if ebm else ECM_TOLERANCES
-    tols = dict(defaults)
-    if tolerances:
-        tols.update(tolerances)
+    tols = {**(EBM_TOLERANCES if ebm else ECM_TOLERANCES), **(tolerances or {})}
     if measure is None:
         measure = preset_measure("ebm") if ebm else Lebesgue()
     elif ebm and not _is_ebm_measure(measure):
@@ -1091,47 +1076,22 @@ def _sincos_battery(
     interval = _common_interval(pairA, pairB)
     lo, hi = interval
     xs = _resolve_grid(interval, grid)
-    gsize = len(xs)
+    n = len(xs)
     regime = classify(measure)
     notes: list[str] = ["all verdicts are grid certificates at the reported grid"]
 
-    matrix, eq_resid = _fit_matrix(pairA, pairB, interior_grid(interval, max(gsize, 101)))
-    equivalent = eq_resid <= tols["equivalence_residual"] and abs(matrix.det()) >= DETERMINANT_FLOOR
-    equivalence: Union[Matrix2, NotEquivalent] = matrix if equivalent else NotEquivalent(eq_resid)
+    equivalence, eq_resid = _equivalence_fit(pairA, pairB, n, tols)
+    equivalent = isinstance(equivalence, Matrix2)
+    a_i, a_ii, ma, mb = _mean_rows(pairA, pairB, measure, xs, tols)
 
-    # (i) and (ii): the means on the full square grid and near its diagonal
-    ma, mb = _mean_tables(pairA, pairB, measure, xs)
-    gap = np.abs(ma - mb)
-    sup_gap = float(np.max(gap))
-    band = 0.2 * (hi - lo)
-    xcol = np.asarray(xs)
-    near_mask = np.abs(xcol[:, None] - xcol[None, :]) <= band
-    near_gap = float(np.max(gap[near_mask]))
-    a_i = AssertionResult(
-        "i",
-        sup_gap <= tols["mean_gap"],
-        sup_gap,
-        tols["mean_gap"],
-        {},
-        "the two means agree on the square grid",
-    )
-    a_ii = AssertionResult(
-        "ii",
-        near_gap <= tols["near_diagonal_gap"],
-        near_gap,
-        tols["near_diagonal_gap"],
-        {},
-        "the two means agree near the diagonal",
-    )
+    # every later row reads these samples: Phi and Psi to order 4 for (iii)
+    sa, sb = sample(pairA, xs, 4), sample(pairB, xs, 4)
 
     # (iii): diagonal section derivatives of orders 2, 4, 6
-    worst = {2: 0.0, 4: 0.0, 6: 0.0}
-    for x in xs:
-        da = diagonal_derivatives(pairA, measure, x)
-        db = diagonal_derivatives(pairB, measure, x)
-        for k in (2, 4, 6):
-            rel = abs(da[k - 1] - db[k - 1]) / (1.0 + abs(da[k - 1]))
-            worst[k] = max(worst[k], rel)
+    mu = calculus.diagonal_moments(measure)
+    da = calculus.diagonal_closed_form(sa.phi, sa.psi, mu)
+    db = calculus.diagonal_closed_form(sb.phi, sb.psi, mu)
+    worst = {k: _rel_gap(da[k - 1], db[k - 1]) for k in (2, 4, 6)}
     deriv_resid = max(worst.values())
     a_iii = AssertionResult(
         "iii",
@@ -1143,30 +1103,9 @@ def _sincos_battery(
     )
 
     # pointwise coefficient data shared by the remaining assertions
-    n = gsize
-    phiA = np.empty(n)
-    dphiA = np.empty(n)
-    psiA = np.empty(n)
-    phiB = np.empty(n)
-    psiB = np.empty(n)
-    wa = np.empty(n)
-    wb = np.empty(n)
-    fa = np.empty(n)
-    ga = np.empty(n)
-    fb = np.empty(n)
-    gb = np.empty(n)
-    for i, x in enumerate(xs):
-        a = phi_psi(pairA, x, order=1)
-        b = phi_psi(pairB, x, order=1)
-        phiA[i], dphiA[i] = a.phi(0), a.phi(1)
-        psiA[i] = a.psi(0)
-        phiB[i], psiB[i] = b.phi(0), b.psi(0)
-        wa[i] = calculus.wronskian(pairA, x, 1, 0)
-        wb[i] = calculus.wronskian(pairB, x, 1, 0)
-        fa[i], ga[i] = pairA.f_at(x), pairA.g_at(x)
-        fb[i], gb[i] = pairB.f_at(x), pairB.g_at(x)
-    R_values = psiA - psiB
-    S_values = psiA + psiB
+    phiA, dphiA, psiA = sa.phi[0], sa.phi[1], sa.psi[0]
+    phiB, psiB = sb.phi[0], sb.psi[0]
+    wa, wb = sa.w(1, 0), sb.w(1, 0)
     psi_scale = 1.0 + max(float(np.max(np.abs(psiA))), float(np.max(np.abs(psiB))))
     phi_scale = 1.0 + max(float(np.max(np.abs(phiA))), float(np.max(np.abs(phiB))))
 
@@ -1198,38 +1137,11 @@ def _sincos_battery(
     ratios = wb / wa
     gamma_w = float(np.median(ratios))
     w_spread = _spread(ratios)
-    if ebm:
-        targetP = np.ones(n)
-        targetQ = np.ones(n)
-    else:
-        targetP = np.abs(wa) ** (2.0 / 3.0)
-        targetQ = np.abs(wb) ** (2.0 / 3.0)
-    designP = np.column_stack([fa**2, fa * ga, ga**2])
-    designQ = np.column_stack([fb**2, fb * gb, gb**2])
-    coefP = _lstsq(designP, targetP, context="quadratic form fit")
-    coefQ = _lstsq(designQ, targetQ, context="quadratic form fit")
-    P = QuadraticForm(*(float(v) for v in coefP))
-    Q = QuadraticForm(*(float(v) for v in coefQ))
-    residP = float(np.max(np.abs(designP @ coefP - targetP))) / (
-        1.0 + float(np.max(np.abs(targetP)))
-    )
-    residQ = float(np.max(np.abs(designQ @ coefQ - targetQ))) / (
-        1.0 + float(np.max(np.abs(targetQ)))
-    )
-    ta = fa / ga
-    tb = fb / gb
-    P_min = P.min_on(float(np.min(ta)), float(np.max(ta)))
-    Q_min = Q.min_on(float(np.min(tb)), float(np.max(tb)))
+    P, residP, ta, P_min = _quadratic_form_fit(sa, np.ones(n) if ebm else np.abs(wa) ** (2.0 / 3.0))
+    Q, residQ, tb, Q_min = _quadratic_form_fit(sb, np.ones(n) if ebm else np.abs(wb) ** (2.0 / 3.0))
     positive = P_min > 0.0 and Q_min > 0.0
     if equivalent:
-        a_v = AssertionResult(
-            "v",
-            True,
-            eq_resid,
-            tols["equivalence_residual"],
-            {"equivalent": 1.0},
-            "first alternative: the pairs are equivalent",
-        )
+        a_v = _equivalent_row("v", eq_resid, tols)
     else:
         resid_v = max(residP, residQ, w_spread)
         holds_v = (
@@ -1254,14 +1166,7 @@ def _sincos_battery(
     # (vi): reconstruct the generators from the fitted quadratics
     delta_vi: float | None = None
     if equivalent:
-        a_vi = AssertionResult(
-            "vi",
-            True,
-            eq_resid,
-            tols["equivalence_residual"],
-            {"equivalent": 1.0},
-            "first alternative: the pairs are equivalent",
-        )
+        a_vi = _equivalent_row("vi", eq_resid, tols)
     elif not positive:
         a_vi = AssertionResult(
             "vi",
@@ -1272,23 +1177,12 @@ def _sincos_battery(
             "no admissible quadratic forms to reconstruct from",
         )
     else:
-        if ebm:
-            recon_g = 1.0 / np.sqrt(np.array([P(t) for t in ta]))
-            recon_G = 1.0 / np.sqrt(np.array([Q(t) for t in tb]))
-        else:
-            recon_g = (wa / ga**2) * np.array([P(t) for t in ta]) ** -1.5
-            recon_G = (wb / gb**2) * np.array([Q(t) for t in tb]) ** -1.5
-        rg = float(np.max(np.abs(ga - recon_g))) / (1.0 + float(np.max(np.abs(ga))))
-        rG = float(np.max(np.abs(gb - recon_G))) / (1.0 + float(np.max(np.abs(gb))))
-        ip = CumulativeIntegral(lambda t: 1.0 / P(t), 0.5 * (float(np.min(ta)) + float(np.max(ta))))
-        iq = CumulativeIntegral(lambda t: 1.0 / Q(t), 0.5 * (float(np.min(tb)) + float(np.max(tb))))
-        u = iq(tb)
-        v = ip(ta)
-        coef = _lstsq(np.column_stack([v, np.ones(n)]), u, context="antiderivative relation fit")
+        rg, v = _reconstruction(sa, P, ta, ebm)
+        rG, u = _reconstruction(sb, Q, tb, ebm)
+        design = np.column_stack([v, np.ones(n)])
+        coef = _lstsq(design, u, context="antiderivative relation fit")
         slope, delta_vi = float(coef[0]), float(coef[1])
-        r_rel = float(np.max(np.abs(np.column_stack([v, np.ones(n)]) @ coef - u))) / (
-            1.0 + float(np.max(np.abs(u)))
-        )
+        r_rel = float(np.max(np.abs(design @ coef - u))) / (1.0 + float(np.max(np.abs(u))))
         resid_vi = max(rg, rG, r_rel)
         slope_name = "gamma" if ebm else "gamma_cuberoot"
         a_vi = AssertionResult(
@@ -1302,14 +1196,7 @@ def _sincos_battery(
 
     # (vii): sine and cosine type representation, decided structurally
     if equivalent:
-        a_vii = AssertionResult(
-            "vii",
-            True,
-            eq_resid,
-            tols["equivalence_residual"],
-            {"equivalent": 1.0},
-            "first alternative: the pairs are equivalent",
-        )
+        a_vii = _equivalent_row("vii", eq_resid, tols)
     else:
         matchA = _match_sincos(pairA, cauchy=not ebm)
         matchB = _match_sincos(pairB, cauchy=not ebm)
@@ -1355,28 +1242,13 @@ def _sincos_battery(
     # (viii) and (ix): both means against the quasiarithmetic mean of the
     # Wronskian antiderivative
     if equivalent:
-        a_viii = AssertionResult(
-            "viii",
-            True,
-            eq_resid,
-            tols["equivalence_residual"],
-            {"equivalent": 1.0},
-            "first alternative: the pairs are equivalent",
-        )
-        a_ix = AssertionResult(
-            "ix",
-            True,
-            eq_resid,
-            tols["equivalence_residual"],
-            {"equivalent": 1.0},
-            "first alternative: the pairs are equivalent",
-        )
+        a_viii, a_ix = _equivalent_row("viii", eq_resid, tols), _equivalent_row("ix", eq_resid, tols)
     else:
         w10 = _w10_array(pairA)
         integrand = w10 if ebm else lambda t: np.cbrt(w10(t))
         phi_int = CumulativeIntegral(integrand, 0.5 * (lo + hi))
-        stride = max(1, gsize // 12)
-        idx = np.arange(0, gsize, stride)
+        stride = max(1, n // 12)
+        idx = np.arange(0, n, stride)
         z = quasiarithmetic_table(phi_int, np.asarray(xs)[idx])
         sub = np.ix_(idx, idx)
         aphi_gap = float(max(np.max(np.abs(ma[sub] - z)), np.max(np.abs(mb[sub] - z))))
@@ -1405,14 +1277,11 @@ def _sincos_battery(
         # only when the power-law assertion holds
         spreads = {}
         values = {}
-        for name, pair in (("A", pairA), ("B", pairB)):
-            es = np.empty(n)
-            for i, x in enumerate(xs):
-                w = _wronskian_values(pair, x, 3)
-                w10, w20, w21, w30 = w(1, 0), w(2, 0), w(2, 1), w(3, 0)
-                es[i] = (3.0 * w30 + 12.0 * w21) / abs(w10) ** (5.0 / 3.0) - 5.0 * w20**2 / abs(
-                    w10
-                ) ** (8.0 / 3.0)
+        for name, s in (("A", sa), ("B", sb)):
+            w10 = np.abs(s.w(1, 0))
+            es = (3.0 * s.w(3, 0) + 12.0 * s.w(2, 1)) / w10 ** (5.0 / 3.0) - 5.0 * s.w(
+                2, 0
+            ) ** 2 / w10 ** (8.0 / 3.0)
             spreads[name] = _spread(es)
             values[name] = float(np.mean(es))
         exp_resid = max(spreads.values())
@@ -1457,8 +1326,8 @@ def _sincos_battery(
         regime=regime,
         assertions=tuple(assertions),
         fitted=fitted,
-        R_values=tuple(float(v) for v in R_values),
-        S_values=tuple(float(v) for v in S_values),
+        R_values=tuple((psiA - psiB).tolist()),
+        S_values=tuple((psiA + psiB).tolist()),
         equivalence=equivalence,
         tolerances=tols,
         notes=tuple(notes),
@@ -1518,12 +1387,9 @@ def check_N15(
     close to zero the ladder still runs but its one-way implications are
     not guaranteed, and the report says so.
     """
-    tols = dict(N15_TOLERANCES)
-    if tolerances:
-        tols.update(tolerances)
+    tols = {**N15_TOLERANCES, **(tolerances or {})}
     interval = _common_interval(pairA, pairB)
     xs = _resolve_grid(interval, grid)
-    gsize = len(xs)
     regime = classify(measure)
     md = regime.moment_data
     mu2, mu3 = md.mu[2], md.mu[3]
@@ -1534,36 +1400,13 @@ def check_N15(
             "certify unequal means by the third-order route"
         )
 
-    ma, mb = _mean_tables(pairA, pairB, measure, xs)
-    gap = np.abs(ma - mb)
-    sup_gap = float(np.max(gap))
-    lo, hi = interval
-    xcol = np.asarray(xs)
-    near_mask = np.abs(xcol[:, None] - xcol[None, :]) <= 0.2 * (hi - lo)
-    near_gap = float(np.max(gap[near_mask]))
-    a_i = AssertionResult(
-        "i", sup_gap <= tols["mean_gap"], sup_gap, tols["mean_gap"], {},
-        "the two means agree on the square grid",
-    )
-    a_ii = AssertionResult(
-        "ii", near_gap <= tols["near_diagonal_gap"], near_gap, tols["near_diagonal_gap"], {},
-        "the two means agree near the diagonal",
-    )
+    a_i, a_ii, _, _ = _mean_rows(pairA, pairB, measure, xs, tols)
 
-    worst2 = worst3 = 0.0
-    psiA = np.empty(gsize)
-    psiB = np.empty(gsize)
-    for i, x in enumerate(xs):
-        a = phi_psi(pairA, x, order=1)
-        b = phi_psi(pairB, x, order=1)
-        psiA[i], psiB[i] = a.psi(0), b.psi(0)
-        m2a, m2b = mu2 * a.phi(0), mu2 * b.phi(0)
-        # third diagonal derivative: mu3 times the third recursion value
-        p3a = a.phi(1) + a.phi(0) ** 2 + a.psi(0)
-        p3b = b.phi(1) + b.phi(0) ** 2 + b.psi(0)
-        m3a, m3b = mu3 * p3a, mu3 * p3b
-        worst2 = max(worst2, abs(m2a - m2b) / (1.0 + abs(m2a)))
-        worst3 = max(worst3, abs(m3a - m3b) / (1.0 + abs(m3a)))
+    sa, sb = sample(pairA, xs, 1), sample(pairB, xs, 1)
+    worst2 = _rel_gap(mu2 * sa.phi[0], mu2 * sb.phi[0])
+    # third diagonal derivative: mu3 times the third recursion value
+    m3a, m3b = (mu3 * (s.phi[1] + s.phi[0] * s.phi[0] + s.psi[0]) for s in (sa, sb))
+    worst3 = _rel_gap(m3a, m3b)
     deriv_resid = max(worst2, worst3)
     a_iii = AssertionResult(
         "iii",
@@ -1574,7 +1417,7 @@ def check_N15(
         "diagonal derivatives match at orders 2 and 3",
     )
 
-    gaps = check_phi_psi(pairA, pairB, xs)
+    gaps = _phi_psi_gaps(sa, sb)
     resid_iv = max(
         gaps.phi_gap / (1.0 + gaps.phi_scale), gaps.psi_gap / (1.0 + gaps.psi_scale)
     )
@@ -1587,15 +1430,14 @@ def check_N15(
         "the coefficient functions Phi and Psi agree",
     )
 
-    matrix, eq_resid = _fit_matrix(pairA, pairB, interior_grid(interval, max(gsize, 101)))
-    equivalent = eq_resid <= tols["equivalence_residual"] and abs(matrix.det()) >= DETERMINANT_FLOOR
-    equivalence: Union[Matrix2, NotEquivalent] = matrix if equivalent else NotEquivalent(eq_resid)
+    equivalence, eq_resid = _equivalence_fit(pairA, pairB, len(xs), tols)
+    equivalent = isinstance(equivalence, Matrix2)
     a_v = AssertionResult(
         "v",
         equivalent,
         eq_resid,
         tols["equivalence_residual"],
-        {"det": matrix.det()} if equivalent else {},
+        {"det": equivalence.det()} if equivalent else {},
         "the pairs are related by a nonsingular two by two matrix"
         if equivalent
         else "no matrix relates the pairs within tolerance",
@@ -1608,8 +1450,8 @@ def check_N15(
         regime=regime,
         assertions=(a_i, a_ii, a_iii, a_iv, a_v),
         fitted={"alpha": None, "beta": None, "gamma": None, "delta": None},
-        R_values=tuple(float(v) for v in psiA - psiB),
-        S_values=tuple(float(v) for v in psiA + psiB),
+        R_values=tuple((sa.psi[0] - sb.psi[0]).tolist()),
+        S_values=tuple((sa.psi[0] + sb.psi[0]).tolist()),
         equivalence=equivalence,
         tolerances=tols,
         notes=tuple(notes),

@@ -66,6 +66,17 @@ class WronskianVanishes(MeanLabError):
         self.value = value
         super().__init__(f"first-order Wronskian degenerate at {point!r} (value {value!r})")
 
+    @classmethod
+    def sign_change(cls, a: float, wa: float, b: float, wb: float) -> "WronskianVanishes":
+        """The Wronskian has the value wa at the grid node a and wb of the
+        other sign at the next node b."""
+        exc = cls(b, wb)
+        exc.args = (
+            f"first-order Wronskian changes sign between {a!r} (value {wa!r}) "
+            f"and {b!r} (value {wb!r})",
+        )
+        return exc
+
 
 class NonSmooth(MeanLabError):
     """Jet evaluation failed or produced non-finite coefficients at a grid point."""

@@ -400,6 +400,23 @@ def _stype_pieces(t: float) -> tuple[float, str]:
     return 1.0, ""
 
 
+_SCALAR_CALLS = {
+    "exp": math.exp, "sin": math.sin, "cos": math.cos, "sinh": math.sinh, "cosh": math.cosh,
+}
+
+
+def _overflow_checked(fn: Callable[[float], float], name: str) -> Callable[[float], float]:
+    """fn with a float overflow reported as DomainViolation naming x."""
+
+    def checked(x: float) -> float:
+        try:
+            return fn(x)
+        except OverflowError:
+            raise DomainViolation(f"{name} overflow at {x!r}") from None
+
+    return checked
+
+
 @lru_cache(maxsize=1024)
 def compile_scalar(e: Expr) -> Callable[[float], float]:
     """Compile to a plain float callable. Domain failures raise DomainViolation."""
@@ -439,7 +456,7 @@ def compile_scalar(e: Expr) -> Callable[[float], float]:
                     raise DomainViolation(f"zero base with negative power at {x!r}")
                 return b ** n
 
-            return _ipow
+            return _overflow_checked(_ipow, "power")
         ef = float(q)
 
         def _rpow(x: float) -> float:
@@ -448,16 +465,9 @@ def compile_scalar(e: Expr) -> Callable[[float], float]:
                 raise DomainViolation(f"non-integer power of non-positive base at {x!r}")
             return b ** ef
 
-        return _rpow
+        return _overflow_checked(_rpow, "power")
     if isinstance(e, Call):
         af = compile_scalar(e.arg)
-        if e.func == "exp":
-            def _exp(x: float) -> float:
-                try:
-                    return math.exp(af(x))
-                except OverflowError:
-                    raise DomainViolation(f"exp overflow at {x!r}") from None
-            return _exp
         if e.func == "log":
             def _log(x: float) -> float:
                 v = af(x)
@@ -472,8 +482,8 @@ def compile_scalar(e: Expr) -> Callable[[float], float]:
                     raise DomainViolation(f"sqrt of negative value at {x!r}")
                 return math.sqrt(v)
             return _sqrt
-        fn = {"sin": math.sin, "cos": math.cos, "sinh": math.sinh, "cosh": math.cosh}[e.func]
-        return lambda x, _fn=fn: _fn(af(x))
+        fn = _SCALAR_CALLS[e.func]
+        return _overflow_checked(lambda x: fn(af(x)), e.func)
     if isinstance(e, (SType, CType)):
         af = compile_scalar(e.arg)
         scale, call = _stype_pieces(e.t)
@@ -481,11 +491,11 @@ def compile_scalar(e: Expr) -> Callable[[float], float]:
             if call == "":
                 return af
             fn = math.sin if call == "sin" else math.sinh
-            return lambda x: fn(scale * af(x))
+            return _overflow_checked(lambda x: fn(scale * af(x)), fn.__name__)
         if call == "":
             return lambda x: 1.0
         fn = math.cos if call == "sin" else math.cosh
-        return lambda x: fn(scale * af(x))
+        return _overflow_checked(lambda x: fn(scale * af(x)), fn.__name__)
     raise TypeError(f"not an Expr node: {e!r}")
 
 
@@ -507,7 +517,7 @@ def compile_array(e: Expr) -> Callable[[np.ndarray], np.ndarray]:
     compile_scalar becomes a mask; DomainViolation names the first point, in
     C order, where the mask holds. Values agree with compile_scalar to a few
     ulps (numpy's elementary functions are not libm's). Where compile_scalar
-    lets OverflowError escape (sinh, cosh, powers), the array value is inf.
+    raises DomainViolation for an overflow, the array value is inf.
     """
     if isinstance(e, Const):
         c = e.value
@@ -757,8 +767,7 @@ def validate_pair(
         if not math.isfinite(w) or abs(w) < tol_w:
             raise WronskianVanishes(x, w)
         s = 1 if w > 0 else -1
-        if sign == 0:
-            sign = s
-        elif s != sign:
-            raise WronskianVanishes(x, w)
+        if sign and s != sign:
+            raise WronskianVanishes.sign_change(x_prev, w_prev, x, w)
+        sign, x_prev, w_prev = s, x, w
     return FunctionPair(f=f, g=g, interval=(lo, hi), validated_order=n, w_sign=sign)

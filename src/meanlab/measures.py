@@ -215,6 +215,17 @@ class RegimeInfo:
     moment_condition_6: float
     moment_data: MomentData
 
+    def as_dict(self) -> dict:
+        return {
+            "regime": self.regime.value,
+            "p": self.p,
+            "q": self.q,
+            "r": self.r,
+            "moment_condition_6": self.moment_condition_6,
+            "mu_hat1": self.moment_data.mu_hat1,
+            "mu": list(self.moment_data.mu),
+        }
+
 
 def _is_zero(value: float, n: int, mu2: float) -> bool:
     # moments of measures on [0,1] are at most 1 in magnitude, so this is

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from meanlab import calculus as ca
@@ -18,7 +19,7 @@ from meanlab.errors import (
 )
 from meanlab.measures import Discrete, Lebesgue
 
-from conftest import random_admissible_pair
+from conftest import PAIR_FAMILIES, random_admissible_pair
 
 EBM = Discrete(((0.0, 0.5), (1.0, 0.5)))
 
@@ -120,6 +121,83 @@ class TestPhiPsi:
                 h0, h1, h2 = (j.derivative_value(k) for k in range(3))
                 want = pp.phi(0) * h1 + pp.psi(0) * h0
                 assert h2 == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+
+def _family_grids(pair):
+    """A 1-D interior grid and a 2-D node array on the pair's interval."""
+    lo, hi = pair.interval
+    line = ex.interior_grid(pair.interval, 9)
+    nodes = np.linspace(lo, hi, 14)[1:-1].reshape(3, 4)
+    return line, nodes
+
+
+class TestSample:
+    @pytest.mark.parametrize("family", PAIR_FAMILIES)
+    def test_equals_pointwise_calls(self, rng, family):
+        pair = random_admissible_pair(rng, family)
+        for xs in _family_grids(pair):
+            s = ca.sample(pair, xs, 4)
+            assert all(v.shape == np.shape(xs) for v in s.d_f + s.d_g + s.phi + s.psi)
+            assert len(s.d_f) == len(s.d_g) == 7 and len(s.phi) == len(s.psi) == 5
+            for idx, x in np.ndenumerate(np.asarray(xs)):
+                pp = ca.phi_psi(pair, x, order=4)
+                jf, jg = ex.eval_jet(pair.f, x, 6), ex.eval_jet(pair.g, x, 6)
+                for k in range(5):
+                    assert s.phi[k][idx] == pp.phi(k) and s.psi[k][idx] == pp.psi(k)
+                for k in range(7):
+                    assert s.d_f[k][idx] == jf.derivative_value(k)
+                    assert s.d_g[k][idx] == jg.derivative_value(k)
+                for i in range(7):
+                    for j in range(7):
+                        assert s.w(i, j)[idx] == ca.wronskian(pair, x, i, j)
+
+    @pytest.mark.parametrize("family", PAIR_FAMILIES)
+    def test_lower_order_is_a_prefix(self, rng, family):
+        pair = random_admissible_pair(rng, family)
+        xs = _family_grids(pair)[0]
+        full, low = ca.sample(pair, xs, 4), ca.sample(pair, xs, 1)
+        assert len(low.d_f) == 4 and len(low.phi) == 2
+        for k in range(2):
+            assert np.array_equal(low.phi[k], full.phi[k])
+            assert np.array_equal(low.psi[k], full.psi[k])
+
+    @pytest.mark.parametrize("family", PAIR_FAMILIES)
+    def test_closed_form_equals_diagonal_derivatives(self, rng, family):
+        pair = random_admissible_pair(rng, family)
+        measures = (EBM, Lebesgue(), Discrete(((0.0, 0.3), (0.7, 0.7))))
+        for xs in _family_grids(pair):
+            s = ca.sample(pair, xs, 4)
+            for measure in measures:
+                grid = ca.diagonal_closed_form(s.phi, s.psi, ca.diagonal_moments(measure))
+                for idx, x in np.ndenumerate(np.asarray(xs)):
+                    want = ca.diagonal_derivatives(pair, measure, x)
+                    assert [np.broadcast_to(m, np.shape(xs))[idx] for m in grid] == list(want)
+
+    def test_order_out_of_range(self):
+        low = ex.validate_pair("sin(x)", "cos(x)", (-1.0, 1.0), n=3)
+        for order in (-1, 2):
+            with pytest.raises(OrderOutOfRange):
+                ca.phi_psi(low, 0.1, order=order)
+            with pytest.raises(OrderOutOfRange):
+                ca.sample(low, [0.1], order)
+
+    def test_first_point_outside_interval(self):
+        with pytest.raises(OutOfInterval) as want:
+            ca.phi_psi(LOG, 5.0, order=0)
+        with pytest.raises(OutOfInterval) as got:
+            ca.sample(LOG, [[1.0, 2.0], [5.0, 0.1]], 0)
+        assert str(got.value) == str(want.value)
+
+    def test_first_vanishing_wronskian(self):
+        # bypass grid validation: W(x^3, 1) = 3x^2 vanishes at 0
+        shady = ex.FunctionPair(
+            f=ex.parse("x^3"), g=ex.parse("1"), interval=(-1.0, 1.0), validated_order=6
+        )
+        with pytest.raises(WronskianVanishes) as want:
+            ca.phi_psi(shady, 1e-6, order=2)
+        with pytest.raises(WronskianVanishes) as got:
+            ca.sample(shady, [0.5, 1e-6, -1e-7], 2)
+        assert (got.value.point, got.value.value) == (want.value.point, want.value.value)
 
 
 class TestRecursion:

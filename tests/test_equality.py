@@ -157,6 +157,40 @@ def test_viii_matches_scalar_route(check):
     assert viii.residual == pytest.approx(gap, rel=1e-12)
 
 
+@pytest.mark.parametrize("check", [eq.check_EBM, eq.check_ECM])
+def test_ladder_samples_each_pair_once(check, monkeypatch):
+    # jets of f and g once per pair and grid point; validation happens
+    # before, and neither pair has a prefactor to track
+    inner, depth, calls = ex.eval_jet, [0], []
+
+    def counted(e, x, order):
+        if not depth[0]:
+            calls.append(x)
+        depth[0] += 1
+        try:
+            return inner(e, x, order)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(ex, "eval_jet", counted)
+    rep = check(SINCOS, EXP, grid=12)
+    assert len(rep.grid) == 12
+    assert sorted(calls) == sorted(list(rep.grid) * 4)
+
+
+def test_reports_hold_plain_python_values():
+    # the report dataclasses are built from plain floats and bools, so their
+    # fields serialize and compare without numpy scalars
+    symmetric = Discrete(((0.0, 0.2), (0.5, 0.6), (1.0, 0.2)))
+    reports = [eq.check_phi_psi(EXP, LINEAR, 15), eq.check_N25(EXP, LINEAR, SPLIT_MEASURE, 20)]
+    for measure in (GAUSSIAN_RATIO, SIXTH_ONLY, FOURTH_ONLY, symmetric):
+        reports.append(eq.check_N3(EXP, SINCOS, measure, 20))
+    assert [r.alternative for r in reports[2:]] == ["i", "ii", "iii", "iv"]
+    for report in reports:
+        for value in vars(report).values():
+            assert value is None or type(value) in (bool, float, int, str)
+
+
 class TestFitEquivalence:
     def test_round_trip_recovery(self):
         m = eq.Matrix2(1.5, -0.5, 0.25, 2.0)

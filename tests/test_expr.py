@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -121,6 +122,22 @@ class TestEvaluation:
         with pytest.raises(DomainViolation):
             ex.eval_scalar(ex.parse("x^(1/2)"), -4.0)
 
+    @pytest.mark.parametrize(
+        "text, x",
+        [
+            ("sinh(x)", 1000.0),
+            ("cosh(x)", -1000.0),
+            ("exp(x)", 1000.0),
+            ("x^3", 1e200),
+            ("x^(5/2)", 1e200),
+            ("S(4; x)", 1000.0),
+            ("C(4; x)", 1000.0),
+        ],
+    )
+    def test_scalar_overflow_is_domain_violation(self, text, x):
+        with pytest.raises(DomainViolation, match=re.escape(f"overflow at {x!r}")):
+            ex.compile_scalar(ex.parse(text))(x)
+
     def test_jet_matches_scalar_value(self, rng):
         for _ in range(200):
             e = random_expr(rng, depth=3)
@@ -217,6 +234,18 @@ class TestValidatePair:
         # W(x^3, 1) = 3x^2 > 0 except at 0; magnitude dips below threshold
         with pytest.raises(WronskianVanishes):
             ex.validate_pair("x^3", "1", (-1.0, 1.0))
+
+    def test_sign_change_names_both_nodes(self):
+        # W changes sign between two grid nodes without dipping below the
+        # threshold at either of them
+        nodes = ex.interior_grid((-0.7, 0.7), ex.DEFAULT_GRID_SIZE)
+        with pytest.raises(WronskianVanishes) as info:
+            ex.validate_pair("sin(x)+x^2", "cos(x)+2", (-0.7, 0.7))
+        message = str(info.value)
+        k = nodes.index(info.value.point)
+        assert "changes sign" in message
+        assert repr(nodes[k - 1]) in message and repr(nodes[k]) in message
+        assert info.value.value > 0.0 and "(value -0.012" in message
 
     def test_domain_failure_reports_point(self):
         with pytest.raises(NonSmooth) as info:
