@@ -207,6 +207,9 @@ def _cmd_check_equality(args: argparse.Namespace) -> None:
     if report is not None:
         _emit(args, "check-equality", config, report.as_dict(), _ladder_text(report))
         return
+    battery = "N2.5" if info.regime is Regime.MU3_ZERO_MU5_NONZERO else "N3"
+    if tols:
+        raise ValueError(f"battery {battery} takes no tolerance overrides")
     if info.regime is Regime.MU3_ZERO_MU5_NONZERO:
         split = eqmod.check_N25(pairA, pairB, measure, grid)
         result = {"battery": "N2.5", "regime": info.as_dict(), **split.as_dict()}

@@ -953,6 +953,15 @@ N15_TOLERANCES: dict[str, float] = {
     "equivalence_residual": 1e-9,
 }
 
+
+def _with_overrides(table: Mapping[str, float], overrides: Mapping[str, float] | None) -> dict:
+    """The tolerance table with overrides; a name not in the table raises ValueError."""
+    unknown = sorted(set(overrides or ()) - set(table))
+    if unknown:
+        raise ValueError(f"unknown tolerance {', '.join(unknown)}; known: {', '.join(sorted(table))}")
+    return {**table, **(overrides or {})}
+
+
 _EBM_ATOMS = ((0.0, 0.5), (1.0, 0.5))
 
 
@@ -1065,7 +1074,7 @@ def _sincos_battery(
     flavor: str,
 ) -> EqualityReport:
     ebm = flavor == "ebm"
-    tols = {**(EBM_TOLERANCES if ebm else ECM_TOLERANCES), **(tolerances or {})}
+    tols = _with_overrides(EBM_TOLERANCES if ebm else ECM_TOLERANCES, tolerances)
     if measure is None:
         measure = preset_measure("ebm") if ebm else Lebesgue()
     elif ebm and not _is_ebm_measure(measure):
@@ -1387,7 +1396,7 @@ def check_N15(
     close to zero the ladder still runs but its one-way implications are
     not guaranteed, and the report says so.
     """
-    tols = {**N15_TOLERANCES, **(tolerances or {})}
+    tols = _with_overrides(N15_TOLERANCES, tolerances)
     interval = _common_interval(pairA, pairB)
     xs = _resolve_grid(interval, grid)
     regime = classify(measure)

@@ -38,9 +38,6 @@ __all__ = [
 TOL_WRONSKIAN = 1e-9
 DEFAULT_GRID_SIZE = 257
 
-_CALLS = ("exp", "log", "sin", "cos", "sinh", "cosh", "sqrt")
-
-
 class Expr:
     """Base class; concrete nodes are frozen dataclasses below."""
 
@@ -77,7 +74,7 @@ class Pow(Expr):
 
 @dataclass(frozen=True)
 class Call(Expr):
-    func: str  # one of _CALLS
+    func: str  # a name in _RULES
     arg: Expr
 
 
@@ -115,12 +112,8 @@ class _Tokens:
                 stripped = text[pos:].lstrip()
                 at = len(text) - len(stripped)
                 raise ParseError(f"unexpected character {stripped[:1]!r}", at)
-            if m.group("num") is not None:
-                self.toks.append(("num", m.group("num"), m.start("num")))
-            elif m.group("ident") is not None:
-                self.toks.append(("ident", m.group("ident"), m.start("ident")))
-            else:
-                self.toks.append(("op", m.group("op"), m.start("op")))
+            kind = m.lastgroup  # the one alternative that matched: num, ident or op
+            self.toks.append((kind, m.group(kind), m.start(kind)))
             pos = m.end()
         self.toks.append(("end", "", len(text)))
         self.i = 0
@@ -150,26 +143,28 @@ def parse(text: str) -> Expr:
     return e
 
 
-def _parse_sum(ts: _Tokens) -> Expr:
-    e = _parse_term(ts)
+def _parse_chain(ts: _Tokens, operand, ops: str, combine):
+    """A left-associative run operand (op operand)* with op one of ops;
+    combine(op, left, right, pos) folds each step."""
+    v = operand(ts)
     while True:
-        kind, val, _ = ts.peek()
-        if kind == "op" and val in "+-":
-            ts.next()
-            e = BinOp(val, e, _parse_term(ts))
-        else:
-            return e
+        kind, val, pos = ts.peek()
+        if kind != "op" or val not in ops:
+            return v
+        ts.next()
+        v = combine(val, v, operand(ts), pos)
+
+
+def _binop(op: str, left: Expr, right: Expr, pos: int) -> Expr:
+    return BinOp(op, left, right)
+
+
+def _parse_sum(ts: _Tokens) -> Expr:
+    return _parse_chain(ts, _parse_term, "+-", _binop)
 
 
 def _parse_term(ts: _Tokens) -> Expr:
-    e = _parse_unary(ts)
-    while True:
-        kind, val, _ = ts.peek()
-        if kind == "op" and val in "*/":
-            ts.next()
-            e = BinOp(val, e, _parse_unary(ts))
-        else:
-            return e
+    return _parse_chain(ts, _parse_unary, "*/", _binop)
 
 
 def _parse_unary(ts: _Tokens) -> Expr:
@@ -189,69 +184,61 @@ def _parse_power(ts: _Tokens) -> Expr:
     kind, val, _ = ts.peek()
     if kind == "op" and val == "^":
         ts.next()
-        return Pow(base, _parse_rational(ts))
+        # the exponent itself is atom-level: x^1/2 stays (x^1)/2, not x^(1/2)
+        return Pow(base, _parse_rational_atom(ts))
     return base
 
 
+# The rational-constant grammar of exponents and of the S/C parameter, folded
+# exactly: signs, integer and decimal literals (decimals fold exactly, so
+# x^0.5 == x^(1/2)), + - * /, integer powers, and parentheses.
+
+
+def _fold(op: str, left: Fraction, right: Fraction, pos: int) -> Fraction:
+    if op == "+":
+        return left + right
+    if op == "-":
+        return left - right
+    if op == "*":
+        return left * right
+    if right == 0:
+        raise ParseError("division by zero in constant", pos)
+    return left / right
+
+
 def _parse_rational(ts: _Tokens) -> Fraction:
-    """Constant sub-expression after '^' or inside S(...;/C(...;, folded exactly.
+    """A constant sum, as the parameter of S(...; and C(...;."""
+    return _parse_chain(ts, _parse_rational_term, "+-", _fold)
 
-    Supports signs, integer and decimal literals (decimals fold exactly, so
-    x^0.5 == x^(1/2)), + - * /, integer powers, and parentheses.
-    """
 
-    def ratom() -> Fraction:
-        kind, val, pos = ts.peek()
-        if kind == "op" and val == "-":
+def _parse_rational_term(ts: _Tokens) -> Fraction:
+    return _parse_chain(ts, _parse_rational_atom, "*/", _fold)
+
+
+def _parse_rational_atom(ts: _Tokens) -> Fraction:
+    """A signed literal, optionally raised to an integer power, or a
+    parenthesized constant sum; the exponent after '^'."""
+    kind, val, pos = ts.peek()
+    if kind == "op" and val == "-":
+        ts.next()
+        return -_parse_rational_atom(ts)
+    if kind == "op" and val == "(":
+        ts.next()
+        v = _parse_rational(ts)
+        ts.expect_op(")")
+        return v
+    if kind == "num":
+        ts.next()
+        v = Fraction(val)
+        k2, v2, _ = ts.peek()
+        if k2 == "op" and v2 == "^":
             ts.next()
-            return -ratom()
-        if kind == "op" and val == "(":
-            ts.next()
-            v = rsum()
-            ts.expect_op(")")
-            return v
-        if kind == "num":
-            ts.next()
-            v = Fraction(val)
-            k2, v2, _ = ts.peek()
-            if k2 == "op" and v2 == "^":
-                ts.next()
-                e = ratom()
-                if e.denominator != 1:
-                    raise ParseError("non-integer power inside constant exponent", pos)
-                v = v ** e.numerator
-            return v
-        raise ParseError(f"found {val or 'end of input'!r}", pos, ("rational constant",))
-
-    def rterm() -> Fraction:
-        v = ratom()
-        while True:
-            kind, val, pos = ts.peek()
-            if kind == "op" and val in "*/":
-                ts.next()
-                rhs = ratom()
-                if val == "/":
-                    if rhs == 0:
-                        raise ParseError("division by zero in constant", pos)
-                    v = v / rhs
-                else:
-                    v = v * rhs
-            else:
-                return v
-
-    def rsum() -> Fraction:
-        v = rterm()
-        while True:
-            kind, val, _ = ts.peek()
-            if kind == "op" and val in "+-":
-                ts.next()
-                rhs = rterm()
-                v = v + rhs if val == "+" else v - rhs
-            else:
-                return v
-
-    # the exponent itself is atom-level: x^1/2 stays (x^1)/2, not x^(1/2)
-    return ratom()
+            e = _parse_rational_atom(ts)
+            if e.denominator != 1:
+                raise ParseError("non-integer power inside constant exponent", pos)
+            v = v ** e.numerator
+        return v
+    raise ParseError(f"found {val or 'end of input'!r}", pos, ("rational constant",))
 
 
 def _parse_atom(ts: _Tokens) -> Expr:
@@ -275,64 +262,18 @@ def _parse_atom(ts: _Tokens) -> Expr:
             return Call(val, arg)
         if val in ("S", "C"):
             ts.expect_op("(")
-            t = _parse_stype_param(ts)
+            try:
+                t = float(_parse_rational(ts))
+            except OverflowError:
+                raise ParseError(f"non-finite {val} parameter", pos) from None
             ts.expect_op(";")
             arg = _parse_sum(ts)
             ts.expect_op(")")
-            if not math.isfinite(t):
-                raise ParseError(f"non-finite {val} parameter", pos)
             return SType(t, arg) if val == "S" else CType(t, arg)
         raise ParseError(
             f"unknown identifier {val!r}", pos, ("x",) + _CALLS + ("S", "C")
         )
     raise ParseError(f"found {val or 'end of input'!r}", pos, ("number", "identifier", "'('"))
-
-
-def _parse_stype_param(ts: _Tokens) -> float:
-    # full constant arithmetic is allowed for the parameter, e.g. S(-1/2; x)
-    def psum() -> Fraction:
-        v = pterm()
-        while True:
-            kind, val, _ = ts.peek()
-            if kind == "op" and val in "+-":
-                ts.next()
-                rhs = pterm()
-                v = v + rhs if val == "+" else v - rhs
-            else:
-                return v
-
-    def pterm() -> Fraction:
-        v = patom()
-        while True:
-            kind, val, pos = ts.peek()
-            if kind == "op" and val in "*/":
-                ts.next()
-                rhs = patom()
-                if val == "/":
-                    if rhs == 0:
-                        raise ParseError("division by zero in constant", pos)
-                    v = v / rhs
-                else:
-                    v = v * rhs
-            else:
-                return v
-
-    def patom() -> Fraction:
-        kind, val, pos = ts.peek()
-        if kind == "op" and val == "-":
-            ts.next()
-            return -patom()
-        if kind == "op" and val == "(":
-            ts.next()
-            v = psum()
-            ts.expect_op(")")
-            return v
-        if kind == "num":
-            ts.next()
-            return Fraction(val)
-        raise ParseError(f"found {val or 'end of input'!r}", pos, ("numeric parameter",))
-
-    return float(psum())
 
 
 # ------------------------------------------------------------------ printing
@@ -391,144 +332,85 @@ def to_string(e: Expr) -> str:
 
 # ---------------------------------------------------------------- evaluation
 
-def _stype_pieces(t: float) -> tuple[float, str]:
-    """Scale factor and underlying call name for S_t; '' means identity."""
-    if t < 0.0:
-        return math.sqrt(-t), "sin"
-    if t > 0.0:
-        return math.sqrt(t), "sinh"
-    return 1.0, ""
+@dataclass(frozen=True)
+class _Rule:
+    """One elementary call on every evaluation route.
 
-
-_SCALAR_CALLS = {
-    "exp": math.exp, "sin": math.sin, "cos": math.cos, "sinh": math.sinh, "cosh": math.cosh,
-}
-
-
-def _overflow_checked(fn: Callable[[float], float], name: str) -> Callable[[float], float]:
-    """fn with a float overflow reported as DomainViolation naming x."""
-
-    def checked(x: float) -> float:
-        try:
-            return fn(x)
-        except OverflowError:
-            raise DomainViolation(f"{name} overflow at {x!r}") from None
-
-    return checked
-
-
-@lru_cache(maxsize=1024)
-def compile_scalar(e: Expr) -> Callable[[float], float]:
-    """Compile to a plain float callable. Domain failures raise DomainViolation."""
-    if isinstance(e, Const):
-        c = e.value
-        return lambda x: c
-    if isinstance(e, Var):
-        return lambda x: x
-    if isinstance(e, Neg):
-        f = compile_scalar(e.operand)
-        return lambda x: -f(x)
-    if isinstance(e, BinOp):
-        lf, rf = compile_scalar(e.left), compile_scalar(e.right)
-        if e.op == "+":
-            return lambda x: lf(x) + rf(x)
-        if e.op == "-":
-            return lambda x: lf(x) - rf(x)
-        if e.op == "*":
-            return lambda x: lf(x) * rf(x)
-
-        def _div(x: float) -> float:
-            d = rf(x)
-            if d == 0.0:
-                raise DomainViolation(f"division by zero at {x!r}")
-            return lf(x) / d
-
-        return _div
-    if isinstance(e, Pow):
-        bf = compile_scalar(e.base)
-        q = e.exponent
-        if q.denominator == 1:
-            n = q.numerator
-
-            def _ipow(x: float) -> float:
-                b = bf(x)
-                if n < 0 and b == 0.0:
-                    raise DomainViolation(f"zero base with negative power at {x!r}")
-                return b ** n
-
-            return _overflow_checked(_ipow, "power")
-        ef = float(q)
-
-        def _rpow(x: float) -> float:
-            b = bf(x)
-            if b <= 0.0:
-                raise DomainViolation(f"non-integer power of non-positive base at {x!r}")
-            return b ** ef
-
-        return _overflow_checked(_rpow, "power")
-    if isinstance(e, Call):
-        af = compile_scalar(e.arg)
-        if e.func == "log":
-            def _log(x: float) -> float:
-                v = af(x)
-                if v <= 0.0:
-                    raise DomainViolation(f"log of non-positive value at {x!r}")
-                return math.log(v)
-            return _log
-        if e.func == "sqrt":
-            def _sqrt(x: float) -> float:
-                v = af(x)
-                if v < 0.0:
-                    raise DomainViolation(f"sqrt of negative value at {x!r}")
-                return math.sqrt(v)
-            return _sqrt
-        fn = _SCALAR_CALLS[e.func]
-        return _overflow_checked(lambda x: fn(af(x)), e.func)
-    if isinstance(e, (SType, CType)):
-        af = compile_scalar(e.arg)
-        scale, call = _stype_pieces(e.t)
-        if isinstance(e, SType):
-            if call == "":
-                return af
-            fn = math.sin if call == "sin" else math.sinh
-            return _overflow_checked(lambda x: fn(scale * af(x)), fn.__name__)
-        if call == "":
-            return lambda x: 1.0
-        fn = math.cos if call == "sin" else math.cosh
-        return _overflow_checked(lambda x: fn(scale * af(x)), fn.__name__)
-    raise TypeError(f"not an Expr node: {e!r}")
-
-
-def _reject(mask, x, message: str) -> None:
-    """Raise DomainViolation naming the first point of x where mask holds."""
-    if mask.any():
-        bad = np.asarray(x, dtype=float).flat[int(np.argmax(mask))]
-        raise DomainViolation(f"{message} at {float(bad)!r}")
-
-
-_ARRAY_CALLS = {"sin": np.sin, "cos": np.cos, "sinh": np.sinh, "cosh": np.cosh}
-
-
-@lru_cache(maxsize=1024)
-def compile_array(e: Expr) -> Callable[[np.ndarray], np.ndarray]:
-    """Compile to an elementwise numpy callable, the array twin of compile_scalar.
-
-    The result has the shape of its argument. Each domain check of
-    compile_scalar becomes a mask; DomainViolation names the first point, in
-    C order, where the mask holds. Values agree with compile_scalar to a few
-    ulps (numpy's elementary functions are not libm's). Where compile_scalar
-    raises DomainViolation for an overflow, the array value is inf.
+    scalar and array are its math and numpy functions, jet its Taylor rule.
+    Where bad holds for the argument (a float, or a mask for arrays), the
+    call raises DomainViolation with the domain message. A rule that
+    overflows raises "<name> overflow" where a finite argument gives an
+    infinite value.
     """
+
+    name: str
+    scalar: Callable[[float], float]
+    array: Callable[[np.ndarray], np.ndarray]
+    jet: Callable[[Jet], Jet] | None = None
+    bad: Callable | None = None
+    domain: str = ""
+    overflows: bool = False
+
+
+_RULES = {
+    r.name: r
+    for r in (
+        _Rule("exp", math.exp, np.exp, jets.jexp, overflows=True),
+        _Rule("log", math.log, np.log, jets.jlog, lambda v: v <= 0.0, "log of non-positive value"),
+        _Rule("sin", math.sin, np.sin, jets.jsin),
+        _Rule("cos", math.cos, np.cos, jets.jcos),
+        _Rule("sinh", math.sinh, np.sinh, jets.jsinh, overflows=True),
+        _Rule("cosh", math.cosh, np.cosh, jets.jcosh, overflows=True),
+        _Rule("sqrt", math.sqrt, np.sqrt, jets.jsqrt, lambda v: v < 0.0, "sqrt of negative value"),
+    )
+}
+_CALLS = tuple(_RULES)
+
+
+def _power_rule(q: Fraction) -> _Rule:
+    """The rule of u^q; float and array powers share one function."""
+    if q.denominator == 1:
+        n = q.numerator
+        ipow = lambda b: b**n
+        bad = (lambda b: b == 0.0) if n < 0 else None
+        return _Rule("power", ipow, ipow, None, bad, "zero base with negative power", True)
+    ef = float(q)
+    rpow = lambda b: b**ef
+    bad = lambda b: b <= 0.0
+    return _Rule("power", rpow, rpow, None, bad, "non-integer power of non-positive base", True)
+
+
+def _sc_rule(e: Union[SType, CType]) -> tuple[float, _Rule | None]:
+    """Scale and rule of S_t/C_t: sin/cos for t < 0, sinh/cosh for t > 0.
+
+    None (t = 0) means the identity for S and the constant 1 for C.
+    """
+    if e.t == 0.0:
+        return 1.0, None
+    sine, cosine = ("sin", "cos") if e.t < 0.0 else ("sinh", "cosh")
+    return math.sqrt(abs(e.t)), _RULES[sine if isinstance(e, SType) else cosine]
+
+
+def _compile(e: Expr, arrays: bool) -> Callable:
+    """The one compiler behind compile_scalar and compile_array.
+
+    Subtrees compile through the cached entry point of the same route. The
+    routes differ only in constants, the variable, and the checks of
+    _scalar_*/_array_*. A denominator is checked before its numerator is
+    evaluated.
+    """
+    sub = compile_array if arrays else compile_scalar
+    reject, apply = (_array_reject, _array_apply) if arrays else (_scalar_reject, _scalar_apply)
     if isinstance(e, Const):
         c = e.value
-        return lambda x: np.full(np.shape(x), c)
+        return (lambda x: np.full(np.shape(x), c)) if arrays else (lambda x: c)
     if isinstance(e, Var):
-        return lambda x: np.asarray(x, dtype=float)
+        return (lambda x: np.asarray(x, dtype=float)) if arrays else (lambda x: x)
     if isinstance(e, Neg):
-        f = compile_array(e.operand)
+        f = sub(e.operand)
         return lambda x: -f(x)
     if isinstance(e, BinOp):
-        lf, rf = compile_array(e.left), compile_array(e.right)
+        lf, rf = sub(e.left), sub(e.right)
         if e.op == "+":
             return lambda x: lf(x) + rf(x)
         if e.op == "-":
@@ -538,68 +420,89 @@ def compile_array(e: Expr) -> Callable[[np.ndarray], np.ndarray]:
 
         def _div(x):
             d = rf(x)
-            _reject(d == 0.0, x, "division by zero")
+            reject(d == 0.0, x, "division by zero")
             return lf(x) / d
 
         return _div
     if isinstance(e, Pow):
-        bf = compile_array(e.base)
-        q = e.exponent
-        if q.denominator == 1:
-            n = q.numerator
-
-            def _ipow(x):
-                b = bf(x)
-                if n < 0:
-                    _reject(b == 0.0, x, "zero base with negative power")
-                return b**n
-
-            return _ipow
-        ef = float(q)
-
-        def _rpow(x):
-            b = bf(x)
-            _reject(b <= 0.0, x, "non-integer power of non-positive base")
-            return b**ef
-
-        return _rpow
+        return apply(sub(e.base), _power_rule(e.exponent))
     if isinstance(e, Call):
-        af = compile_array(e.arg)
-        if e.func == "exp":
-            def _exp(x):
-                a = af(x)
-                with np.errstate(over="ignore"):
-                    v = np.exp(a)
-                _reject(np.isinf(v) & np.isfinite(a), x, "exp overflow")
-                return v
-            return _exp
-        if e.func == "log":
-            def _log(x):
-                v = af(x)
-                _reject(v <= 0.0, x, "log of non-positive value")
-                return np.log(v)
-            return _log
-        if e.func == "sqrt":
-            def _sqrt(x):
-                v = af(x)
-                _reject(v < 0.0, x, "sqrt of negative value")
-                return np.sqrt(v)
-            return _sqrt
-        fn = _ARRAY_CALLS[e.func]
-        return lambda x: fn(af(x))
+        return apply(sub(e.arg), _RULES[e.func])
     if isinstance(e, (SType, CType)):
-        af = compile_array(e.arg)
-        scale, call = _stype_pieces(e.t)
-        if isinstance(e, SType):
-            if call == "":
-                return af
-            fn = np.sin if call == "sin" else np.sinh
-            return lambda x: fn(scale * af(x))
-        if call == "":
-            return lambda x: np.ones(np.shape(x))
-        fn = np.cos if call == "sin" else np.cosh
-        return lambda x: fn(scale * af(x))
+        af = sub(e.arg)
+        scale, rule = _sc_rule(e)
+        if rule is None:
+            return af if isinstance(e, SType) else _compile(Const(1.0), arrays)
+        return apply(lambda x: scale * af(x), rule)
     raise TypeError(f"not an Expr node: {e!r}")
+
+
+@lru_cache(maxsize=1024)
+def compile_scalar(e: Expr) -> Callable[[float], float]:
+    """Compile to a plain float callable. Domain failures raise DomainViolation."""
+    return _compile(e, arrays=False)
+
+
+@lru_cache(maxsize=1024)
+def compile_array(e: Expr) -> Callable[[np.ndarray], np.ndarray]:
+    """Compile to an elementwise numpy callable, the array twin of compile_scalar.
+
+    The result has the shape of its argument. Each domain and overflow check
+    of compile_scalar becomes a mask; DomainViolation names the first point,
+    in C order, where the mask holds, with the text compile_scalar gives for
+    that point. Values agree with compile_scalar to a few ulps (numpy's
+    elementary functions are not libm's).
+    """
+    return _compile(e, arrays=True)
+
+
+def _violation(message: str, x: float) -> DomainViolation:
+    """The DomainViolation of every compile route: the message and the point x."""
+    return DomainViolation(f"{message} at {x!r}")
+
+
+def _scalar_reject(bad: bool, x: float, message: str) -> None:
+    if bad:
+        raise _violation(message, x)
+
+
+def _scalar_apply(af: Callable[[float], float], rule: _Rule) -> Callable[[float], float]:
+    fn, bad, domain, name = rule.scalar, rule.bad, rule.domain, rule.name
+
+    def call(x: float) -> float:
+        v = af(x)
+        if bad is not None and bad(v):
+            raise _violation(domain, x)
+        # math raises OverflowError only for the rules that overflow
+        try:
+            return fn(v)
+        except OverflowError:
+            raise _violation(f"{name} overflow", x) from None
+
+    return call
+
+
+def _array_reject(mask, x, message: str) -> None:
+    """Raise DomainViolation naming the first point of x where mask holds."""
+    if mask.any():
+        raise _violation(message, float(np.asarray(x, dtype=float).flat[int(np.argmax(mask))]))
+
+
+def _array_apply(af: Callable, rule: _Rule) -> Callable[[np.ndarray], np.ndarray]:
+    fn, bad, domain, name = rule.array, rule.bad, rule.domain, rule.name
+
+    def call(x):
+        v = af(x)
+        if bad is not None:
+            _array_reject(bad(v), x, domain)
+        if not rule.overflows:
+            return fn(v)
+        with np.errstate(over="ignore"):
+            out = fn(v)
+        _array_reject(np.isinf(out) & np.isfinite(v), x, f"{name} overflow")
+        return out
+
+    return call
 
 
 def eval_scalar(e: Expr, x: float) -> float:
@@ -615,26 +518,21 @@ def eval_jet(e: Expr, x: float, order: int) -> Jet:
     if isinstance(e, Neg):
         return -eval_jet(e.operand, x, order)
     if isinstance(e, BinOp):
-        a = eval_jet(e.left, x, order)
-        b = eval_jet(e.right, x, order)
-        return jets.jet_combine({"+": "add", "-": "sub", "*": "mul", "/": "div"}[e.op], a, b)
+        return _JET_BINARY[e.op](eval_jet(e.left, x, order), eval_jet(e.right, x, order))
     if isinstance(e, Pow):
         return jets.jpow(eval_jet(e.base, x, order), e.exponent)
     if isinstance(e, Call):
-        return jets.jet_elem(e.func, eval_jet(e.arg, x, order))
+        return _RULES[e.func].jet(eval_jet(e.arg, x, order))
     if isinstance(e, (SType, CType)):
         a = eval_jet(e.arg, x, order)
-        scale, call = _stype_pieces(e.t)
-        if call:
-            a = jets.mul(jets.jet_const(scale, x, order), a)
-        if isinstance(e, SType):
-            if call == "":
-                return a
-            return jets.jsin(a) if call == "sin" else jets.jsinh(a)
-        if call == "":
-            return jets.jet_const(1.0, x, order)
-        return jets.jcos(a) if call == "sin" else jets.jcosh(a)
+        scale, rule = _sc_rule(e)
+        if rule is None:
+            return a if isinstance(e, SType) else jets.jet_const(1.0, x, order)
+        return rule.jet(jets.mul(jets.jet_const(scale, x, order), a))
     raise TypeError(f"not an Expr node: {e!r}")
+
+
+_JET_BINARY = {"+": jets.add, "-": jets.sub, "*": jets.mul, "/": jets.div}
 
 
 # ------------------------------------------------- exact AST differentiation
@@ -681,10 +579,10 @@ def _derivative(e: Expr) -> Expr:
         # sqrt
         return BinOp("/", d, BinOp("*", Const(2.0), Call("sqrt", u)))
     if isinstance(e, SType):
-        scale, _ = _stype_pieces(e.t)
+        scale, _ = _sc_rule(e)
         return BinOp("*", BinOp("*", Const(scale), CType(e.t, e.arg)), _derivative(e.arg))
     if isinstance(e, CType):
-        scale, _ = _stype_pieces(e.t)
+        scale, _ = _sc_rule(e)
         if e.t == 0.0:
             return Const(0.0)
         coef = e.t / scale  # -sqrt(-t) for t<0, sqrt(t) for t>0

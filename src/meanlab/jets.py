@@ -141,15 +141,6 @@ def div(a: Jet, b: Jet) -> Jet:
     return Jet(a.base_point, tuple(out))
 
 
-def jet_combine(op: str, a: Jet, b: Jet) -> Jet:
-    """Dispatch binary arithmetic by name: add | sub | mul | div."""
-    try:
-        fn = {"add": add, "sub": sub, "mul": mul, "div": div}[op]
-    except KeyError:
-        raise ValueError(f"unknown jet operation {op!r}") from None
-    return fn(a, b)
-
-
 # ------------------------------------------------------- elementary functions
 
 def _scalar_series(a: Jet, w0: float, rule) -> Jet:
@@ -177,21 +168,21 @@ def jlog(a: Jet) -> Jet:
     u0 = a.coeffs[0]
     if u0 <= 0.0:
         raise DomainViolation(f"log of non-positive constant term {u0!r}")
-    n = a.order
-    u = a.coeffs
-    w = [0.0] * (n + 1)
-    w[0] = math.log(u0)
-    for k in range(1, n + 1):
-        acc = u[k] - math.fsum(j * w[j] * u[k - j] for j in range(1, k)) / k
-        w[k] = acc / u0
-    return Jet(a.base_point, tuple(w))
+    return _scalar_series(
+        a,
+        math.log(u0),
+        lambda k, u, w: (u[k] - math.fsum(j * w[j] * u[k - j] for j in range(1, k)) / k) / u0,
+    )
 
 
 def _jsincos(a: Jet, hyperbolic: bool) -> tuple[Jet, Jet]:
     n = a.order
     u = a.coeffs
     if hyperbolic:
-        s0, c0 = math.sinh(u[0]), math.cosh(u[0])
+        try:
+            s0, c0 = math.sinh(u[0]), math.cosh(u[0])
+        except OverflowError:
+            raise DomainViolation(f"sinh/cosh overflow at constant term {u[0]!r}") from None
         sign = 1.0
     else:
         s0, c0 = math.sin(u[0]), math.cos(u[0])
@@ -254,14 +245,15 @@ def jpow(a: Jet, exponent) -> Jet:
         raise DomainViolation(
             f"non-integer power {e!r} of non-positive constant term {u0!r}"
         )
-    n = a.order
-    u = a.coeffs
-    w = [0.0] * (n + 1)
-    w[0] = u0 ** e
-    for k in range(1, n + 1):
-        acc = math.fsum(((e + 1.0) * j - k) * u[j] * w[k - j] for j in range(1, k + 1))
-        w[k] = acc / (k * u0)
-    return Jet(a.base_point, tuple(w))
+    try:
+        w0 = u0 ** e
+    except OverflowError:
+        raise DomainViolation(f"power overflow at constant term {u0!r}") from None
+
+    def rule(k, u, w):
+        return math.fsum(((e + 1.0) * j - k) * u[j] * w[k - j] for j in range(1, k + 1)) / (k * u0)
+
+    return _scalar_series(a, w0, rule)
 
 
 def jsqrt(a: Jet) -> Jet:
@@ -276,33 +268,3 @@ def jabspow(a: Jet, exponent: float) -> Jet:
     if u0 == 0.0:
         raise DomainViolation("abspow of jet with zero constant term")
     return jpow(a if u0 > 0.0 else -a, exponent)
-
-
-_ELEM = {
-    "exp": jexp,
-    "log": jlog,
-    "sin": jsin,
-    "cos": jcos,
-    "sinh": jsinh,
-    "cosh": jcosh,
-    "sqrt": jsqrt,
-}
-
-
-def jet_elem(func: str, a: Jet, exponent=None) -> Jet:
-    """Dispatch elementary functions by name; pow/abspow take an exponent."""
-    if func == "pow":
-        if exponent is None:
-            raise ValueError("pow needs an exponent")
-        return jpow(a, exponent)
-    if func == "abspow":
-        if exponent is None:
-            raise ValueError("abspow needs an exponent")
-        return jabspow(a, exponent)
-    try:
-        fn = _ELEM[func]
-    except KeyError:
-        raise ValueError(f"unknown elementary function {func!r}") from None
-    if exponent is not None:
-        raise ValueError(f"{func} takes no exponent")
-    return fn(a)

@@ -277,16 +277,33 @@ def measure_to_json(m: Measure) -> dict:
 
 
 def measure_from_json(data: Union[str, dict]) -> Measure:
+    """The measure of a JSON object; a missing or ill-typed key raises ValueError."""
     if isinstance(data, str):
         data = json.loads(data)
+    if not isinstance(data, dict):
+        raise ValueError(f"a measure is a JSON object, not {type(data).__name__}")
     kind = data.get("type")
     if kind == "atoms":
-        return Discrete(tuple((t, w) for t, w in data["atoms"]))
+        atoms = _json_key(data, "atoms", list)
+        for atom in atoms:
+            if not (isinstance(atom, list) and len(atom) == 2
+                    and all(isinstance(v, (int, float)) for v in atom)):
+                raise ValueError(f"measure key 'atoms' holds [location, weight] pairs, not {atom!r}")
+        return Discrete(tuple((t, w) for t, w in atoms))
     if kind == "lebesgue":
         return Lebesgue()
     if kind == "density":
-        return Density(data["rho"], order=int(data.get("order", 32)))
+        order = _json_key(data, "order", int) if "order" in data else 32
+        return Density(_json_key(data, "rho", str), order=order)
     raise ValueError(f"unknown measure type {kind!r}")
+
+
+def _json_key(data: dict, key: str, kind: type):
+    if key not in data:
+        raise ValueError(f"measure type {data['type']!r} needs the key {key!r}")
+    if not isinstance(data[key], kind):
+        raise ValueError(f"measure key {key!r} must be a {kind.__name__}, not {data[key]!r}")
+    return data[key]
 
 
 def preset_measure(name: str) -> Measure:

@@ -116,6 +116,11 @@ class TestMoments:
         assert code == 2
         assert "unknown measure preset" in err
 
+    def test_malformed_measure_json_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, ["moments", "--measure", '{"type": "atoms"}'])
+        assert code == 2
+        assert "error (ValueError)" in err and "'atoms'" in err
+
 
 class TestClassify:
     def test_binary_symmetric(self, capsys):
@@ -217,8 +222,18 @@ class TestCheckEquality:
         assert any("(ix) holds but (i) fails" in n for n in doc["result"]["notes"])
 
     def test_bad_tolerance_exits_2(self, capsys):
-        code, out, err = run_cli(capsys, EBM_WITNESS + ["--tol", "nonsense"])
-        assert code == 2
+        n3_measure = json.dumps(
+            {"type": "atoms", "atoms": [[0.0, 1 / 6], [0.5, 2 / 3], [1.0, 1 / 6]]}
+        )
+        n3 = [a if a != "ebm" else n3_measure for a in EBM_WITNESS]
+        for argv, item, says in (
+            (EBM_WITNESS, "nonsense", "name=value"),
+            (EBM_WITNESS, "mean_gp=1", "unknown tolerance mean_gp; known: constancy_spread"),
+            (n3, "fit_residual=1", "battery N3 takes no tolerance overrides"),
+        ):
+            code, out, err = run_cli(capsys, argv + ["--tol", item])
+            assert code == 2, item
+            assert says in err
 
     def test_nonpositive_tolerance_exits_2(self, capsys):
         code, out, err = run_cli(capsys, EBM_WITNESS + ["--tol", "mean_gap=0"])

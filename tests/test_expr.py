@@ -61,6 +61,9 @@ class TestParsing:
         assert s == ex.SType(-1.0, ex.Var())
         c = ex.parse("C(1/4; 2 * x)")
         assert c == ex.CType(0.25, ex.BinOp("*", ex.Const(2.0), ex.Var()))
+        # the parameter is read by the grammar of exponents
+        assert ex.parse("S(2^2; x)") == ex.SType(4.0, ex.Var())
+        assert ex.parse("C(-1/2 + 1/4; x)") == ex.CType(-0.25, ex.Var())
 
     def test_stype_evaluates_by_parameter_sign(self):
         assert ex.eval_scalar(ex.parse("S(-1; x)"), 0.5) == pytest.approx(math.sin(0.5))
@@ -72,7 +75,10 @@ class TestParsing:
 
     @pytest.mark.parametrize(
         "text",
-        ["", "x +", "(x", "2 **", "sin()", "foo(x)", "x^y", "x ^ (1/0)", "S(1)", "1 2"],
+        [
+            "", "x +", "(x", "2 **", "sin()", "foo(x)", "x^y", "x ^ (1/0)", "S(1)", "1 2",
+            "S(; x)", "S(1e400; x)",
+        ],
     )
     def test_errors_carry_position(self, text):
         with pytest.raises(ParseError) as info:
@@ -135,8 +141,20 @@ class TestEvaluation:
         ],
     )
     def test_scalar_overflow_is_domain_violation(self, text, x):
-        with pytest.raises(DomainViolation, match=re.escape(f"overflow at {x!r}")):
-            ex.compile_scalar(ex.parse(text))(x)
+        e = ex.parse(text)
+        with pytest.raises(DomainViolation, match=re.escape(f"overflow at {x!r}")) as scalar:
+            ex.compile_scalar(e)(x)
+        # the array route raises the same text; the jet route maps every
+        # overflow of a call to DomainViolation, while an integer power is
+        # jet arithmetic and overflows to inf (NonSmooth in validate_pair)
+        with pytest.raises(DomainViolation) as array:
+            ex.compile_array(e)(np.array([0.5, x, 0.25]))
+        assert str(array.value) == str(scalar.value)
+        if text == "x^3":
+            assert ex.eval_jet(e, x, 2).value == math.inf
+        else:
+            with pytest.raises(DomainViolation, match="overflow"):
+                ex.eval_jet(e, x, 2)
 
     def test_jet_matches_scalar_value(self, rng):
         for _ in range(200):

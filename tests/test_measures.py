@@ -192,9 +192,26 @@ class TestSerialization:
         for a, b in zip(md1.mu, md2.mu):
             assert a == pytest.approx(b, abs=1e-15)
 
-    def test_unknown_type(self):
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"type": "cantor"},
+            {"type": "atoms"},
+            {"type": "density"},
+            {"type": "atoms", "atoms": 5},
+            {"type": "atoms", "atoms": [[0.5]]},
+            {"type": "density", "rho": 5},
+            {"type": "density", "rho": "2 * x", "order": None},
+            [1, 2],
+        ],
+        ids=[
+            "cantor", "atoms_missing", "rho_missing", "atoms_int", "atom_short", "rho_int",
+            "order_null", "list",
+        ],
+    )
+    def test_unknown_type(self, data):
         with pytest.raises(ValueError):
-            ms.measure_from_json({"type": "cantor"})
+            ms.measure_from_json(data)
 
     def test_presets(self):
         assert ms.moments(ms.preset_measure("ebm"), 2).mu[2] == pytest.approx(0.25)
