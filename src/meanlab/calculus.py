@@ -25,7 +25,7 @@ from .errors import (
     WronskianVanishes,
 )
 from .expr import FunctionPair
-from .jets import Jet, div, jet_const, mul, sub
+from .jets import Jet, at, div, first_failure, jet_const, mul, reject, sub
 from .means import MeanSpec, m_curve
 from .measures import DEGENERATE_TOL, MOMENT_ZERO_TOL, Measure, moments
 
@@ -71,9 +71,10 @@ class SeqPair:
         return len(self.phi) - 1
 
 
-def _pair_jets(pair: FunctionPair, x: float, order: int) -> tuple[Jet, Jet]:
-    if not pair.contains(x):
-        raise OutOfInterval(x, pair.interval)
+def _pair_jets(pair: FunctionPair, x, order: int) -> tuple[Jet, Jet]:
+    """Jets of f and g at a float x or at an array of points (NaN is outside)."""
+    lo, hi = pair.interval
+    reject((x <= lo) | (x >= hi) | (x != x), lambda i: OutOfInterval(at(x, i), pair.interval))
     return ex.eval_jet(pair.f, x, order), ex.eval_jet(pair.g, x, order)
 
 
@@ -105,8 +106,8 @@ def _phi_psi_jets(jf: Jet, jg: Jet, order: int) -> tuple[Jet, Jet]:
     w10 = sub(mul(f1, g0), mul(f0, g1))
     w20 = sub(mul(f2, g0), mul(f0, g2))
     w21 = sub(mul(f2, g1), mul(f1, g2))
-    if abs(w10.value) <= ex.TOL_WRONSKIAN:
-        raise WronskianVanishes(jf.base_point, w10.value)
+    small = abs(w10.value) <= ex.TOL_WRONSKIAN
+    reject(small, lambda i: WronskianVanishes(at(jf.base_point, i), at(w10.value, i)))
     return div(w20, w10), -div(w21, w10)
 
 
@@ -142,21 +143,17 @@ class GridSamples:
 
 
 def sample(pair: FunctionPair, xs, order: int) -> GridSamples:
-    """One pass of pair jets of order order + 2 over the points xs, in C order.
-
-    Raises what phi_psi raises, at the first offending point.
-    """
+    """One pass of pair jets of order order + 2 over the points xs, any shape;
+    raises what phi_psi raises, at the first offending point in C order."""
     _check_phi_psi_order(pair, order)
-    pts = np.asarray(xs, dtype=float)
-    rows = []
-    for x in pts.ravel().tolist():
-        jf, jg = _pair_jets(pair, x, order + 2)
-        jets = (jf, jg, *_phi_psi_jets(jf, jg, order))
-        rows.append([j.derivative_value(k) for j in jets for k in range(j.order + 1)])
-    width = 2 * (order + 3) + 2 * (order + 1)
-    cols = np.array(rows, dtype=float).reshape(pts.size, width).T.reshape((width,) + pts.shape)
-    cuts = np.cumsum([order + 3, order + 3, order + 1])
-    d_f, d_g, phi, psi = (tuple(part) for part in np.split(cols, cuts))
+
+    def run(pts):
+        jf, jg = _pair_jets(pair, pts, order + 2)
+        return (jf, jg, *_phi_psi_jets(jf, jg, order))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        jets = first_failure(run, np.asarray(xs, dtype=float))
+    d_f, d_g, phi, psi = (tuple(j.derivative_value(k) for k in range(j.order + 1)) for j in jets)
     return GridSamples(d_f=d_f, d_g=d_g, phi=phi, psi=psi)
 
 

@@ -883,14 +883,12 @@ def _prefactor_tracks_derivative(
     u_ast: ex.Expr, phi_ast: ex.Expr, interval: tuple[float, float]
 ) -> float | None:
     """Relative spread of u / phi' on a coarse interior grid, or None."""
+    xs = np.array(interior_grid(interval, 9))
+    d = ex.eval_jet(phi_ast, xs, 1).derivative_value(1)
+    if (np.abs(d) < 1e-12).any():
+        return None
     uf = ex.compile_scalar(u_ast)
-    ratios = []
-    for x in interior_grid(interval, 9):
-        d = ex.eval_jet(phi_ast, x, 1).derivative_value(1)
-        if abs(d) < 1e-12:
-            return None
-        ratios.append(uf(x) / d)
-    return _spread(np.array(ratios))
+    return _spread(np.array([uf(x) for x in xs.tolist()]) / d)
 
 
 def make_sincos_pair(

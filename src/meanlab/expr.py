@@ -509,22 +509,34 @@ def eval_scalar(e: Expr, x: float) -> float:
     return compile_scalar(e)(x)
 
 
-def eval_jet(e: Expr, x: float, order: int) -> Jet:
-    """Jet of the expression at x, truncated at the given order."""
+def eval_jet(e: Expr, x, order: int) -> Jet:
+    """Jet of the expression at x, truncated at the given order. For an array
+    x, each coefficient is an array of its shape with the bits of each point
+    alone, and an error is the float route's at the first failing point in C
+    order, with that flat index in its index attribute."""
+    if not isinstance(x, np.ndarray):
+        return _jet(e, float(x), order)
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        j = jets.first_failure(lambda p: _jet(e, p, order), x)
+    return Jet(x, tuple(c if isinstance(c, np.ndarray) else np.full(x.shape, c) for c in j.coeffs))
+
+
+def _jet(e: Expr, x, order: int) -> Jet:
     if isinstance(e, Const):
         return jets.jet_const(e.value, x, order)
     if isinstance(e, Var):
         return jets.jet_var(x, order)
     if isinstance(e, Neg):
-        return -eval_jet(e.operand, x, order)
+        return -_jet(e.operand, x, order)
     if isinstance(e, BinOp):
-        return _JET_BINARY[e.op](eval_jet(e.left, x, order), eval_jet(e.right, x, order))
+        return _JET_BINARY[e.op](_jet(e.left, x, order), _jet(e.right, x, order))
     if isinstance(e, Pow):
-        return jets.jpow(eval_jet(e.base, x, order), e.exponent)
+        return jets.jpow(_jet(e.base, x, order), e.exponent)
     if isinstance(e, Call):
-        return _RULES[e.func].jet(eval_jet(e.arg, x, order))
+        return _RULES[e.func].jet(_jet(e.arg, x, order))
     if isinstance(e, (SType, CType)):
-        a = eval_jet(e.arg, x, order)
+        a = _jet(e.arg, x, order)
         scale, rule = _sc_rule(e)
         if rule is None:
             return a if isinstance(e, SType) else jets.jet_const(1.0, x, order)
@@ -649,23 +661,27 @@ def validate_pair(
         raise ValueError(f"empty interval ({lo!r}, {hi!r})")
     if grid_size < 32:
         raise ValueError("grid_size must be at least 32")
-    order = max(n, 1)
-    sign = 0
-    for x in interior_grid((lo, hi), grid_size):
-        try:
-            jf = eval_jet(f, x, order)
-            jg = eval_jet(g, x, order)
-        except (DomainViolation, OverflowError, ValueError) as exc:
-            raise NonSmooth(x, str(exc)) from exc
-        if not (jf.is_finite() and jg.is_finite()):
-            raise NonSmooth(x, "non-finite jet coefficients")
-        if not jg.value > 0.0:
-            raise NotPositive("g", x, jg.value)
-        w = jf.coeffs[1] * jg.coeffs[0] - jf.coeffs[0] * jg.coeffs[1]
-        if not math.isfinite(w) or abs(w) < tol_w:
-            raise WronskianVanishes(x, w)
-        s = 1 if w > 0 else -1
-        if sign and s != sign:
-            raise WronskianVanishes.sign_change(x_prev, w_prev, x, w)
-        sign, x_prev, w_prev = s, x, w
+    xs = np.array(interior_grid((lo, hi), grid_size))
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            sign = jets.first_failure(lambda p: _grid_sign(f, g, p, max(n, 1), tol_w), xs)
+    except (DomainViolation, OverflowError, ValueError) as exc:
+        raise NonSmooth(float(xs[getattr(exc, "index", 0)]), str(exc)) from exc
     return FunctionPair(f=f, g=g, interval=(lo, hi), validated_order=n, w_sign=sign)
+
+
+def _grid_sign(f: Expr, g: Expr, xs: np.ndarray, order: int, tol_w: float) -> int:
+    """The sign of f'g - fg' on the points xs, after the checks of
+    validate_pair; each check raises at its first failing point."""
+    jf, jg = eval_jet(f, xs, order), eval_jet(g, xs, order)
+    finite = np.logical_and.reduce([np.isfinite(c) for c in jf.coeffs + jg.coeffs])
+    jets.reject(~finite, lambda i: NonSmooth(float(xs[i]), "non-finite jet coefficients"))
+    g0, w = jg.coeffs[0], jf.coeffs[1] * jg.coeffs[0] - jf.coeffs[0] * jg.coeffs[1]
+    jets.reject(~(g0 > 0.0), lambda i: NotPositive("g", float(xs[i]), float(g0[i])))
+    small = ~np.isfinite(w) | (np.abs(w) < tol_w)
+    jets.reject(small, lambda i: WronskianVanishes(float(xs[i]), float(w[i])))
+    jets.reject(
+        np.r_[False, np.diff(w > 0)],
+        lambda i: WronskianVanishes.sign_change(*map(float, (xs[i - 1], w[i - 1], xs[i], w[i]))),
+    )
+    return 1 if w[-1] > 0 else -1

@@ -5,6 +5,12 @@ coeffs[k] = h^(k)(x)/k!, truncated at a fixed order n <= 8. All arithmetic and
 elementary-function rules below are the standard triangular power-series
 recurrences, so coefficients of order <= m never depend on coefficients of
 order > m; truncating first or last gives bitwise-identical results.
+
+The base point is a float or an array of points, each coefficient a float or
+an array over them. Every rule is written once, with plain * / + -: sums run
+left to right in one fixed order and constant terms come from libm, mapped
+over the points of an array. So a point gives the same bits alone as in any
+batch, and overflow gives inf (callers silence numpy's warnings).
 """
 
 from __future__ import annotations
@@ -12,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import (
     BasePointMismatch,
@@ -33,20 +41,21 @@ def _check_order(order: int) -> None:
 
 @dataclass(frozen=True)
 class Jet:
-    """Taylor coefficients (h(x), h'(x)/1!, ..., h^(n)(x)/n!) at base_point x."""
+    """Taylor coefficients (h(x), h'(x)/1!, ..., h^(n)(x)/n!) at base_point x,
+    a float or an array of points."""
 
-    base_point: float
-    coeffs: tuple[float, ...]
+    base_point: float | np.ndarray
+    coeffs: tuple
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
 
     @property
-    def value(self) -> float:
+    def value(self):
         return self.coeffs[0]
 
-    def derivative_value(self, k: int) -> float:
+    def derivative_value(self, k: int):
         """k-th derivative of the represented function at the base point."""
         if not (0 <= k <= self.order):
             raise OrderOutOfRange(f"derivative order {k} outside jet order {self.order}")
@@ -70,42 +79,92 @@ class Jet:
     def is_finite(self) -> bool:
         return all(math.isfinite(c) for c in self.coeffs)
 
-    def __add__(self, other: "Jet") -> "Jet":
-        return add(self, other)
-
-    def __sub__(self, other: "Jet") -> "Jet":
-        return sub(self, other)
-
-    def __mul__(self, other: "Jet") -> "Jet":
-        return mul(self, other)
-
-    def __truediv__(self, other: "Jet") -> "Jet":
-        return div(self, other)
-
     def __neg__(self) -> "Jet":
         return Jet(self.base_point, tuple(-c for c in self.coeffs))
 
 
-def jet_var(x: float, order: int) -> Jet:
+def jet_var(x, order: int) -> Jet:
     """Jet of the identity function at x."""
     _check_order(order)
-    coeffs = [float(x)] + [0.0] * order
-    if order >= 1:
-        coeffs[1] = 1.0
-    return Jet(float(x), tuple(coeffs))
+    x = x if isinstance(x, np.ndarray) else float(x)
+    return Jet(x, ((x, 1.0) + (0.0,) * order)[: order + 1])
 
 
-def jet_const(c: float, x: float, order: int) -> Jet:
+def jet_const(c: float, x, order: int) -> Jet:
     """Jet of the constant function c at x."""
     _check_order(order)
-    return Jet(float(x), (float(c),) + (0.0,) * order)
+    return Jet(x if isinstance(x, np.ndarray) else float(x), (float(c),) + (0.0,) * order)
 
+
+# ------------------------------------------------------ points and failures
+
+def at(v, i: int) -> float:
+    """The float of coefficient v at flat point index i."""
+    return float(v.flat[i]) if isinstance(v, np.ndarray) else v
+
+
+def reject(bad, error) -> None:
+    """Raise error(i), with index i, at the first point i where bad (bool or mask) holds."""
+    if isinstance(bad, np.ndarray):
+        i = int(bad.argmax()) if bad.any() else None
+    else:
+        i = 0 if bad else None
+    if i is not None:
+        exc = error(i)
+        exc.index = i
+        raise exc
+
+
+def first_failure(run, points):
+    """run(points) for a run pointwise over an array of points; an error at flat
+    index i (its index attribute) is raised only if run passes before i in C order."""
+    try:
+        return run(points)
+    except Exception as exc:
+        if getattr(exc, "index", 0):
+            first_failure(run, points.ravel()[: exc.index])
+        raise
+
+
+def _libm(fn, u0, name: str):
+    """fn(u0) by libm, over each point of an array u0; overflow raises DomainViolation."""
+    if not isinstance(u0, np.ndarray):
+        try:
+            return fn(u0)
+        except OverflowError:
+            raise DomainViolation(f"{name} overflow at constant term {u0!r}") from None
+    vals = u0.ravel().tolist()
+    try:
+        return np.fromiter(map(fn, vals), float, len(vals)).reshape(u0.shape)
+    except (OverflowError, ValueError):
+        for i, v in enumerate(vals):
+            try:
+                _libm(fn, v, name)
+            except (DomainViolation, ValueError) as exc:
+                exc.index = i
+                raise
+        raise
+
+
+# ---------------------------------------------------------------- arithmetic
 
 def _aligned(a: Jet, b: Jet) -> None:
-    if a.base_point != b.base_point:
-        raise BasePointMismatch(f"base points differ: {a.base_point!r} vs {b.base_point!r}")
-    if a.order != b.order:
+    p, q = a.base_point, b.base_point
+    arrays = isinstance(p, np.ndarray) or isinstance(q, np.ndarray)
+    if p is not q and not (np.array_equal(p, q) if arrays else p == q):
+        raise BasePointMismatch(f"base points differ: {p!r} vs {q!r}")
+    if len(a.coeffs) != len(b.coeffs):
         raise OrderMismatch(f"orders differ: {a.order} vs {b.order}")
+
+
+def _dot(a, b, k: int, n: int):
+    """a[1]*b[k-1] + ... + a[n]*b[k-n] left to right (0.0 if n < 1): every sum but mul's."""
+    if n < 1:
+        return 0.0
+    acc = a[1] * b[k - 1]
+    for j in range(2, n + 1):
+        acc = acc + a[j] * b[k - j]
+    return acc
 
 
 def add(a: Jet, b: Jet) -> Jet:
@@ -119,82 +178,71 @@ def sub(a: Jet, b: Jet) -> Jet:
 
 
 def mul(a: Jet, b: Jet) -> Jet:
+    """Cauchy product; terms j and k - j are added in pairs, so it commutes bitwise."""
     _aligned(a, b)
-    n = a.order
     ac, bc = a.coeffs, b.coeffs
-    out = [0.0] * (n + 1)
-    for k in range(n + 1):
-        out[k] = math.fsum(ac[j] * bc[k - j] for j in range(k + 1))
+    out = [ac[0] * bc[0]]
+    for k in range(1, len(ac)):
+        acc = ac[0] * bc[k] + ac[k] * bc[0]
+        for j in range(1, (k + 1) // 2):
+            acc = acc + (ac[j] * bc[k - j] + ac[k - j] * bc[j])
+        if k % 2 == 0:
+            acc = acc + ac[k // 2] * bc[k // 2]
+        out.append(acc)
     return Jet(a.base_point, tuple(out))
 
 
 def div(a: Jet, b: Jet) -> Jet:
     _aligned(a, b)
-    if b.coeffs[0] == 0.0:
-        raise DivisionByZeroConstantTerm("divisor jet has zero constant term")
-    n = a.order
     ac, bc = a.coeffs, b.coeffs
-    out = [0.0] * (n + 1)
-    for k in range(n + 1):
-        acc = ac[k] - math.fsum(bc[j] * out[k - j] for j in range(1, k + 1))
-        out[k] = acc / bc[0]
+    reject(bc[0] == 0.0, lambda i: DivisionByZeroConstantTerm("divisor jet has zero constant term"))
+    out = []
+    for k in range(len(ac)):
+        out.append((ac[k] - _dot(bc, out, k, k)) / bc[0])
     return Jet(a.base_point, tuple(out))
+
+
+Jet.__add__, Jet.__sub__, Jet.__mul__, Jet.__truediv__ = add, sub, mul, div
 
 
 # ------------------------------------------------------- elementary functions
 
-def _scalar_series(a: Jet, w0: float, rule) -> Jet:
-    """Run a triangular recurrence rule(k, u, w) -> w_k starting from w0."""
-    n = a.order
-    u = a.coeffs
-    w = [0.0] * (n + 1)
-    w[0] = w0
-    for k in range(1, n + 1):
-        w[k] = rule(k, u, w)
-    return Jet(a.base_point, tuple(w))
+def _positive(u0, what: str) -> None:
+    """Reject a constant term u0 <= 0: "<what> of non-positive constant term <u0>"."""
+    message = f"{what} of non-positive constant term "
+    reject(u0 <= 0.0, lambda i: DomainViolation(message + repr(at(u0, i))))
 
 
 def jexp(a: Jet) -> Jet:
-    try:
-        w0 = math.exp(a.coeffs[0])
-    except OverflowError:
-        raise DomainViolation(f"exp overflow at constant term {a.coeffs[0]!r}") from None
-    return _scalar_series(
-        a, w0, lambda k, u, w: math.fsum(j * u[j] * w[k - j] for j in range(1, k + 1)) / k
-    )
+    u = a.coeffs
+    ju = [j * c for j, c in enumerate(u)]
+    w = [_libm(math.exp, u[0], "exp")]
+    for k in range(1, len(u)):
+        w.append(_dot(ju, w, k, k) / k)
+    return Jet(a.base_point, tuple(w))
 
 
 def jlog(a: Jet) -> Jet:
-    u0 = a.coeffs[0]
-    if u0 <= 0.0:
-        raise DomainViolation(f"log of non-positive constant term {u0!r}")
-    return _scalar_series(
-        a,
-        math.log(u0),
-        lambda k, u, w: (u[k] - math.fsum(j * w[j] * u[k - j] for j in range(1, k)) / k) / u0,
-    )
+    u, u0 = a.coeffs, a.coeffs[0]
+    _positive(u0, "log")
+    w = [_libm(math.log, u0, "log")]
+    jw = [0.0]
+    for k in range(1, len(u)):
+        w.append((u[k] - _dot(jw, u, k, k - 1) / k) / u0)
+        jw.append(k * w[k])
+    return Jet(a.base_point, tuple(w))
 
 
 def _jsincos(a: Jet, hyperbolic: bool) -> tuple[Jet, Jet]:
-    n = a.order
     u = a.coeffs
-    if hyperbolic:
-        try:
-            s0, c0 = math.sinh(u[0]), math.cosh(u[0])
-        except OverflowError:
-            raise DomainViolation(f"sinh/cosh overflow at constant term {u[0]!r}") from None
-        sign = 1.0
-    else:
-        s0, c0 = math.sin(u[0]), math.cos(u[0])
-        sign = -1.0
-    s = [0.0] * (n + 1)
-    c = [0.0] * (n + 1)
-    s[0], c[0] = s0, c0
-    for k in range(1, n + 1):
-        s[k] = math.fsum(j * u[j] * c[k - j] for j in range(1, k + 1)) / k
-        c[k] = sign * math.fsum(j * u[j] * s[k - j] for j in range(1, k + 1)) / k
-    base = a.base_point
-    return Jet(base, tuple(s)), Jet(base, tuple(c))
+    ju = [j * c for j, c in enumerate(u)]
+    sine, cosine, sign = (math.sinh, math.cosh, 1.0) if hyperbolic else (math.sin, math.cos, -1.0)
+    # only sinh and cosh can overflow
+    s, c = [_libm(sine, u[0], "sinh/cosh")], [_libm(cosine, u[0], "sinh/cosh")]
+    for k in range(1, len(u)):
+        s.append(_dot(ju, c, k, k) / k)
+        c.append(sign * _dot(ju, s, k, k) / k)
+    return Jet(a.base_point, tuple(s)), Jet(a.base_point, tuple(c))
 
 
 def jsin(a: Jet) -> Jet:
@@ -217,12 +265,12 @@ def _ipow(a: Jet, n: int) -> Jet:
     if n == 0:
         return jet_const(1.0, a.base_point, a.order)
     if n < 0:
-        if a.coeffs[0] == 0.0:
-            raise DomainViolation("negative integer power of jet with zero constant term")
+        reject(
+            a.coeffs[0] == 0.0,
+            lambda i: DomainViolation("negative integer power of jet with zero constant term"),
+        )
         return div(jet_const(1.0, a.base_point, a.order), _ipow(a, -n))
-    acc = None
-    base = a
-    m = n
+    acc, base, m = None, a, n
     while m:
         if m & 1:
             acc = base if acc is None else mul(acc, base)
@@ -240,30 +288,22 @@ def jpow(a: Jet, exponent) -> Jet:
     e = float(exponent)
     if e == int(e):
         return _ipow(a, int(e))
-    u0 = a.coeffs[0]
-    if u0 <= 0.0:
-        raise DomainViolation(
-            f"non-integer power {e!r} of non-positive constant term {u0!r}"
-        )
-    try:
-        w0 = u0 ** e
-    except OverflowError:
-        raise DomainViolation(f"power overflow at constant term {u0!r}") from None
-
-    def rule(k, u, w):
-        return math.fsum(((e + 1.0) * j - k) * u[j] * w[k - j] for j in range(1, k + 1)) / (k * u0)
-
-    return _scalar_series(a, w0, rule)
+    u, u0 = a.coeffs, a.coeffs[0]
+    _positive(u0, f"non-integer power {e!r}")
+    w = [_libm(lambda v: v**e, u0, "power")]
+    for k in range(1, len(u)):
+        cu = [((e + 1.0) * j - k) * c for j, c in enumerate(u[: k + 1])]
+        w.append(_dot(cu, w, k, k) / (k * u0))
+    return Jet(a.base_point, tuple(w))
 
 
 def jsqrt(a: Jet) -> Jet:
-    if a.coeffs[0] <= 0.0:
-        raise DomainViolation(f"sqrt of non-positive constant term {a.coeffs[0]!r}")
+    _positive(a.coeffs[0], "sqrt")
     return jpow(a, 0.5)
 
 
 def jabspow(a: Jet, exponent: float) -> Jet:
-    """|a(x)|^e for a jet whose constant term is bounded away from zero."""
+    """|a(x)|^e for a float jet whose constant term is bounded away from zero."""
     u0 = a.coeffs[0]
     if u0 == 0.0:
         raise DomainViolation("abspow of jet with zero constant term")
