@@ -26,7 +26,7 @@ from .errors import (
 )
 from .expr import FunctionPair
 from .jets import Jet, at, div, first_failure, jet_const, mul, reject, sub
-from .means import MeanSpec, m_curve
+from .means import MeanSpec, _section
 from .measures import DEGENERATE_TOL, MOMENT_ZERO_TOL, Measure, moments
 
 __all__ = [
@@ -350,7 +350,7 @@ def diagonal_derivatives_numeric(
         raise OutOfInterval(x, pair.interval)
     spec = MeanSpec(pair=pair, measure=measure)
     scaled = [math.cos(math.pi * (j + 0.5) / ORACLE_NODES) for j in range(ORACLE_NODES)]
-    values = [m_curve(spec, x, h * s) for s in scaled]
+    values = [_section(spec, float(x), float(h * s), mu_hat1) for s in scaled]
     design = np.vander(np.asarray(scaled), ORACLE_DEGREE + 1, increasing=True)
     cond = float(np.linalg.cond(design))
     if cond > FIT_CONDITION_LIMIT:

@@ -20,7 +20,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Union
 
 import numpy as np
@@ -620,11 +620,14 @@ class FunctionPair:
     validated_order: int
     w_sign: int = 0
 
-    def f_at(self, x: float) -> float:
-        return compile_scalar(self.f)(x)
+    # compile_scalar(f) and (g), looked up once per pair and then held
+    @cached_property
+    def f_at(self) -> Callable[[float], float]:
+        return compile_scalar(self.f)
 
-    def g_at(self, x: float) -> float:
-        return compile_scalar(self.g)(x)
+    @cached_property
+    def g_at(self) -> Callable[[float], float]:
+        return compile_scalar(self.g)
 
     def contains(self, x: float) -> bool:
         lo, hi = self.interval

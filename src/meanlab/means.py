@@ -33,7 +33,7 @@ from .errors import (
     OutOfInterval,
 )
 from .expr import FunctionPair
-from .measures import Measure, moments
+from .measures import Measure, moments, weighted_sum
 
 __all__ = [
     "MeanSpec", "mean_eval", "mean_table", "quasiarithmetic", "quasiarithmetic_table",
@@ -103,6 +103,9 @@ def mean_eval(spec: MeanSpec, x: float, y: float) -> float:
     ratio of the segment integrals of f and g. Equal arguments return
     exactly; otherwise the result carries a residual certificate of
     |(f/g)(z) - r| <= RESIDUAL_TOL * (1 + |r|).
+
+    Both integrals are weighted_sum over the segment points t*x + (1-t)*y
+    of the measure's nodes, f at every point first and then g.
     """
     x, y = float(x), float(y)
     if not spec.pair.contains(x):
@@ -111,11 +114,10 @@ def mean_eval(spec: MeanSpec, x: float, y: float) -> float:
         raise OutOfInterval(y, spec.pair.interval)
     if x == y:
         return x
-    f = ex.compile_scalar(spec.pair.f)
-    g = ex.compile_scalar(spec.pair.g)
-    num = spec.measure.integrate(lambda t: f(t * x + (1.0 - t) * y))
-    den = spec.measure.integrate(lambda t: g(t * x + (1.0 - t) * y))
-    r = num / den
+    f, g = spec.pair.f_at, spec.pair.g_at
+    ts, ws = spec.measure._nodes()
+    points = [t * x + (1.0 - t) * y for t in ts]
+    r = weighted_sum(ts, ws, map(f, points)) / weighted_sum(ts, ws, map(g, points))
     lo, hi = (x, y) if x < y else (y, x)
 
     def resid(z: float) -> float:
@@ -275,8 +277,11 @@ def cauchy(phi: Union[ex.Expr, str], psi: Union[ex.Expr, str], x: float, y: floa
 def m_curve(spec: MeanSpec, x: float, u: float) -> float:
     """Diagonal section through x: the mean of x + (1-m1)u and x - m1*u,
     with m1 the measure's first raw moment. u = 0 returns x exactly."""
-    x, u = float(x), float(u)
-    mu_hat1 = moments(spec.measure, 1).mu_hat1
+    return _section(spec, float(x), float(u), moments(spec.measure, 1).mu_hat1)
+
+
+def _section(spec: MeanSpec, x: float, u: float, mu_hat1: float) -> float:
+    """m_curve with the first raw moment mu_hat1 already read."""
     a = x + (1.0 - mu_hat1) * u
     b = x - mu_hat1 * u
     for point in (a, b):

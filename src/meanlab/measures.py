@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .errors import DegenerateMeasure, QuadratureNonFinite
 __all__ = [
     "Measure", "Discrete", "Lebesgue", "Density",
     "MomentData", "Regime", "RegimeInfo",
-    "integrate", "moments", "classify",
+    "integrate", "weighted_sum", "moments", "classify",
     "measure_to_json", "measure_from_json", "preset_measure", "PRESETS",
 ]
 
@@ -36,10 +36,30 @@ MOMENT_ZERO_TOL = 1e-12
 
 
 @lru_cache(maxsize=16)
-def _gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights mapped to [0,1]."""
+def _gauss_nodes(order: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Gauss-Legendre nodes and weights mapped to [0,1], as Python floats."""
     x, w = np.polynomial.legendre.leggauss(order)
-    return (x + 1.0) / 2.0, w / 2.0
+    return tuple(((x + 1.0) / 2.0).tolist()), tuple((w / 2.0).tolist())
+
+
+def weighted_sum(
+    ts: Sequence[float], ws: Sequence[float], values: Iterable
+) -> Union[float, np.ndarray]:
+    """Left-to-right sum of w * v, v drawn from values one node at a time.
+
+    A non-finite v raises QuadratureNonFinite at its node before the next
+    is drawn. An array v is summed elementwise; any other gives a float.
+    """
+    total = 0.0
+    for t, w, v in zip(ts, ws, values):
+        if isinstance(v, np.ndarray):
+            bad = ~np.isfinite(v)
+            if bad.any():
+                raise QuadratureNonFinite(t, float(v[bad][0]))
+        elif not math.isfinite(v):
+            raise QuadratureNonFinite(t, v)
+        total = total + w * v
+    return total if isinstance(total, np.ndarray) else float(total)
 
 
 class Measure:
@@ -47,30 +67,20 @@ class Measure:
 
     __slots__ = ()
 
-    def _nodes(self) -> tuple[Sequence[float], Sequence[float]]:
+    def _nodes(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         raise NotImplementedError
 
     def integrate(
         self, integrand: Callable[[float], Union[float, np.ndarray]]
     ) -> Union[float, np.ndarray]:
-        """Weighted sum of integrand(t) over the nodes, in node order.
+        """weighted_sum of integrand(t) over the nodes, t a Python float.
 
         A scalar integrand gives a plain float. An array-valued one gives an
         array, each element summed in the same order with the same
         arithmetic as the scalar integral of that element.
         """
         ts, ws = self._nodes()
-        total = 0.0
-        for t, w in zip(ts, ws):
-            v = integrand(t)
-            if isinstance(v, np.ndarray):
-                bad = ~np.isfinite(v)
-                if bad.any():
-                    raise QuadratureNonFinite(t, float(v[bad][0]))
-            elif not math.isfinite(v):
-                raise QuadratureNonFinite(t, v)
-            total = total + w * v
-        return total if isinstance(total, np.ndarray) else float(total)
+        return weighted_sum(ts, ws, map(integrand, ts))
 
 
 @dataclass(frozen=True)
@@ -78,6 +88,7 @@ class Discrete(Measure):
     """Finite convex combination of point masses sum w_k * delta_{t_k}."""
 
     atoms: tuple[tuple[float, float], ...]
+    _node_tuples: tuple = field(default=((), ()), compare=False, repr=False)
 
     def __init__(self, atoms):
         pairs = tuple((float(t), float(w)) for t, w in atoms)
@@ -92,11 +103,10 @@ class Discrete(Measure):
         if abs(total - 1.0) > ATOM_WEIGHT_TOL:
             raise ValueError(f"atom weights sum to {total!r}, not 1")
         object.__setattr__(self, "atoms", pairs)
+        object.__setattr__(self, "_node_tuples", tuple(zip(*pairs)))
 
     def _nodes(self):
-        ts = [t for t, _ in self.atoms]
-        ws = [w for _, w in self.atoms]
-        return ts, ws
+        return self._node_tuples
 
 
 @dataclass(frozen=True)
@@ -136,9 +146,9 @@ class Density(Measure):
         rf = ex.compile_scalar(rho)
         values = []
         for t, w in zip(ts, ws):
-            v = rf(float(t))
+            v = rf(t)
             if not math.isfinite(v):
-                raise QuadratureNonFinite(float(t), v)
+                raise QuadratureNonFinite(t, v)
             values.append(w * v)
         norm = math.fsum(values)
         if abs(norm - 1.0) > DENSITY_NORM_TOL:

@@ -148,3 +148,33 @@ def random_admissible_pair(rng: random.Random, family: str | None = None):
         lo, hi = -0.4, 0.4
     pair = ex.validate_pair(f, g, (lo, hi))
     return pair
+
+
+def mp_value(e: ex.Expr, x):
+    """The value of the tree at x in mpmath arithmetic (needs mpmath)."""
+    import mpmath
+
+    if isinstance(e, ex.Const):
+        return mpmath.mpf(e.value)
+    if isinstance(e, ex.Var):
+        return x
+    if isinstance(e, ex.Neg):
+        return -mp_value(e.operand, x)
+    if isinstance(e, ex.BinOp):
+        a, b = mp_value(e.left, x), mp_value(e.right, x)
+        return {"+": a + b, "-": a - b, "*": a * b}[e.op] if e.op != "/" else a / b
+    if isinstance(e, ex.Pow):
+        q = e.exponent
+        return mp_value(e.base, x) ** (mpmath.mpf(q.numerator) / q.denominator)
+    if isinstance(e, ex.Call):
+        return getattr(mpmath, e.func)(mp_value(e.arg, x))
+    if isinstance(e, (ex.SType, ex.CType)):
+        u, t = mp_value(e.arg, x), mpmath.mpf(e.t)
+        sine = isinstance(e, ex.SType)
+        if t == 0:
+            return u if sine else mpmath.mpf(1)
+        z = mpmath.sqrt(abs(t)) * u
+        if t < 0:
+            return mpmath.sin(z) if sine else mpmath.cos(z)
+        return mpmath.sinh(z) if sine else mpmath.cosh(z)
+    raise TypeError(e)

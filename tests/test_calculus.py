@@ -350,6 +350,22 @@ class TestNumericOracle:
         assert len(seen) == ca.ORACLE_NODES
         assert all(a == -b for a, b in seen)
 
+    def test_moments_read_once_with_m_curve_bits(self, monkeypatch):
+        skewed = Discrete(((0.0, 0.3), (0.7, 0.7)))
+        calls = []
+
+        def counted(m, nmax=6, _real=ca.moments):
+            calls.append(nmax)
+            return _real(m, nmax)
+
+        monkeypatch.setattr(ca, "moments", counted)
+        monkeypatch.setattr(mn, "moments", counted)
+        got = ca.diagonal_derivatives_numeric(SINCOS, skewed, 0.2)
+        assert calls == [1]
+        monkeypatch.setattr(ca, "_section", lambda spec, x, u, _: mn.m_curve(spec, x, u))
+        assert ca.diagonal_derivatives_numeric(SINCOS, skewed, 0.2) == got
+        assert len(calls) == 2 + ca.ORACLE_NODES
+
     def test_trig_lebesgue_cross_check(self):
         want = ca.diagonal_derivatives(SINCOS, Lebesgue(), 0.3)
         got = ca.diagonal_derivatives_numeric(SINCOS, Lebesgue(), 0.3)

@@ -12,43 +12,17 @@ import pytest
 
 from meanlab import expr as ex
 
+from conftest import mp_value
+
 mpmath = pytest.importorskip("mpmath")
 
 ORDER = 6
 BOUND = 1e-14  # max |c - ref| / max |ref| over the coefficients of one jet
 
 
-def _mp(e: ex.Expr, x):
-    """The value of the tree at x in mpmath arithmetic."""
-    if isinstance(e, ex.Const):
-        return mpmath.mpf(e.value)
-    if isinstance(e, ex.Var):
-        return x
-    if isinstance(e, ex.Neg):
-        return -_mp(e.operand, x)
-    if isinstance(e, ex.BinOp):
-        a, b = _mp(e.left, x), _mp(e.right, x)
-        return {"+": a + b, "-": a - b, "*": a * b}[e.op] if e.op != "/" else a / b
-    if isinstance(e, ex.Pow):
-        q = e.exponent
-        return _mp(e.base, x) ** (mpmath.mpf(q.numerator) / q.denominator)
-    if isinstance(e, ex.Call):
-        return getattr(mpmath, e.func)(_mp(e.arg, x))
-    if isinstance(e, (ex.SType, ex.CType)):
-        u, t = _mp(e.arg, x), mpmath.mpf(e.t)
-        sine = isinstance(e, ex.SType)
-        if t == 0:
-            return u if sine else mpmath.mpf(1)
-        z = mpmath.sqrt(abs(t)) * u
-        if t < 0:
-            return mpmath.sin(z) if sine else mpmath.cos(z)
-        return mpmath.sinh(z) if sine else mpmath.cosh(z)
-    raise TypeError(e)
-
-
 def _reference(e: ex.Expr, x: float) -> list:
     with mpmath.workdps(50):
-        return mpmath.taylor(lambda t: _mp(e, t), mpmath.mpf(x), ORDER)
+        return mpmath.taylor(lambda t: mp_value(e, t), mpmath.mpf(x), ORDER)
 
 
 # together every node type: each call, each operator, integer, negative and

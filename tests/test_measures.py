@@ -7,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
+from meanlab import expr as ex
 from meanlab import measures as ms
-from meanlab.errors import DegenerateMeasure, QuadratureNonFinite
+from meanlab.errors import DegenerateMeasure, DomainViolation, QuadratureNonFinite
 from meanlab.measures import Density, Discrete, Lebesgue, Regime
 
 
@@ -67,6 +68,21 @@ class TestIntegrate:
             ms.integrate(Lebesgue(), lambda t: float("nan"))
         with pytest.raises(QuadratureNonFinite):
             ms.integrate(Lebesgue(), lambda t: np.array([t, np.inf]))
+
+    @pytest.mark.parametrize("m", [Lebesgue(), Density("2 * x")])
+    def test_errors_name_the_node_as_a_plain_float(self, m):
+        with pytest.raises(QuadratureNonFinite) as exc:
+            ms.integrate(m, lambda t: math.inf)
+        assert str(exc.value) == "integrand returned inf at quadrature node 0.001368069075259215"
+        with pytest.raises(DomainViolation) as exc:
+            ms.integrate(m, ex.compile_scalar(ex.parse("log(x - 0.5)")))
+        assert str(exc.value) == "log of non-positive value at 0.001368069075259215"
+
+    @pytest.mark.parametrize("m", [EBM, Lebesgue(), Density("2 * x")])
+    def test_nodes_are_plain_floats_built_once(self, m):
+        ts, ws = m._nodes()
+        assert m._nodes()[0] is ts
+        assert all(type(v) is float for v in ts + ws)
 
     def test_density_linear(self):
         m = Density("2 * x")
