@@ -10,6 +10,7 @@ produce byte-identical JSON.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -254,6 +255,8 @@ def _cmd_make_pair(args: argparse.Namespace) -> None:
 # ------------------------------------------------------------------ parser
 
 
+# built once per process: parse_args leaves the parser as it was
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="meanlab",

@@ -9,10 +9,24 @@ Bajraktarevic, Cauchy) are separate entry points with their own closed
 forms, used in tests as independent routes to the same values.
 
 mean_table and quasiarithmetic_table fill a whole n x n table of those
-means with one vectorized bracketed solve (Chandrupatla's method, Adv. Eng.
-Software 28 (1997) 145-149). The scalar mean_eval and quasiarithmetic stay
-the reference: every table element that the batched solve cannot certify is
-recomputed by them.
+means with one vectorized bracketed solve. The scalar mean_eval and
+quasiarithmetic stay the reference: every table element that the batched
+solve cannot certify is recomputed by them.
+
+Both root solvers live here and share one pair of root tolerances:
+
+- chandrupatla solves an array of brackets at once by Chandrupatla's
+  method (Adv. Eng. Software 28 (1997) 145-149): inverse quadratic
+  interpolation where it is safe, bisection elsewhere, with each element
+  leaving the active set as it converges.
+- brentq solves one bracket by Brent's method (Algorithms for Minimization
+  without Derivatives, 1973, ch. 4), step for step as the classic C routine
+  (the same bracket swaps, interpolate/extrapolate test and step bounds).
+
+The scalar route stays Brent rather than a one-element Chandrupatla: the two
+methods stop at points a few ulps apart, and callers that difference means
+(the polynomial-fit derivative oracle divides them by h^k) amplify that
+into visible changes.
 """
 
 from __future__ import annotations
@@ -22,8 +36,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.optimize.elementwise import find_root
 
 from . import expr as ex
 from .errors import (
@@ -41,8 +53,12 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-12
-_BRENTQ_RTOL = 4.0 * float(np.finfo(float).eps)
-_FIND_ROOT_TOL = {"xatol": 1e-15, "xrtol": _BRENTQ_RTOL}
+# a root is accepted once it is known within _XATOL + _XRTOL * |root|
+_XATOL = 1e-15
+_XRTOL = 4.0 * float(np.finfo(float).eps)
+# chandrupatla also stops where |residual| reaches the smallest normal float
+_FATOL = float(np.finfo(float).tiny)
+_MAXITER = 100
 
 
 @dataclass(frozen=True)
@@ -61,10 +77,65 @@ def _solve_bracketed(func: Callable[[float], float], lo: float, hi: float) -> fl
         return hi
     if (flo > 0.0) == (fhi > 0.0):
         raise BracketFailure(lo, hi, flo, fhi)
-    try:
-        return float(brentq(func, lo, hi, xtol=1e-15, rtol=_BRENTQ_RTOL, maxiter=100))
-    except (ValueError, RuntimeError) as exc:
-        raise BracketFailure(lo, hi, flo, fhi, detail=str(exc)) from exc
+    return brentq(func, lo, hi, flo, fhi)
+
+
+def brentq(f: Callable[[float], float], a: float, b: float, fa: float, fb: float) -> float:
+    """Root of f on [a, b] by Brent's method, given fa = f(a) and fb = f(b).
+
+    Follows the classic C routine step for step with xtol = _XATOL,
+    rtol = _XRTOL and at most _MAXITER steps; f is called once per step and
+    its value taken as a float. An exactly zero end is the root. Raises
+    BracketFailure on no sign change, on a nan value and on no convergence.
+    """
+    fa, fb = float(fa), float(fb)
+    if fa != fa or fb != fb:
+        raise BracketFailure(a, b, fa, fb, detail="residual is nan at an end")
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if (fa < 0.0) == (fb < 0.0):
+        raise BracketFailure(a, b, fa, fb)
+    xpre, fpre, xcur, fcur = a, fa, b, fb
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_MAXITER):
+        # zeros and nans never get here, so < 0 is the sign bit
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_XATOL + _XRTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(f(xcur))
+        if fcur != fcur:
+            raise BracketFailure(a, b, fa, fb, detail=f"residual is nan at {xcur!r}")
+    raise BracketFailure(a, b, fa, fb, detail=f"no convergence in {_MAXITER} steps")
 
 
 def _bracketed_roots(
@@ -81,15 +152,84 @@ def _bracketed_roots(
     fhi = resid(hi, *args)
     z = np.where(flo == 0.0, lo, np.where(fhi == 0.0, hi, np.nan))
     ok = (flo == 0.0) | (fhi == 0.0)
-    solve = ~ok & ((flo > 0.0) != (fhi > 0.0))
-    if solve.any():
-        res = find_root(
-            resid, (lo[solve], hi[solve]), args=tuple(a[solve] for a in args),
-            tolerances=_FIND_ROOT_TOL,
+    solve = np.flatnonzero(~ok & ((flo > 0.0) != (fhi > 0.0)))
+    if solve.size:
+        z[solve], ok[solve] = chandrupatla(
+            resid, lo[solve], hi[solve], flo[solve], fhi[solve], tuple(a[solve] for a in args)
         )
-        z[solve] = np.where(res.success, res.x, np.nan)
-        ok[solve] = res.success
     return z, ok
+
+
+def chandrupatla(
+    f: Callable[..., np.ndarray], a: np.ndarray, b: np.ndarray,
+    fa: np.ndarray, fb: np.ndarray, args: tuple = (),
+) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of f(x, *args) on the brackets [a, b] by Chandrupatla's method.
+
+    a, b, fa = f(a), fb = f(b) and args are 1-d arrays of one length, and f
+    is elementwise. Element i stops once |f| <= _FATOL at the better end of
+    its bracket, or once the bracket is shorter than _XATOL + _XRTOL * |x|
+    at that end, which is then the root; it fails on a lost sign change, a
+    non-finite bracket or nan values at both ends. Returns the roots and a
+    mask of the elements that converged within _MAXITER steps; elsewhere
+    the root is nan.
+    """
+    z = np.full(a.shape, np.nan)
+    ok = np.zeros(a.shape, dtype=bool)
+    active = np.arange(a.size)
+    # (x1, f1) is the newest point, x2 the other end of the bracket and x3
+    # the point dropped last; the first step sets x3
+    x1, f1, x2, f2, x3, f3 = a, fa, b, fb, a, fa
+    with np.errstate(invalid="ignore"):
+        # the value test is off where an end value is nan or both are infinite
+        ftol = _FATOL + 0.0 * np.minimum(np.abs(fa), np.abs(fb))
+    t = 0.5
+    nit = 0
+    while True:
+        near = np.abs(f1) < np.abs(f2)
+        xmin = np.where(near, x1, x2)
+        conv = np.abs(np.where(near, f1, f2)) <= ftol
+        fail = ~conv & (
+            (np.sign(f1) == np.sign(f2))
+            | ~(np.isfinite(x1) & np.isfinite(x2))
+            | (np.isnan(f1) & np.isnan(f2))
+        )
+        dx = np.abs(x2 - x1)
+        tol = np.abs(xmin) * _XRTOL + _XATOL
+        conv |= ~fail & (dx < tol)
+        done = active[conv]
+        z[done] = xmin[conv]
+        ok[done] = True
+        keep = ~(conv | fail)
+        if nit == _MAXITER or not keep.any():
+            return z, ok
+        if not keep.all():
+            active, x1, f1, x2, f2, x3, f3, ftol, dx, tol = (
+                v[keep] for v in (active, x1, f1, x2, f2, x3, f3, ftol, dx, tol)
+            )
+            args = tuple(v[keep] for v in args)
+        if nit:
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                # inverse quadratic interpolation where the three points allow it
+                xi1 = (x1 - x2) / (x3 - x2)
+                phi1 = (f1 - f2) / (f3 - f2)
+                alpha = (x3 - x1) / (x2 - x1)
+                quadratic = ((1 - np.sqrt(1 - xi1)) < phi1) & (phi1 < np.sqrt(xi1))
+                t = np.where(
+                    quadratic,
+                    f1 / (f1 - f2) * f3 / (f3 - f2) - alpha * f1 / (f3 - f1) * f2 / (f2 - f3),
+                    0.5,
+                )
+                # keep the new point at least half a tolerance inside the bracket
+                tl = 0.5 * tol / dx
+                t = np.clip(t, tl, 1 - tl)
+        x = x1 + t * (x2 - x1)
+        fx = f(x, *args)
+        same = np.sign(fx) == np.sign(f1)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1 = x, fx
+        nit += 1
 
 
 def _as_expr(e: Union[ex.Expr, str]) -> ex.Expr:

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import meanlab
 from meanlab import cli
 from meanlab import expr as ex
 
@@ -295,3 +298,60 @@ class TestPlumbing:
         second = subprocess.run(argv, capture_output=True, text=True, check=True)
         assert first.stdout == second.stdout
         assert first.stdout.strip()
+
+
+class TestParserCache:
+    # (exp, 1) vs (x, 1) under EBM, then eval, then the EBM witness with
+    # another override, then no override at all
+    RUNS = [
+        EBM_WITNESS[:1] + ["--f", "exp(x)", "--g", "1"] + EBM_WITNESS[5:]
+        + ["--tol", "quasiarithmetic_gap=1", "--tol", "mean_gap=0.5", "--format", "json"],
+        ["eval", "--f", "log(x)", "--g", "1", "--x", "1", "--y", "4", "--format", "json"],
+        EBM_WITNESS + ["--tol", "mean_gap=0.25", "--format", "json"],
+        EBM_WITNESS + ["--format", "json"],
+    ]
+
+    def _outputs(self, capsys, fresh: bool):
+        outs = []
+        for argv in self.RUNS:
+            if fresh:
+                cli._build_parser.cache_clear()
+            code, out, err = run_cli(capsys, argv)
+            assert code == 0, err
+            outs.append(out)
+        return outs
+
+    def test_one_parser_gives_the_output_of_fresh_ones(self, capsys):
+        cli._build_parser.cache_clear()
+        cached = self._outputs(capsys, fresh=False)
+        assert cli._build_parser.cache_info().misses == 1
+        assert cli._build_parser() is cli._build_parser()
+        assert cached == self._outputs(capsys, fresh=True)
+        tols = [json.loads(out)["config"].get("tolerances") for out in cached]
+        assert tols == [{"quasiarithmetic_gap": 1.0, "mean_gap": 0.5}, None, {"mean_gap": 0.25}, {}]
+
+    def test_appended_values_do_not_leak(self):
+        parser = cli._build_parser()
+        assert parser.parse_args(self.RUNS[0]).tol == ["quasiarithmetic_gap=1", "mean_gap=0.5"]
+        assert parser.parse_args(self.RUNS[2]).tol == ["mean_gap=0.25"]
+        assert parser.parse_args(self.RUNS[3]).tol is None
+
+    def test_errors_and_version_after_reuse(self, capsys):
+        run_cli(capsys, self.RUNS[2])
+        code, out, err = run_cli(capsys, EBM_WITNESS + ["--tol", "nonsense"])
+        assert code == 2 and "name=value" in err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--version"])
+        assert exc.value.code == 0
+        assert "meanlab" in capsys.readouterr().out
+        code, out, err = run_cli(capsys, self.RUNS[3])
+        assert code == 0 and json.loads(out)["config"]["tolerances"] == {}
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test oracle only; importing it costs a CLI run about 0.6 s
+    src = str(Path(meanlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, meanlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import types
 from fractions import Fraction
 
 import numpy as np
@@ -282,15 +281,13 @@ def _scalar_table(spec: MeanSpec, xs) -> np.ndarray:
     return np.array([[mean_eval(spec, x, y) for y in xs] for x in xs])
 
 
-def _unconverged(f, init, **kwargs):
-    lo, _ = init
-    return types.SimpleNamespace(success=np.zeros(lo.shape, bool), x=lo)
+def _unconverged(f, a, b, fa, fb, args=()):
+    return np.full(a.shape, np.nan), np.zeros(a.shape, bool)
 
 
-def _uncertified(f, init, **kwargs):
+def _uncertified(f, a, b, fa, fb, args=()):
     # "converges" to the left end of each bracket, which fails the certificate
-    lo, _ = init
-    return types.SimpleNamespace(success=np.ones(lo.shape, bool), x=lo.copy())
+    return a.copy(), np.ones(a.shape, bool)
 
 
 class TestMeanTable:
@@ -322,16 +319,16 @@ class TestMeanTable:
         spec = spec_of("sinh(x)", "cosh(x)", (-1.0, 1.0), Lebesgue())
         xs = np.linspace(-0.8, 0.8, 6)
         want = _scalar_table(spec, xs)
-        monkeypatch.setattr(mn, "find_root", solver)
+        monkeypatch.setattr(mn, "chandrupatla", solver)
         assert np.array_equal(mean_table(spec, xs), want)
 
     def test_scalar_bracket_failure_propagates(self, monkeypatch):
         spec = spec_of("sinh(x)", "cosh(x)", (-1.0, 1.0), Lebesgue())
 
-        def broken_brentq(*args, **kwargs):
-            raise RuntimeError("failed to converge")
+        def broken_brentq(f, a, b, fa, fb):
+            raise BracketFailure(a, b, fa, fb, detail="no convergence")
 
-        monkeypatch.setattr(mn, "find_root", _unconverged)
+        monkeypatch.setattr(mn, "chandrupatla", _unconverged)
         monkeypatch.setattr(mn, "brentq", broken_brentq)
         with pytest.raises(BracketFailure):
             mean_table(spec, [-0.5, 0.5])
