@@ -69,12 +69,14 @@ class MeanSpec:
 
 def _solve_bracketed(func: Callable[[float], float], lo: float, hi: float) -> float:
     """Root of func on [lo, hi]; the endpoints must straddle zero."""
-    flo = func(lo)
+    flo = float(func(lo))
     if flo == 0.0:
         return lo
-    fhi = func(hi)
+    fhi = float(func(hi))
     if fhi == 0.0:
         return hi
+    if flo != flo or fhi != fhi:
+        raise BracketFailure(lo, hi, flo, fhi, detail="residual is nan at an end")
     if (flo > 0.0) == (fhi > 0.0):
         raise BracketFailure(lo, hi, flo, fhi)
     return brentq(func, lo, hi, flo, fhi)
@@ -83,20 +85,12 @@ def _solve_bracketed(func: Callable[[float], float], lo: float, hi: float) -> fl
 def brentq(f: Callable[[float], float], a: float, b: float, fa: float, fb: float) -> float:
     """Root of f on [a, b] by Brent's method, given fa = f(a) and fb = f(b).
 
-    Follows the classic C routine step for step with xtol = _XATOL,
-    rtol = _XRTOL and at most _MAXITER steps; f is called once per step and
-    its value taken as a float. An exactly zero end is the root. Raises
-    BracketFailure on no sign change, on a nan value and on no convergence.
+    fa and fb must be floats that are nonzero, not nan and of opposite sign
+    (_solve_bracketed checks that). Follows the classic C routine step for
+    step with xtol = _XATOL, rtol = _XRTOL and at most _MAXITER steps; f is
+    called once per step and its value taken as a float. Raises
+    BracketFailure on a nan value and on no convergence.
     """
-    fa, fb = float(fa), float(fb)
-    if fa != fa or fb != fb:
-        raise BracketFailure(a, b, fa, fb, detail="residual is nan at an end")
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if (fa < 0.0) == (fb < 0.0):
-        raise BracketFailure(a, b, fa, fb)
     xpre, fpre, xcur, fcur = a, fa, b, fb
     xblk = fblk = spre = scur = 0.0
     for _ in range(_MAXITER):
@@ -112,14 +106,19 @@ def brentq(f: Callable[[float], float], a: float, b: float, fa: float, fb: float
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
         if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                # C divides to an inf or a nan here (a denominator underflows
+                # for tiny residuals), which fails the step test: bisect
+                stry = math.inf
             bound = 3 * abs(sbis) - delta
             if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
                 spre, scur = scur, stry  # good short step

@@ -69,9 +69,37 @@ def test_brentq_equals_scipy(monkeypatch, family, measure):
         assert brentq(f, a, b, fa, fb) == want
 
 
+@pytest.mark.parametrize("scale", [1e-120, 1e-200, 1e-300, 1e-310])
+def test_brentq_equals_scipy_on_tiny_residuals(scale):
+    # the extrapolation denominator underflows to 0 and the step bisects
+    rng = random.Random(f"{scale}-tiny")
+    for _ in range(200):
+        c = rng.uniform(0.01, 0.7)
+        a, b = rng.uniform(0.0, c ** (1 / 3)), rng.uniform(c ** (1 / 3), 1.0)
+
+        def f(z):
+            return scale * (z * z * z - c)
+
+        want = scipy_optimize.brentq(f, a, b, xtol=mn._XATOL, rtol=mn._XRTOL, maxiter=mn._MAXITER)
+        assert mn._solve_bracketed(f, a, b) == want
+
+
+def test_quasiarithmetic_of_tiny_residuals_equals_scipy(monkeypatch):
+    calls, brentq = _recording(monkeypatch, "brentq")
+    for x, y in [(0.9, 1.0), (0.5, 0.7), (1.0, 1.5), (0.1, 0.95)]:
+        mn.quasiarithmetic("exp(-300*x)", x, y)
+    assert len(calls) == 4
+    for f, a, b, fa, fb in calls:
+        want = scipy_optimize.brentq(
+            f, a, b, xtol=mn._XATOL, rtol=mn._XRTOL, maxiter=mn._MAXITER
+        )
+        assert brentq(f, a, b, fa, fb) == want
+
+
 def _scipy_roots(f, a, b, args):
+    # find_root's own step cap, as mean_table used before it had its own
     res = find_root(
-        f, (a, b), args=args, maxiter=mn._MAXITER,
+        f, (a, b), args=args,
         tolerances={"xatol": mn._XATOL, "xrtol": mn._XRTOL, "fatol": mn._FATOL, "frtol": 0},
     )
     return np.where(res.success, res.x, np.nan), res.success

@@ -1,17 +1,15 @@
 """Alternating before/after benchmark pairs, summarized into one JSON file.
 
-    python3 tools/bench_pairs.py --before DIR --after DIR --out BENCH_<n>.json \\
-        [--workloads ladder regimes point] [--pairs 10] [--seconds 30] [--trace-runs]
+    python3 tools/bench_pairs.py --before DIR --after DIR --out BENCH_<n>.json
 
 DIR is the root of a checkout (the tree before the change and the tree after
-it). For each workload, pair k = 1, 2, ... runs ``perfbench/run.py --trace 0``
-once in each tree with seed k; odd pairs run the before tree first, even
-pairs the after tree first. Every run must print ``check: outputs match the
+it). For each workload, pair k = 1, ..., PAIRS runs ``perfbench/run.py
+--trace 0 --seconds SECONDS`` once in each tree with seed k; odd pairs run
+the before tree first, even pairs the after tree first. Every run must print ``check: outputs match the
 reference``. For each end-to-end metric of BENCHMARK.json the output holds
 the median and quartiles of each side, the after/before ratio of the medians
-and the number of pairs the after tree won. With ``--trace-runs`` it also
-runs each tree once with ``--trace 1`` (seed 1) per workload and stores its
-per-layer metrics. perfbench itself is only invoked, never changed.
+and the number of pairs the after tree won. It also runs each tree once with
+``--trace 1`` (seed 1) per workload and stores its per-layer metrics. perfbench itself is only invoked, never changed.
 """
 
 from __future__ import annotations
@@ -25,11 +23,14 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("ladder", "regimes", "point")
+PAIRS = 10
+SECONDS = 30.0
 
 
-def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run(tree: Path, workload: str, seed: int, trace: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+           "--seconds", str(SECONDS), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True)
     lines = proc.stdout.strip().splitlines()
     if "check: outputs match the reference" not in lines:
@@ -62,27 +63,21 @@ def main(argv=None) -> int:
     parser.add_argument("--before", type=Path, required=True)
     parser.add_argument("--after", type=Path, default=ROOT)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--workloads", nargs="+", default=["ladder", "regimes", "point"])
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--trace-runs", action="store_true")
     args = parser.parse_args(argv)
     end_to_end = json.loads((args.after / "BENCHMARK.json").read_text())["end_to_end"]
     trees = {"before": args.before.resolve(), "after": args.after.resolve()}
-    doc = {"command": "perfbench/run.py --trace 0", "seconds": args.seconds,
-           "pairs": args.pairs, "order": "odd pairs before first, even pairs after first",
+    doc = {"command": "perfbench/run.py --trace 0", "seconds": SECONDS,
+           "pairs": PAIRS, "order": "odd pairs before first, even pairs after first",
            "host": {"python": platform.python_version(), "machine": platform.machine()},
            "workloads": {}}
-    for workload in args.workloads:
+    for workload in WORKLOADS:
         runs = {"before": [], "after": []}
-        for seed in range(1, args.pairs + 1):
+        for seed in range(1, PAIRS + 1):
             for side in (("before", "after") if seed % 2 else ("after", "before")):
-                runs[side].append(run(trees[side], workload, seed, args.seconds, 0))
+                runs[side].append(run(trees[side], workload, seed, 0))
                 print(workload, side, seed, runs[side][-1]["metrics"], file=sys.stderr, flush=True)
         entry = {"metrics": summarize(runs["before"], runs["after"], end_to_end), "runs": runs}
-        if args.trace_runs:
-            entry["trace"] = {side: run(tree, workload, 1, args.seconds, 1)
-                              for side, tree in trees.items()}
+        entry["trace"] = {side: run(tree, workload, 1, 1) for side, tree in trees.items()}
         doc["workloads"][workload] = entry
         args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0
