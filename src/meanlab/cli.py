@@ -22,9 +22,7 @@ from .calculus import diagonal_derivatives, diagonal_derivatives_numeric
 from .errors import MeanLabError
 from .means import MeanSpec, mean_eval
 from .measures import (
-    Lebesgue,
     Measure,
-    Regime,
     classify,
     measure_from_json,
     measure_to_json,
@@ -163,18 +161,28 @@ def _cmd_derivatives(args: argparse.Namespace) -> None:
     _emit(args, "derivatives", config, result, "\n".join(lines))
 
 
-_FRAGMENT_BATTERY = {
-    Regime.MU3_ZERO_MU5_NONZERO: "N2.5",
-    Regime.EVEN_SYMMETRIC: "N3",
-}
+_MARK = {True: "PASS", False: "FAIL", None: "OPEN"}
 
 
-def _ladder_text(report) -> str:
-    lines = [f"battery {report.battery} on ({report.interval[0]}, {report.interval[1]})"]
+def _report_text(report, lo: float, hi: float) -> str:
+    lines = [f"battery {report.battery} on ({lo}, {hi})"]
+    if isinstance(report, eqmod.BranchReport):
+        lines.append(
+            f"[{_MARK[report.holds]}] alternative {report.alternative}"
+            f" residual {report.residual:.3e} tol {report.tolerance:.1e}"
+        )
+        constants = ", ".join(
+            f"{k} = {report.constants[k]!r}" for k in ("gamma", "delta", "alpha", "beta")
+            if report.constants.get(k) is not None
+        )
+        if constants:
+            lines.append(constants)
+        if report.note:
+            lines.append(f"note: {report.note}")
+        return "\n".join(lines)
     for a in report.assertions:
-        mark = {True: "PASS", False: "FAIL", None: "OPEN"}[a.holds]
         resid = "-" if a.residual is None else f"{a.residual:.3e}"
-        lines.append(f"[{mark}] ({a.assertion_id}) residual {resid} tol {a.tolerance:.1e}  {a.note}")
+        lines.append(f"[{_MARK[a.holds]}] ({a.assertion_id}) residual {resid} tol {a.tolerance:.1e}  {a.note}")
     fitted = {k: v for k, v in report.fitted.items() if v is not None}
     if fitted:
         lines.append("fitted: " + ", ".join(f"{k} = {v!r}" for k, v in sorted(fitted.items())))
@@ -197,46 +205,8 @@ def _cmd_check_equality(args: argparse.Namespace) -> None:
         "measure": measure_to_json(measure), "lo": lo, "hi": hi,
         "grid": grid, "tolerances": tols,
     }
-
-    report = None
-    if eqmod._is_ebm_measure(measure):
-        report = eqmod.check_EBM(pairA, pairB, grid=grid, measure=measure, tolerances=tols or None)
-    elif isinstance(measure, Lebesgue):
-        report = eqmod.check_ECM(pairA, pairB, grid=grid, measure=measure, tolerances=tols or None)
-    elif (info := classify(measure)).regime is Regime.MU3_NONZERO:
-        report = eqmod.check_N15(pairA, pairB, measure, grid=grid, tolerances=tols or None)
-    if report is not None:
-        _emit(args, "check-equality", config, report.as_dict(), _ladder_text(report))
-        return
-    battery = "N2.5" if info.regime is Regime.MU3_ZERO_MU5_NONZERO else "N3"
-    if tols:
-        raise ValueError(f"battery {battery} takes no tolerance overrides")
-    if info.regime is Regime.MU3_ZERO_MU5_NONZERO:
-        split = eqmod.check_N25(pairA, pairB, measure, grid)
-        result = {"battery": "N2.5", "regime": info.as_dict(), **split.as_dict()}
-        text = (
-            f"battery N2.5 on ({lo}, {hi})\n"
-            f"[{'PASS' if split.holds else 'FAIL'}] alternative {split.alternative}"
-            f" residual {split.residual:.3e} tol {split.tolerance:.1e}"
-            f" gamma {split.gamma!r}"
-            + (f"\nnote: {split.note}" if split.note else "")
-        )
-        _emit(args, "check-equality", config, result, text)
-        return
-    branch = eqmod.check_N3(pairA, pairB, measure, grid)
-    result = {"battery": "N3", "regime": info.as_dict(), **branch.as_dict()}
-    constants = ", ".join(
-        f"{k} = {getattr(branch, k)!r}" for k in ("gamma", "delta", "alpha", "beta")
-        if getattr(branch, k) is not None
-    )
-    text = (
-        f"battery N3 on ({lo}, {hi})\n"
-        f"[{'PASS' if branch.holds else 'FAIL'}] alternative {branch.alternative}"
-        f" residual {branch.residual:.3e} tol {branch.tolerance:.1e}"
-        + (f"\n{constants}" if constants else "")
-        + (f"\nnote: {branch.note}" if branch.note else "")
-    )
-    _emit(args, "check-equality", config, result, text)
+    report = eqmod.check_equality(pairA, pairB, measure, grid, tols)
+    _emit(args, "check-equality", config, report.as_dict(), _report_text(report, lo, hi))
 
 
 def _cmd_make_pair(args: argparse.Namespace) -> None:

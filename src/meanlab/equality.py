@@ -5,9 +5,10 @@ grid resolution, whether the associated means coincide and why: a direct
 2x2 equivalence fit between the pairs, power-law relations between their
 Psi coefficient functions with exponents driven by the measure's moments,
 and two full assertion ladders for the binary-symmetric measure
-(delta_0 + delta_1)/2 and for the Lebesgue measure. Every verdict is a
-grid certificate: "holds" means the defining residual stayed below its
-tolerance on the sampled grid, nothing stronger.
+(delta_0 + delta_1)/2 and for the Lebesgue measure. check_equality picks
+the battery for a measure. Every verdict is a grid certificate: "holds"
+means the defining residual stayed below its tolerance on the sampled
+grid, nothing stronger.
 """
 
 from __future__ import annotations
@@ -142,18 +143,6 @@ class AssertionResult:
     note: str = ""
 
     def __post_init__(self):
-        # numpy scalars sneak in through the fits; pin plain python types so
-        # identity checks and json serialization behave
-        object.__setattr__(self, "holds", None if self.holds is None else bool(self.holds))
-        object.__setattr__(
-            self, "residual", None if self.residual is None else float(self.residual)
-        )
-        object.__setattr__(self, "tolerance", float(self.tolerance))
-        object.__setattr__(
-            self,
-            "constants",
-            {k: None if v is None else float(v) for k, v in dict(self.constants).items()},
-        )
         if self.residual is not None and not self.residual >= 0.0:
             raise ValueError(f"residual must be nonnegative, got {self.residual!r}")
         if self.holds is True and self.residual is not None and self.residual > self.tolerance:
@@ -357,9 +346,11 @@ def antiderivative(func: Callable[[float], float], x0: float, x: float) -> float
 
 
 def _fit_matrix(
-    pairA: FunctionPair, pairB: FunctionPair, xs: Sequence[float]
-) -> tuple[Matrix2, float]:
-    """Normalized least-squares transform of pairA onto pairB plus residual."""
+    pairA: FunctionPair, pairB: FunctionPair, xs: Sequence[float], tol: float
+) -> tuple[Union[Matrix2, NotEquivalent], float]:
+    """Normalized least-squares transform of pairA onto pairB and its
+    relative residual. The transform is accepted only when the residual is
+    at most tol and the matrix is nonsingular; otherwise NotEquivalent."""
     fa = np.array([pairA.f_at(x) for x in xs])
     ga = np.array([pairA.g_at(x) for x in xs])
     fb = np.array([pairB.f_at(x) for x in xs])
@@ -371,7 +362,9 @@ def _fit_matrix(
     scale = float(np.sum(fb**2) + np.sum(gb**2))
     residual = math.sqrt(rss / max(scale, 1e-300))
     m = Matrix2(float(ab[0]), float(ab[1]), float(cd[0]), float(cd[1])).normalized()
-    return m, residual
+    if residual <= tol and abs(m.det()) >= DETERMINANT_FLOOR:
+        return m, residual
+    return NotEquivalent(residual), residual
 
 
 def fit_equivalence(
@@ -386,11 +379,9 @@ def fit_equivalence(
     """
     interval = _common_interval(pairA, pairB)
     xs = interior_grid(interval, int(grid_size))
-    m, residual = _fit_matrix(pairA, pairB, xs)
-    if residual > EQUIVALENCE_TOL:
-        return NotEquivalent(residual)
-    if abs(m.det()) < DETERMINANT_FLOOR:
-        return NotEquivalent(residual)
+    m, _ = _fit_matrix(pairA, pairB, xs, EQUIVALENCE_TOL)
+    if isinstance(m, NotEquivalent):
+        return m
     spot = preset_measure("ebm")
     sa = MeanSpec(pairA, spot)
     sb = MeanSpec(pairB, spot)
@@ -489,30 +480,44 @@ def check_power_law_R(
 
 
 @dataclass(frozen=True)
-class PowerLawSplit:
-    """Outcome of the odd-moment split check (mu3 = 0, mu5 nonzero)."""
+class BranchReport:
+    """Outcome of a battery that tests one identity for the two Psi functions.
 
+    N2.5 (mu3 = 0, mu5 nonzero) chooses between equal Psi and the split
+    power law and reports gamma. N3 (mu3 = mu5 = 0) chooses one of four
+    alternatives by the even moments and reports gamma, delta, alpha, beta,
+    p, q and r (None where unset) and the number of grid points it used.
+    """
+
+    battery: str
+    regime: RegimeInfo
     alternative: str
     holds: bool
-    gamma: float
     residual: float
     tolerance: float
+    constants: Mapping[str, float | None]
+    grid_used: int | None = None
     note: str = ""
 
     def as_dict(self) -> dict:
-        return {
+        out = {
+            "battery": self.battery,
+            "regime": self.regime.as_dict(),
             "alternative": self.alternative,
             "holds": self.holds,
-            "gamma": self.gamma,
             "residual": self.residual,
             "tolerance": self.tolerance,
             "note": self.note,
+            **self.constants,
         }
+        if self.grid_used is not None:
+            out["grid_used"] = self.grid_used
+        return out
 
 
 def check_N25(
     pairA: FunctionPair, pairB: FunctionPair, measure: Measure, grid: GridSpec
-) -> PowerLawSplit:
+) -> BranchReport:
     """Split alternative for measures with mu3 = 0 but mu5 nonzero.
 
     Either the Psi functions agree outright, or they sit symmetrically
@@ -537,13 +542,9 @@ def check_N25(
         note = "the Phi functions differ; residuals measured against the first pair"
     R = psiA - psiB
     if gaps.psi_gap <= PHI_PSI_TOL * (1.0 + psi_scale) and not note:
-        return PowerLawSplit(
-            alternative="psi_equal",
-            holds=True,
-            gamma=0.0,
-            residual=gaps.psi_gap / (1.0 + psi_scale),
-            tolerance=PHI_PSI_TOL,
-            note="the Psi functions already agree",
+        return BranchReport(
+            "N2.5", info, "psi_equal", True, gaps.psi_gap / (1.0 + psi_scale), PHI_PSI_TOL,
+            {"gamma": 0.0}, note="the Psi functions already agree",
         )
     basis = np.abs(sa.w(1, 0)) ** p
     gamma = float(_lstsq(2.0 * basis, R, context="split gap fit")[0])
@@ -552,50 +553,20 @@ def check_N25(
         float(np.max(np.abs(psiA - (gamma * basis + tail)))),
         float(np.max(np.abs(psiB - (-gamma * basis + tail)))),
     ) / (1.0 + psi_scale)
-    return PowerLawSplit(
-        alternative="power_law",
-        holds=resid <= FIT_TOL,
-        gamma=gamma,
-        residual=resid,
-        tolerance=FIT_TOL,
-        note=note,
+    return BranchReport(
+        "N2.5", info, "power_law", resid <= FIT_TOL, resid, FIT_TOL, {"gamma": gamma}, note=note
     )
 
 
-@dataclass(frozen=True)
-class BranchReport:
-    """Outcome of the even-moment alternative selection (mu3 = 0)."""
-
-    alternative: str
-    holds: bool
-    residual: float
-    tolerance: float
-    gamma: float | None
-    delta: float | None
-    alpha: float | None
-    beta: float | None
-    p: float | None
-    q: float | None
-    r: float | None
-    grid_used: int
-    note: str = ""
-
-    def as_dict(self) -> dict:
-        return {
-            "alternative": self.alternative,
-            "holds": self.holds,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "gamma": self.gamma,
-            "delta": self.delta,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "p": self.p,
-            "q": self.q,
-            "r": self.r,
-            "grid_used": self.grid_used,
-            "note": self.note,
-        }
+def _two_sided_fit(
+    col: np.ndarray, shared: np.ndarray, targetA: np.ndarray, targetB: np.ndarray, context: str
+) -> tuple[float, float, float]:
+    """Fit targetA = gamma col + delta shared and targetB = -gamma col +
+    delta shared together; returns gamma, delta and the sup residual."""
+    design = np.vstack([np.column_stack([col, shared]), np.column_stack([-col, shared])])
+    target = np.concatenate([targetA, targetB])
+    coef = _lstsq(design, target, context=context)
+    return float(coef[0]), float(coef[1]), float(np.max(np.abs(design @ coef - target)))
 
 
 def check_N3(
@@ -631,6 +602,12 @@ def check_N3(
     psi_scale = 1.0 + float(max(np.max(np.abs(psiA)), np.max(np.abs(psiB))))
     anchor = 0.5 * (interval[0] + interval[1])
 
+    def report(alternative: str, resid: float, grid_used: int, note: str = "", **constants):
+        named = {k: constants.get(k) for k in ("gamma", "delta", "alpha", "beta", "p", "q", "r")}
+        return BranchReport(
+            "N3", info, alternative, resid <= FIT_TOL, resid, FIT_TOL, named, grid_used, note
+        )
+
     if mu6_matches and mu4_matches:
         # the sixth-order relation collapses to Phi'' = 0
         design = np.column_stack([np.ones(n), np.asarray(xs)])
@@ -639,21 +616,10 @@ def check_N3(
             1.0 + float(np.max(np.abs(phiA)))
         )
         r_spread = float(np.max(R) - np.min(R)) / psi_scale
-        resid = max(line_resid, r_spread)
-        return BranchReport(
-            alternative="i",
-            holds=resid <= FIT_TOL,
-            residual=resid,
-            tolerance=FIT_TOL,
-            gamma=float(np.median(R)) / 2.0,
-            delta=None,
-            alpha=None,
-            beta=None,
-            p=0.0,
-            q=info.q,
-            r=info.r,
-            grid_used=n,
-            note="Phi at most first degree polynomial; Psi gap constant",
+        return report(
+            "i", max(line_resid, r_spread), n,
+            "Phi at most first degree polynomial; Psi gap constant",
+            gamma=float(np.median(R)) / 2.0, p=0.0, q=info.q, r=info.r,
         )
 
     if mu6_matches and not mu4_matches:
@@ -662,20 +628,9 @@ def check_N3(
         gamma = float(_lstsq(2.0 * basis, R, context="power-law gap fit")[0])
         keep = np.abs(phiA) > 1e-6
         if not np.any(keep):
-            return BranchReport(
-                alternative="ii",
-                holds=True,
-                residual=0.0,
-                tolerance=FIT_TOL,
-                gamma=gamma,
-                delta=None,
-                alpha=None,
-                beta=None,
-                p=p,
-                q=None,
-                r=None,
-                grid_used=0,
-                note="Phi vanishes on the whole grid; the identity is vacuous there",
+            return report(
+                "ii", 0.0, 0, "Phi vanishes on the whole grid; the identity is vacuous there",
+                gamma=gamma, p=p,
             )
         tail = (
             -(p + 1.0) / (3.0 * p) * d2phiA[keep] / phiA[keep]
@@ -686,20 +641,9 @@ def check_N3(
             float(np.max(np.abs(psiA[keep] - (gamma * basis[keep] + tail)))),
             float(np.max(np.abs(psiB[keep] - (-gamma * basis[keep] + tail)))),
         ) / psi_scale
-        return BranchReport(
-            alternative="ii",
-            holds=resid <= FIT_TOL,
-            residual=resid,
-            tolerance=FIT_TOL,
-            gamma=gamma,
-            delta=None,
-            alpha=None,
-            beta=None,
-            p=p,
-            q=None,
-            r=None,
-            grid_used=int(np.sum(keep)),
-            note="identity restricted to the subgrid where Phi is nonzero",
+        return report(
+            "ii", resid, int(np.sum(keep)),
+            "identity restricted to the subgrid where Phi is nonzero", gamma=gamma, p=p,
         )
 
     if mu4_matches:
@@ -712,30 +656,12 @@ def check_N3(
         J = CumulativeIntegral(integrand_iii, anchor)(np.asarray(xs))
         inv_w = 1.0 / np.abs(wA)
         known = -0.5 * r * dphiA + 0.25 * (r - 5.0) * phiA**2 - (3.0 * r - 7.0) / 12.0 * inv_w * J
-        design = np.vstack(
-            [
-                np.column_stack([np.ones(n), inv_w]),
-                np.column_stack([-np.ones(n), inv_w]),
-            ]
+        gamma, delta, resid = _two_sided_fit(
+            np.ones(n), inv_w, psiA - known, psiB - known,
+            context="constant plus inverse-Wronskian fit",
         )
-        target = np.concatenate([psiA - known, psiB - known])
-        coef = _lstsq(design, target, context="constant plus inverse-Wronskian fit")
-        gamma, delta = float(coef[0]), float(coef[1])
-        resid = float(np.max(np.abs(design @ coef - target))) / psi_scale
-        return BranchReport(
-            alternative="iii",
-            holds=resid <= FIT_TOL,
-            residual=resid,
-            tolerance=FIT_TOL,
-            gamma=gamma,
-            delta=delta,
-            alpha=None,
-            beta=None,
-            p=0.0,
-            q=info.q,
-            r=r,
-            grid_used=n,
-            note="",
+        return report(
+            "iii", resid / psi_scale, n, gamma=gamma, delta=delta, p=0.0, q=info.q, r=r
         )
 
     p, q = info.p, info.q
@@ -754,31 +680,14 @@ def check_N3(
     basis_p = np.abs(wA) ** p
     basis_q = np.abs(wA) ** q
     known = c1 * dphiA + c2 * phiA**2 + c3 * basis_q * K
-    design = np.vstack(
-        [
-            np.column_stack([basis_p, basis_q]),
-            np.column_stack([-basis_p, basis_q]),
-        ]
+    gamma, delta, resid = _two_sided_fit(
+        basis_p, basis_q, psiA - known, psiB - known, context="two-exponent power-law fit"
     )
-    target = np.concatenate([psiA - known, psiB - known])
-    coef = _lstsq(design, target, context="two-exponent power-law fit")
-    gamma, delta = float(coef[0]), float(coef[1])
-    resid = float(np.max(np.abs(design @ coef - target))) / psi_scale
     collapse = measures._is_zero(info.moment_condition_6, 10, mu2)
-    return BranchReport(
-        alternative="iv",
-        holds=resid <= FIT_TOL,
-        residual=resid,
-        tolerance=FIT_TOL,
-        gamma=gamma,
-        delta=delta,
-        alpha=gamma + delta if collapse else None,
-        beta=delta - gamma if collapse else None,
-        p=p,
-        q=q,
-        r=None,
-        grid_used=n,
-        note="single power law (exponents collapse)" if collapse else "",
+    return report(
+        "iv", resid / psi_scale, n, "single power law (exponents collapse)" if collapse else "",
+        gamma=gamma, delta=delta, p=p, q=q,
+        alpha=gamma + delta if collapse else None, beta=delta - gamma if collapse else None,
     )
 
 
@@ -957,7 +866,8 @@ def _with_overrides(table: Mapping[str, float], overrides: Mapping[str, float] |
     unknown = sorted(set(overrides or ()) - set(table))
     if unknown:
         raise ValueError(f"unknown tolerance {', '.join(unknown)}; known: {', '.join(sorted(table))}")
-    return {**table, **(overrides or {})}
+    # overrides are the only values that come from outside the program
+    return {**table, **{k: float(v) for k, v in (overrides or {}).items()}}
 
 
 _EBM_ATOMS = ((0.0, 0.5), (1.0, 0.5))
@@ -1006,16 +916,6 @@ def _mean_rows(
         "the two means agree near the diagonal",
     )
     return a_i, a_ii, ma, mb
-
-
-def _equivalence_fit(
-    pairA: FunctionPair, pairB: FunctionPair, gsize: int, tols: Mapping[str, float]
-) -> tuple[Union[Matrix2, NotEquivalent], float]:
-    """The ladders' equivalence fit on at least 101 points, and its residual."""
-    matrix, resid = _fit_matrix(pairA, pairB, interior_grid(pairA.interval, max(gsize, 101)))
-    if resid <= tols["equivalence_residual"] and abs(matrix.det()) >= DETERMINANT_FLOOR:
-        return matrix, resid
-    return NotEquivalent(resid), resid
 
 
 def _equivalent_row(assertion_id: str, eq_resid: float, tols: Mapping[str, float]) -> AssertionResult:
@@ -1087,7 +987,9 @@ def _sincos_battery(
     regime = classify(measure)
     notes: list[str] = ["all verdicts are grid certificates at the reported grid"]
 
-    equivalence, eq_resid = _equivalence_fit(pairA, pairB, n, tols)
+    equivalence, eq_resid = _fit_matrix(
+        pairA, pairB, interior_grid(interval, max(n, DEFAULT_FIT_GRID)), tols["equivalence_residual"]
+    )
     equivalent = isinstance(equivalence, Matrix2)
     a_i, a_ii, ma, mb = _mean_rows(pairA, pairB, measure, xs, tols)
 
@@ -1437,7 +1339,10 @@ def check_N15(
         "the coefficient functions Phi and Psi agree",
     )
 
-    equivalence, eq_resid = _equivalence_fit(pairA, pairB, len(xs), tols)
+    equivalence, eq_resid = _fit_matrix(
+        pairA, pairB, interior_grid(interval, max(len(xs), DEFAULT_FIT_GRID)),
+        tols["equivalence_residual"],
+    )
     equivalent = isinstance(equivalence, Matrix2)
     a_v = AssertionResult(
         "v",
@@ -1463,3 +1368,33 @@ def check_N15(
         tolerances=tols,
         notes=tuple(notes),
     )
+
+
+def check_equality(
+    pairA: FunctionPair,
+    pairB: FunctionPair,
+    measure: Measure,
+    grid: GridSpec = DEFAULT_BATTERY_GRID,
+    tolerances: Mapping[str, float] | None = None,
+) -> Union[EqualityReport, BranchReport]:
+    """Run the battery that answers the equality question for this measure.
+
+    The preset (delta_0 + delta_1)/2 runs check_EBM and the Lebesgue
+    measure check_ECM. Any other measure goes by its moment regime: mu3
+    nonzero to check_N15, mu3 = 0 with mu5 nonzero to check_N25, and
+    otherwise to check_N3. Only the three ladders take tolerance overrides.
+    """
+    if _is_ebm_measure(measure):
+        return check_EBM(pairA, pairB, grid, measure, tolerances)
+    if isinstance(measure, Lebesgue):
+        return check_ECM(pairA, pairB, grid, measure, tolerances)
+    regime = classify(measure).regime
+    if regime is Regime.MU3_NONZERO:
+        return check_N15(pairA, pairB, measure, grid, tolerances)
+    if regime is Regime.MU3_ZERO_MU5_NONZERO:
+        battery, check = "N2.5", check_N25
+    else:
+        battery, check = "N3", check_N3
+    if tolerances:
+        raise ValueError(f"battery {battery} takes no tolerance overrides")
+    return check(pairA, pairB, measure, grid)

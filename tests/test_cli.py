@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -211,6 +212,50 @@ class TestCheckEquality:
         assert doc["result"]["alternative"] == "iii"
         assert doc["result"]["holds"] is True
         assert doc["result"]["r"] == pytest.approx(-1.0, abs=1e-10)
+
+    def test_ladder_text_ends_with_verdict_and_notes(self, capsys):
+        code, out, err = run_cli(capsys, EBM_WITNESS)
+        lines = out.splitlines()
+        assert lines[0] == "battery EBM on (-0.7, 0.7)"
+        assert lines[-3].startswith("fitted: alpha = ")
+        assert lines[-2:] == [
+            "verdict: all assertions hold",
+            "note: all verdicts are grid certificates at the reported grid",
+        ]
+
+    @pytest.mark.parametrize(
+        "battery, f, g, atoms, status, want, note",
+        [
+            # the Phi functions of (exp, 1) and (x, 1) differ
+            (
+                "N2.5", "exp(x)", "1",
+                [[0.0, 0.6 - 0.21378583129651413], [0.6, 0.4], [1.0, 0.21378583129651413]],
+                r"\[FAIL\] alternative power_law residual 5\.197e\+00 tol 1\.0e-08",
+                {"gamma": 0.0},
+                "note: the Phi functions differ; residuals measured against the first pair",
+            ),
+            # two symmetric atoms: branch (iv), and the exponents collapse
+            (
+                "N3", "sin(x)", "cos(x)", [[0.1, 0.5], [0.9, 0.5]],
+                r"\[PASS\] alternative iv residual \S+ tol 1\.0e-08",
+                {"gamma": -0.5, "delta": -0.5, "alpha": -1.0, "beta": 0.0},
+                "note: single power law (exponents collapse)",
+            ),
+        ],
+    )
+    def test_branch_text(self, capsys, battery, f, g, atoms, status, want, note):
+        spec = json.dumps({"type": "atoms", "atoms": atoms})
+        argv = EBM_WITNESS[:1] + ["--f", f, "--g", g] + EBM_WITNESS[5:]
+        code, out, err = run_cli(capsys, [a if a != "ebm" else spec for a in argv])
+        assert code == 0, err
+        head, status_line, constants_line, note_line = out.splitlines()
+        assert head == f"battery {battery} on (-0.7, 0.7)"
+        assert re.fullmatch(status, status_line)
+        got = dict(item.split(" = ") for item in constants_line.split(", "))
+        assert list(got) == list(want)
+        for name, value in want.items():
+            assert float(got[name]) == pytest.approx(value, abs=1e-10)
+        assert note_line == note
 
     def test_tolerance_override_echoed(self, capsys):
         # (exp, 1) vs (x, 1): unequal means, so (i) fails whatever the

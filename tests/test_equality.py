@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -39,6 +40,9 @@ SIXTH_ONLY = Discrete(((0.0, 0.1), (0.5, 0.8), (1.0, 0.1)))
 FOURTH_ONLY = Discrete(((0.0, 1.0 / 6.0), (0.5, 2.0 / 3.0), (1.0, 1.0 / 6.0)))
 
 ASYMMETRIC = Discrete(((0.0, 0.3), (0.7, 0.7)))
+
+# mu3 = mu5 = 0 with mu6 != 5 mu2 mu4 and mu4 != 3 mu2^2: N3 branch (iv)
+EVEN = Discrete(((0.0, 0.2), (0.5, 0.6), (1.0, 0.2)))
 
 
 class TestMatrix2:
@@ -87,14 +91,6 @@ class TestAssertionResult:
     def test_rejects_holds_above_tolerance(self):
         with pytest.raises(ValueError):
             eq.AssertionResult("i", True, 1.0, 1e-9)
-
-    def test_coerces_numpy_scalars(self):
-        a = eq.AssertionResult(
-            "i", np.bool_(True), np.float64(1e-12), 1e-9, {"c": np.float64(2.0)}
-        )
-        assert a.holds is True
-        assert isinstance(a.residual, float)
-        assert isinstance(a.constants["c"], float)
 
 
 class TestAntiderivative:
@@ -179,17 +175,87 @@ def test_ladder_samples_each_pair_once(check, monkeypatch):
     assert all(np.array_equal(x, rep.grid) for x in calls)
 
 
+def _leaves(value):
+    if isinstance(value, dict):
+        for v in value.values():
+            yield from _leaves(v)
+    elif isinstance(value, list):
+        for v in value:
+            yield from _leaves(v)
+    else:
+        yield value
+
+
 def test_reports_hold_plain_python_values():
-    # the report dataclasses are built from plain floats and bools, so their
-    # fields serialize and compare without numpy scalars
-    symmetric = Discrete(((0.0, 0.2), (0.5, 0.6), (1.0, 0.2)))
-    reports = [eq.check_phi_psi(EXP, LINEAR, 15), eq.check_N25(EXP, LINEAR, SPLIT_MEASURE, 20)]
-    for measure in (GAUSSIAN_RATIO, SIXTH_ONLY, FOURTH_ONLY, symmetric):
+    # every report is built from plain floats, ints and bools, so as_dict()
+    # serializes and compares without numpy scalars
+    image = eq.Matrix2(2.0, 1.0, -1.0, 1.0).apply(SINCOS)
+    equivalent = [
+        eq.check_EBM(SINCOS, image, grid=12),
+        eq.check_ECM(SINCOS, image, grid=12),
+        eq.check_N15(SINCOS, image, ASYMMETRIC, grid=12),
+    ]
+    # (exp, 1) exposes no sine and cosine pattern, so (vii) stays open
+    overridden = eq.check_EBM(EXP, LINEAR, grid=12, tolerances={"quasiarithmetic_gap": 1})
+    reports = [
+        eq.check_phi_psi(EXP, LINEAR, 15),
+        *equivalent,
+        overridden,
+        eq.check_ECM(SINCOS, LINEAR, grid=12),
+        eq.check_N15(EXP, LINEAR, ASYMMETRIC, grid=12),
+        eq.check_N25(EXP, LINEAR, SPLIT_MEASURE, 20),
+        eq.check_N25(SINCOS, SINCOS, SPLIT_MEASURE, 20),
+    ]
+    for measure in (GAUSSIAN_RATIO, SIXTH_ONLY, FOURTH_ONLY, EVEN):
         reports.append(eq.check_N3(EXP, SINCOS, measure, 20))
-    assert [r.alternative for r in reports[2:]] == ["i", "ii", "iii", "iv"]
+    assert [r.alternative for r in reports[-6:]] == ["power_law", "psi_equal", "i", "ii", "iii", "iv"]
+    assert all(isinstance(r.equivalence, eq.Matrix2) for r in equivalent)
+    assert equivalent[0].verdict_per_assertion["v"].constants == {"equivalent": 1.0}
+    assert overridden.verdict_per_assertion["vii"].holds is None
+    # an int override is read as a float, in the table and in the rows
+    assert type(overridden.tolerances["quasiarithmetic_gap"]) is float
+    assert type(overridden.verdict_per_assertion["viii"].tolerance) is float
     for report in reports:
-        for value in vars(report).values():
-            assert value is None or type(value) in (bool, float, int, str)
+        for leaf in _leaves(report.as_dict()):
+            assert leaf is None or type(leaf) in (bool, int, float, str), (report, leaf)
+
+
+@pytest.mark.parametrize(
+    "measure, battery, direct",
+    [
+        (EBM, "EBM", lambda m: eq.check_EBM(SINCOS, LINEAR, grid=12, measure=m)),
+        (LEB, "ECM", lambda m: eq.check_ECM(SINCOS, LINEAR, grid=12, measure=m)),
+        (ASYMMETRIC, "N1.5", lambda m: eq.check_N15(SINCOS, LINEAR, m, grid=12)),
+        (SPLIT_MEASURE, "N2.5", lambda m: eq.check_N25(SINCOS, LINEAR, m, 12)),
+        (EVEN, "N3", lambda m: eq.check_N3(SINCOS, LINEAR, m, 12)),
+    ],
+    ids=["ebm", "lebesgue", "atoms", "split", "even"],
+)
+def test_check_equality_runs_the_battery_of_the_measure(measure, battery, direct):
+    got = eq.check_equality(SINCOS, LINEAR, measure, grid=12)
+    assert got.battery == battery
+    assert got.as_dict() == direct(measure).as_dict()
+
+
+def test_check_equality_finds_ebm_in_reverse_atom_order():
+    reverse = Discrete(((1.0, 0.5), (0.0, 0.5)))
+    assert eq.check_equality(SINCOS, LINEAR, reverse, grid=12).battery == "EBM"
+
+
+@pytest.mark.parametrize("measure, battery", [(SPLIT_MEASURE, "N2.5"), (EVEN, "N3")])
+def test_check_equality_rejects_overrides_for_branch_batteries(measure, battery):
+    says = f"battery {battery} takes no tolerance overrides"
+    with pytest.raises(ValueError, match=re.escape(says)):
+        eq.check_equality(SINCOS, LINEAR, measure, grid=12, tolerances={"fit_residual": 1.0})
+
+
+def test_check_equality_calls_the_batteries_through_the_module(monkeypatch):
+    # tracing wraps the module attributes, so the dispatch must read them at call time
+    names = ("check_EBM", "check_ECM", "check_N15", "check_N25", "check_N3")
+    for name in names:
+        monkeypatch.setattr(eq, name, lambda *args, _name=name, **kwargs: _name)
+    got = [eq.check_equality(SINCOS, LINEAR, m) for m in (EBM, LEB, ASYMMETRIC, SPLIT_MEASURE, EVEN)]
+    assert got == list(names)
 
 
 class TestFitEquivalence:
@@ -288,7 +354,7 @@ class TestSplitCheck:
         split = eq.check_N25(SINCOS, SINCOS, SPLIT_MEASURE, 15)
         assert split.alternative == "psi_equal"
         assert split.holds
-        assert split.gamma == 0.0
+        assert split.constants["gamma"] == 0.0
 
     def test_unequal_means_fail_honestly(self):
         # under this measure the two means genuinely differ, so the rigid
@@ -296,7 +362,7 @@ class TestSplitCheck:
         split = eq.check_N25(SINCOS, LINEAR, SPLIT_MEASURE, 15)
         assert split.alternative == "power_law"
         assert not split.holds
-        assert split.gamma == pytest.approx(-0.5, abs=1e-10)
+        assert split.constants["gamma"] == pytest.approx(-0.5, abs=1e-10)
 
 
 class TestEvenAlternatives:
@@ -308,34 +374,34 @@ class TestEvenAlternatives:
         br = eq.check_N3(SINCOS, LINEAR, EBM, 20)
         assert br.alternative == "iv"
         assert br.holds
-        assert br.p == pytest.approx(2.0, abs=1e-12)
-        assert br.q == pytest.approx(2.0, abs=1e-10)
-        assert br.gamma == pytest.approx(-0.5, abs=1e-10)
-        assert br.delta == pytest.approx(-0.5, abs=1e-10)
-        assert br.alpha == pytest.approx(-1.0, abs=1e-10)
-        assert br.beta == pytest.approx(0.0, abs=1e-10)
+        assert br.constants["p"] == pytest.approx(2.0, abs=1e-12)
+        assert br.constants["q"] == pytest.approx(2.0, abs=1e-10)
+        assert br.constants["gamma"] == pytest.approx(-0.5, abs=1e-10)
+        assert br.constants["delta"] == pytest.approx(-0.5, abs=1e-10)
+        assert br.constants["alpha"] == pytest.approx(-1.0, abs=1e-10)
+        assert br.constants["beta"] == pytest.approx(0.0, abs=1e-10)
 
     def test_lebesgue_exponents(self):
         br = eq.check_N3(SINCOS, LINEAR, LEB, 20)
         assert br.alternative == "iv"
         assert br.holds
-        assert br.p == pytest.approx(2.0 / 3.0, abs=1e-12)
-        assert br.q == pytest.approx(2.0 / 3.0, abs=1e-9)
-        assert br.alpha == pytest.approx(-1.0, abs=1e-9)
+        assert br.constants["p"] == pytest.approx(2.0 / 3.0, abs=1e-12)
+        assert br.constants["q"] == pytest.approx(2.0 / 3.0, abs=1e-9)
+        assert br.constants["alpha"] == pytest.approx(-1.0, abs=1e-9)
 
     def test_fourth_only_measure_selects_inverse_wronskian_branch(self):
         br = eq.check_N3(SINCOS, LINEAR, FOURTH_ONLY, 20)
         assert br.alternative == "iii"
         assert br.holds
-        assert br.r == pytest.approx(-1.0, abs=1e-10)
-        assert br.gamma == pytest.approx(-0.5, abs=1e-10)
-        assert br.delta == pytest.approx(-0.5, abs=1e-10)
+        assert br.constants["r"] == pytest.approx(-1.0, abs=1e-10)
+        assert br.constants["gamma"] == pytest.approx(-0.5, abs=1e-10)
+        assert br.constants["delta"] == pytest.approx(-0.5, abs=1e-10)
 
     def test_gaussian_ratio_measure_selects_first_branch(self):
         br = eq.check_N3(SINCOS, LINEAR, GAUSSIAN_RATIO, 20)
         assert br.alternative == "i"
         assert br.holds
-        assert br.gamma == pytest.approx(-0.5, abs=1e-10)
+        assert br.constants["gamma"] == pytest.approx(-0.5, abs=1e-10)
 
     def test_sixth_only_measure_vacuous_when_phi_vanishes(self):
         # Phi of both witness pairs is identically zero, so the alternative
@@ -344,7 +410,7 @@ class TestEvenAlternatives:
         assert br.alternative == "ii"
         assert br.holds
         assert br.grid_used == 0
-        assert br.gamma == pytest.approx(-0.5, abs=1e-10)
+        assert br.constants["gamma"] == pytest.approx(-0.5, abs=1e-10)
 
     def test_sixth_only_measure_fails_for_unequal_means(self):
         br = eq.check_N3(EXP, LINEAR, SIXTH_ONLY, 20)
