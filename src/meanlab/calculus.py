@@ -40,6 +40,12 @@ __all__ = [
 FIT_CONDITION_LIMIT = 1e8
 ORACLE_NODES = 17
 ORACLE_DEGREE = 8
+# the oracle's Chebyshev nodes in u/h, its fit matrix and that matrix's
+# condition number are fixed, so they are built once
+_ORACLE_SCALED = tuple(math.cos(math.pi * (j + 0.5) / ORACLE_NODES) for j in range(ORACLE_NODES))
+_ORACLE_DESIGN = np.vander(np.asarray(_ORACLE_SCALED), ORACLE_DEGREE + 1, increasing=True)
+_ORACLE_DESIGN.flags.writeable = False
+_ORACLE_COND = float(np.linalg.cond(_ORACLE_DESIGN))
 
 
 @dataclass(frozen=True)
@@ -349,13 +355,11 @@ def diagonal_derivatives_numeric(
     if h <= 0.0:
         raise OutOfInterval(x, pair.interval)
     spec = MeanSpec(pair=pair, measure=measure)
-    scaled = [math.cos(math.pi * (j + 0.5) / ORACLE_NODES) for j in range(ORACLE_NODES)]
-    values = [_section(spec, float(x), float(h * s), mu_hat1) for s in scaled]
-    design = np.vander(np.asarray(scaled), ORACLE_DEGREE + 1, increasing=True)
-    cond = float(np.linalg.cond(design))
-    if cond > FIT_CONDITION_LIMIT:
-        raise IllConditionedFit(cond, context="diagonal derivative oracle")
-    coef, *_ = np.linalg.lstsq(design, np.asarray(values), rcond=None)
+    values = [_section(spec, float(x), float(h * s), mu_hat1) for s in _ORACLE_SCALED]
+    # the limit is read at call time, so lowering it still takes effect
+    if _ORACLE_COND > FIT_CONDITION_LIMIT:
+        raise IllConditionedFit(_ORACLE_COND, context="diagonal derivative oracle")
+    coef, *_ = np.linalg.lstsq(_ORACLE_DESIGN, np.asarray(values), rcond=None)
     return tuple(
         float(coef[k]) * math.factorial(k) / h**k for k in range(1, k_max + 1)
     )

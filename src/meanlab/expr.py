@@ -37,6 +37,10 @@ __all__ = [
 
 TOL_WRONSKIAN = 1e-9
 DEFAULT_GRID_SIZE = 257
+# bounds of the per-process memos of validate_pair and parse: the parse memo
+# holds the two texts of each memoized pair
+PAIR_CACHE_SIZE = 256
+PARSE_CACHE_SIZE = 2 * PAIR_CACHE_SIZE
 
 class Expr:
     """Base class; concrete nodes are frozen dataclasses below."""
@@ -47,6 +51,11 @@ class Expr:
 @dataclass(frozen=True)
 class Const(Expr):
     value: float
+
+    def __post_init__(self):
+        # -0.0 == 0.0 with equal hashes, so a cache keyed on trees would hand
+        # back whichever zero it saw first; one zero keeps results history-free
+        object.__setattr__(self, "value", self.value + 0.0)
 
 
 @dataclass(frozen=True)
@@ -133,8 +142,13 @@ class _Tokens:
         self.next()
 
 
+@lru_cache(maxsize=PARSE_CACHE_SIZE)
 def parse(text: str) -> Expr:
-    """Parse expression text into an AST; raises ParseError with position."""
+    """Parse expression text into an AST; raises ParseError with position.
+
+    Trees are frozen, so one text gives back one shared tree per process; a
+    ParseError is not cached and is raised again on every call.
+    """
     ts = _Tokens(text)
     e = _parse_sum(ts)
     kind, val, pos = ts.peek()
@@ -654,12 +668,27 @@ def validate_pair(
     Checks, at each of grid_size interior points: finite jets of order
     max(n, 1) for both functions (NonSmooth), g > 0 (NotPositive), and
     |f'g - fg'| >= tol_w with constant sign (WronskianVanishes).
+
+    Admissibility is memoized per process: equal trees (or texts), interval
+    ends and options give back the same frozen FunctionPair, with the
+    kernels it already holds. A failure is not cached and is raised again
+    on every call.
     """
     if isinstance(f, str):
         f = parse(f)
     if isinstance(g, str):
         g = parse(g)
-    lo, hi = float(interval[0]), float(interval[1])
+    # + 0.0 folds -0.0, as Const does, so an end's sign of zero cannot leak
+    # from one call into the pair another call gets back
+    lo, hi = float(interval[0]) + 0.0, float(interval[1]) + 0.0
+    return _validated_pair(f, g, lo, hi, n, grid_size, tol_w)
+
+
+# typed: n = 6 and n = 6.0 are kept apart, as validated_order records n
+@lru_cache(maxsize=PAIR_CACHE_SIZE, typed=True)
+def _validated_pair(
+    f: Expr, g: Expr, lo: float, hi: float, n: int, grid_size: int, tol_w: float
+) -> FunctionPair:
     if not (lo < hi):
         raise ValueError(f"empty interval ({lo!r}, {hi!r})")
     if grid_size < 32:

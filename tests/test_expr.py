@@ -216,6 +216,21 @@ class TestEvaluation:
         e = ex.parse("sin(x) + x")
         assert ex.compile_scalar(e) is ex.compile_scalar(ex.parse("sin(x) + x"))
 
+    def test_signed_zero_constant_folds_to_one_zero(self):
+        # -0.0 == 0.0 with equal hashes: if Const kept the sign, the caches
+        # keyed on trees would return whichever zero was compiled first
+        assert math.copysign(1.0, ex.Const(-0.0).value) == 1.0
+        assert ex.to_string(ex.parse("-0")) == "0"
+        signs = []
+        for first, second in (("-0", "0"), ("0", "-0")):
+            ex.compile_scalar.cache_clear()
+            ex.compile_array.cache_clear()
+            for text in (first, second):
+                e = ex.parse(text)
+                signs.append(math.copysign(1.0, ex.compile_scalar(e)(1.0)))
+                signs.append(math.copysign(1.0, ex.compile_array(e)(np.ones(2))[0]))
+        assert signs == [1.0] * 8
+
 
 class TestDerivativeTree:
     def test_exact_derivative_matches_fd(self, rng):
@@ -279,3 +294,75 @@ class TestValidatePair:
         # W(1, x) = 0*x - 1*1 = -1
         pair = ex.validate_pair("1", "x", (0.5, 2.0))
         assert pair.w_sign == -1
+
+
+class TestValidatePairMemo:
+    """Admissibility is a per-process fact: one pair per inputs, no cached failure."""
+
+    def test_same_inputs_give_the_same_pair(self):
+        interval = (-0.6, 0.6)
+        pair = ex.validate_pair("sin(x)", "cos(x)", interval)
+        assert ex.validate_pair("sin(x)", "cos(x)", interval) is pair
+        assert ex.validate_pair("sin(x)", "cos(x)", list(interval)) is pair
+        assert ex.validate_pair("sin(x)", "cos(x)", np.array(interval)) is pair
+        assert ex.validate_pair(ex.parse("sin(x)"), ex.parse("cos(x)"), interval) is pair
+        built = ex.Call("sin", ex.Var()), ex.Call("cos", ex.Var())
+        assert ex.validate_pair(*built, [-0.6, 0.6]) is pair
+        assert ex.parse("sin(x)") is pair.f
+        assert pair.f_at is ex.validate_pair("sin(x)", "cos(x)", interval).f_at
+
+    def test_options_give_different_pairs(self):
+        base = ex.validate_pair("x", "1", (0.5, 2.0))
+        others = [
+            ex.validate_pair("x", "1", (0.5, 2.0), n=4),
+            ex.validate_pair("x", "1", (0.5, 2.0), grid_size=65),
+            ex.validate_pair("x", "1", (0.5, 2.0), tol_w=1e-8),
+            ex.validate_pair("x", "1", (0.5, 2.5)),
+        ]
+        assert len({id(p) for p in [base] + others}) == 5
+        assert others[0].validated_order == 4 and base.validated_order == 6
+        assert others[3].interval == (0.5, 2.5)
+
+    def test_signed_zero_end_is_one_key(self):
+        pair = ex.validate_pair("x", "1", (-0.0, 1.0))
+        assert math.copysign(1.0, pair.interval[0]) == 1.0
+        assert ex.validate_pair("x", "1", (0.0, 1.0)) is pair
+
+    @pytest.mark.parametrize(
+        "args, error",
+        [
+            (("x", "x - 10", (0.0, 1.0)), NotPositive),
+            (("2 * exp(x)", "exp(x)", (0.0, 1.0)), WronskianVanishes),
+            (("x +", "1", (0.0, 1.0)), ParseError),
+            (("x", "1", (1.0, 1.0)), ValueError),
+            (("x", "1", (0.0, 1.0), 6, 31), ValueError),
+        ],
+        ids=["g_not_positive", "w_zero", "bad_text", "empty_interval", "small_grid"],
+    )
+    def test_failures_are_raised_on_every_call(self, args, error):
+        memo = ex.parse if error is ParseError else ex._validated_pair
+        seen = []
+        for _ in range(2):
+            misses = memo.cache_info().misses
+            with pytest.raises(error) as info:
+                ex.validate_pair(*args)
+            seen.append((type(info.value), str(info.value)))
+        assert seen[0] == seen[1]
+        # the second call missed the memo again: a failure is never stored
+        assert memo.cache_info().misses == misses + 1
+
+    def test_cached_pair_skips_the_checks(self, monkeypatch):
+        pair = ex.validate_pair("x^2 + 1", "exp(x)", (0.1, 0.9))
+
+        def no_jets(*args, **kwargs):
+            raise AssertionError("eval_jet called")
+
+        monkeypatch.setattr(ex, "eval_jet", no_jets)
+        assert ex.validate_pair("x^2 + 1", "exp(x)", (0.1, 0.9)) is pair
+        with pytest.raises(AssertionError, match="eval_jet called"):
+            ex.validate_pair("x^2 + 1", "exp(x)", (0.1, 0.8))
+
+    def test_caches_are_bounded(self):
+        assert ex.parse.cache_info().maxsize == ex.PARSE_CACHE_SIZE
+        assert ex._validated_pair.cache_info().maxsize == ex.PAIR_CACHE_SIZE
+        assert 0 < ex.PAIR_CACHE_SIZE <= ex.PARSE_CACHE_SIZE <= 1024
