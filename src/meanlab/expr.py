@@ -16,6 +16,7 @@ them.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -41,6 +42,8 @@ DEFAULT_GRID_SIZE = 257
 # holds the two texts of each memoized pair
 PAIR_CACHE_SIZE = 256
 PARSE_CACHE_SIZE = 2 * PAIR_CACHE_SIZE
+# bound of the memo of kernel factories, one per tree shape and route
+KERNEL_SHAPE_CACHE_SIZE = 256
 
 class Expr:
     """Base class; concrete nodes are frozen dataclasses below."""
@@ -351,17 +354,17 @@ class _Rule:
     """One elementary call on every evaluation route.
 
     scalar and array are its math and numpy functions, jet its Taylor rule.
-    Where bad holds for the argument (a float, or a mask for arrays), the
-    call raises DomainViolation with the domain message. A rule that
-    overflows raises "<name> overflow" where a finite argument gives an
-    infinite value.
+    bad is a condition on the argument, a template such as "{} <= 0.0" that
+    the float and array kernels share; where it holds, the call raises
+    DomainViolation with the domain message. A rule that overflows raises
+    "<name> overflow" where a finite argument gives an infinite value.
     """
 
     name: str
     scalar: Callable[[float], float]
     array: Callable[[np.ndarray], np.ndarray]
     jet: Callable[[Jet], Jet] | None = None
-    bad: Callable | None = None
+    bad: str | None = None
     domain: str = ""
     overflows: bool = False
 
@@ -370,28 +373,15 @@ _RULES = {
     r.name: r
     for r in (
         _Rule("exp", math.exp, np.exp, jets.jexp, overflows=True),
-        _Rule("log", math.log, np.log, jets.jlog, lambda v: v <= 0.0, "log of non-positive value"),
+        _Rule("log", math.log, np.log, jets.jlog, "{} <= 0.0", "log of non-positive value"),
         _Rule("sin", math.sin, np.sin, jets.jsin),
         _Rule("cos", math.cos, np.cos, jets.jcos),
         _Rule("sinh", math.sinh, np.sinh, jets.jsinh, overflows=True),
         _Rule("cosh", math.cosh, np.cosh, jets.jcosh, overflows=True),
-        _Rule("sqrt", math.sqrt, np.sqrt, jets.jsqrt, lambda v: v < 0.0, "sqrt of negative value"),
+        _Rule("sqrt", math.sqrt, np.sqrt, jets.jsqrt, "{} < 0.0", "sqrt of negative value"),
     )
 }
 _CALLS = tuple(_RULES)
-
-
-def _power_rule(q: Fraction) -> _Rule:
-    """The rule of u^q; float and array powers share one function."""
-    if q.denominator == 1:
-        n = q.numerator
-        ipow = lambda b: b**n
-        bad = (lambda b: b == 0.0) if n < 0 else None
-        return _Rule("power", ipow, ipow, None, bad, "zero base with negative power", True)
-    ef = float(q)
-    rpow = lambda b: b**ef
-    bad = lambda b: b <= 0.0
-    return _Rule("power", rpow, rpow, None, bad, "non-integer power of non-positive base", True)
 
 
 def _sc_rule(e: Union[SType, CType]) -> tuple[float, _Rule | None]:
@@ -405,56 +395,119 @@ def _sc_rule(e: Union[SType, CType]) -> tuple[float, _Rule | None]:
     return math.sqrt(abs(e.t)), _RULES[sine if isinstance(e, SType) else cosine]
 
 
-def _compile(e: Expr, arrays: bool) -> Callable:
+def _kernel(e: Expr, arrays: bool) -> Callable:
     """The one compiler behind compile_scalar and compile_array.
 
-    Subtrees compile through the cached entry point of the same route. The
-    routes differ only in constants, the variable, and the checks of
-    _scalar_*/_array_*. A denominator is checked before its numerator is
-    evaluated.
+    It prints e as the source of a kernel factory: straight-line code with
+    one local per subexpression, in evaluation order. A denominator is
+    evaluated and checked before its numerator, and C(0; u) never evaluates
+    u. The source names only node structure and the fixed names of _RULES;
+    every constant (values, exponents, S/C scales) is an argument of the
+    factory, so all trees of one shape share one source and one code.
     """
-    sub = compile_array if arrays else compile_scalar
-    reject, apply = (_array_reject, _array_apply) if arrays else (_scalar_reject, _scalar_apply)
-    if isinstance(e, Const):
-        c = e.value
-        return (lambda x: np.full(np.shape(x), c)) if arrays else (lambda x: c)
-    if isinstance(e, Var):
-        return (lambda x: np.asarray(x, dtype=float)) if arrays else (lambda x: x)
-    if isinstance(e, Neg):
-        f = sub(e.operand)
-        return lambda x: -f(x)
-    if isinstance(e, BinOp):
-        lf, rf = sub(e.left), sub(e.right)
-        if e.op == "+":
-            return lambda x: lf(x) + rf(x)
-        if e.op == "-":
-            return lambda x: lf(x) - rf(x)
-        if e.op == "*":
-            return lambda x: lf(x) * rf(x)
+    body: list[str] = []
+    args: list = []
+    names = itertools.count()
 
-        def _div(x):
-            d = rf(x)
-            reject(d == 0.0, x, "division by zero")
-            return lf(x) / d
+    def let(rhs: str) -> str:
+        v = f"v{next(names)}"
+        body.append(f"{v} = {rhs}")
+        return v
 
-        return _div
-    if isinstance(e, Pow):
-        return apply(sub(e.base), _power_rule(e.exponent))
-    if isinstance(e, Call):
-        return apply(sub(e.arg), _RULES[e.func])
-    if isinstance(e, (SType, CType)):
-        af = sub(e.arg)
-        scale, rule = _sc_rule(e)
-        if rule is None:
-            return af if isinstance(e, SType) else _compile(Const(1.0), arrays)
-        return apply(lambda x: scale * af(x), rule)
-    raise TypeError(f"not an Expr node: {e!r}")
+    def arg(value) -> str:
+        args.append(value)
+        return f"c{len(args) - 1}"
+
+    def check(cond: str, message: str) -> None:
+        if arrays:
+            body.extend((f"bad = {cond}", f"if bad.any(): raise _violation({message!r}, x, bad)"))
+        else:
+            body.append(f"if {cond}: raise _violation({message!r}, x)")
+
+    def call(name: str, a: str, rhs: str, bad: str | None, domain: str, overflows: bool) -> str:
+        if bad is not None:
+            check(bad.format(a), domain)
+        if not overflows:
+            return let(rhs)
+        v = f"v{next(names)}"
+        if arrays:
+            body.extend(('with errstate(over="ignore"):', f"    {v} = {rhs}"))
+            check(f"isinf({v}) & isfinite({a})", f"{name} overflow")
+        else:  # math raises OverflowError only for the rules that overflow
+            body.extend(("try:", f"    {v} = {rhs}", "except OverflowError:",
+                         f"    raise _violation({name + ' overflow'!r}, x) from None"))
+        return v
+
+    def walk(e: Expr) -> str:
+        if isinstance(e, Const):
+            return let(f"full(shape(x), {arg(e.value)})") if arrays else arg(e.value)
+        if isinstance(e, Var):
+            return let("asarray(x, dtype=float)") if arrays else "x"
+        if isinstance(e, Neg):
+            return let(f"-{walk(e.operand)}")
+        if isinstance(e, BinOp):
+            if e.op != "/":
+                left = walk(e.left)
+                return let(f"{left} {e.op} {walk(e.right)}")
+            d = walk(e.right)
+            check(f"{d} == 0.0", "division by zero")
+            return let(f"{walk(e.left)} / {d}")
+        if isinstance(e, Pow):
+            b, q = walk(e.base), e.exponent
+            if q.denominator != 1:
+                bad, domain, k = "{} <= 0.0", "non-integer power of non-positive base", float(q)
+            elif q < 0:
+                bad, domain, k = "{} == 0.0", "zero base with negative power", q.numerator
+            else:
+                bad, domain, k = None, "", q.numerator
+            return call("power", b, f"{b} ** {arg(k)}", bad, domain, True)
+        if isinstance(e, Call):
+            r, a = _RULES[e.func], walk(e.arg)
+            return call(r.name, a, f"{r.name}({a})", r.bad, r.domain, r.overflows)
+        if isinstance(e, (SType, CType)):
+            scale, r = _sc_rule(e)
+            if r is None:
+                return walk(e.arg) if isinstance(e, SType) else walk(Const(1.0))
+            c = arg(scale)
+            a = let(f"{c} * {walk(e.arg)}")
+            return call(r.name, a, f"{r.name}({a})", r.bad, r.domain, r.overflows)
+        raise TypeError(f"not an Expr node: {e!r}")
+
+    out = walk(e)
+    lines = "".join(f"        {line}\n" for line in body)
+    params = ", ".join(f"c{i}" for i in range(len(args)))
+    source = f"def factory({params}):\n    def kernel(x):\n{lines}        return {out}\n    return kernel\n"
+    return _factory(source, arrays)(*args)
+
+
+def _violation(message: str, x, mask=None) -> DomainViolation:
+    """The DomainViolation of both kernel routes: the message and the point
+    x, or for an array x the first point, in C order, where mask holds."""
+    if mask is not None:
+        x = float(np.asarray(x, dtype=float).flat[int(np.argmax(mask))])
+    return DomainViolation(f"{message} at {x!r}")
+
+
+_SCALAR_NAMES = {"_violation": _violation, **{n: r.scalar for n, r in _RULES.items()}}
+_ARRAY_NAMES = {
+    "_violation": _violation, "full": np.full, "shape": np.shape, "asarray": np.asarray,
+    "errstate": np.errstate, "isinf": np.isinf, "isfinite": np.isfinite,
+    **{n: r.array for n, r in _RULES.items()},
+}
+
+
+@lru_cache(maxsize=KERNEL_SHAPE_CACHE_SIZE)
+def _factory(source: str, arrays: bool) -> Callable:
+    """The factory _kernel printed, compiled once per source and route."""
+    scope: dict = {}
+    exec(compile(source, "<meanlab kernel>", "exec"), _ARRAY_NAMES if arrays else _SCALAR_NAMES, scope)
+    return scope["factory"]
 
 
 @lru_cache(maxsize=1024)
 def compile_scalar(e: Expr) -> Callable[[float], float]:
     """Compile to a plain float callable. Domain failures raise DomainViolation."""
-    return _compile(e, arrays=False)
+    return _kernel(e, arrays=False)
 
 
 @lru_cache(maxsize=1024)
@@ -467,56 +520,7 @@ def compile_array(e: Expr) -> Callable[[np.ndarray], np.ndarray]:
     that point. Values agree with compile_scalar to a few ulps (numpy's
     elementary functions are not libm's).
     """
-    return _compile(e, arrays=True)
-
-
-def _violation(message: str, x: float) -> DomainViolation:
-    """The DomainViolation of every compile route: the message and the point x."""
-    return DomainViolation(f"{message} at {x!r}")
-
-
-def _scalar_reject(bad: bool, x: float, message: str) -> None:
-    if bad:
-        raise _violation(message, x)
-
-
-def _scalar_apply(af: Callable[[float], float], rule: _Rule) -> Callable[[float], float]:
-    fn, bad, domain, name = rule.scalar, rule.bad, rule.domain, rule.name
-
-    def call(x: float) -> float:
-        v = af(x)
-        if bad is not None and bad(v):
-            raise _violation(domain, x)
-        # math raises OverflowError only for the rules that overflow
-        try:
-            return fn(v)
-        except OverflowError:
-            raise _violation(f"{name} overflow", x) from None
-
-    return call
-
-
-def _array_reject(mask, x, message: str) -> None:
-    """Raise DomainViolation naming the first point of x where mask holds."""
-    if mask.any():
-        raise _violation(message, float(np.asarray(x, dtype=float).flat[int(np.argmax(mask))]))
-
-
-def _array_apply(af: Callable, rule: _Rule) -> Callable[[np.ndarray], np.ndarray]:
-    fn, bad, domain, name = rule.array, rule.bad, rule.domain, rule.name
-
-    def call(x):
-        v = af(x)
-        if bad is not None:
-            _array_reject(bad(v), x, domain)
-        if not rule.overflows:
-            return fn(v)
-        with np.errstate(over="ignore"):
-            out = fn(v)
-        _array_reject(np.isinf(out) & np.isfinite(v), x, f"{name} overflow")
-        return out
-
-    return call
+    return _kernel(e, arrays=True)
 
 
 def eval_scalar(e: Expr, x: float) -> float:

@@ -45,7 +45,7 @@ from .errors import (
     OutOfInterval,
 )
 from .expr import FunctionPair
-from .measures import Measure, moments, weighted_sum
+from .measures import Measure, moments, segment_sum
 
 __all__ = [
     "MeanSpec", "mean_eval", "mean_table", "quasiarithmetic", "quasiarithmetic_table",
@@ -243,7 +243,7 @@ def mean_eval(spec: MeanSpec, x: float, y: float) -> float:
     exactly; otherwise the result carries a residual certificate of
     |(f/g)(z) - r| <= RESIDUAL_TOL * (1 + |r|).
 
-    Both integrals are weighted_sum over the segment points t*x + (1-t)*y
+    Both integrals are segment_sum over the segment points t*x + (1-t)*y
     of the measure's nodes, f at every point first and then g.
     """
     x, y = float(x), float(y)
@@ -256,7 +256,7 @@ def mean_eval(spec: MeanSpec, x: float, y: float) -> float:
     f, g = spec.pair.f_at, spec.pair.g_at
     ts, ws = spec.measure._nodes()
     points = [t * x + (1.0 - t) * y for t in ts]
-    r = weighted_sum(ts, ws, map(f, points)) / weighted_sum(ts, ws, map(g, points))
+    r = segment_sum(ts, ws, f, points) / segment_sum(ts, ws, g, points)
     lo, hi = (x, y) if x < y else (y, x)
 
     def resid(z: float) -> float:

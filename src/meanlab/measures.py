@@ -24,7 +24,7 @@ from .errors import DegenerateMeasure, QuadratureNonFinite
 __all__ = [
     "Measure", "Discrete", "Lebesgue", "Density",
     "MomentData", "Regime", "RegimeInfo",
-    "integrate", "weighted_sum", "moments", "classify",
+    "integrate", "weighted_sum", "segment_sum", "moments", "classify",
     "measure_to_json", "measure_from_json", "preset_measure", "PRESETS",
 ]
 
@@ -60,6 +60,24 @@ def weighted_sum(
             raise QuadratureNonFinite(t, v)
         total = total + w * v
     return total if isinstance(total, np.ndarray) else float(total)
+
+
+def segment_sum(ts: Sequence[float], ws: Sequence[float], h: Callable[[float], float],
+                points: Sequence[float]) -> float:
+    """weighted_sum(ts, ws, map(h, points)) for a float kernel h, in floats only.
+
+    The same arithmetic, total = total + w * v from left to right, and the
+    same failure: QuadratureNonFinite at the first node whose value is not
+    finite, before the next node is evaluated.
+    """
+    isfinite = math.isfinite
+    total = 0.0
+    for t, w, p in zip(ts, ws, points):
+        v = h(p)
+        if not isfinite(v):
+            raise QuadratureNonFinite(t, v)
+        total = total + w * v
+    return total
 
 
 class Measure:
@@ -296,8 +314,9 @@ def measure_from_json(data: Union[str, dict]) -> Measure:
     if kind == "atoms":
         atoms = _json_key(data, "atoms", list)
         for atom in atoms:
-            if not (isinstance(atom, list) and len(atom) == 2
-                    and all(isinstance(v, (int, float)) for v in atom)):
+            # JSON true and false load as bool, a subclass of int
+            if not (isinstance(atom, list) and len(atom) == 2 and all(
+                    isinstance(v, (int, float)) and not isinstance(v, bool) for v in atom)):
                 raise ValueError(f"measure key 'atoms' holds [location, weight] pairs, not {atom!r}")
         return Discrete(tuple((t, w) for t, w in atoms))
     if kind == "lebesgue":
@@ -311,7 +330,7 @@ def measure_from_json(data: Union[str, dict]) -> Measure:
 def _json_key(data: dict, key: str, kind: type):
     if key not in data:
         raise ValueError(f"measure type {data['type']!r} needs the key {key!r}")
-    if not isinstance(data[key], kind):
+    if not isinstance(data[key], kind) or isinstance(data[key], bool):
         raise ValueError(f"measure key {key!r} must be a {kind.__name__}, not {data[key]!r}")
     return data[key]
 

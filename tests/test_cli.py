@@ -125,6 +125,13 @@ class TestMoments:
         assert code == 2
         assert "error (ValueError)" in err and "'atoms'" in err
 
+    def test_boolean_atom_location_exits_2(self, capsys):
+        spec = '{"type": "atoms", "atoms": [[true, 0.5], [0, 0.5]]}'
+        argv = [a if a != "ebm" else spec for a in EBM_WITNESS]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert "error (ValueError)" in err and "[True, 0.5]" in err
+
 
 class TestClassify:
     def test_binary_symmetric(self, capsys):

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meanlab import expr as ex
 from meanlab.errors import (
@@ -230,6 +233,173 @@ class TestEvaluation:
                 signs.append(math.copysign(1.0, ex.compile_scalar(e)(1.0)))
                 signs.append(math.copysign(1.0, ex.compile_array(e)(np.ones(2))[0]))
         assert signs == [1.0] * 8
+
+
+# ------------------------------------------------ emitted kernels, differentially
+
+def _ref_reject(bad, x, message: str, arrays: bool) -> None:
+    if arrays:
+        if bad.any():
+            first = float(np.asarray(x, dtype=float).flat[int(np.argmax(bad))])
+            raise DomainViolation(f"{message} at {first!r}")
+    elif bad:
+        raise DomainViolation(f"{message} at {x!r}")
+
+
+def _ref_call(fn, v, x, name: str, overflows: bool, arrays: bool):
+    if not overflows:
+        return fn(v)
+    if arrays:
+        with np.errstate(over="ignore"):
+            out = fn(v)
+        _ref_reject(np.isinf(out) & np.isfinite(v), x, f"{name} overflow", arrays)
+        return out
+    try:
+        return fn(v)
+    except OverflowError:
+        raise DomainViolation(f"{name} overflow at {x!r}") from None
+
+
+_REF_DOMAINS = {"log": (lambda v: v <= 0.0, "log of non-positive value"),
+                "sqrt": (lambda v: v < 0.0, "sqrt of negative value")}
+
+
+def _reference(e: ex.Expr, x, arrays: bool):
+    """A tree walk with the checks of both compile routes, in their order:
+    the denominator before the numerator, the argument of a call before
+    the call, and C(0; u) without u."""
+    lib = np if arrays else math
+    if isinstance(e, ex.Const):
+        return np.full(np.shape(x), e.value) if arrays else e.value
+    if isinstance(e, ex.Var):
+        return np.asarray(x, dtype=float) if arrays else x
+    if isinstance(e, ex.Neg):
+        return -_reference(e.operand, x, arrays)
+    if isinstance(e, ex.BinOp):
+        if e.op == "/":
+            d = _reference(e.right, x, arrays)
+            _ref_reject(d == 0.0, x, "division by zero", arrays)
+            return _reference(e.left, x, arrays) / d
+        left, right = _reference(e.left, x, arrays), _reference(e.right, x, arrays)
+        return left + right if e.op == "+" else left - right if e.op == "-" else left * right
+    if isinstance(e, ex.Pow):
+        b, q = _reference(e.base, x, arrays), e.exponent
+        if q.denominator != 1:
+            _ref_reject(b <= 0.0, x, "non-integer power of non-positive base", arrays)
+            k = float(q)
+        else:
+            if q < 0:
+                _ref_reject(b == 0.0, x, "zero base with negative power", arrays)
+            k = q.numerator
+        return _ref_call(lambda v: v**k, b, x, "power", True, arrays)
+    if isinstance(e, ex.Call):
+        a = _reference(e.arg, x, arrays)
+        if e.func in _REF_DOMAINS:
+            bad, message = _REF_DOMAINS[e.func]
+            _ref_reject(bad(a), x, message, arrays)
+        return _ref_call(getattr(lib, e.func), a, x, e.func, e.func in ("exp", "sinh", "cosh"), arrays)
+    if e.t == 0.0:
+        return _reference(e.arg if isinstance(e, ex.SType) else ex.Const(1.0), x, arrays)
+    names = ("sin", "cos") if e.t < 0.0 else ("sinh", "cosh")
+    name = names[0] if isinstance(e, ex.SType) else names[1]
+    a = math.sqrt(abs(e.t)) * _reference(e.arg, x, arrays)
+    return _ref_call(getattr(lib, name), a, x, name, e.t > 0.0, arrays)
+
+
+def _outcome(fn, x):
+    """The bits of fn(x), or the class and text of what it raised."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            v = fn(x)
+    except Exception as exc:  # every failure is compared, not only DomainViolation
+        return type(exc), str(exc)
+    return type(v), np.shape(v), np.asarray(v, dtype=float).tobytes()
+
+
+_trees = st.recursive(
+    st.one_of(
+        st.just(ex.Var()),
+        st.sampled_from([0.0, 1.0, -1.0, 2.0, 0.5, -3.0, 1e-3, 700.0]).map(ex.Const),
+    ),
+    lambda sub: st.one_of(
+        st.builds(ex.BinOp, st.sampled_from("+-*/"), sub, sub),
+        st.builds(ex.Neg, sub),
+        st.builds(ex.Pow, sub, st.sampled_from(
+            [Fraction(0), Fraction(2), Fraction(3), Fraction(-1), Fraction(-2),
+             Fraction(1, 2), Fraction(2, 3), Fraction(-5, 4)])),
+        st.builds(ex.Call, st.sampled_from(ex._CALLS), sub),
+        st.builds(ex.SType, st.sampled_from([-2.0, -0.5, 0.0, 0.25, 4.0]), sub),
+        st.builds(ex.CType, st.sampled_from([-2.0, -0.5, 0.0, 0.25, 4.0]), sub),
+    ),
+    max_leaves=10,
+)
+_POINTS = [-2.0, -0.5, 0.0, 0.3, 1.0, 2.5, 1e3, 1e155]
+
+
+class TestEmittedKernels:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_trees)
+    def test_both_routes_match_a_tree_walk(self, e):
+        scalar, array = ex.compile_scalar(e), ex.compile_array(e)
+        for x in _POINTS:
+            assert _outcome(scalar, x) == _outcome(lambda p: _reference(e, p, False), x), x
+        for xs in (np.array(_POINTS), np.array(_POINTS[2:5]).reshape(3, 1), np.array(0.3)):
+            assert _outcome(array, xs) == _outcome(lambda p: _reference(e, p, True), xs), xs
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_constants_compile(self, value):
+        # the parser rejects them, but a hand-built tree still compiles: the
+        # value is an argument of the kernel, never printed into its source
+        e = ex.BinOp("*", ex.Const(value), ex.Var())
+        want = _outcome(lambda p: _reference(e, p, False), 2.0)
+        assert _outcome(ex.compile_scalar(e), 2.0) == want
+        got = ex.compile_array(e)(np.array([2.0, 3.0]))
+        assert np.asarray([value * 2.0, value * 3.0]).tobytes() == got.tobytes()
+        kernel = ex.compile_scalar(e)
+        assert repr(value) not in map(repr, kernel.__code__.co_consts)
+        assert repr(kernel.__closure__[0].cell_contents) == repr(value)
+
+    def test_cosine_type_at_zero_skips_its_argument(self):
+        e = ex.parse("C(0; log(x))")
+        assert ex.compile_scalar(e)(-1.0) == 1.0
+        assert ex.compile_array(e)(np.array([-1.0, 2.0])).tolist() == [1.0, 1.0]
+
+    def test_denominator_is_checked_before_numerator(self):
+        e = ex.parse("log(x) / (x - x)")
+        with pytest.raises(DomainViolation, match=r"^division by zero at -1\.0$"):
+            ex.compile_scalar(e)(-1.0)
+        with pytest.raises(DomainViolation, match=r"^division by zero at -1\.0$"):
+            ex.compile_array(e)(np.array([-1.0, 2.0]))
+
+    def test_overflow_names_the_point(self):
+        e = ex.parse("exp(1000 * x)")
+        with pytest.raises(DomainViolation, match=r"^exp overflow at 1\.0$"):
+            ex.compile_scalar(e)(1.0)
+        with pytest.raises(DomainViolation, match=r"^exp overflow at 1\.0$"):
+            ex.compile_array(e)(np.array([0.0, 1.0, 2.0]))
+
+    def test_one_code_object_per_shape(self):
+        a = ex.compile_scalar(ex.parse("sin(0.5*x+0.1)"))
+        b = ex.compile_scalar(ex.parse("sin(0.7*x+0.2)"))
+        assert a is not b and a.__code__ is b.__code__
+        # the constants are the kernel's only free values, bound per tree
+        assert [c.cell_contents for c in b.__closure__] == [0.7, 0.2]
+        assert a(0.3) == math.sin(0.5 * 0.3 + 0.1) and b(0.3) == math.sin(0.7 * 0.3 + 0.2)
+        c = ex.compile_array(ex.parse("sin(0.5*x+0.1)"))
+        assert c.__code__ is ex.compile_array(ex.parse("sin(0.7*x+0.2)")).__code__
+        assert c.__code__ is not a.__code__
+
+    def test_factory_cache_is_bounded(self):
+        info = ex._factory.cache_info()
+        assert info.maxsize == ex.KERNEL_SHAPE_CACHE_SIZE
+        assert info.currsize <= ex.KERNEL_SHAPE_CACHE_SIZE
+        # distinct shapes: a chain of k additions of x
+        tree = ex.Var()
+        for _ in range(ex.KERNEL_SHAPE_CACHE_SIZE + 3):
+            tree = ex.BinOp("+", tree, ex.Var())
+            ex._kernel(tree, arrays=False)
+        assert ex._factory.cache_info().currsize == ex.KERNEL_SHAPE_CACHE_SIZE
 
 
 class TestDerivativeTree:

@@ -89,6 +89,46 @@ class TestIntegrate:
         assert ms.integrate(m, lambda t: t) == pytest.approx(2 / 3, rel=1e-14)
 
 
+SEGMENT_MEASURES = {"ebm": EBM, "lebesgue": Lebesgue(), "three_atom": THREE_ATOM,
+                    "density": Density("2 * x")}
+
+
+class TestSegmentSum:
+    """segment_sum, the float loop of mean_eval, against weighted_sum."""
+
+    @pytest.mark.parametrize("name", sorted(SEGMENT_MEASURES))
+    @pytest.mark.parametrize("text", ["sin(x)", "exp(0.7 * x) / (1 + x^2)", "x + 0.3 * x * x"])
+    def test_equals_weighted_sum_bitwise(self, name, text):
+        h = ex.compile_scalar(ex.parse(text))
+        ts, ws = SEGMENT_MEASURES[name]._nodes()
+        for x, y in ((0.1, 0.5), (-0.3, 0.9), (2.0, -1.5)):
+            points = [t * x + (1.0 - t) * y for t in ts]
+            got = ms.segment_sum(ts, ws, h, points)
+            assert type(got) is float
+            assert got.hex() == ms.weighted_sum(ts, ws, map(h, points)).hex()
+
+    @pytest.mark.parametrize("name", sorted(SEGMENT_MEASURES))
+    def test_stops_at_the_first_non_finite_node(self, name):
+        kernel = ex.compile_scalar(ex.parse("x * x * 1e308"))
+        ts, ws = SEGMENT_MEASURES[name]._nodes()
+        points = [t * 1.5 for t in ts]
+        first = next(i for i, p in enumerate(points) if not math.isfinite(kernel(p)))
+        assert first > 0  # the kernel goes non-finite partway
+        seen = []
+
+        def h(p):
+            seen.append(p)
+            return kernel(p)
+
+        with pytest.raises(QuadratureNonFinite) as got:
+            ms.segment_sum(ts, ws, h, points)
+        assert seen == points[: first + 1]
+        with pytest.raises(QuadratureNonFinite) as want:
+            ms.weighted_sum(ts, ws, map(kernel, points))
+        assert (got.value.node, got.value.value) == (want.value.node, want.value.value)
+        assert got.value.node == ts[first] and str(got.value) == str(want.value)
+
+
 class TestMoments:
     def test_two_atom_moments(self):
         md = ms.moments(EBM, 6)
@@ -219,15 +259,27 @@ class TestSerialization:
             {"type": "density", "rho": 5},
             {"type": "density", "rho": "2 * x", "order": None},
             [1, 2],
+            # JSON true loads as a bool, an int subclass; it is no number here
+            {"type": "atoms", "atoms": [[True, 0.5], [0, 0.5]]},
+            {"type": "atoms", "atoms": [[0.5, True]]},
+            {"type": "density", "rho": "2 * x", "order": True},
         ],
         ids=[
             "cantor", "atoms_missing", "rho_missing", "atoms_int", "atom_short", "rho_int",
-            "order_null", "list",
+            "order_null", "list", "atom_location_bool", "atom_weight_bool", "order_bool",
         ],
     )
     def test_unknown_type(self, data):
         with pytest.raises(ValueError):
             ms.measure_from_json(data)
+
+    def test_booleans_are_named_in_the_error(self):
+        with pytest.raises(ValueError, match=r"pairs, not \[True, 0\.5\]"):
+            ms.measure_from_json('{"type": "atoms", "atoms": [[true, 0.5], [0, 0.5]]}')
+        with pytest.raises(ValueError, match="'order' must be a int, not True"):
+            ms.measure_from_json('{"type": "density", "rho": "2 * x", "order": true}')
+        # integers stay numbers
+        assert ms.measure_from_json({"type": "atoms", "atoms": [[1, 1]]}).atoms == ((1.0, 1.0),)
 
     def test_presets(self):
         assert ms.moments(ms.preset_measure("ebm"), 2).mu[2] == pytest.approx(0.25)
