@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import expr as ex
+from . import jets
 from .errors import (
     DegenerateMeasure,
     IllConditionedFit,
@@ -25,7 +27,7 @@ from .errors import (
     WronskianVanishes,
 )
 from .expr import FunctionPair
-from .jets import Jet, at, div, first_failure, jet_const, mul, reject, sub
+from .jets import Jet, at, first_failure, jet_const, mul, reject
 from .means import MeanSpec, _section
 from .measures import DEGENERATE_TOL, MOMENT_ZERO_TOL, Measure, moments
 
@@ -106,15 +108,46 @@ def _check_phi_psi_order(pair: FunctionPair, order: int) -> None:
 
 def _phi_psi_jets(jf: Jet, jg: Jet, order: int) -> tuple[Jet, Jet]:
     """Jets of Phi = W20/W10 and Psi = -W21/W10 from pair jets of order order + 2."""
-    f0, g0 = jf.truncate(order), jg.truncate(order)
-    f1, g1 = jf.derivative().truncate(order), jg.derivative().truncate(order)
-    f2, g2 = jf.derivative().derivative(), jg.derivative().derivative()
-    w10 = sub(mul(f1, g0), mul(f0, g1))
-    w20 = sub(mul(f2, g0), mul(f0, g2))
-    w21 = sub(mul(f2, g1), mul(f1, g2))
-    small = abs(w10.value) <= ex.TOL_WRONSKIAN
-    reject(small, lambda i: WronskianVanishes(at(jf.base_point, i), at(w10.value, i)))
-    return div(w20, w10), -div(w21, w10)
+    x = jf.base_point
+    out = _phi_psi_kernel(order)(x, ex.TOL_WRONSKIAN, *jf.coeffs, *jg.coeffs)
+    return Jet(x, out[: order + 1]), Jet(x, out[order + 1 :])
+
+
+def _vanishing(small, x, w10) -> None:
+    reject(small, lambda i: WronskianVanishes(at(x, i), at(w10, i)))
+
+
+@lru_cache(maxsize=jets.MAX_ORDER + 1)
+def _phi_psi_kernel(order: int):
+    """kernel(x, tol, f_0..f_{order+2}, g_0..g_{order+2}) -> the coefficients
+    of Phi, then of Psi, printed once per order from the jets templates.
+
+    The Wronskian jets W10 = f'g - fg', W20 = f''g - fg'' and W21 = f''g' -
+    f'g'' come from the derivative shifts of the pair jets; |W10| <= tol
+    raises WronskianVanishes before the two divisions.
+    """
+    em = jets.Emitter()
+    f = [f"f{k}" for k in range(order + 3)]
+    g = [f"g{k}" for k in range(order + 3)]
+
+    def derivative(c: list) -> list:
+        return [em.mul(c[k + 1], k + 1) for k in range(len(c) - 1)]
+
+    def wronskian(a, b, c, d) -> list:
+        ab, cd = jets.mul_rule(em, a, b), jets.mul_rule(em, c, d)
+        return [em.sub(p, q) for p, q in zip(ab, cd)]
+
+    n = order + 1
+    f1, g1 = derivative(f), derivative(g)
+    f2, g2 = derivative(f1), derivative(g1)
+    f0, g0, f1, g1 = f[:n], g[:n], f1[:n], g1[:n]
+    w10, w20, w21 = wronskian(f1, g0, f0, g1), wronskian(f2, g0, f0, g2), wronskian(f2, g1, f1, g2)
+    em.check("abs({}) <= tol", f"_vanishing({{}}, x, {w10[0]})", w10[0])
+    phi = jets.div_rule(em, w20, w10)
+    psi = [em.neg(v) for v in jets.div_rule(em, w21, w10)]
+    source = f"def kernel(x, tol, {', '.join(f + g)}):\n{em.body(phi + psi, '    ')}"
+    names = {**jets.NAMES, "_vanishing": _vanishing}
+    return jets.compile_source(source, names, "phi/psi kernel")["kernel"]
 
 
 def phi_psi(pair: FunctionPair, x: float, order: int = 4) -> PhiPsi:

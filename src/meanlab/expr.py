@@ -42,8 +42,11 @@ DEFAULT_GRID_SIZE = 257
 # holds the two texts of each memoized pair
 PAIR_CACHE_SIZE = 256
 PARSE_CACHE_SIZE = 2 * PAIR_CACHE_SIZE
-# bound of the memo of kernel factories, one per tree shape and route
+# bound of the memos of kernel factories: one per tree shape and route for
+# values, one per tree shape and order for jets
 KERNEL_SHAPE_CACHE_SIZE = 256
+# bound of the memo that holds each tree's jet kernel, per order
+JET_KERNEL_CACHE_SIZE = 1024
 
 class Expr:
     """Base class; concrete nodes are frozen dataclasses below."""
@@ -353,32 +356,35 @@ def to_string(e: Expr) -> str:
 class _Rule:
     """One elementary call on every evaluation route.
 
-    scalar and array are its math and numpy functions, jet its Taylor rule.
-    bad is a condition on the argument, a template such as "{} <= 0.0" that
-    the float and array kernels share; where it holds, the call raises
-    DomainViolation with the domain message. A rule that overflows raises
-    "<name> overflow" where a finite argument gives an infinite value.
+    scalar and array are its math and numpy functions, jet its Taylor
+    template (jets.Emitter). bad is a condition on the argument, a template
+    such as "{} <= 0.0" that the float and array kernels share; where it
+    holds, the call raises DomainViolation with the domain message. A rule
+    that overflows raises "<name> overflow" where a finite argument gives an
+    infinite value; one that is infinite-valued raises "<name> of infinite
+    value" at an infinite argument, where math raises ValueError.
     """
 
     name: str
     scalar: Callable[[float], float]
     array: Callable[[np.ndarray], np.ndarray]
-    jet: Callable[[Jet], Jet] | None = None
+    jet: Callable
     bad: str | None = None
     domain: str = ""
     overflows: bool = False
+    infinite: bool = False
 
 
 _RULES = {
     r.name: r
     for r in (
-        _Rule("exp", math.exp, np.exp, jets.jexp, overflows=True),
-        _Rule("log", math.log, np.log, jets.jlog, "{} <= 0.0", "log of non-positive value"),
-        _Rule("sin", math.sin, np.sin, jets.jsin),
-        _Rule("cos", math.cos, np.cos, jets.jcos),
-        _Rule("sinh", math.sinh, np.sinh, jets.jsinh, overflows=True),
-        _Rule("cosh", math.cosh, np.cosh, jets.jcosh, overflows=True),
-        _Rule("sqrt", math.sqrt, np.sqrt, jets.jsqrt, "{} < 0.0", "sqrt of negative value"),
+        _Rule("exp", math.exp, np.exp, jets.exp_rule, overflows=True),
+        _Rule("log", math.log, np.log, jets.log_rule, "{} <= 0.0", "log of non-positive value"),
+        _Rule("sin", math.sin, np.sin, jets.sin_rule, infinite=True),
+        _Rule("cos", math.cos, np.cos, jets.cos_rule, infinite=True),
+        _Rule("sinh", math.sinh, np.sinh, jets.sinh_rule, overflows=True),
+        _Rule("cosh", math.cosh, np.cosh, jets.cosh_rule, overflows=True),
+        _Rule("sqrt", math.sqrt, np.sqrt, jets.sqrt_rule, "{} < 0.0", "sqrt of negative value"),
     )
 }
 _CALLS = tuple(_RULES)
@@ -424,18 +430,22 @@ def _kernel(e: Expr, arrays: bool) -> Callable:
         else:
             body.append(f"if {cond}: raise _violation({message!r}, x)")
 
-    def call(name: str, a: str, rhs: str, bad: str | None, domain: str, overflows: bool) -> str:
+    def call(name: str, a: str, rhs: str, bad: str | None, domain: str, overflows: bool,
+             infinite: bool = False) -> str:
         if bad is not None:
             check(bad.format(a), domain)
-        if not overflows:
+        if infinite and arrays:
+            check(f"isinf({a})", f"{name} of infinite value")
+        if not overflows and not (infinite and not arrays):
             return let(rhs)
         v = f"v{next(names)}"
         if arrays:
             body.extend(('with errstate(over="ignore"):', f"    {v} = {rhs}"))
             check(f"isinf({v}) & isfinite({a})", f"{name} overflow")
-        else:  # math raises OverflowError only for the rules that overflow
-            body.extend(("try:", f"    {v} = {rhs}", "except OverflowError:",
-                         f"    raise _violation({name + ' overflow'!r}, x) from None"))
+        else:  # math raises OverflowError or ValueError only for these rules
+            error, message = ("OverflowError", "overflow") if overflows else ("ValueError", "of infinite value")
+            body.extend(("try:", f"    {v} = {rhs}", f"except {error}:",
+                         f"    raise _violation({name + ' ' + message!r}, x) from None"))
         return v
 
     def walk(e: Expr) -> str:
@@ -463,14 +473,14 @@ def _kernel(e: Expr, arrays: bool) -> Callable:
             return call("power", b, f"{b} ** {arg(k)}", bad, domain, True)
         if isinstance(e, Call):
             r, a = _RULES[e.func], walk(e.arg)
-            return call(r.name, a, f"{r.name}({a})", r.bad, r.domain, r.overflows)
+            return call(r.name, a, f"{r.name}({a})", r.bad, r.domain, r.overflows, r.infinite)
         if isinstance(e, (SType, CType)):
             scale, r = _sc_rule(e)
             if r is None:
                 return walk(e.arg) if isinstance(e, SType) else walk(Const(1.0))
             c = arg(scale)
             a = let(f"{c} * {walk(e.arg)}")
-            return call(r.name, a, f"{r.name}({a})", r.bad, r.domain, r.overflows)
+            return call(r.name, a, f"{r.name}({a})", r.bad, r.domain, r.overflows, r.infinite)
         raise TypeError(f"not an Expr node: {e!r}")
 
     out = walk(e)
@@ -499,9 +509,7 @@ _ARRAY_NAMES = {
 @lru_cache(maxsize=KERNEL_SHAPE_CACHE_SIZE)
 def _factory(source: str, arrays: bool) -> Callable:
     """The factory _kernel printed, compiled once per source and route."""
-    scope: dict = {}
-    exec(compile(source, "<meanlab kernel>", "exec"), _ARRAY_NAMES if arrays else _SCALAR_NAMES, scope)
-    return scope["factory"]
+    return jets.compile_source(source, _ARRAY_NAMES if arrays else _SCALAR_NAMES, "kernel")["factory"]
 
 
 @lru_cache(maxsize=1024)
@@ -532,37 +540,133 @@ def eval_jet(e: Expr, x, order: int) -> Jet:
     x, each coefficient is an array of its shape with the bits of each point
     alone, and an error is the float route's at the first failing point in C
     order, with that flat index in its index attribute."""
+    jets._check_order(order)
+    kernel = _jet_kernel(e, order)
     if not isinstance(x, np.ndarray):
-        return _jet(e, float(x), order)
+        x = float(x)
+        return Jet(x, kernel(x))
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        j = jets.first_failure(lambda p: _jet(e, p, order), x)
-    return Jet(x, tuple(c if isinstance(c, np.ndarray) else np.full(x.shape, c) for c in j.coeffs))
+        coeffs = jets.first_failure(kernel, x)
+    return Jet(x, tuple(c if isinstance(c, np.ndarray) else np.full(x.shape, c) for c in coeffs))
 
 
-def _jet(e: Expr, x, order: int) -> Jet:
+_JET_KERNELS: dict = {}
+
+
+def _jet_kernel(e: Expr, order: int) -> Callable:
+    """The jet kernel of the tree e at order, with e's constants bound.
+
+    Held per tree object (the entry keeps the tree, so its id stays its
+    own), so a repeated tree pays no shape walk and no tree hash; the
+    oldest entry goes when JET_KERNEL_CACHE_SIZE are held.
+    """
+    entry = _JET_KERNELS.get((id(e), order))
+    if entry is None:
+        consts: list = []
+        shape = _jet_shape(e, consts)
+        entry = (e, _jet_factory(shape, order)(*consts))
+        if len(_JET_KERNELS) >= JET_KERNEL_CACHE_SIZE:
+            del _JET_KERNELS[next(iter(_JET_KERNELS))]
+        _JET_KERNELS[(id(e), order)] = entry
+    return entry[1]
+
+
+def _jet_shape(e: Expr, consts: list):
+    """The shape of e's jet kernel: node structure, integer exponents and the
+    sign class of each S/C parameter. Appends the kernel's arguments
+    (constants, non-integer exponents, S/C scales) to consts in the order
+    _emit_jet takes them: children first."""
     if isinstance(e, Const):
-        return jets.jet_const(e.value, x, order)
+        consts.append(e.value)
+        return "c"
     if isinstance(e, Var):
-        return jets.jet_var(x, order)
+        return "x"
     if isinstance(e, Neg):
-        return -_jet(e.operand, x, order)
+        return ("neg", _jet_shape(e.operand, consts))
     if isinstance(e, BinOp):
-        return _JET_BINARY[e.op](_jet(e.left, x, order), _jet(e.right, x, order))
+        return (e.op, _jet_shape(e.left, consts), _jet_shape(e.right, consts))
     if isinstance(e, Pow):
-        return jets.jpow(_jet(e.base, x, order), e.exponent)
+        base = _jet_shape(e.base, consts)
+        try:
+            n = jets.integer_exponent(e.exponent)
+        except OverflowError:  # no float: the kernel raises it after the base
+            consts.append(e.exponent)
+            return ("pow!", base)
+        if n is not None:
+            return ("pow", base, n)
+        consts.append(float(e.exponent))
+        return ("rpow", base)
     if isinstance(e, Call):
-        return _RULES[e.func].jet(_jet(e.arg, x, order))
+        return (e.func, _jet_shape(e.arg, consts))
     if isinstance(e, (SType, CType)):
-        a = _jet(e.arg, x, order)
+        arg = _jet_shape(e.arg, consts)
         scale, rule = _sc_rule(e)
         if rule is None:
-            return a if isinstance(e, SType) else jets.jet_const(1.0, x, order)
-        return rule.jet(jets.mul(jets.jet_const(scale, x, order), a))
+            return ("S0" if isinstance(e, SType) else "C0", arg)
+        consts.append(scale)
+        return ("sc", rule.name, arg)
     raise TypeError(f"not an Expr node: {e!r}")
 
 
-_JET_BINARY = {"+": jets.add, "-": jets.sub, "*": jets.mul, "/": jets.div}
+def _emit_jet(em: jets.Emitter, shape, order: int, arg: Callable[[], str]) -> list:
+    """Print the jet of a shape through em; arg() names the next argument.
+    Children come first, left before right, as the rules take them, and
+    C(0; u) evaluates u before it gives 1."""
+    if shape == "x":
+        return ["x", 1.0, *[0.0] * order][: order + 1]
+    if shape == "c":
+        return [arg()] + [0.0] * order
+    tag, *kids = shape
+    sub = _emit_jet(em, kids[1] if tag == "sc" else kids[0], order, arg)
+    if tag == "neg":
+        return [em.neg(v) for v in sub]
+    if tag in ("+", "-", "*", "/"):
+        other = _emit_jet(em, kids[1], order, arg)
+        if tag == "+":
+            return [em.add(a, b) for a, b in zip(sub, other)]
+        if tag == "-":
+            return [em.sub(a, b) for a, b in zip(sub, other)]
+        return (jets.mul_rule if tag == "*" else jets.div_rule)(em, sub, other)
+    if tag == "pow":
+        return jets.ipow_rule(em, sub, kids[1])
+    if tag == "rpow":
+        return jets.rpow_rule(em, sub, arg())
+    if tag == "pow!":
+        em.let(f"float({arg()})", effect=True)
+        return sub
+    if tag == "S0":
+        return sub
+    if tag == "C0":
+        return [1.0] + [0.0] * order
+    if tag == "sc":
+        sub = jets.mul_rule(em, [arg()] + [0.0] * order, sub)
+        return _RULES[kids[0]].jet(em, sub)
+    return _RULES[tag].jet(em, sub)
+
+
+@lru_cache(maxsize=KERNEL_SHAPE_CACHE_SIZE)
+def _jet_factory(shape, order: int, fold: bool = True) -> Callable:
+    """The jet kernel factory of a shape at order, compiled once.
+
+    The factory takes the tree's constants and gives kernel(x), for a float
+    x or an array of points alike. With fold, kernel folds the known zeros
+    and ones of constant and identity jets; where a dropped term 0 * v meets
+    a v that is not finite, it returns the unfolded kernel's jet instead.
+    """
+    params: list[str] = []
+
+    def arg() -> str:
+        params.append(f"c{len(params)}")
+        return params[-1]
+
+    em = jets.Emitter(fold)
+    out = _emit_jet(em, shape, order, arg)
+    consts = ", ".join(params)
+    fallback = f"_jet_factory(_shape, {order}, False)({consts})(x)"
+    source = f"def factory({consts}):\n    def kernel(x):\n{em.body(out, ' ' * 8, fallback)}    return kernel\n"
+    names = {**jets.NAMES, "_jet_factory": _jet_factory, "_shape": shape}
+    return jets.compile_source(source, names, "jet kernel")["factory"]
 
 
 # ------------------------------------------------- exact AST differentiation
@@ -654,9 +758,15 @@ class FunctionPair:
 
 def interior_grid(interval: tuple[float, float], size: int) -> list[float]:
     """Uniform grid strictly inside an open interval."""
+    return _interior_points(interval, size).tolist()
+
+
+def _interior_points(interval: tuple[float, float], size: int) -> np.ndarray:
+    """interior_grid as an array: point i is lo + step * (i + 1), two IEEE
+    operations, as a float loop gives it."""
     lo, hi = interval
     step = (hi - lo) / (size + 1)
-    return [lo + step * (i + 1) for i in range(size)]
+    return lo + step * np.arange(1.0, size + 1)
 
 
 def validate_pair(
@@ -697,7 +807,7 @@ def _validated_pair(
         raise ValueError(f"empty interval ({lo!r}, {hi!r})")
     if grid_size < 32:
         raise ValueError("grid_size must be at least 32")
-    xs = np.array(interior_grid((lo, hi), grid_size))
+    xs = _interior_points((lo, hi), grid_size)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             sign = jets.first_failure(lambda p: _grid_sign(f, g, p, max(n, 1), tol_w), xs)
@@ -710,7 +820,7 @@ def _grid_sign(f: Expr, g: Expr, xs: np.ndarray, order: int, tol_w: float) -> in
     """The sign of f'g - fg' on the points xs, after the checks of
     validate_pair; each check raises at its first failing point."""
     jf, jg = eval_jet(f, xs, order), eval_jet(g, xs, order)
-    finite = np.logical_and.reduce([np.isfinite(c) for c in jf.coeffs + jg.coeffs])
+    finite = jf.is_finite() & jg.is_finite()
     jets.reject(~finite, lambda i: NonSmooth(float(xs[i]), "non-finite jet coefficients"))
     g0, w = jg.coeffs[0], jf.coeffs[1] * jg.coeffs[0] - jf.coeffs[0] * jg.coeffs[1]
     jets.reject(~(g0 > 0.0), lambda i: NotPositive("g", float(xs[i]), float(g0[i])))

@@ -3,21 +3,28 @@
 A jet stores the Taylor coefficients of a smooth function h at a base point x:
 coeffs[k] = h^(k)(x)/k!, truncated at a fixed order n <= 8. All arithmetic and
 elementary-function rules below are the standard triangular power-series
-recurrences, so coefficients of order <= m never depend on coefficients of
-order > m; truncating first or last gives bitwise-identical results.
+recurrences (Griewank & Walther, Evaluating Derivatives, ch. 13), so
+coefficients of order <= m never depend on coefficients of order > m;
+truncating first or last gives bitwise-identical results.
 
 The base point is a float or an array of points, each coefficient a float or
-an array over them. Every rule is written once, with plain * / + -: sums run
-left to right in one fixed order and constant terms come from libm, mapped
-over the points of an array. So a point gives the same bits alone as in any
-batch, and overflow gives inf (callers silence numpy's warnings).
+an array over them. Every rule is stated once, as a template that prints
+straight-line code at a fixed order (Emitter): sums run left to right in one
+fixed order and constant terms come from libm, mapped over the points of an
+array. So a point gives the same bits alone as in any batch, and overflow
+gives inf (callers silence numpy's warnings). The Jet-level functions below
+run these templates compiled once per order, and expr and calculus print
+whole trees and the Phi/Psi jets from them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,6 +37,8 @@ from .errors import (
 )
 
 MAX_ORDER = 8
+# bound of the memo of compiled Jet-level rules, one per rule and order
+RULE_CACHE_SIZE = 128
 
 _FACTORIALS = tuple(math.factorial(k) for k in range(MAX_ORDER + 1))
 
@@ -76,8 +85,15 @@ class Jet:
         c = self.coeffs
         return Jet(self.base_point, tuple(c[k + 1] * (k + 1) for k in range(self.order)))
 
-    def is_finite(self) -> bool:
-        return all(math.isfinite(c) for c in self.coeffs)
+    def is_finite(self):
+        """Whether every coefficient is finite: a bool for a float base point,
+        a boolean array of the points' shape for an array of points."""
+        if not isinstance(self.base_point, np.ndarray):
+            return all(math.isfinite(c) for c in self.coeffs)
+        finite = np.ones(self.base_point.shape, dtype=bool)
+        for c in self.coeffs:
+            finite &= np.isfinite(c)
+        return finite
 
     def __neg__(self) -> "Jet":
         return Jet(self.base_point, tuple(-c for c in self.coeffs))
@@ -126,27 +142,350 @@ def first_failure(run, points):
         raise
 
 
-def _libm(fn, u0, name: str):
-    """fn(u0) by libm, over each point of an array u0; overflow raises DomainViolation."""
+def _libm(fn, u0, name: str, *args):
+    """fn(u0, *args) by libm, over each point of an array u0. Overflow and a
+    libm domain error (sin or cos of an infinity) raise DomainViolation."""
     if not isinstance(u0, np.ndarray):
         try:
-            return fn(u0)
+            return fn(u0, *args)
         except OverflowError:
             raise DomainViolation(f"{name} overflow at constant term {u0!r}") from None
+        except ValueError:
+            raise DomainViolation(f"{name} of constant term {u0!r}: math domain error") from None
     vals = u0.ravel().tolist()
     try:
-        return np.fromiter(map(fn, vals), float, len(vals)).reshape(u0.shape)
+        values = map(fn, vals, *(itertools.repeat(a) for a in args))
+        return np.fromiter(values, float, len(vals)).reshape(u0.shape)
     except (OverflowError, ValueError):
         for i, v in enumerate(vals):
             try:
-                _libm(fn, v, name)
-            except (DomainViolation, ValueError) as exc:
+                _libm(fn, v, name, *args)
+            except DomainViolation as exc:
                 exc.index = i
                 raise
         raise
 
 
-# ---------------------------------------------------------------- arithmetic
+def _nonpositive(bad, u0, what: str) -> None:
+    reject(bad, lambda i: DomainViolation(f"{what} of non-positive constant term {at(u0, i)!r}"))
+
+
+def _zero_divisor(bad) -> None:
+    reject(bad, lambda i: DivisionByZeroConstantTerm("divisor jet has zero constant term"))
+
+
+def _zero_base(bad) -> None:
+    reject(
+        bad, lambda i: DomainViolation("negative integer power of jet with zero constant term")
+    )
+
+
+def _finite(t) -> bool:
+    return bool(np.isfinite(t).all()) if isinstance(t, np.ndarray) else math.isfinite(t)
+
+
+# --------------------------------------------------- straight-line emission
+
+_TEMP = re.compile(r"\bt\d+\b")
+
+
+def _src(v) -> str:
+    """Source text of a coefficient: a local's name, or a known number."""
+    if isinstance(v, str):
+        return v
+    return repr(v) if math.isfinite(v) else f"float({repr(float(v))!r})"
+
+
+class Emitter:
+    """Prints straight-line code for jet rules at a fixed order.
+
+    A coefficient is the name of a local (str) or a number known when the
+    code is printed: the 0.0 and 1.0 of constant and identity jets, the
+    integers of the recurrences, and what exact float arithmetic on them
+    gives. Arithmetic on two known numbers is done here, and the exact
+    identities v * 1, v / 1 and v - 0 are dropped, so the unfolded code does
+    what the rules do, operation for operation.
+
+    With fold, a known 0 also drops the term 0 * v (or 0 / v), and 0 + v
+    gives v: only the sign of a zero sum can differ. A dropped 0 * v is nan
+    where v is not finite, so before it returns, a folded kernel checks that
+    every dropped v is finite and otherwise gives the unfolded code's result
+    (guard).
+    """
+
+    def __init__(self, fold: bool = False):
+        self.fold = fold
+        self.lines: list[tuple[str | None, str, bool]] = []
+        self.guard: dict[str, None] = {}
+        self._names = itertools.count()
+
+    def let(self, rhs: str, effect: bool = False) -> str:
+        """A new local v = rhs; an effect line is kept even when v is unused."""
+        v = f"t{next(self._names)}"
+        self.lines.append((v, rhs, effect))
+        return v
+
+    def check(self, cond: str, failure: str, *operands) -> None:
+        """Run the call failure where cond, a template on the operands, holds
+        (a bool, or a mask anywhere)."""
+        c = self.let(cond.format(*map(_src, operands)))
+        self.lines.append(
+            (None, f"if {c} is True or {c} is not False and {c}.any(): {failure.format(c)}", True)
+        )
+
+    def libm(self, fn: str, u0, name: str, *args) -> str:
+        extra = "".join(f", {_src(a)}" for a in args)
+        return self.let(f"_libm({fn}, {_src(u0)}, {name!r}{extra})", effect=True)
+
+    def _drop(self, v) -> float:
+        self.guard[v] = None
+        return 0.0
+
+    def mul(self, a, b):
+        known_a, known_b = not isinstance(a, str), not isinstance(b, str)
+        if known_a and known_b:
+            return a * b
+        if known_a and a == 1.0:
+            return b
+        if known_b and b == 1.0:
+            return a
+        if self.fold and known_a and a == 0.0:
+            return self._drop(b)
+        if self.fold and known_b and b == 0.0:
+            return self._drop(a)
+        return self.let(f"{_src(a)} * {_src(b)}")
+
+    def div(self, a, b):
+        known_a, known_b = not isinstance(a, str), not isinstance(b, str)
+        if known_a and known_b and b != 0.0:
+            return a / b
+        if known_b and b == 1.0:
+            return a
+        if self.fold and known_a and a == 0.0 and not known_b:
+            return self._drop(b)
+        return self.let(f"{_src(a)} / {_src(b)}")
+
+    def add(self, a, b):
+        known_a, known_b = not isinstance(a, str), not isinstance(b, str)
+        if known_a and known_b:
+            return a + b
+        if self.fold and known_a and a == 0.0:
+            return b
+        if self.fold and known_b and b == 0.0:
+            return a
+        return self.let(f"{_src(a)} + {_src(b)}")
+
+    def sub(self, a, b):
+        known_a, known_b = not isinstance(a, str), not isinstance(b, str)
+        if known_a and known_b:
+            return a - b
+        if known_b and b == 0.0 and (self.fold or math.copysign(1.0, b) > 0.0):
+            return a
+        # 0 - v stays a subtraction: -v would flip the sign bit of a nan
+        return self.let(f"{_src(a)} - {_src(b)}")
+
+    def neg(self, a):
+        return -a if not isinstance(a, str) else self.let(f"-{a}")
+
+    def body(self, outputs, indent: str, fallback: str = "") -> str:
+        """The lines that outputs and the checks need, then the return. With
+        a guard, the return is fallback where a dropped term's other factor
+        is not finite."""
+        live = set(_TEMP.findall(" ".join(map(_src, outputs))))
+        live.update(self.guard)
+        kept = []
+        for target, rhs, effect in reversed(self.lines):
+            if effect or target in live:
+                live.update(_TEMP.findall(rhs))
+                kept.append(rhs if target is None else f"{target} = {rhs}")
+        kept.reverse()
+        if self.guard:
+            kept.append(f"if not _finite({' + '.join(self.guard)}): return {fallback}")
+        kept.append(f"return ({''.join(_src(v) + ', ' for v in outputs)})")
+        return "".join(f"{indent}{line}\n" for line in kept)
+
+
+NAMES = {
+    "_libm": _libm, "_finite": _finite, "_nonpositive": _nonpositive,
+    "_zero_divisor": _zero_divisor, "_zero_base": _zero_base,
+    "exp": math.exp, "log": math.log, "sin": math.sin, "cos": math.cos,
+    "sinh": math.sinh, "cosh": math.cosh,
+}
+
+
+def compile_source(source: str, names: dict, label: str) -> dict:
+    """Exec printed source in a namespace of the given names; its definitions."""
+    scope: dict = {}
+    exec(compile(source, f"<meanlab {label}>", "exec"), names, scope)
+    return scope
+
+
+# ----------------------------------------------------------- the templates
+#
+# Each template takes an Emitter and coefficient lists of one order n and
+# returns the coefficients of the result; checks come first where the rules
+# check, and libm gives every constant term.
+
+def dot(em: Emitter, a, b, k: int, n: int):
+    """a[1]*b[k-1] + ... + a[n]*b[k-n] left to right (0.0 if n < 1): every sum but mul's."""
+    if n < 1:
+        return 0.0
+    acc = em.mul(a[1], b[k - 1])
+    for j in range(2, n + 1):
+        acc = em.add(acc, em.mul(a[j], b[k - j]))
+    return acc
+
+
+def mul_rule(em: Emitter, a, b) -> list:
+    """Cauchy product; terms j and k - j are added in pairs, so it commutes bitwise."""
+    out = [em.mul(a[0], b[0])]
+    for k in range(1, len(a)):
+        acc = em.add(em.mul(a[0], b[k]), em.mul(a[k], b[0]))
+        for j in range(1, (k + 1) // 2):
+            acc = em.add(acc, em.add(em.mul(a[j], b[k - j]), em.mul(a[k - j], b[j])))
+        if k % 2 == 0:
+            acc = em.add(acc, em.mul(a[k // 2], b[k // 2]))
+        out.append(acc)
+    return out
+
+
+def div_rule(em: Emitter, a, b) -> list:
+    em.check("{} == 0.0", "_zero_divisor({})", b[0])
+    out: list = []
+    for k in range(len(a)):
+        out.append(em.div(em.sub(a[k], dot(em, b, out, k, k)), b[0]))
+    return out
+
+
+def _scaled(em: Emitter, u) -> list:
+    """j * u[j], the coefficients of x * u'(x)."""
+    return [None] + [em.mul(j, u[j]) for j in range(1, len(u))]
+
+
+def exp_rule(em: Emitter, u) -> list:
+    ju = _scaled(em, u)
+    w = [em.libm("exp", u[0], "exp")]
+    for k in range(1, len(u)):
+        w.append(em.div(dot(em, ju, w, k, k), k))
+    return w
+
+
+def _positive(em: Emitter, u0, what: str) -> None:
+    """Reject a constant term u0 <= 0: "<what> of non-positive constant term <u0>";
+    what is source text, evaluated only on failure."""
+    em.check("{} <= 0.0", f"_nonpositive({{}}, {_src(u0)}, {what})", u0)
+
+
+def log_rule(em: Emitter, u) -> list:
+    u0 = u[0]
+    _positive(em, u0, repr("log"))
+    w = [em.libm("log", u0, "log")]
+    jw = [0.0]
+    for k in range(1, len(u)):
+        w.append(em.div(em.sub(u[k], em.div(dot(em, jw, u, k, k - 1), k)), u0))
+        jw.append(em.mul(k, w[k]))
+    return w
+
+
+def sincos_rule(em: Emitter, u, hyperbolic: bool, name: str) -> tuple[list, list]:
+    """The coupled sine and cosine recurrences; name is the rule's, in the
+    errors of libm (only sinh and cosh overflow, only sin and cos of an
+    infinity fail, both functions at once)."""
+    ju = _scaled(em, u)
+    sine, cosine, sign = ("sinh", "cosh", 1.0) if hyperbolic else ("sin", "cos", -1.0)
+    s, c = [em.libm(sine, u[0], name)], [em.libm(cosine, u[0], name)]
+    for k in range(1, len(u)):
+        s.append(em.div(dot(em, ju, c, k, k), k))
+        c.append(em.div(em.mul(sign, dot(em, ju, s, k, k)), k))
+    return s, c
+
+
+def sin_rule(em: Emitter, u) -> list:
+    return sincos_rule(em, u, False, "sin")[0]
+
+
+def cos_rule(em: Emitter, u) -> list:
+    return sincos_rule(em, u, False, "cos")[1]
+
+
+def sinh_rule(em: Emitter, u) -> list:
+    return sincos_rule(em, u, True, "sinh/cosh")[0]
+
+
+def cosh_rule(em: Emitter, u) -> list:
+    return sincos_rule(em, u, True, "sinh/cosh")[1]
+
+
+def ipow_rule(em: Emitter, a, n: int) -> list:
+    """a^n by binary powering; a negative n divides 1 by a^-n."""
+    if n == 0:
+        return [1.0] + [0.0] * (len(a) - 1)
+    if n < 0:
+        em.check("{} == 0.0", "_zero_base({})", a[0])
+        return div_rule(em, [1.0] + [0.0] * (len(a) - 1), ipow_rule(em, a, -n))
+    acc, base, m = None, a, n
+    while m:
+        if m & 1:
+            acc = base if acc is None else mul_rule(em, acc, base)
+        m >>= 1
+        if m:
+            base = mul_rule(em, base, base)
+    return acc
+
+
+def rpow_rule(em: Emitter, u, e, check: bool = True) -> list:
+    """u^e for a non-integer e, a known number or the name of an argument,
+    whose value the domain message gives; check=False where the caller has
+    made the same check."""
+    u0, n = u[0], len(u) - 1
+    if check:
+        _positive(em, u0, f"'non-integer power ' + repr({_src(e)})")
+    w = [em.libm("pow", u0, "power", e)]
+    e1 = em.add(e, 1.0)
+    zeros = False
+    for k in range(1, n + 1):
+        cu: list = [None]
+        for j in range(1, k + 1):
+            if em.fold and not isinstance(u[j], str) and u[j] == 0.0:
+                cu.append(0.0)  # the factor is dropped, and guarded below
+                zeros = True
+            else:
+                cu.append(em.mul(em.sub(em.mul(e1, j), k), u[j]))
+        w.append(em.div(dot(em, cu, w, k, k), em.mul(k, u0)))
+    if zeros and isinstance(e1, str):
+        # every factor (e + 1) * j - k is finite where (e + 1) * n is
+        em.guard[em.mul(e1, n)] = None
+    return w
+
+
+def sqrt_rule(em: Emitter, u) -> list:
+    _positive(em, u[0], repr("sqrt"))
+    return rpow_rule(em, u, 0.5, check=False)
+
+
+def integer_exponent(exponent) -> int | None:
+    """The integer of an integral exponent, None for a real one; raises
+    OverflowError for a fraction with no float."""
+    if isinstance(exponent, Fraction) and exponent.denominator == 1:
+        return exponent.numerator
+    e = float(exponent)
+    return int(e) if e == int(e) else None
+
+
+# ---------------------------------------------------------- Jet functions
+
+@lru_cache(maxsize=RULE_CACHE_SIZE)
+def _rule(template, order: int, arity: int, *params):
+    """template compiled at one order, without folding. The function takes
+    the str params (names of run-time arguments), then the coefficients of
+    arity jets; the other params are fixed in the code."""
+    em = Emitter()
+    ins = [[f"a{i}_{k}" for k in range(order + 1)] for i in range(arity)]
+    args = [p for p in params if isinstance(p, str)] + [a for row in ins for a in row]
+    out = template(em, *ins, *params)
+    source = f"def rule({', '.join(args)}):\n{em.body(out, '    ')}"
+    return compile_source(source, NAMES, f"jet rule {template.__name__}")["rule"]
+
 
 def _aligned(a: Jet, b: Jet) -> None:
     p, q = a.base_point, b.base_point
@@ -155,16 +494,6 @@ def _aligned(a: Jet, b: Jet) -> None:
         raise BasePointMismatch(f"base points differ: {p!r} vs {q!r}")
     if len(a.coeffs) != len(b.coeffs):
         raise OrderMismatch(f"orders differ: {a.order} vs {b.order}")
-
-
-def _dot(a, b, k: int, n: int):
-    """a[1]*b[k-1] + ... + a[n]*b[k-n] left to right (0.0 if n < 1): every sum but mul's."""
-    if n < 1:
-        return 0.0
-    acc = a[1] * b[k - 1]
-    for j in range(2, n + 1):
-        acc = acc + a[j] * b[k - j]
-    return acc
 
 
 def add(a: Jet, b: Jet) -> Jet:
@@ -177,129 +506,62 @@ def sub(a: Jet, b: Jet) -> Jet:
     return Jet(a.base_point, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
 
 
-def mul(a: Jet, b: Jet) -> Jet:
-    """Cauchy product; terms j and k - j are added in pairs, so it commutes bitwise."""
+def _binary(template, a: Jet, b: Jet) -> Jet:
     _aligned(a, b)
-    ac, bc = a.coeffs, b.coeffs
-    out = [ac[0] * bc[0]]
-    for k in range(1, len(ac)):
-        acc = ac[0] * bc[k] + ac[k] * bc[0]
-        for j in range(1, (k + 1) // 2):
-            acc = acc + (ac[j] * bc[k - j] + ac[k - j] * bc[j])
-        if k % 2 == 0:
-            acc = acc + ac[k // 2] * bc[k // 2]
-        out.append(acc)
-    return Jet(a.base_point, tuple(out))
+    return Jet(a.base_point, _rule(template, a.order, 2)(*a.coeffs, *b.coeffs))
+
+
+def _unary(template, a: Jet, *params) -> Jet:
+    return Jet(a.base_point, _rule(template, a.order, 1, *params)(*a.coeffs))
+
+
+def mul(a: Jet, b: Jet) -> Jet:
+    """Cauchy product; it commutes bitwise."""
+    return _binary(mul_rule, a, b)
 
 
 def div(a: Jet, b: Jet) -> Jet:
-    _aligned(a, b)
-    ac, bc = a.coeffs, b.coeffs
-    reject(bc[0] == 0.0, lambda i: DivisionByZeroConstantTerm("divisor jet has zero constant term"))
-    out = []
-    for k in range(len(ac)):
-        out.append((ac[k] - _dot(bc, out, k, k)) / bc[0])
-    return Jet(a.base_point, tuple(out))
+    return _binary(div_rule, a, b)
 
 
 Jet.__add__, Jet.__sub__, Jet.__mul__, Jet.__truediv__ = add, sub, mul, div
 
 
-# ------------------------------------------------------- elementary functions
-
-def _positive(u0, what: str) -> None:
-    """Reject a constant term u0 <= 0: "<what> of non-positive constant term <u0>"."""
-    message = f"{what} of non-positive constant term "
-    reject(u0 <= 0.0, lambda i: DomainViolation(message + repr(at(u0, i))))
-
-
 def jexp(a: Jet) -> Jet:
-    u = a.coeffs
-    ju = [j * c for j, c in enumerate(u)]
-    w = [_libm(math.exp, u[0], "exp")]
-    for k in range(1, len(u)):
-        w.append(_dot(ju, w, k, k) / k)
-    return Jet(a.base_point, tuple(w))
+    return _unary(exp_rule, a)
 
 
 def jlog(a: Jet) -> Jet:
-    u, u0 = a.coeffs, a.coeffs[0]
-    _positive(u0, "log")
-    w = [_libm(math.log, u0, "log")]
-    jw = [0.0]
-    for k in range(1, len(u)):
-        w.append((u[k] - _dot(jw, u, k, k - 1) / k) / u0)
-        jw.append(k * w[k])
-    return Jet(a.base_point, tuple(w))
-
-
-def _jsincos(a: Jet, hyperbolic: bool) -> tuple[Jet, Jet]:
-    u = a.coeffs
-    ju = [j * c for j, c in enumerate(u)]
-    sine, cosine, sign = (math.sinh, math.cosh, 1.0) if hyperbolic else (math.sin, math.cos, -1.0)
-    # only sinh and cosh can overflow
-    s, c = [_libm(sine, u[0], "sinh/cosh")], [_libm(cosine, u[0], "sinh/cosh")]
-    for k in range(1, len(u)):
-        s.append(_dot(ju, c, k, k) / k)
-        c.append(sign * _dot(ju, s, k, k) / k)
-    return Jet(a.base_point, tuple(s)), Jet(a.base_point, tuple(c))
+    return _unary(log_rule, a)
 
 
 def jsin(a: Jet) -> Jet:
-    return _jsincos(a, hyperbolic=False)[0]
+    return _unary(sin_rule, a)
 
 
 def jcos(a: Jet) -> Jet:
-    return _jsincos(a, hyperbolic=False)[1]
+    return _unary(cos_rule, a)
 
 
 def jsinh(a: Jet) -> Jet:
-    return _jsincos(a, hyperbolic=True)[0]
+    return _unary(sinh_rule, a)
 
 
 def jcosh(a: Jet) -> Jet:
-    return _jsincos(a, hyperbolic=True)[1]
+    return _unary(cosh_rule, a)
 
 
-def _ipow(a: Jet, n: int) -> Jet:
-    if n == 0:
-        return jet_const(1.0, a.base_point, a.order)
-    if n < 0:
-        reject(
-            a.coeffs[0] == 0.0,
-            lambda i: DomainViolation("negative integer power of jet with zero constant term"),
-        )
-        return div(jet_const(1.0, a.base_point, a.order), _ipow(a, -n))
-    acc, base, m = None, a, n
-    while m:
-        if m & 1:
-            acc = base if acc is None else mul(acc, base)
-        m >>= 1
-        if m:
-            base = mul(base, base)
-    return acc
+def jsqrt(a: Jet) -> Jet:
+    return _unary(sqrt_rule, a)
 
 
 def jpow(a: Jet, exponent) -> Jet:
     """Real power a(x)^e. Integer exponents work for any sign of the constant
     term; non-integer exponents require a positive constant term."""
-    if isinstance(exponent, Fraction) and exponent.denominator == 1:
-        return _ipow(a, exponent.numerator)
-    e = float(exponent)
-    if e == int(e):
-        return _ipow(a, int(e))
-    u, u0 = a.coeffs, a.coeffs[0]
-    _positive(u0, f"non-integer power {e!r}")
-    w = [_libm(lambda v: v**e, u0, "power")]
-    for k in range(1, len(u)):
-        cu = [((e + 1.0) * j - k) * c for j, c in enumerate(u[: k + 1])]
-        w.append(_dot(cu, w, k, k) / (k * u0))
-    return Jet(a.base_point, tuple(w))
-
-
-def jsqrt(a: Jet) -> Jet:
-    _positive(a.coeffs[0], "sqrt")
-    return jpow(a, 0.5)
+    n = integer_exponent(exponent)
+    if n is not None:
+        return _unary(ipow_rule, a, n)
+    return Jet(a.base_point, _rule(rpow_rule, a.order, 1, "e")(float(exponent), *a.coeffs))
 
 
 def jabspow(a: Jet, exponent: float) -> Jet:

@@ -247,6 +247,11 @@ def _ref_reject(bad, x, message: str, arrays: bool) -> None:
 
 
 def _ref_call(fn, v, x, name: str, overflows: bool, arrays: bool):
+    if name in ("sin", "cos"):  # infinite-valued: math raises ValueError at an infinity
+        if arrays:
+            _ref_reject(np.isinf(v), x, f"{name} of infinite value", arrays)
+        elif math.isinf(v):
+            raise DomainViolation(f"{name} of infinite value at {x!r}")
     if not overflows:
         return fn(v)
     if arrays:
@@ -400,6 +405,57 @@ class TestEmittedKernels:
             tree = ex.BinOp("+", tree, ex.Var())
             ex._kernel(tree, arrays=False)
         assert ex._factory.cache_info().currsize == ex.KERNEL_SHAPE_CACHE_SIZE
+
+
+class TestInfiniteArguments:
+    """sin and cos of an infinity: one DomainViolation text per route."""
+
+    # sin(x * inf) and cos(C(-4; x * inf)) are infinite-valued at every x > 0
+    TREES = {
+        "sin": ex.Call("sin", ex.BinOp("*", ex.Var(), ex.Const(math.inf))),
+        "cos": ex.CType(-4.0, ex.BinOp("*", ex.Var(), ex.Const(math.inf))),
+    }
+
+    @pytest.mark.parametrize("name", TREES)
+    def test_value_routes(self, name):
+        e = self.TREES[name]
+        with pytest.raises(DomainViolation, match=f"^{name} of infinite value at 1.0$"):
+            ex.compile_scalar(e)(1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainViolation, match=f"^{name} of infinite value at 1.5$"):
+                ex.compile_array(e)(np.array([1.5, 2.0]))
+
+    @pytest.mark.parametrize("name", TREES)
+    def test_jet_route(self, name):
+        e = self.TREES[name]
+        message = f"{name} of constant term inf: math domain error"
+        with pytest.raises(DomainViolation, match=f"^{message}$"):
+            ex.eval_jet(e, 1.0, 3)
+        with pytest.raises(DomainViolation) as info:
+            ex.eval_jet(e, np.array([1.5, 2.0]), 3)
+        assert (str(info.value), info.value.index) == (message, 0)
+
+    def test_validate_pair_reports_non_smooth(self):
+        with pytest.raises(NonSmooth, match="math domain error"):
+            ex.validate_pair(self.TREES["sin"], ex.Const(1.0), (0.5, 1.5))
+
+
+class TestInteriorGrid:
+    @pytest.mark.parametrize(
+        "interval",
+        [(-0.7, 0.7), (0.5, 2.0), (-3.0, -1e-3), (1.0, 1.0 + 1e-12), (-1e-300, 1e-300),
+         (354.0, 355.0), (-1e6, 3.0)],
+    )
+    @pytest.mark.parametrize("size", [3, 9, ex.DEFAULT_GRID_SIZE])
+    def test_bits_of_the_float_formula(self, interval, size):
+        lo, hi = interval
+        step = (hi - lo) / (size + 1)
+        want = [lo + step * (i + 1) for i in range(size)]
+        got = ex.interior_grid(interval, size)
+        assert all(type(v) is float for v in got)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert ex._interior_points(interval, size).tobytes() == np.array(want).tobytes()
 
 
 class TestDerivativeTree:

@@ -1,0 +1,442 @@
+"""Emitted jet kernels against the loop forms of the Taylor rules.
+
+The loop forms below are the rules as jets.py stated them before they became
+printed templates, and _ref_jet is the recursive tree walk that served
+eval_jet; both stay here as the reference. The kernels fold the known zeros
+and ones of constant and identity jets, so two differences are allowed:
+
+- an exactly zero coefficient may carry the other sign of zero, since a
+  folded sum drops a +-0 term;
+- a nan may carry another sign or payload. CPython 3.11 specializes float
+  + and * once a code object is warm, and when both operands are nan the
+  specialized and the generic operation keep different ones, so even the
+  loop forms give no fixed nan bits.
+
+Every other coefficient keeps its bits, and every failure its class, text
+and index.
+"""
+
+from __future__ import annotations
+
+import math
+import warnings
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from meanlab import calculus as ca
+from meanlab import expr as ex
+from meanlab import jets
+from meanlab.errors import DivisionByZeroConstantTerm, DomainViolation, WronskianVanishes
+from meanlab.jets import Jet
+
+from conftest import PAIR_FAMILIES, random_admissible_pair
+
+# ------------------------------------------------------------ loop forms
+
+
+def _dot(a, b, k, n):
+    if n < 1:
+        return 0.0
+    acc = a[1] * b[k - 1]
+    for j in range(2, n + 1):
+        acc = acc + a[j] * b[k - j]
+    return acc
+
+
+def _mul(ac, bc):
+    out = [ac[0] * bc[0]]
+    for k in range(1, len(ac)):
+        acc = ac[0] * bc[k] + ac[k] * bc[0]
+        for j in range(1, (k + 1) // 2):
+            acc = acc + (ac[j] * bc[k - j] + ac[k - j] * bc[j])
+        if k % 2 == 0:
+            acc = acc + ac[k // 2] * bc[k // 2]
+        out.append(acc)
+    return out
+
+
+def _div(ac, bc):
+    jets.reject(bc[0] == 0.0, lambda i: DivisionByZeroConstantTerm("divisor jet has zero constant term"))
+    out = []
+    for k in range(len(ac)):
+        out.append((ac[k] - _dot(bc, out, k, k)) / bc[0])
+    return out
+
+
+def _positive(u0, what):
+    message = f"{what} of non-positive constant term "
+    jets.reject(u0 <= 0.0, lambda i: DomainViolation(message + repr(jets.at(u0, i))))
+
+
+def _exp(u):
+    ju = [j * c for j, c in enumerate(u)]
+    w = [jets._libm(math.exp, u[0], "exp")]
+    for k in range(1, len(u)):
+        w.append(_dot(ju, w, k, k) / k)
+    return w
+
+
+def _log(u):
+    u0 = u[0]
+    _positive(u0, "log")
+    w = [jets._libm(math.log, u0, "log")]
+    jw = [0.0]
+    for k in range(1, len(u)):
+        w.append((u[k] - _dot(jw, u, k, k - 1) / k) / u0)
+        jw.append(k * w[k])
+    return w
+
+
+def _sincos(u, hyperbolic, name):
+    ju = [j * c for j, c in enumerate(u)]
+    sine, cosine, sign = (math.sinh, math.cosh, 1.0) if hyperbolic else (math.sin, math.cos, -1.0)
+    s, c = [jets._libm(sine, u[0], name)], [jets._libm(cosine, u[0], name)]
+    for k in range(1, len(u)):
+        s.append(_dot(ju, c, k, k) / k)
+        c.append(sign * _dot(ju, s, k, k) / k)
+    return s, c
+
+
+def _ipow(a, n):
+    if n == 0:
+        return [1.0] + [0.0] * (len(a) - 1)
+    if n < 0:
+        jets.reject(
+            a[0] == 0.0,
+            lambda i: DomainViolation("negative integer power of jet with zero constant term"),
+        )
+        return _div([1.0] + [0.0] * (len(a) - 1), _ipow(a, -n))
+    acc, base, m = None, a, n
+    while m:
+        if m & 1:
+            acc = base if acc is None else _mul(acc, base)
+        m >>= 1
+        if m:
+            base = _mul(base, base)
+    return acc
+
+
+def _pow(u, exponent):
+    if isinstance(exponent, Fraction) and exponent.denominator == 1:
+        return _ipow(u, exponent.numerator)
+    e = float(exponent)
+    if e == int(e):
+        return _ipow(u, int(e))
+    u0 = u[0]
+    _positive(u0, f"non-integer power {e!r}")
+    w = [jets._libm(lambda v: v**e, u0, "power")]
+    for k in range(1, len(u)):
+        cu = [((e + 1.0) * j - k) * c for j, c in enumerate(u[: k + 1])]
+        w.append(_dot(cu, w, k, k) / (k * u0))
+    return w
+
+
+def _sqrt(u):
+    _positive(u[0], "sqrt")
+    return _pow(u, 0.5)
+
+
+_LOOP_RULES = {
+    "exp": _exp, "log": _log, "sqrt": _sqrt,
+    "sin": lambda u: _sincos(u, False, "sin")[0], "cos": lambda u: _sincos(u, False, "cos")[1],
+    "sinh": lambda u: _sincos(u, True, "sinh/cosh")[0],
+    "cosh": lambda u: _sincos(u, True, "sinh/cosh")[1],
+}
+
+
+def _ref_jet(e: ex.Expr, x, n: int) -> list:
+    """The recursive jet walk: children left to right, then the rule."""
+    if isinstance(e, ex.Const):
+        return [float(e.value)] + [0.0] * n
+    if isinstance(e, ex.Var):
+        return [x, 1.0, *[0.0] * n][: n + 1]
+    if isinstance(e, ex.Neg):
+        return [-c for c in _ref_jet(e.operand, x, n)]
+    if isinstance(e, ex.BinOp):
+        a, b = _ref_jet(e.left, x, n), _ref_jet(e.right, x, n)
+        if e.op in "+-":
+            return [p + q if e.op == "+" else p - q for p, q in zip(a, b)]
+        return _mul(a, b) if e.op == "*" else _div(a, b)
+    if isinstance(e, ex.Pow):
+        return _pow(_ref_jet(e.base, x, n), e.exponent)
+    if isinstance(e, ex.Call):
+        return _LOOP_RULES[e.func](_ref_jet(e.arg, x, n))
+    a = _ref_jet(e.arg, x, n)
+    if e.t == 0.0:
+        return a if isinstance(e, ex.SType) else [1.0] + [0.0] * n
+    sine, cosine = ("sin", "cos") if e.t < 0.0 else ("sinh", "cosh")
+    scaled = _mul([math.sqrt(abs(e.t))] + [0.0] * n, a)
+    return _LOOP_RULES[sine if isinstance(e, ex.SType) else cosine](scaled)
+
+
+def _reference(e: ex.Expr, x, n: int) -> tuple:
+    """eval_jet's coefficients by the tree walk, on a float or an array."""
+    if not isinstance(x, np.ndarray):
+        return tuple(_ref_jet(e, float(x), n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = jets.first_failure(lambda p: _ref_jet(e, p, n), x)
+    return tuple(c if isinstance(c, np.ndarray) else np.full(x.shape, c) for c in coeffs)
+
+
+def _outcome(run):
+    """The coefficients of run(), or the class, text and index of its failure."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            coeffs = run()
+    except Exception as exc:  # every failure is compared, not only DomainViolation
+        return ("error", type(exc), str(exc), getattr(exc, "index", None))
+    return ("ok", tuple(coeffs))
+
+
+def _assert_same(got, want):
+    """Equal outcomes, up to the sign of zero and the bits of nan."""
+    assert got[0] == want[0], (got, want)
+    if got[0] == "error":
+        assert got == want
+        return
+    assert len(got[1]) == len(want[1])
+    for k, (g, w) in enumerate(zip(got[1], want[1])):
+        assert type(g) is type(w), k
+        g, w = np.asarray(g, dtype=float), np.asarray(w, dtype=float)
+        assert g.shape == w.shape, k
+        same = (g.view(np.int64) == w.view(np.int64)) | (g == 0.0) & (w == 0.0)
+        same |= np.isnan(g) & np.isnan(w)
+        assert same.all(), (k, g, w)
+
+
+def _assert_kernel_matches(e, x, n):
+    _assert_same(_outcome(lambda: ex.eval_jet(e, x, n).coeffs), _outcome(lambda: _reference(e, x, n)))
+
+
+# ----------------------------------------------------- the whole grammar
+
+_CONSTS = [0.0, -1.0, 2.0, 0.5, 1e-3, 700.0, math.inf]
+_trees = st.recursive(
+    st.one_of(st.just(ex.Var()), st.sampled_from(_CONSTS).map(ex.Const)),
+    lambda sub: st.one_of(
+        st.builds(ex.BinOp, st.sampled_from("+-*/"), sub, sub),
+        st.builds(ex.Neg, sub),
+        st.builds(ex.Pow, sub, st.sampled_from(
+            [Fraction(0), Fraction(2), Fraction(3), Fraction(-1), Fraction(-2),
+             Fraction(1, 2), Fraction(2, 3), Fraction(-5, 4)])),
+        st.builds(ex.Call, st.sampled_from(ex._CALLS), sub),
+        st.builds(ex.SType, st.sampled_from([-2.0, -0.5, 0.0, 0.25, 4.0]), sub),
+        st.builds(ex.CType, st.sampled_from([-2.0, -0.5, 0.0, 0.25, 4.0]), sub),
+    ),
+    max_leaves=8,
+)
+_POINTS = [-2.0, -0.5, 0.0, 0.3, 1.0, 2.5, 1e155]
+_ARRAYS = (
+    np.array(_POINTS),
+    np.array([0.3, -0.5, 2.5, 1.0, 0.0, -2.0]).reshape(2, 3),
+    np.array(0.3),
+)
+
+
+class TestAgainstLoopForms:
+    @settings(derandomize=True, max_examples=250, deadline=None)
+    @given(_trees, st.integers(0, jets.MAX_ORDER), st.sampled_from(_POINTS))
+    def test_whole_grammar_on_floats_and_arrays(self, e, order, x):
+        _assert_kernel_matches(e, x, order)
+        for xs in _ARRAYS:
+            _assert_kernel_matches(e, xs, order)
+
+    @pytest.mark.parametrize("text", [
+        "sin(0.734 * x + 0.1)", "cos(0.734 * x + 0.1)", "sinh(1.2 * x)", "cosh(1.2 * x)",
+        "exp(0.8 * x)", "exp(-0.4 * x)", "x^(3/2)", "x^(-1/2)", "sqrt(x)", "log(x)", "x^2",
+        "x + 0.3 * x * x", "1 / (x + 2)", "S(-2; x)", "C(1.5; 2 * x)", "C(0; log(x))",
+        "exp(sin(x) / (1 + x^2)) * log(x + 1) - sqrt(cosh(x)) * S(-0.5; 2 * x)",
+    ])
+    def test_pair_families_and_mixed_trees(self, text):
+        e = ex.parse(text)
+        xs = np.linspace(0.2, 1.7, 33)
+        for order in (0, 1, 4, 6, 8):
+            _assert_kernel_matches(e, 0.7, order)
+            _assert_kernel_matches(e, xs, order)
+
+    def test_guard_keeps_the_nan_a_folded_product_would_drop(self):
+        # (-inf + x) * 2 has the jet (-inf, nan, nan, ...) by the rules, since
+        # 0 * -inf is nan; folding the constant's zeros alone would give
+        # (-inf, 2, 0, ...), and exp would turn that into zeros
+        e = ex.Call("exp", ex.BinOp("*", ex.BinOp("+", ex.Const(-math.inf), ex.Var()), ex.Const(2.0)))
+        j = ex.eval_jet(e, 0.5, 3)
+        assert j.coeffs[0] == 0.0 and all(math.isnan(c) for c in j.coeffs[1:])
+        _assert_kernel_matches(e, 0.5, 3)
+        # the same where the infinity comes from overflow, at 1e155
+        e = ex.BinOp("*", ex.Pow(ex.Var(), Fraction(3)), ex.Const(2.0))
+        j = ex.eval_jet(e, 1e155, 3)
+        assert j.coeffs[0] == math.inf and all(math.isnan(c) for c in j.coeffs[1:])
+        _assert_kernel_matches(e, np.array([0.5, 1e155]), 3)
+
+    def test_a_zero_may_change_sign(self):
+        # the one allowed difference: coefficient 1 of sin(C(4; 2)) is -0.0
+        # by the rules, 0.0 by the folded sum
+        e = ex.Call("sin", ex.CType(4.0, ex.Const(2.0)))
+        want = _reference(e, 0.5, 2)[1]
+        got = ex.eval_jet(e, 0.5, 2).coeffs[1]
+        assert got == want == 0.0
+        _assert_kernel_matches(e, 0.5, 2)
+
+
+# -------------------------------------------------------- hand-built cases
+
+class TestKernelShapes:
+    def test_trees_of_one_shape_share_one_code_object(self):
+        a, b = ex.parse("sin(0.5*x+0.1)"), ex.parse("sin(0.7*x+0.2)")
+        ka, kb = ex._jet_kernel(a, 6), ex._jet_kernel(b, 6)
+        assert ka is not kb and ka.__code__ is kb.__code__
+        assert [c.cell_contents for c in kb.__closure__] == [0.7, 0.2]
+        assert ex.eval_jet(a, 0.3, 6).coeffs != ex.eval_jet(b, 0.3, 6).coeffs
+        # a float and an array run the same kernel
+        xs = np.array([0.3, 0.4])
+        assert ex.eval_jet(a, xs, 6).coeffs[3][0] == ex.eval_jet(a, 0.3, 6).coeffs[3]
+        assert ex._jet_kernel(a, 4).__code__ is not ka.__code__
+
+    def test_non_integer_power_names_its_own_exponent(self):
+        base = ex.BinOp("*", ex.Var(), ex.Const(-0.25))
+        first, second = ex.Pow(base, Fraction(2, 3)), ex.Pow(base, Fraction(-5, 4))
+        assert ex._jet_kernel(first, 3).__code__ is ex._jet_kernel(second, 3).__code__
+        for e, exponent in ((first, 2 / 3), (second, -1.25)):
+            message = f"non-integer power {exponent!r} of non-positive constant term -0.25"
+            with pytest.raises(DomainViolation) as info:
+                ex.eval_jet(e, 1.0, 3)
+            assert str(info.value) == message
+            with pytest.raises(DomainViolation) as info:
+                ex.eval_jet(e, np.array([-1.0, 1.0]), 3)
+            assert (str(info.value), info.value.index) == (message, 1)
+
+    def test_cosine_type_at_zero_evaluates_its_argument(self):
+        # unlike the value kernels, the jet route evaluates u before it gives 1
+        e = ex.parse("C(0; log(x))")
+        message = "log of non-positive constant term -1.0"
+        with pytest.raises(DomainViolation, match=f"^{message}$"):
+            ex.eval_jet(e, -1.0, 2)
+        with pytest.raises(DomainViolation, match=f"^{message}$"):
+            ex.eval_jet(e, np.array([2.0, -1.0]), 2)
+        assert ex.eval_jet(e, 2.0, 2).coeffs == (1.0, 0.0, 0.0)
+
+    def test_overflow_before_a_domain_error_stays_first(self):
+        # nothing of a known constant is evaluated when the kernel is printed
+        e = ex.parse("log(-C(0; sinh(12345.678)))")
+        with pytest.raises(DomainViolation, match="^sinh/cosh overflow at constant term 12345.678$"):
+            ex.eval_jet(e, 0.5, 2)
+
+    def test_memos_stay_at_their_bounds(self):
+        info = ex._jet_factory.cache_info()
+        assert info.maxsize == ex.KERNEL_SHAPE_CACHE_SIZE
+        tree = ex.Var()
+        for _ in range(ex.KERNEL_SHAPE_CACHE_SIZE + 3):
+            tree = ex.BinOp("+", tree, ex.Var())
+            ex._jet_factory(ex._jet_shape(tree, []), 0)
+        assert ex._jet_factory.cache_info().currsize == ex.KERNEL_SHAPE_CACHE_SIZE
+        for i in range(ex.JET_KERNEL_CACHE_SIZE + 3):
+            ex.eval_jet(ex.Const(float(i)), 0.5, 1)
+        assert len(ex._JET_KERNELS) == ex.JET_KERNEL_CACHE_SIZE
+
+
+# ------------------------------------------------ Jet-level rules, unfolded
+
+_coeff = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False, allow_infinity=False)
+
+
+def _jet_pairs(order):
+    """Two jets of one order: on a float, or on two points as arrays."""
+    row = st.lists(_coeff, min_size=order + 1, max_size=order + 1)
+    return st.tuples(row, row, row, row)
+
+
+def _as_jets(rows, arrays):
+    a, b, c, d = rows
+    if not arrays:
+        return Jet(0.5, tuple(a)), Jet(0.5, tuple(b))
+    xs = np.array([0.5, 0.75])
+    return (Jet(xs, tuple(np.array(p) for p in zip(a, c))),
+            Jet(xs, tuple(np.array(p) for p in zip(b, d))))
+
+
+def _bits(coeffs):
+    return [np.asarray(c, dtype=float).tobytes() for c in coeffs]
+
+
+class TestJetFunctions:
+    """jets.mul, div, jexp, ... run the templates without folding, so they
+    keep the bits of the loop forms."""
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(st.integers(0, jets.MAX_ORDER).flatmap(_jet_pairs), st.booleans())
+    def test_bits_equal_the_loop_forms(self, rows, arrays):
+        a, b = _as_jets(rows, arrays)
+        u, v = list(a.coeffs), list(b.coeffs)
+        pos = Jet(a.base_point, (abs(u[0]) + 0.5, *u[1:]))
+        p = list(pos.coeffs)
+        cases = [
+            (jets.mul(a, b), _mul(u, v)),
+            (jets.jexp(a), _exp(u)),
+            (jets.jsin(a), _LOOP_RULES["sin"](u)), (jets.jcos(a), _LOOP_RULES["cos"](u)),
+            (jets.jsinh(a), _LOOP_RULES["sinh"](u)), (jets.jcosh(a), _LOOP_RULES["cosh"](u)),
+            (jets.jlog(pos), _log(p)), (jets.jsqrt(pos), _sqrt(p)),
+            (jets.jpow(pos, Fraction(2, 3)), _pow(p, Fraction(2, 3))),
+            (jets.jpow(pos, -1.25), _pow(p, -1.25)),
+            (jets.jpow(a, Fraction(3)), _ipow(u, 3)),
+            (jets.jpow(pos, Fraction(-2)), _ipow(p, -2)),
+            (jets.div(a, pos), _div(u, p)),
+        ]
+        for got, want in cases:
+            assert _bits(got.coeffs) == _bits(want)
+
+    def test_failures_equal_the_loop_forms(self):
+        zero = jets.jet_var(0.0, 3)
+        for run, ref in (
+            (lambda: jets.div(jets.jet_const(1.0, 0.0, 3), zero), lambda: _div([1.0, 0, 0, 0], list(zero.coeffs))),
+            (lambda: jets.jlog(zero), lambda: _log(list(zero.coeffs))),
+            (lambda: jets.jpow(zero, Fraction(-1)), lambda: _ipow(list(zero.coeffs), -1)),
+            (lambda: jets.jpow(zero, 0.5), lambda: _pow(list(zero.coeffs), 0.5)),
+            (lambda: jets.jexp(jets.jet_var(1000.0, 2)), lambda: _exp([1000.0, 1.0, 0.0])),
+        ):
+            got, want = _outcome(lambda: run().coeffs), _outcome(ref)
+            assert got[0] == "error" and got == want
+
+
+# -------------------------------------------------------- Phi/Psi kernel
+
+def _phi_psi_composed(jf: Jet, jg: Jet, order: int) -> tuple[Jet, Jet]:
+    """Phi and Psi as the Jet-level composition of the rules."""
+    f0, g0 = jf.truncate(order), jg.truncate(order)
+    f1, g1 = jf.derivative().truncate(order), jg.derivative().truncate(order)
+    f2, g2 = jf.derivative().derivative(), jg.derivative().derivative()
+    w10 = jets.sub(jets.mul(f1, g0), jets.mul(f0, g1))
+    w20 = jets.sub(jets.mul(f2, g0), jets.mul(f0, g2))
+    w21 = jets.sub(jets.mul(f2, g1), jets.mul(f1, g2))
+    jets.reject(
+        abs(w10.value) <= ex.TOL_WRONSKIAN,
+        lambda i: WronskianVanishes(jets.at(jf.base_point, i), jets.at(w10.value, i)),
+    )
+    return jets.div(w20, w10), -jets.div(w21, w10)
+
+
+@pytest.mark.parametrize("family", PAIR_FAMILIES)
+def test_phi_psi_kernel_equals_the_composition(rng, family):
+    pair = random_admissible_pair(rng, family)
+    lo, hi = pair.interval
+    xs = np.linspace(lo, hi, 19)[1:-1]
+    for order in range(0, 5):
+        for x in (float(xs[5]), xs, xs.reshape(1, -1)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                jf, jg = ex.eval_jet(pair.f, x, order + 2), ex.eval_jet(pair.g, x, order + 2)
+            got = ca._phi_psi_jets(jf, jg, order)
+            want = _phi_psi_composed(jf, jg, order)
+            for g, w in zip(got, want):
+                assert _bits(g.coeffs) == _bits(w.coeffs)
+
+
+def test_phi_psi_kernel_raises_where_the_composition_does():
+    jf = ex.eval_jet(ex.parse("x^3"), np.array([0.5, 1e-6, 2.0]), 4)
+    jg = ex.eval_jet(ex.parse("1"), np.array([0.5, 1e-6, 2.0]), 4)
+    got = _outcome(lambda: ca._phi_psi_jets(jf, jg, 2)[0].coeffs)
+    want = _outcome(lambda: _phi_psi_composed(jf, jg, 2)[0].coeffs)
+    assert got[0] == "error" and got[1] is WronskianVanishes and got == want

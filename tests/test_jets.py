@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -66,6 +67,20 @@ class TestConstruction:
         # coeffs store h^(k)/k!
         assert j.derivative_value(2) == 6.0
         assert j.derivative_value(3) == 24.0
+
+    def test_is_finite(self):
+        assert jet_var(1.0, 2).is_finite() is True
+        assert Jet(1.0, (1.0, math.inf)).is_finite() is False
+        one = Jet(np.array([0.5]), (np.array([1.0]), np.array([2.0])))
+        assert one.is_finite().tolist() == [True]
+        xs = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
+        j = Jet(xs, (xs, np.ones(xs.shape), np.zeros(xs.shape)))
+        finite = j.is_finite()
+        assert finite.shape == xs.shape and finite.all()
+        c = np.ones(xs.shape)
+        c[1, 2] = math.inf
+        bad = Jet(xs, (xs, np.ones(xs.shape), c)).is_finite()
+        assert bad.tolist() == [[True, True, True], [True, True, False]]
 
     def test_truncate(self):
         j = jet_var(1.0, 4)
