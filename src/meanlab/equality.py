@@ -1041,6 +1041,8 @@ def _sincos_battery(
         {"alpha": alpha, "beta": beta, "phi_gap": phi_gap},
         "shared Phi and power-law Psi with the fitted constants",
     )
+    if equivalent:
+        a_iv, alpha, beta = _equivalent_row("iv", eq_resid, tols), None, None
 
     # (v): quadratic forms in the generators plus proportional Wronskians
     ratios = wb / wa
@@ -1183,7 +1185,7 @@ def _sincos_battery(
 
     if not ebm:
         # constancy of the third-order Wronskian combination; meaningful
-        # only when the power-law assertion holds
+        # only when the power-law assertion holds, not by equivalence
         spreads = {}
         values = {}
         for name, s in (("A", sa), ("B", sb)):
@@ -1194,7 +1196,7 @@ def _sincos_battery(
             spreads[name] = _spread(es)
             values[name] = float(np.mean(es))
         exp_resid = max(spreads.values())
-        if a_iv.holds:
+        if a_iv.holds and not equivalent:
             a_exp = AssertionResult(
                 "exp",
                 exp_resid <= tols["constancy_spread"],

@@ -9,9 +9,10 @@ Bajraktarevic, Cauchy) are separate entry points with their own closed
 forms, used in tests as independent routes to the same values.
 
 mean_table and quasiarithmetic_table fill a whole n x n table of those
-means with one vectorized bracketed solve. The scalar mean_eval and
-quasiarithmetic stay the reference: every table element that the batched
-solve cannot certify is recomputed by them.
+means with one vectorized bracketed solve, of the upper triangle only where
+M(x, y) = M(y, x). The scalar mean_eval and quasiarithmetic stay the
+reference: every table element, solved or mirrored, that the batched solve
+cannot certify is recomputed by them.
 
 Both root solvers live here and share one pair of root tolerances:
 
@@ -171,63 +172,71 @@ def chandrupatla(
     at that end, which is then the root; it fails on a lost sign change, a
     non-finite bracket or nan values at both ends. Returns the roots and a
     mask of the elements that converged within _MAXITER steps; elsewhere
-    the root is nan.
+    the root is nan. Finished elements leave the state arrays once at most
+    half are live; until then they stay at their last point, so f is never
+    given a point the element did not reach.
     """
     z = np.full(a.shape, np.nan)
     ok = np.zeros(a.shape, dtype=bool)
-    active = np.arange(a.size)
+    # the state arrays hold the elements active[k], live or finished
+    active, live = np.arange(a.size), ~ok
     # (x1, f1) is the newest point, x2 the other end of the bracket and x3
-    # the point dropped last; the first step sets x3
-    x1, f1, x2, f2, x3, f3 = a, fa, b, fb, a, fa
+    # the point dropped last; the first step sets x3. s1 is the sign of f1
+    x1, f1, x2, f2, x3, f3, s1 = a, fa, b, fb, a, fa, np.sign(fa)
     with np.errstate(invalid="ignore"):
         # the value test is off where an end value is nan or both are infinite
         ftol = _FATOL + 0.0 * np.minimum(np.abs(fa), np.abs(fb))
     t = 0.5
     nit = 0
     while True:
-        near = np.abs(f1) < np.abs(f2)
-        xmin = np.where(near, x1, x2)
-        conv = np.abs(np.where(near, f1, f2)) <= ftol
-        fail = ~conv & (
-            (np.sign(f1) == np.sign(f2))
-            | ~(np.isfinite(x1) & np.isfinite(x2))
-            | (np.isnan(f1) & np.isnan(f2))
-        )
-        dx = np.abs(x2 - x1)
-        tol = np.abs(xmin) * _XRTOL + _XATOL
-        conv |= ~fail & (dx < tol)
-        done = active[conv]
-        z[done] = xmin[conv]
-        ok[done] = True
-        keep = ~(conv | fail)
-        if nit == _MAXITER or not keep.any():
-            return z, ok
-        if not keep.all():
-            active, x1, f1, x2, f2, x3, f3, ftol, dx, tol = (
-                v[keep] for v in (active, x1, f1, x2, f2, x3, f3, ftol, dx, tol)
-            )
-            args = tuple(v[keep] for v in args)
-        if nit:
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                # inverse quadratic interpolation where the three points allow it
-                xi1 = (x1 - x2) / (x3 - x2)
-                phi1 = (f1 - f2) / (f3 - f2)
-                alpha = (x3 - x1) / (x2 - x1)
-                quadratic = ((1 - np.sqrt(1 - xi1)) < phi1) & (phi1 < np.sqrt(xi1))
-                t = np.where(
-                    quadratic,
-                    f1 / (f1 - f2) * f3 / (f3 - f2) - alpha * f1 / (f3 - f1) * f2 / (f2 - f3),
-                    0.5,
+        # one error state for the step: only non-finite or finished brackets
+        # make its arithmetic divide by zero or turn invalid
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            near = np.abs(f1) < np.abs(f2)
+            xmin = np.where(near, x1, x2)
+            conv = np.abs(np.where(near, f1, f2)) <= ftol
+            bad = ~(np.isfinite(x1) & np.isfinite(x2)) | (np.isnan(f1) & np.isnan(f2))
+            if not nit:
+                # a step keeps the signs of f1 and f2 apart
+                bad |= s1 == np.sign(f2)
+            d21 = x2 - x1
+            tol = np.abs(xmin) * _XRTOL + _XATOL
+            conv |= ~bad & (np.abs(d21) < tol)
+            conv &= live
+            done = active[conv]
+            z[done] = xmin[conv]
+            ok[done] = True
+            live &= ~(conv | bad)
+            nlive = np.count_nonzero(live)
+            if nit == _MAXITER or not nlive:
+                return z, ok
+            if 2 * nlive <= live.size:
+                active, x1, f1, s1, x2, f2, x3, f3, ftol, d21, tol, *args = (
+                    v[live] for v in (active, x1, f1, s1, x2, f2, x3, f3, ftol, d21, tol, *args)
                 )
+                live = live[live]
+            if nit:
+                # inverse quadratic interpolation where the three points allow it
+                d12, d32 = f1 - f2, f3 - f2
+                xi1 = (x1 - x2) / (x3 - x2)
+                phi1 = d12 / d32
+                quadratic = ((1 - np.sqrt(1 - xi1)) < phi1) & (phi1 < np.sqrt(xi1))
+                # f1/(f1-f2) * f3/(f3-f2) - alpha * f1/(f3-f1) * f2/(f2-f3) with
+                # alpha = (x3-x1)/(x2-x1); f2 - f3 is -d32 exactly
+                t = f1 / d12 * f3 / d32 + (x3 - x1) / d21 * f1 / (f3 - f1) * f2 / d32
+                np.copyto(t, 0.5, where=~quadratic)
                 # keep the new point at least half a tolerance inside the bracket
-                tl = 0.5 * tol / dx
-                t = np.clip(t, tl, 1 - tl)
-        x = x1 + t * (x2 - x1)
+                tl = 0.5 * tol / np.abs(d21)
+                np.minimum(np.maximum(t, tl, out=t), 1 - tl, out=t)
+            x = x1 + t * d21
+        if nlive < live.size:
+            x = np.where(live, x, x1)
         fx = f(x, *args)
-        same = np.sign(fx) == np.sign(f1)
+        sx = np.sign(fx)
+        same = sx == s1
         x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
         x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
-        x1, f1 = x, fx
+        x1, f1, s1 = x, fx, sx
         nit += 1
 
 
@@ -280,11 +289,13 @@ def mean_table(spec: MeanSpec, xs: Sequence[float]) -> np.ndarray:
     """The n x n table T[i, j] = mean_eval(spec, xs[i], xs[j]).
 
     The segment integrals of all pairs are taken node by node, with
-    mean_eval's arithmetic, and all off-diagonal roots are found in one
-    batched solve. The diagonal is exact. Each solved element must pass
-    mean_eval's residual certificate; an element that does not bracket,
-    converge or certify is recomputed by mean_eval, which keeps its
-    endpoint fallback and raises its BracketFailure.
+    mean_eval's arithmetic, and the off-diagonal roots are found in one
+    batched solve: of the upper triangle only, copied to its mirror, when
+    the measure is symmetric under t -> 1 - t. The diagonal is exact. Each
+    element, solved or copied, must pass mean_eval's residual certificate
+    against its own ratio; one that does not bracket, converge or certify
+    is recomputed by mean_eval, which keeps its endpoint fallback and
+    raises its BracketFailure.
     """
     xs = np.asarray(xs, dtype=float)
     for x in xs:
@@ -295,14 +306,24 @@ def mean_table(spec: MeanSpec, xs: Sequence[float]) -> np.ndarray:
     X, Y = xs[:, None], xs[None, :]
     num = spec.measure.integrate(lambda t: f(t * X + (1.0 - t) * Y))
     den = spec.measure.integrate(lambda t: g(t * X + (1.0 - t) * Y))
-    off = X != Y
-    r = (num / den)[off]
-    z, ok = _bracketed_roots(
-        lambda z, r: f(z) - r * g(z), np.minimum(X, Y)[off], np.maximum(X, Y)[off], r
-    )
-    zk, rk = z[ok], r[ok]
-    ok[ok] = np.abs(f(zk) / g(zk) - rk) <= RESIDUAL_TOL * (1.0 + np.abs(rk))
-    return _fill_table(xs, off, z, ok, lambda x, y: mean_eval(spec, x, y))
+    r = num / den
+    mirror = _symmetric(spec.measure)
+    solve, lo, hi = _brackets(xs, mirror)
+    z, ok = _bracketed_roots(lambda z, r: f(z) - r * g(z), lo, hi, r[solve])
+    ratio = np.full(z.shape, np.nan)
+    ratio[ok] = f(z[ok]) / g(z[ok])
+
+    def certified(r: np.ndarray) -> np.ndarray:
+        return np.abs(ratio - r) <= RESIDUAL_TOL * (1.0 + np.abs(r))
+
+    return _fill_table(xs, solve, z, certified(r[solve]), lambda x, y: mean_eval(spec, x, y),
+                       certified(r.T[solve]) if mirror else None)
+
+
+def _symmetric(measure: Measure) -> bool:
+    """Whether the measure's nodes and weights are invariant under t -> 1 - t."""
+    ts, ws = measure._nodes()
+    return all(t + u == 1.0 and v == w for t, u, v, w in zip(ts, ts[::-1], ws, ws[::-1]))
 
 
 def quasiarithmetic_table(
@@ -310,33 +331,40 @@ def quasiarithmetic_table(
 ) -> np.ndarray:
     """The n x n table T[i, j] = quasiarithmetic(phi, xs[i], xs[j]).
 
-    phi must be elementwise on arrays and also accept floats. All
-    off-diagonal inversions are solved in one batch; an element that does
-    not bracket or converge is recomputed by quasiarithmetic, which raises
-    its BracketFailure.
+    phi must be elementwise on arrays and also accept floats. The target
+    and bracket of (i, j) and (j, i) are the same, so the upper triangle is
+    solved in one batch and copied to its mirror. An element that does not
+    bracket or converge is recomputed, in each order, by quasiarithmetic,
+    which raises its BracketFailure.
     """
     xs = np.asarray(xs, dtype=float)
     p = np.asarray(phi(xs), dtype=float)
+    solve, lo, hi = _brackets(xs, True)
+    target = (0.5 * (p[:, None] + p[None, :]))[solve]
+    z, ok = _bracketed_roots(lambda z, c: phi(z) - c, lo, hi, target)
+    ok &= (p[:, None] != p[None, :])[solve]
+    return _fill_table(xs, solve, z, ok, lambda x, y: quasiarithmetic(phi, x, y), ok)
+
+
+def _brackets(xs: np.ndarray, upper: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The mask of the elements to solve, xs[i] != xs[j] (only i < j with
+    upper), and their brackets in row-major order."""
     X, Y = xs[:, None], xs[None, :]
-    off = X != Y
-    target = (0.5 * (p[:, None] + p[None, :]))[off]
-    z, ok = _bracketed_roots(
-        lambda z, c: phi(z) - c, np.minimum(X, Y)[off], np.maximum(X, Y)[off], target
-    )
-    ok &= (p[:, None] != p[None, :])[off]
-    return _fill_table(xs, off, z, ok, lambda x, y: quasiarithmetic(phi, x, y))
+    solve = np.triu(X != Y, 1) if upper else X != Y
+    return solve, np.minimum(X, Y)[solve], np.maximum(X, Y)[solve]
 
 
 def _fill_table(
-    xs: np.ndarray, off: np.ndarray, z: np.ndarray, ok: np.ndarray,
-    scalar: Callable[[float, float], float],
+    xs: np.ndarray, solve: np.ndarray, z: np.ndarray, ok: np.ndarray,
+    scalar: Callable[[float, float], float], mirror_ok: np.ndarray | None = None,
 ) -> np.ndarray:
-    """x on the diagonal, the batched roots off it, and the scalar route
-    wherever the batch gave no certified root."""
+    """x on the diagonal, z at the solve mask (and at its transpose, given
+    mirror_ok), and the scalar route, row by row, where ok is False."""
     table = np.repeat(xs[:, None], len(xs), axis=1)
-    table[off] = z
-    miss = np.zeros_like(off)
-    miss[off] = ~ok
+    miss = np.zeros(solve.shape, dtype=bool)
+    table[solve], miss[solve] = z, ~ok
+    if mirror_ok is not None:
+        table.T[solve], miss.T[solve] = z, ~mirror_ok
     for i, j in zip(*np.nonzero(miss)):
         table[i, j] = scalar(float(xs[i]), float(xs[j]))
     return table

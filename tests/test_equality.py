@@ -445,8 +445,21 @@ class TestBinarySymmetricLadder:
         rep = eq.check_EBM(SINCOS, image, grid=15)
         assert rep.all_hold
         assert isinstance(rep.equivalence, eq.Matrix2)
-        for key in ("v", "vi", "vii", "viii", "ix"):
+        for key in ("iv", "v", "vi", "vii", "viii", "ix"):
             assert "first alternative" in rep.verdict_per_assertion[key].note
+
+    @pytest.mark.parametrize("check", [eq.check_EBM, eq.check_ECM])
+    def test_equivalent_pair_outside_the_sincos_family_holds_row_iv(self, check):
+        # (x^2, x^(5/2)) has no power-law Psi, so row (iv) used to fail on it
+        # (residual 0.939 under EBM, 0.205 under ECM) although the means agree
+        pair = ex.validate_pair("x^2", "x^(5/2)", (0.5, 2.0))
+        rep = check(pair, pair, grid=20)
+        assert rep.failing == ()
+        assert "first alternative" in rep.verdict_per_assertion["iv"].note
+        assert rep.fitted["alpha"] is None and rep.fitted["beta"] is None
+        if check is eq.check_ECM:
+            # the power law is not established, so its constancy row stays open
+            assert rep.verdict_per_assertion["exp"].holds is None
 
     def test_measure_gate(self):
         with pytest.raises(NotApplicable):

@@ -149,6 +149,22 @@ def test_mean_eval_matches_50_digit_reference(measure):
             assert abs(got - ref) <= 1e-14 * max(1.0, abs(ref)), (fam, x, y, got, ref)
 
 
+@pytest.mark.parametrize("measure", sorted(MEASURES))
+def test_mean_table_matches_50_digit_reference(measure):
+    pytest.importorskip("mpmath")
+    for fam, pair, _ in _cases(6):
+        spec = MeanSpec(pair, MEASURES[measure])
+        lo, hi = pair.interval
+        xs = lo + (hi - lo) * np.array([0.07, 0.31, 0.62, 0.93])
+        table = mn.mean_table(spec, xs)
+        for i, x in enumerate(xs):
+            for j, y in enumerate(xs):
+                if i != j:
+                    ref = _mp_mean(spec, x, y)
+                    got = table[i, j]
+                    assert abs(got - ref) <= 1e-14 * max(1.0, abs(ref)), (fam, x, y, got, ref)
+
+
 # --------------------------------------------------------------- properties
 
 _PAIRS = {fam: random_admissible_pair(random.Random(3), fam) for fam in PAIR_FAMILIES}

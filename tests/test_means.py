@@ -337,3 +337,101 @@ class TestMeanTable:
         spec = spec_of("x", "1", (0.0, 1.0), EBM)
         with pytest.raises(OutOfInterval):
             mean_table(spec, [0.5, 2.0])
+
+
+def _full_square_table(spec: MeanSpec, xs) -> tuple[np.ndarray, np.ndarray]:
+    """mean_table solving every off-diagonal element, mirror or not, and
+    the table of ratios r it solved for."""
+    xs = np.asarray(xs, dtype=float)
+    f, g = ex.compile_array(spec.pair.f), ex.compile_array(spec.pair.g)
+    X, Y = xs[:, None], xs[None, :]
+    num = spec.measure.integrate(lambda t: f(t * X + (1.0 - t) * Y))
+    den = spec.measure.integrate(lambda t: g(t * X + (1.0 - t) * Y))
+    off = X != Y
+    lo, hi, r = np.minimum(X, Y)[off], np.maximum(X, Y)[off], (num / den)[off]
+    z, ok = mn._bracketed_roots(lambda z, r: f(z) - r * g(z), lo, hi, r)
+    assert ok.all()
+    table = np.repeat(xs[:, None], len(xs), axis=1)
+    table[off] = z
+    return table, num / den
+
+
+def _recorded_chandrupatla(monkeypatch) -> list:
+    sizes = []
+    solver = mn.chandrupatla
+
+    def wrapper(f, a, *rest):
+        sizes.append(a.size)
+        return solver(f, a, *rest)
+
+    monkeypatch.setattr(mn, "chandrupatla", wrapper)
+    return sizes
+
+
+class TestMirroredTables:
+    @pytest.mark.parametrize("measure, symmetric", [
+        (EBM, True), (Lebesgue(), True),
+        (Discrete(((0.0, 0.3), (0.7, 0.7))), False), (Density("2 * x"), False),
+    ], ids=["ebm", "lebesgue", "atoms", "density"])
+    def test_symmetric_reads_the_nodes(self, measure, symmetric):
+        assert mn._symmetric(measure) is symmetric
+
+    @pytest.mark.parametrize("family", PAIR_FAMILIES)
+    @pytest.mark.parametrize("measure", [EBM, Lebesgue()], ids=["ebm", "lebesgue"])
+    def test_symmetric_measure_solves_one_triangle(self, family, measure, rng, monkeypatch):
+        spec = MeanSpec(pair=random_admissible_pair(rng, family), measure=measure)
+        xs = _grid(spec.pair, 12)
+        want, r = _full_square_table(spec, xs)
+        sizes = _recorded_chandrupatla(monkeypatch)
+        table = mean_table(spec, xs)
+        assert sizes == [12 * 11 // 2]
+        assert np.array_equal(table, table.T)
+        # a mirrored ratio differs from its own by ulps, and each solve stops
+        # within a root tolerance, so the two routes agree to twice that
+        assert np.all(np.abs(table - want) <= 2 * (mn._XATOL + mn._XRTOL * np.abs(want)))
+        # every element, solved or mirrored, certifies against its own ratio
+        f, g = ex.compile_array(spec.pair.f), ex.compile_array(spec.pair.g)
+        off = ~np.eye(12, dtype=bool)
+        resid = np.abs(f(table) / g(table) - r)[off]
+        assert np.all(resid <= mn.RESIDUAL_TOL * (1.0 + np.abs(r[off])))
+
+    def test_each_mirrored_element_keeps_its_own_certificate(self, monkeypatch):
+        # mirroring under an asymmetric measure copies roots that are not the
+        # mirrors' means; each copy must fail its own certificate and fall back
+        spec = spec_of("exp(x)", "1", (-1.0, 1.0), Discrete(((0.0, 0.3), (0.7, 0.7))))
+        xs = np.linspace(-0.8, 0.8, 6)
+        want = _scalar_table(spec, xs)
+        fallbacks = []
+        monkeypatch.setattr(mn, "_symmetric", lambda measure: True)
+        monkeypatch.setattr(mn, "mean_eval", lambda *a: fallbacks.append(a[1:]) or mean_eval(*a))
+        table = mean_table(spec, xs)
+        assert fallbacks == [(x, y) for i, x in enumerate(xs) for y in xs[:i]]
+        assert np.all(np.abs(table - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("measure", [Discrete(((0.0, 0.3), (0.7, 0.7))), Density("2 * x")],
+                             ids=["atoms", "density"])
+    def test_asymmetric_measure_solves_the_square(self, measure, rng, monkeypatch):
+        spec = MeanSpec(pair=random_admissible_pair(rng, PAIR_FAMILIES[0]), measure=measure)
+        xs = _grid(spec.pair, 12)
+        want, _ = _full_square_table(spec, xs)
+        sizes = _recorded_chandrupatla(monkeypatch)
+        assert np.array_equal(mean_table(spec, xs), want)
+        assert sizes == [12 * 11]
+
+    @pytest.mark.parametrize("integrand", [np.cos, np.exp, lambda t: np.cbrt(t * t + 0.1)])
+    def test_quasiarithmetic_table_equals_full_square(self, integrand, monkeypatch):
+        phi = CumulativeIntegral(integrand, 0.1)
+        xs = np.linspace(-1.2, 1.3, 15)
+        p = phi(xs)
+        X, Y = xs[:, None], xs[None, :]
+        off = X != Y
+        z, ok = mn._bracketed_roots(
+            lambda z, c: phi(z) - c, np.minimum(X, Y)[off], np.maximum(X, Y)[off],
+            (0.5 * (p[:, None] + p[None, :]))[off],
+        )
+        assert ok.all()
+        want = np.repeat(xs[:, None], 15, axis=1)
+        want[off] = z
+        sizes = _recorded_chandrupatla(monkeypatch)
+        assert np.array_equal(quasiarithmetic_table(phi, xs), want)
+        assert sizes == [15 * 14 // 2]

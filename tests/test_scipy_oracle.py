@@ -150,3 +150,29 @@ def test_nan_bands_fail_as_in_find_root():
     assert 0 < ok.sum() < n
     assert np.array_equal(ok, want_ok)
     assert np.array_equal(z, want_z, equal_nan=True)
+
+
+def test_finished_elements_are_evaluated_at_no_new_point():
+    # a third of the batch converges early, so those elements wait in the
+    # state arrays while the rest run; every (element, x) given to f must be
+    # one find_root gives it too
+    rng = np.random.default_rng(3)
+    n = 300
+    idx, root = np.arange(n), rng.uniform(0.05, 0.95, n)
+    k = np.where(idx < n // 3, 1.0, 25.0)
+    seen = {"mine": set(), "scipy": set()}
+
+    def recorded(name):
+        def f(x, idx, root, k):
+            seen[name].update(zip(np.broadcast_to(idx, x.shape).tolist(), x.tolist()))
+            return np.tanh(k * (x - root))
+        return f
+
+    a, b = np.zeros(n), np.ones(n)
+    fa, fb = np.tanh(k * (a - root)), np.tanh(k * (b - root))
+    z, ok = mn.chandrupatla(recorded("mine"), a, b, fa, fb, (idx, root, k))
+    want_z, want_ok = _scipy_roots(recorded("scipy"), a, b, (idx, root, k))
+    assert ok.all() and np.array_equal(ok, want_ok) and np.array_equal(z, want_z)
+    # the caller evaluates the ends for chandrupatla, find_root evaluates them itself
+    ends = {(i, x) for i in idx.tolist() for x in (0.0, 1.0)}
+    assert seen["mine"] - ends == seen["scipy"] - ends
