@@ -27,7 +27,7 @@ from .errors import (
     WronskianVanishes,
 )
 from .expr import FunctionPair
-from .jets import Jet, at, first_failure, jet_const, mul, reject
+from .jets import Jet, at, first_failure, reject
 from .means import MeanSpec, _section
 from .measures import DEGENERATE_TOL, MOMENT_ZERO_TOL, Measure, moments
 
@@ -117,6 +117,11 @@ def _vanishing(small, x, w10) -> None:
     reject(small, lambda i: WronskianVanishes(at(x, i), at(w10, i)))
 
 
+def _shift(em: jets.Emitter, c: list) -> list:
+    """The coefficients of h' from those of h; the order drops by one."""
+    return [em.mul(c[k + 1], k + 1) for k in range(len(c) - 1)]
+
+
 @lru_cache(maxsize=jets.MAX_ORDER + 1)
 def _phi_psi_kernel(order: int):
     """kernel(x, tol, f_0..f_{order+2}, g_0..g_{order+2}) -> the coefficients
@@ -130,16 +135,13 @@ def _phi_psi_kernel(order: int):
     f = [f"f{k}" for k in range(order + 3)]
     g = [f"g{k}" for k in range(order + 3)]
 
-    def derivative(c: list) -> list:
-        return [em.mul(c[k + 1], k + 1) for k in range(len(c) - 1)]
-
     def wronskian(a, b, c, d) -> list:
         ab, cd = jets.mul_rule(em, a, b), jets.mul_rule(em, c, d)
         return [em.sub(p, q) for p, q in zip(ab, cd)]
 
     n = order + 1
-    f1, g1 = derivative(f), derivative(g)
-    f2, g2 = derivative(f1), derivative(g1)
+    f1, g1 = _shift(em, f), _shift(em, g)
+    f2, g2 = _shift(em, f1), _shift(em, g1)
     f0, g0, f1, g1 = f[:n], g[:n], f1[:n], g1[:n]
     w10, w20, w21 = wronskian(f1, g0, f0, g1), wronskian(f2, g0, f0, g2), wronskian(f2, g1, f1, g2)
     em.check("abs({}) <= tol", f"_vanishing({{}}, x, {w10[0]})", w10[0])
@@ -196,22 +198,33 @@ def sample(pair: FunctionPair, xs, order: int) -> GridSamples:
     return GridSamples(d_f=d_f, d_g=d_g, phi=phi, psi=psi)
 
 
-def _match(a: Jet, b: Jet) -> tuple[Jet, Jet]:
-    m = min(a.order, b.order)
-    return a.truncate(m), b.truncate(m)
+@lru_cache(maxsize=jets.MAX_ORDER + 1)
+def _recursion_kernel(n: int):
+    """kernel(Phi_0..Phi_{n-2}, Psi_0..Psi_{n-2}) -> (phi_0..phi_n, psi_0..psi_n),
+    printed once per depth n from the unfolded jets templates.
 
-
-def _mul(a: Jet, b: Jet) -> Jet:
-    return mul(*_match(a, b))
-
-
-def _add(a: Jet, b: Jet) -> Jet:
-    x, y = _match(a, b)
-    return x + y
+    A step takes the jets of phi_i and psi_i, of order m + 1, to those of
+    phi_{i+1} = phi_i' + phi_i * Phi + psi_i and psi_{i+1} = phi_i * Psi +
+    psi_i' at order m, the order of the shifts; the outputs are the
+    constant terms.
+    """
+    em = jets.Emitter()
+    P, Q = [f"p{k}" for k in range(n - 1)], [f"q{k}" for k in range(n - 1)]
+    phi_i, psi_i = [1.0] + [0.0] * (n - 1), [0.0] * n
+    phis, psis = [0.0, 1.0], [1.0, 0.0]
+    for m in range(n - 1, 0, -1):
+        d_phi, d_psi = _shift(em, phi_i), _shift(em, psi_i)
+        by_phi, by_psi = jets.mul_rule(em, phi_i[:m], P[:m]), jets.mul_rule(em, phi_i[:m], Q[:m])
+        phi_i = [em.add(em.add(d, c), e) for d, c, e in zip(d_phi, by_phi, psi_i)]
+        psi_i = [em.add(c, d) for c, d in zip(by_psi, d_psi)]
+        phis.append(phi_i[0])
+        psis.append(psi_i[0])
+    source = f"def kernel({', '.join(P + Q)}):\n{em.body(phis + psis, '    ')}"
+    return jets.compile_source(source, jets.NAMES, "recursion kernel")["kernel"]
 
 
 def recursion_seq(pair: FunctionPair, x: float, n: int = 6) -> SeqPair:
-    """Run the derivative-elimination recursion in jet arithmetic.
+    """Run the derivative-elimination recursion on the jets of Phi and Psi.
 
     phi_{i+1} = phi_i' + phi_i * Phi + psi_i and psi_{i+1} = phi_i * Psi +
     psi_i', seeded by phi_1 = 1, psi_1 = 0; the order-0 entries are the
@@ -221,18 +234,8 @@ def recursion_seq(pair: FunctionPair, x: float, n: int = 6) -> SeqPair:
     if n < 2 or n > 6:
         raise OrderOutOfRange(f"recursion depth n = {n} outside 2..6")
     pp = phi_psi(pair, x, order=n - 2)
-    # seeds at i = 1; both are exact constants
-    phi_i = jet_const(1.0, x, n - 1)
-    psi_i = jet_const(0.0, x, n - 1)
-    phis = [0.0, 1.0]
-    psis = [1.0, 0.0]
-    for _ in range(1, n):
-        nxt_phi = _add(_add(phi_i.derivative(), _mul(phi_i, pp.phi_jet)), psi_i)
-        nxt_psi = _add(_mul(phi_i, pp.psi_jet), psi_i.derivative())
-        phi_i, psi_i = nxt_phi, nxt_psi
-        phis.append(phi_i.value)
-        psis.append(psi_i.value)
-    return SeqPair(x=x, phi=tuple(phis), psi=tuple(psis))
+    out = _recursion_kernel(n)(*pp.phi_jet.coeffs, *pp.psi_jet.coeffs)
+    return SeqPair(x=x, phi=out[: n + 1], psi=out[n + 1 :])
 
 
 def _seq_closed_form(phi, psi) -> tuple[tuple, tuple]:

@@ -46,10 +46,7 @@ def _parse_tolerances(items: Sequence[str] | None) -> dict[str, float]:
         name, sep, raw = item.partition("=")
         if not sep or not name:
             raise ValueError(f"tolerance override must look like name=value, got {item!r}")
-        value = float(raw)
-        if not value > 0.0:
-            raise ValueError(f"tolerance {name} must be positive, got {value}")
-        tols[name] = value
+        tols[name] = float(raw)
     return tols
 
 
@@ -105,10 +102,9 @@ def _regime_text(info) -> list[str]:
 def _cmd_eval(args: argparse.Namespace) -> None:
     measure = _parse_measure(args.measure)
     x, y = float(args.x), float(args.y)
-    if args.lo is None or args.hi is None:
-        lo, hi = _default_interval(x, y)
-    else:
-        lo, hi = _interval_from_args(args)
+    if (args.lo is None) != (args.hi is None):
+        raise ValueError("--lo and --hi go together: give both or neither")
+    lo, hi = _default_interval(x, y) if args.lo is None else _interval_from_args(args)
     pair = ex.validate_pair(args.f, args.g, (lo, hi))
     value = mean_eval(MeanSpec(pair, measure), x, y)
     config = {

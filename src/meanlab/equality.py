@@ -862,12 +862,17 @@ N15_TOLERANCES: dict[str, float] = {
 
 
 def _with_overrides(table: Mapping[str, float], overrides: Mapping[str, float] | None) -> dict:
-    """The tolerance table with overrides; a name not in the table raises ValueError."""
+    """The tolerance table with overrides; a name not in the table, or a value
+    that is not a positive finite number, raises ValueError."""
     unknown = sorted(set(overrides or ()) - set(table))
     if unknown:
         raise ValueError(f"unknown tolerance {', '.join(unknown)}; known: {', '.join(sorted(table))}")
     # overrides are the only values that come from outside the program
-    return {**table, **{k: float(v) for k, v in (overrides or {}).items()}}
+    values = {k: float(v) for k, v in (overrides or {}).items()}
+    for name, value in values.items():
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"tolerance {name} must be positive and finite, got {value}")
+    return {**table, **values}
 
 
 _EBM_ATOMS = ((0.0, 0.5), (1.0, 0.5))

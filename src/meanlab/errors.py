@@ -2,7 +2,8 @@
 
 Every failure mode that is part of a module contract raises a subclass of
 MeanLabError, so callers (and the CLI) can distinguish validation failures
-from programming errors.
+from programming errors. The jet errors below come from the printed jet
+kernels of expr.eval_jet and calculus.
 """
 
 from __future__ import annotations
@@ -16,14 +17,6 @@ class MeanLabError(Exception):
 
 class OrderOutOfRange(MeanLabError):
     """Requested truncation order is negative or above the supported maximum."""
-
-
-class OrderMismatch(MeanLabError):
-    """Binary jet operation on jets of different truncation orders."""
-
-
-class BasePointMismatch(MeanLabError):
-    """Binary jet operation on jets anchored at different base points."""
 
 
 class DivisionByZeroConstantTerm(MeanLabError):

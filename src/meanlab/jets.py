@@ -12,9 +12,10 @@ an array over them. Every rule is stated once, as a template that prints
 straight-line code at a fixed order (Emitter): sums run left to right in one
 fixed order and constant terms come from libm, mapped over the points of an
 array. So a point gives the same bits alone as in any batch, and overflow
-gives inf (callers silence numpy's warnings). The Jet-level functions below
-run these templates compiled once per order, and expr and calculus print
-whole trees and the Phi/Psi jets from them.
+gives inf (callers silence numpy's warnings). The templates run only in
+printed kernels: expr.eval_jet prints whole trees, and calculus the Phi/Psi
+jets and the phi_i/psi_i recursion. There is no jet arithmetic here; the jet
+of a composite function is eval_jet of its tree.
 """
 
 from __future__ import annotations
@@ -24,21 +25,12 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    BasePointMismatch,
-    DivisionByZeroConstantTerm,
-    DomainViolation,
-    OrderMismatch,
-    OrderOutOfRange,
-)
+from .errors import DivisionByZeroConstantTerm, DomainViolation, OrderOutOfRange
 
 MAX_ORDER = 8
-# bound of the memo of compiled Jet-level rules, one per rule and order
-RULE_CACHE_SIZE = 128
 
 _FACTORIALS = tuple(math.factorial(k) for k in range(MAX_ORDER + 1))
 
@@ -70,21 +62,6 @@ class Jet:
             raise OrderOutOfRange(f"derivative order {k} outside jet order {self.order}")
         return self.coeffs[k] * _FACTORIALS[k]
 
-    def truncate(self, order: int) -> "Jet":
-        _check_order(order)
-        if order > self.order:
-            raise OrderOutOfRange(f"cannot extend jet of order {self.order} to {order}")
-        if order == self.order:
-            return self
-        return Jet(self.base_point, self.coeffs[: order + 1])
-
-    def derivative(self) -> "Jet":
-        """Jet of h' at the same base point; order drops by one."""
-        if self.order == 0:
-            raise OrderOutOfRange("cannot differentiate an order-0 jet")
-        c = self.coeffs
-        return Jet(self.base_point, tuple(c[k + 1] * (k + 1) for k in range(self.order)))
-
     def is_finite(self):
         """Whether every coefficient is finite: a bool for a float base point,
         a boolean array of the points' shape for an array of points."""
@@ -94,22 +71,6 @@ class Jet:
         for c in self.coeffs:
             finite &= np.isfinite(c)
         return finite
-
-    def __neg__(self) -> "Jet":
-        return Jet(self.base_point, tuple(-c for c in self.coeffs))
-
-
-def jet_var(x, order: int) -> Jet:
-    """Jet of the identity function at x."""
-    _check_order(order)
-    x = x if isinstance(x, np.ndarray) else float(x)
-    return Jet(x, ((x, 1.0) + (0.0,) * order)[: order + 1])
-
-
-def jet_const(c: float, x, order: int) -> Jet:
-    """Jet of the constant function c at x."""
-    _check_order(order)
-    return Jet(x if isinstance(x, np.ndarray) else float(x), (float(c),) + (0.0,) * order)
 
 
 # ------------------------------------------------------ points and failures
@@ -470,103 +431,3 @@ def integer_exponent(exponent) -> int | None:
         return exponent.numerator
     e = float(exponent)
     return int(e) if e == int(e) else None
-
-
-# ---------------------------------------------------------- Jet functions
-
-@lru_cache(maxsize=RULE_CACHE_SIZE)
-def _rule(template, order: int, arity: int, *params):
-    """template compiled at one order, without folding. The function takes
-    the str params (names of run-time arguments), then the coefficients of
-    arity jets; the other params are fixed in the code."""
-    em = Emitter()
-    ins = [[f"a{i}_{k}" for k in range(order + 1)] for i in range(arity)]
-    args = [p for p in params if isinstance(p, str)] + [a for row in ins for a in row]
-    out = template(em, *ins, *params)
-    source = f"def rule({', '.join(args)}):\n{em.body(out, '    ')}"
-    return compile_source(source, NAMES, f"jet rule {template.__name__}")["rule"]
-
-
-def _aligned(a: Jet, b: Jet) -> None:
-    p, q = a.base_point, b.base_point
-    arrays = isinstance(p, np.ndarray) or isinstance(q, np.ndarray)
-    if p is not q and not (np.array_equal(p, q) if arrays else p == q):
-        raise BasePointMismatch(f"base points differ: {p!r} vs {q!r}")
-    if len(a.coeffs) != len(b.coeffs):
-        raise OrderMismatch(f"orders differ: {a.order} vs {b.order}")
-
-
-def add(a: Jet, b: Jet) -> Jet:
-    _aligned(a, b)
-    return Jet(a.base_point, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
-
-
-def sub(a: Jet, b: Jet) -> Jet:
-    _aligned(a, b)
-    return Jet(a.base_point, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
-
-
-def _binary(template, a: Jet, b: Jet) -> Jet:
-    _aligned(a, b)
-    return Jet(a.base_point, _rule(template, a.order, 2)(*a.coeffs, *b.coeffs))
-
-
-def _unary(template, a: Jet, *params) -> Jet:
-    return Jet(a.base_point, _rule(template, a.order, 1, *params)(*a.coeffs))
-
-
-def mul(a: Jet, b: Jet) -> Jet:
-    """Cauchy product; it commutes bitwise."""
-    return _binary(mul_rule, a, b)
-
-
-def div(a: Jet, b: Jet) -> Jet:
-    return _binary(div_rule, a, b)
-
-
-Jet.__add__, Jet.__sub__, Jet.__mul__, Jet.__truediv__ = add, sub, mul, div
-
-
-def jexp(a: Jet) -> Jet:
-    return _unary(exp_rule, a)
-
-
-def jlog(a: Jet) -> Jet:
-    return _unary(log_rule, a)
-
-
-def jsin(a: Jet) -> Jet:
-    return _unary(sin_rule, a)
-
-
-def jcos(a: Jet) -> Jet:
-    return _unary(cos_rule, a)
-
-
-def jsinh(a: Jet) -> Jet:
-    return _unary(sinh_rule, a)
-
-
-def jcosh(a: Jet) -> Jet:
-    return _unary(cosh_rule, a)
-
-
-def jsqrt(a: Jet) -> Jet:
-    return _unary(sqrt_rule, a)
-
-
-def jpow(a: Jet, exponent) -> Jet:
-    """Real power a(x)^e. Integer exponents work for any sign of the constant
-    term; non-integer exponents require a positive constant term."""
-    n = integer_exponent(exponent)
-    if n is not None:
-        return _unary(ipow_rule, a, n)
-    return Jet(a.base_point, _rule(rpow_rule, a.order, 1, "e")(float(exponent), *a.coeffs))
-
-
-def jabspow(a: Jet, exponent: float) -> Jet:
-    """|a(x)|^e for a float jet whose constant term is bounded away from zero."""
-    u0 = a.coeffs[0]
-    if u0 == 0.0:
-        raise DomainViolation("abspow of jet with zero constant term")
-    return jpow(a if u0 > 0.0 else -a, exponent)

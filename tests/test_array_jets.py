@@ -11,7 +11,6 @@ import pytest
 
 from meanlab import calculus as ca
 from meanlab import expr as ex
-from meanlab import jets
 from meanlab.errors import (
     DomainViolation,
     MeanLabError,
@@ -70,9 +69,10 @@ def test_point_alone_equals_point_in_batch(text):
 
 
 def test_mul_commutes_bitwise_on_arrays():
-    a = ex.eval_jet(ex.parse("sin(x) * exp(x)"), XS, 6)
-    b = ex.eval_jet(ex.parse("log(x) / (1 + x)"), XS, 6)
-    assert all(np.array_equal(p, q) for p, q in zip(jets.mul(a, b).coeffs, jets.mul(b, a).coeffs))
+    a, b = "sin(x) * exp(x)", "log(x) / (1 + x)"
+    ab = ex.eval_jet(ex.parse(f"({a}) * ({b})"), XS, 6)
+    ba = ex.eval_jet(ex.parse(f"({b}) * ({a})"), XS, 6)
+    assert all(np.array_equal(p, q) for p, q in zip(ab.coeffs, ba.coeffs))
 
 
 def test_domain_error_names_the_first_failing_point():

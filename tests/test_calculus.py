@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -286,6 +288,41 @@ class TestClosedForms:
             for i in range(7):
                 assert abs(a.phi[i] - b.phi[i]) <= 1e-10 * (1.0 + abs(b.phi[i]))
                 assert abs(a.psi[i] - b.psi[i]) <= 1e-10 * (1.0 + abs(b.psi[i]))
+
+    def test_equal_the_exact_recursion(self):
+        # on rational Taylor coefficients p, q of Phi and Psi, the closed
+        # forms of the derivatives k! p_k, k! q_k must give the recursion's
+        # phi_i, psi_i exactly: every coefficient is an int, so any one
+        # wrong coefficient shows
+        rng = random.Random(1912)
+        for _ in range(100):
+            p, q = ([Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(5)]
+                    for _ in range(2))
+            want = _exact_recursion(p, q)
+            got = ca._seq_closed_form(*([math.factorial(k) * c[k] for k in range(5)] for c in (p, q)))
+            assert got == want
+
+
+def _exact_recursion(p: list, q: list, n: int = 6) -> tuple[tuple, tuple]:
+    """phi_i, psi_i for i <= n in rational arithmetic, from the Taylor
+    coefficients p of Phi and q of Psi: a Cauchy product and the shift."""
+
+    def mul(a, b):
+        return [sum(a[j] * b[k - j] for j in range(k + 1)) for k in range(len(a))]
+
+    def shift(a):
+        return [(k + 1) * a[k + 1] for k in range(len(a) - 1)]
+
+    phi_i, psi_i = [Fraction(1)] + [Fraction(0)] * (n - 1), [Fraction(0)] * n
+    phis, psis = [0, 1], [1, 0]
+    for m in range(n - 1, 0, -1):
+        phi_i, psi_i = (
+            [d + c + e for d, c, e in zip(shift(phi_i), mul(phi_i[:m], p[:m]), psi_i)],
+            [c + d for c, d in zip(mul(phi_i[:m], q[:m]), shift(psi_i))],
+        )
+        phis.append(phi_i[0])
+        psis.append(psi_i[0])
+    return tuple(phis), tuple(psis)
 
 
 class TestDiagonalDerivatives:

@@ -73,6 +73,17 @@ class TestEval:
         )
         assert doc["config"]["lo"] == 1.0 and doc["config"]["hi"] == 5.0
 
+    @pytest.mark.parametrize("argv", [
+        # y lies past the one end given
+        ["--f", "sin(x)", "--g", "cos(x)", "--x", "0.1", "--y", "0.5", "--hi", "0.3"],
+        # log is inadmissible on (-1, 2.1)
+        ["--f", "log(x)", "--g", "1", "--x", "0.5", "--y", "2", "--lo", "-1"],
+    ])
+    def test_one_interval_end_alone_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, ["eval", *argv])
+        assert (code, out) == (2, "")
+        assert "ValueError" in err and "--lo and --hi go together" in err
+
     def test_parse_error_exits_2(self, capsys):
         code, out, err = run_cli(
             capsys, ["eval", "--f", "bogus(", "--g", "1", "--x", "1", "--y", "2"]
@@ -294,6 +305,15 @@ class TestCheckEquality:
         code, out, err = run_cli(capsys, EBM_WITNESS + ["--tol", "mean_gap=0"])
         assert code == 2
         assert "positive" in err
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_nonfinite_tolerance_exits_2(self, capsys, value):
+        # an infinite mean_gap would let row (i) pass on pairs whose means
+        # differ, and strict JSON has no Infinity
+        argv = EBM_WITNESS[:1] + ["--f", "exp(x)", "--g", "1"] + EBM_WITNESS[5:]
+        code, out, err = run_cli(capsys, argv + ["--format", "json", "--tol", f"mean_gap={value}"])
+        assert (code, out) == (2, "")
+        assert "mean_gap must be positive and finite" in err
 
 
 class TestMakePair:

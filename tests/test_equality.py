@@ -470,6 +470,16 @@ class TestBinarySymmetricLadder:
         b = eq.check_EBM(SINCOS, LINEAR, grid=10).to_json()
         assert a == b
 
+    @pytest.mark.parametrize("check", [
+        lambda tols: eq.check_EBM(EXP, LINEAR, grid=10, tolerances=tols),
+        lambda tols: eq.check_ECM(EXP, LINEAR, grid=10, tolerances=tols),
+        lambda tols: eq.check_N15(EXP, LINEAR, ASYMMETRIC, grid=10, tolerances=tols),
+    ], ids=["EBM", "ECM", "N15"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1e-9])
+    def test_tolerance_override_must_be_positive_and_finite(self, check, value):
+        with pytest.raises(ValueError, match="^tolerance mean_gap must be positive and finite"):
+            check({"mean_gap": value})
+
     def test_tolerance_override_and_ladder_note(self):
         # (exp, 1) and (x, 1) have different means, so (i) fails; a loose
         # quasiarithmetic tolerance lets (viii) and (ix) hold all the same,

@@ -2,8 +2,10 @@
 
 The loop forms below are the rules as jets.py stated them before they became
 printed templates, and _ref_jet is the recursive tree walk that served
-eval_jet; both stay here as the reference. The kernels fold the known zeros
-and ones of constant and identity jets, so two differences are allowed:
+eval_jet; both stay here as the reference. rule prints one template alone,
+unfolded, at one order, as the Phi/Psi and recursion kernels run them. The
+eval_jet kernels fold the known zeros and ones of constant and identity
+jets, so two differences are allowed there:
 
 - an exactly zero coefficient may carry the other sign of zero, since a
   folded sum drops a +-0 term;
@@ -18,6 +20,7 @@ and index.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from fractions import Fraction
@@ -31,7 +34,6 @@ from meanlab import calculus as ca
 from meanlab import expr as ex
 from meanlab import jets
 from meanlab.errors import DivisionByZeroConstantTerm, DomainViolation, WronskianVanishes
-from meanlab.jets import Jet
 
 from conftest import PAIR_FAMILIES, random_admissible_pair
 
@@ -146,6 +148,19 @@ _LOOP_RULES = {
     "sinh": lambda u: _sincos(u, True, "sinh/cosh")[0],
     "cosh": lambda u: _sincos(u, True, "sinh/cosh")[1],
 }
+
+
+@functools.lru_cache(maxsize=None)
+def rule(template, order: int, arity: int, *params):
+    """template printed alone at one order, without folding. The function takes
+    the str params (names of run-time arguments), then the coefficients of
+    arity jets; the other params are fixed in the code."""
+    em = jets.Emitter()
+    ins = [[f"a{i}_{k}" for k in range(order + 1)] for i in range(arity)]
+    args = [p for p in params if isinstance(p, str)] + [a for row in ins for a in row]
+    out = template(em, *ins, *params)
+    source = f"def rule({', '.join(args)}):\n{em.body(out, '    ')}"
+    return jets.compile_source(source, jets.NAMES, f"jet rule {template.__name__}")["rule"]
 
 
 def _ref_jet(e: ex.Expr, x, n: int) -> list:
@@ -339,7 +354,7 @@ class TestKernelShapes:
         assert len(ex._JET_KERNELS) == ex.JET_KERNEL_CACHE_SIZE
 
 
-# ------------------------------------------------ Jet-level rules, unfolded
+# ------------------------------------------------- single rules, unfolded
 
 _coeff = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False, allow_infinity=False)
 
@@ -350,13 +365,11 @@ def _jet_pairs(order):
     return st.tuples(row, row, row, row)
 
 
-def _as_jets(rows, arrays):
+def _as_coeffs(rows, arrays):
     a, b, c, d = rows
     if not arrays:
-        return Jet(0.5, tuple(a)), Jet(0.5, tuple(b))
-    xs = np.array([0.5, 0.75])
-    return (Jet(xs, tuple(np.array(p) for p in zip(a, c))),
-            Jet(xs, tuple(np.array(p) for p in zip(b, d))))
+        return list(a), list(b)
+    return [np.array(p) for p in zip(a, c)], [np.array(p) for p in zip(b, d)]
 
 
 def _bits(coeffs):
@@ -364,59 +377,68 @@ def _bits(coeffs):
 
 
 class TestJetFunctions:
-    """jets.mul, div, jexp, ... run the templates without folding, so they
-    keep the bits of the loop forms."""
+    """Each template printed alone and unfolded keeps the bits of its loop form."""
 
     @settings(derandomize=True, max_examples=80, deadline=None)
     @given(st.integers(0, jets.MAX_ORDER).flatmap(_jet_pairs), st.booleans())
     def test_bits_equal_the_loop_forms(self, rows, arrays):
-        a, b = _as_jets(rows, arrays)
-        u, v = list(a.coeffs), list(b.coeffs)
-        pos = Jet(a.base_point, (abs(u[0]) + 0.5, *u[1:]))
-        p = list(pos.coeffs)
+        u, v = _as_coeffs(rows, arrays)
+        n = len(u) - 1
+        p = [abs(u[0]) + 0.5, *u[1:]]
         cases = [
-            (jets.mul(a, b), _mul(u, v)),
-            (jets.jexp(a), _exp(u)),
-            (jets.jsin(a), _LOOP_RULES["sin"](u)), (jets.jcos(a), _LOOP_RULES["cos"](u)),
-            (jets.jsinh(a), _LOOP_RULES["sinh"](u)), (jets.jcosh(a), _LOOP_RULES["cosh"](u)),
-            (jets.jlog(pos), _log(p)), (jets.jsqrt(pos), _sqrt(p)),
-            (jets.jpow(pos, Fraction(2, 3)), _pow(p, Fraction(2, 3))),
-            (jets.jpow(pos, -1.25), _pow(p, -1.25)),
-            (jets.jpow(a, Fraction(3)), _ipow(u, 3)),
-            (jets.jpow(pos, Fraction(-2)), _ipow(p, -2)),
-            (jets.div(a, pos), _div(u, p)),
+            (rule(jets.mul_rule, n, 2)(*u, *v), _mul(u, v)),
+            (rule(jets.exp_rule, n, 1)(*u), _exp(u)),
+            (rule(jets.sin_rule, n, 1)(*u), _LOOP_RULES["sin"](u)),
+            (rule(jets.cos_rule, n, 1)(*u), _LOOP_RULES["cos"](u)),
+            (rule(jets.sinh_rule, n, 1)(*u), _LOOP_RULES["sinh"](u)),
+            (rule(jets.cosh_rule, n, 1)(*u), _LOOP_RULES["cosh"](u)),
+            (rule(jets.log_rule, n, 1)(*p), _log(p)),
+            (rule(jets.sqrt_rule, n, 1)(*p), _sqrt(p)),
+            (rule(jets.rpow_rule, n, 1, "e")(2 / 3, *p), _pow(p, Fraction(2, 3))),
+            (rule(jets.rpow_rule, n, 1, "e")(-1.25, *p), _pow(p, -1.25)),
+            (rule(jets.ipow_rule, n, 1, 3)(*u), _ipow(u, 3)),
+            (rule(jets.ipow_rule, n, 1, -2)(*p), _ipow(p, -2)),
+            (rule(jets.div_rule, n, 2)(*u, *p), _div(u, p)),
         ]
         for got, want in cases:
-            assert _bits(got.coeffs) == _bits(want)
+            assert _bits(got) == _bits(want)
 
     def test_failures_equal_the_loop_forms(self):
-        zero = jets.jet_var(0.0, 3)
+        zero = [0.0, 1.0, 0.0, 0.0]
         for run, ref in (
-            (lambda: jets.div(jets.jet_const(1.0, 0.0, 3), zero), lambda: _div([1.0, 0, 0, 0], list(zero.coeffs))),
-            (lambda: jets.jlog(zero), lambda: _log(list(zero.coeffs))),
-            (lambda: jets.jpow(zero, Fraction(-1)), lambda: _ipow(list(zero.coeffs), -1)),
-            (lambda: jets.jpow(zero, 0.5), lambda: _pow(list(zero.coeffs), 0.5)),
-            (lambda: jets.jexp(jets.jet_var(1000.0, 2)), lambda: _exp([1000.0, 1.0, 0.0])),
+            (lambda: rule(jets.div_rule, 3, 2)(1.0, 0.0, 0.0, 0.0, *zero), lambda: _div([1.0, 0, 0, 0], zero)),
+            (lambda: rule(jets.log_rule, 3, 1)(*zero), lambda: _log(zero)),
+            (lambda: rule(jets.ipow_rule, 3, 1, -1)(*zero), lambda: _ipow(zero, -1)),
+            (lambda: rule(jets.rpow_rule, 3, 1, "e")(0.5, *zero), lambda: _pow(zero, 0.5)),
+            (lambda: rule(jets.exp_rule, 2, 1)(1000.0, 1.0, 0.0), lambda: _exp([1000.0, 1.0, 0.0])),
         ):
-            got, want = _outcome(lambda: run().coeffs), _outcome(ref)
+            got, want = _outcome(run), _outcome(ref)
             assert got[0] == "error" and got == want
 
 
 # -------------------------------------------------------- Phi/Psi kernel
 
-def _phi_psi_composed(jf: Jet, jg: Jet, order: int) -> tuple[Jet, Jet]:
-    """Phi and Psi as the Jet-level composition of the rules."""
-    f0, g0 = jf.truncate(order), jg.truncate(order)
-    f1, g1 = jf.derivative().truncate(order), jg.derivative().truncate(order)
-    f2, g2 = jf.derivative().derivative(), jg.derivative().derivative()
-    w10 = jets.sub(jets.mul(f1, g0), jets.mul(f0, g1))
-    w20 = jets.sub(jets.mul(f2, g0), jets.mul(f0, g2))
-    w21 = jets.sub(jets.mul(f2, g1), jets.mul(f1, g2))
+def _shift(c) -> list:
+    return [c[k + 1] * (k + 1) for k in range(len(c) - 1)]
+
+
+def _phi_psi_composed(jf: jets.Jet, jg: jets.Jet, order: int) -> tuple[list, list]:
+    """Phi and Psi composed of the unfolded rules, one rule at a time."""
+    n = order + 1
+    f0, g0 = list(jf.coeffs[:n]), list(jg.coeffs[:n])
+    f1, g1 = _shift(jf.coeffs)[:n], _shift(jg.coeffs)[:n]
+    f2, g2 = _shift(_shift(jf.coeffs)), _shift(_shift(jg.coeffs))
+    mul, div = rule(jets.mul_rule, order, 2), rule(jets.div_rule, order, 2)
+
+    def wronskian(a, b, c, d):
+        return [p - q for p, q in zip(mul(*a, *b), mul(*c, *d))]
+
+    w10, w20, w21 = wronskian(f1, g0, f0, g1), wronskian(f2, g0, f0, g2), wronskian(f2, g1, f1, g2)
     jets.reject(
-        abs(w10.value) <= ex.TOL_WRONSKIAN,
-        lambda i: WronskianVanishes(jets.at(jf.base_point, i), jets.at(w10.value, i)),
+        abs(w10[0]) <= ex.TOL_WRONSKIAN,
+        lambda i: WronskianVanishes(jets.at(jf.base_point, i), jets.at(w10[0], i)),
     )
-    return jets.div(w20, w10), -jets.div(w21, w10)
+    return div(*w20, *w10), [-v for v in div(*w21, *w10)]
 
 
 @pytest.mark.parametrize("family", PAIR_FAMILIES)
@@ -431,12 +453,42 @@ def test_phi_psi_kernel_equals_the_composition(rng, family):
             got = ca._phi_psi_jets(jf, jg, order)
             want = _phi_psi_composed(jf, jg, order)
             for g, w in zip(got, want):
-                assert _bits(g.coeffs) == _bits(w.coeffs)
+                assert _bits(g.coeffs) == _bits(w)
 
 
 def test_phi_psi_kernel_raises_where_the_composition_does():
     jf = ex.eval_jet(ex.parse("x^3"), np.array([0.5, 1e-6, 2.0]), 4)
     jg = ex.eval_jet(ex.parse("1"), np.array([0.5, 1e-6, 2.0]), 4)
     got = _outcome(lambda: ca._phi_psi_jets(jf, jg, 2)[0].coeffs)
-    want = _outcome(lambda: _phi_psi_composed(jf, jg, 2)[0].coeffs)
+    want = _outcome(lambda: _phi_psi_composed(jf, jg, 2)[0])
     assert got[0] == "error" and got[1] is WronskianVanishes and got == want
+
+
+# ------------------------------------------------------ recursion kernel
+
+def _recursion_composed(pp: ca.PhiPsi, n: int) -> tuple[tuple, tuple]:
+    """phi_i and psi_i by the loop-form product and the shift, step by step."""
+    phi_i, psi_i = [1.0] + [0.0] * (n - 1), [0.0] * n
+    phis, psis = [0.0, 1.0], [1.0, 0.0]
+    for m in range(n - 1, 0, -1):
+        by_phi = _mul(phi_i[:m], list(pp.phi_jet.coeffs[:m]))
+        by_psi = _mul(phi_i[:m], list(pp.psi_jet.coeffs[:m]))
+        phi_i, psi_i = (
+            [(d + c) + e for d, c, e in zip(_shift(phi_i), by_phi, psi_i)],
+            [c + d for c, d in zip(by_psi, _shift(psi_i))],
+        )
+        phis.append(phi_i[0])
+        psis.append(psi_i[0])
+    return tuple(phis), tuple(psis)
+
+
+@pytest.mark.parametrize("family", PAIR_FAMILIES)
+def test_recursion_kernel_equals_the_loop_forms(rng, family):
+    for _ in range(4):
+        pair = random_admissible_pair(rng, family)
+        lo, hi = pair.interval
+        for x in np.linspace(lo, hi, 7)[1:-1]:
+            for n in range(2, 7):
+                got = ca.recursion_seq(pair, float(x), n)
+                want = _recursion_composed(ca.phi_psi(pair, float(x), n - 2), n)
+                assert (_bits(got.phi), _bits(got.psi)) == tuple(map(_bits, want))

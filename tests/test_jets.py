@@ -1,40 +1,25 @@
-"""Truncated Taylor jet arithmetic: frozen values, identities, error paths."""
+"""Truncated Taylor jets: frozen values, identities, error paths.
+
+Jets of functions come from eval_jet of a tree; laws on arbitrary
+coefficients run the templates printed alone (rule, beside the loop forms).
+"""
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from meanlab import calculus as ca
+from meanlab import expr as ex
 from meanlab import jets
-from meanlab.errors import (
-    BasePointMismatch,
-    DivisionByZeroConstantTerm,
-    DomainViolation,
-    OrderMismatch,
-    OrderOutOfRange,
-)
-from meanlab.jets import (
-    Jet,
-    jabspow,
-    jcos,
-    jcosh,
-    jet_const,
-    jet_var,
-    jexp,
-    jlog,
-    jpow,
-    jsin,
-    jsinh,
-    jsqrt,
-    div,
-    mul,
-)
+from meanlab.errors import DivisionByZeroConstantTerm, DomainViolation, OrderOutOfRange
+from meanlab.jets import Jet
 
 from conftest import fd_weights
+from test_jet_kernels import rule
 
 
 def approx_list(got, want, rel=1e-13, abs_=1e-13):
@@ -43,24 +28,27 @@ def approx_list(got, want, rel=1e-13, abs_=1e-13):
         assert a == pytest.approx(b, rel=rel, abs=abs_)
 
 
+def jet(text: str, x: float, order: int) -> tuple:
+    return ex.eval_jet(ex.parse(text), x, order).coeffs
+
+
 class TestConstruction:
     def test_var_jet(self):
-        j = jet_var(2.5, 3)
+        j = ex.eval_jet(ex.Var(), 2.5, 3)
         assert j.base_point == 2.5
         assert j.coeffs == (2.5, 1.0, 0.0, 0.0)
 
     def test_const_jet(self):
-        j = jet_const(7.0, 1.0, 2)
-        assert j.coeffs == (7.0, 0.0, 0.0)
+        assert ex.eval_jet(ex.Const(7.0), 1.0, 2).coeffs == (7.0, 0.0, 0.0)
 
     def test_order_zero_allowed(self):
-        assert jet_var(1.0, 0).coeffs == (1.0,)
+        assert ex.eval_jet(ex.Var(), 1.0, 0).coeffs == (1.0,)
 
     def test_order_cap(self):
         with pytest.raises(OrderOutOfRange):
-            jet_var(1.0, jets.MAX_ORDER + 1)
+            ex.eval_jet(ex.Var(), 1.0, jets.MAX_ORDER + 1)
         with pytest.raises(OrderOutOfRange):
-            jet_var(1.0, -1)
+            ex.eval_jet(ex.Var(), 1.0, -1)
 
     def test_derivative_value_scaling(self):
         j = Jet(0.0, (1.0, 2.0, 3.0, 4.0))
@@ -69,7 +57,7 @@ class TestConstruction:
         assert j.derivative_value(3) == 24.0
 
     def test_is_finite(self):
-        assert jet_var(1.0, 2).is_finite() is True
+        assert Jet(1.0, (1.0, 1.0, 0.0)).is_finite() is True
         assert Jet(1.0, (1.0, math.inf)).is_finite() is False
         one = Jet(np.array([0.5]), (np.array([1.0]), np.array([2.0])))
         assert one.is_finite().tolist() == [True]
@@ -82,136 +70,98 @@ class TestConstruction:
         bad = Jet(xs, (xs, np.ones(xs.shape), c)).is_finite()
         assert bad.tolist() == [[True, True, True], [True, True, False]]
 
-    def test_truncate(self):
-        j = jet_var(1.0, 4)
-        assert j.truncate(2).coeffs == (1.0, 1.0, 0.0)
-        assert j.truncate(4) is j
-        with pytest.raises(OrderOutOfRange):
-            j.truncate(5)
-
 
 class TestArithmetic:
     def test_mul_square(self):
-        j = jet_var(1.0, 2)
-        approx_list(mul(j, j).coeffs, [1.0, 2.0, 1.0])
+        approx_list(jet("x * x", 1.0, 2), [1.0, 2.0, 1.0])
 
     def test_reciprocal_at_two(self):
-        one = jet_const(1.0, 2.0, 2)
-        j = div(one, jet_var(2.0, 2))
         # 1/x at 2: 1/2 - (x-2)/4 + (x-2)^2/8
-        approx_list(j.coeffs, [0.5, -0.25, 0.125])
+        approx_list(jet("1 / x", 2.0, 2), [0.5, -0.25, 0.125])
 
     def test_div_by_zero_constant_term(self):
         with pytest.raises(DivisionByZeroConstantTerm):
-            div(jet_const(1.0, 0.0, 2), jet_var(0.0, 2))
-
-    def test_mismatched_base_points(self):
-        with pytest.raises(BasePointMismatch):
-            mul(jet_var(0.0, 2), jet_var(1.0, 2))
-
-    def test_mismatched_orders(self):
-        with pytest.raises(OrderMismatch):
-            mul(jet_var(0.0, 2), jet_var(0.0, 3))
-
-    def test_operators(self):
-        a = jet_var(1.0, 3)
-        b = jet_const(2.0, 1.0, 3)
-        assert (a + b).coeffs == (3.0, 1.0, 0.0, 0.0)
-        assert (a - b).coeffs == (-1.0, 1.0, 0.0, 0.0)
-        assert (-a).coeffs == (-1.0, -1.0, -0.0, -0.0) or (-a).coeffs == (-1.0, -1.0, 0.0, 0.0)
-        approx_list((a * a).coeffs, [1.0, 2.0, 1.0, 0.0])
+            jet("1 / x", 0.0, 2)
 
     def test_truncation_consistency_mul(self):
         # computing at high order then truncating == computing at low order
-        a = Jet(0.5, (1.0, -2.0, 0.75, 0.3, -0.1))
-        b = Jet(0.5, (2.0, 0.5, -1.0, 0.25, 0.6))
-        hi = mul(a, b).truncate(2)
-        lo = mul(a.truncate(2), b.truncate(2))
-        assert hi.coeffs == lo.coeffs  # bitwise, not approx
+        a = (1.0, -2.0, 0.75, 0.3, -0.1)
+        b = (2.0, 0.5, -1.0, 0.25, 0.6)
+        hi = rule(jets.mul_rule, 4, 2)(*a, *b)[:3]
+        lo = rule(jets.mul_rule, 2, 2)(*a[:3], *b[:3])
+        assert hi == lo  # bitwise, not approx
 
 
 class TestElementary:
     def test_exp_at_zero(self):
-        j = jexp(jet_var(0.0, 3))
-        approx_list(j.coeffs, [1.0, 1.0, 0.5, 1.0 / 6.0])
+        approx_list(jet("exp(x)", 0.0, 3), [1.0, 1.0, 0.5, 1.0 / 6.0])
 
     def test_log_at_one(self):
-        j = jlog(jet_var(1.0, 3))
-        approx_list(j.coeffs, [0.0, 1.0, -0.5, 1.0 / 3.0])
+        approx_list(jet("log(x)", 1.0, 3), [0.0, 1.0, -0.5, 1.0 / 3.0])
 
     def test_log_requires_positive(self):
         with pytest.raises(DomainViolation):
-            jlog(jet_var(-1.0, 2))
+            jet("log(x)", -1.0, 2)
 
     def test_exp_log_roundtrip(self):
-        j = Jet(0.3, (1.7, 0.4, -0.2, 0.05, 0.01))
-        back = jexp(jlog(j))
-        approx_list(back.coeffs, j.coeffs, rel=1e-12)
+        c = (1.7, 0.4, -0.2, 0.05, 0.01)
+        back = rule(jets.exp_rule, 4, 1)(*rule(jets.log_rule, 4, 1)(*c))
+        approx_list(back, c, rel=1e-12)
 
     def test_sin_cos_at_point(self):
         x = 0.7
-        s = jsin(jet_var(x, 4))
-        c = jcos(jet_var(x, 4))
         approx_list(
-            s.coeffs,
+            jet("sin(x)", x, 4),
             [math.sin(x), math.cos(x), -math.sin(x) / 2, -math.cos(x) / 6, math.sin(x) / 24],
         )
         approx_list(
-            c.coeffs,
+            jet("cos(x)", x, 4),
             [math.cos(x), -math.sin(x), -math.cos(x) / 2, math.sin(x) / 6, math.cos(x) / 24],
         )
 
     def test_hyperbolic_identity(self):
-        x = 0.35
-        s = jsinh(jet_var(x, 6))
-        c = jcosh(jet_var(x, 6))
-        diff = c * c - s * s
-        approx_list(diff.coeffs, [1.0] + [0.0] * 6, abs_=1e-12)
+        diff = jet("cosh(x) * cosh(x) - sinh(x) * sinh(x)", 0.35, 6)
+        approx_list(diff, [1.0] + [0.0] * 6, abs_=1e-12)
 
     def test_sqrt(self):
-        j = jsqrt(jet_var(4.0, 2))
-        approx_list(j.coeffs, [2.0, 0.25, -0.25 / 16.0])
+        approx_list(jet("sqrt(x)", 4.0, 2), [2.0, 0.25, -0.25 / 16.0])
 
     def test_sqrt_requires_positive(self):
         with pytest.raises(DomainViolation):
-            jsqrt(jet_var(0.0, 2))
+            jet("sqrt(x)", 0.0, 2)
 
     def test_integer_power_negative_base(self):
-        j = jpow(jet_var(-2.0, 2), Fraction(3))
-        approx_list(j.coeffs, [-8.0, 12.0, -6.0])
+        approx_list(jet("x^3", -2.0, 2), [-8.0, 12.0, -6.0])
 
     def test_negative_integer_power(self):
-        j = jpow(jet_var(2.0, 2), Fraction(-1))
-        approx_list(j.coeffs, [0.5, -0.25, 0.125])
+        approx_list(jet("x^(-1)", 2.0, 2), [0.5, -0.25, 0.125])
 
     def test_fractional_power(self):
-        j = jpow(jet_var(8.0, 2), Fraction(2, 3))
         # x^(2/3) at 8: 4, (2/3)8^(-1/3)=1/3, (1/2)(2/3)(-1/3)8^(-4/3)=-1/144
-        approx_list(j.coeffs, [4.0, 1.0 / 3.0, -1.0 / 144.0])
+        approx_list(jet("x^(2/3)", 8.0, 2), [4.0, 1.0 / 3.0, -1.0 / 144.0])
 
     def test_fractional_power_requires_positive_base(self):
         with pytest.raises(DomainViolation):
-            jpow(jet_var(-8.0, 2), Fraction(2, 3))
+            jet("x^(2/3)", -8.0, 2)
 
     def test_abspow_negative_base(self):
-        j = jabspow(jet_var(-8.0, 2), Fraction(2, 3))
-        # |x|^(2/3) at -8: |x| = -x there, so value 4, slope -1/3
-        approx_list(j.coeffs, [4.0, -1.0 / 3.0, -1.0 / 144.0])
+        # |x|^(2/3) at -8 is (-x)^(2/3): value 4, slope -1/3
+        approx_list(jet("(-x)^(2/3)", -8.0, 2), [4.0, -1.0 / 3.0, -1.0 / 144.0])
 
     def test_abspow_zero_base_rejected(self):
         with pytest.raises(DomainViolation):
-            jabspow(jet_var(0.0, 2), Fraction(2, 3))
+            jet("(-x)^(2/3)", 0.0, 2)
 
 
 @pytest.mark.parametrize(
     "name,make,point",
     [
-        ("exp", lambda j: jexp(j), 0.4),
-        ("log", lambda j: jlog(j), 1.7),
-        ("sin", lambda j: jsin(j), 0.9),
-        ("cosh", lambda j: jcosh(j), -0.3),
-        ("sqrt", lambda j: jsqrt(j), 2.2),
-        ("pow23", lambda j: jpow(j, Fraction(2, 3)), 1.6),
+        ("exp", lambda: ex.parse("exp(x)"), 0.4),
+        ("log", lambda: ex.parse("log(x)"), 1.7),
+        ("sin", lambda: ex.parse("sin(x)"), 0.9),
+        ("cosh", lambda: ex.parse("cosh(x)"), -0.3),
+        ("sqrt", lambda: ex.parse("sqrt(x)"), 2.2),
+        ("pow23", lambda: ex.parse("x^(2/3)"), 1.6),
     ],
 )
 def test_against_finite_differences(name, make, point):
@@ -224,7 +174,7 @@ def test_against_finite_differences(name, make, point):
         "sqrt": math.sqrt,
         "pow23": lambda x: x ** (2.0 / 3.0),
     }[name]
-    j = make(jet_var(point, 6))
+    j = ex.eval_jet(make(), point, 6)
     h = 0.05  # wide enough that 1/h^4 roundoff amplification stays below rel tol
     nodes = [point + (i - 6) * h for i in range(13)]
     w = fd_weights(point, nodes, 4)
@@ -235,49 +185,47 @@ def test_against_finite_differences(name, make, point):
 
 
 coeff = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False, allow_infinity=False)
+jets_strategy = st.lists(coeff, min_size=5, max_size=5).map(tuple)
+mul, div = rule(jets.mul_rule, 4, 2), rule(jets.div_rule, 4, 2)
+jexp = rule(jets.exp_rule, 4, 1)
 
 
-def jets_strategy(order=4, base=0.5):
-    return st.lists(coeff, min_size=order + 1, max_size=order + 1).map(
-        lambda cs: Jet(base, tuple(cs))
-    )
+def plus(a, b):
+    return tuple(x + y for x, y in zip(a, b))
 
 
 class TestAlgebraLaws:
     @settings(derandomize=True, max_examples=60)
-    @given(a=jets_strategy(), b=jets_strategy())
+    @given(a=jets_strategy, b=jets_strategy)
     def test_mul_commutes(self, a, b):
-        assert mul(a, b).coeffs == mul(b, a).coeffs
+        assert mul(*a, *b) == mul(*b, *a)
 
     @settings(derandomize=True, max_examples=60)
-    @given(a=jets_strategy(), b=jets_strategy(), c=jets_strategy())
+    @given(a=jets_strategy, b=jets_strategy, c=jets_strategy)
     def test_distributive(self, a, b, c):
-        left = mul(a, b + c)
-        right = mul(a, b) + mul(a, c)
-        approx_list(left.coeffs, right.coeffs, rel=1e-10, abs_=1e-10)
+        left = mul(*a, *plus(b, c))
+        right = plus(mul(*a, *b), mul(*a, *c))
+        approx_list(left, right, rel=1e-10, abs_=1e-10)
 
     @settings(derandomize=True, max_examples=60)
-    @given(a=jets_strategy(), b=jets_strategy())
+    @given(a=jets_strategy, b=jets_strategy)
     def test_div_inverts_mul(self, a, b):
-        if abs(b.coeffs[0]) < 1e-3:
+        if abs(b[0]) < 1e-3:
             return
-        back = div(mul(a, b), b)
-        approx_list(back.coeffs, a.coeffs, rel=1e-9, abs_=1e-9)
+        back = div(*mul(*a, *b), *b)
+        approx_list(back, a, rel=1e-9, abs_=1e-9)
 
     @settings(derandomize=True, max_examples=60)
-    @given(a=jets_strategy())
+    @given(a=jets_strategy)
     def test_exp_of_sum_vs_product(self, a):
-        b = Jet(a.base_point, (0.1, -0.2, 0.3, 0.05, -0.15))
-        left = jexp(a + b)
-        right = mul(jexp(a), jexp(b))
-        approx_list(left.coeffs, right.coeffs, rel=1e-9, abs_=1e-7)
+        b = (0.1, -0.2, 0.3, 0.05, -0.15)
+        left = jexp(*plus(a, b))
+        right = mul(*jexp(*a), *jexp(*b))
+        approx_list(left, right, rel=1e-9, abs_=1e-7)
 
 
 def test_derivative_shifts_coefficients():
-    j = Jet(1.0, (1.0, 2.0, 3.0, 4.0))
-    d = j.derivative()
+    # the shift the Phi/Psi and recursion kernels print:
     # d/dx sum a_k u^k = sum (k+1) a_{k+1} u^k
-    assert d.coeffs == (2.0, 6.0, 12.0)
-    assert d.base_point == 1.0
-    with pytest.raises(OrderOutOfRange):
-        Jet(1.0, (5.0,)).derivative()
+    assert ca._shift(jets.Emitter(), [1.0, 2.0, 3.0, 4.0]) == [2.0, 6.0, 12.0]
+    assert ca._shift(jets.Emitter(), [5.0]) == []
