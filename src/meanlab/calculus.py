@@ -12,6 +12,7 @@ touches jets at all.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -373,7 +374,9 @@ def diagonal_derivatives_numeric(
     polynomial of degree 8 by least squares in the scaled variable u/h, and
     reads the derivatives off the coefficients. The default radius h fills
     most of the room the interval leaves around x, since the k = 6
-    coefficient amplifies sampling noise like 1/h^6.
+    coefficient amplifies sampling noise like 1/h^6. A radius that is not
+    finite and positive, whose k_max-th power is not a normal float, or
+    whose sections collapse to a point raises ValueError.
     """
     if not (1 <= k_max <= 6):
         raise OrderOutOfRange(f"k_max = {k_max} outside 1..6")
@@ -388,8 +391,7 @@ def diagonal_derivatives_numeric(
         # unmodeled tail contaminates it like h^4; 0.12 keeps the tail a few
         # orders below the k = 5, 6 budget with noise still far underneath
         h = min(0.12, 0.8 * dist / wmax)
-    if h <= 0.0:
-        raise OutOfInterval(x, pair.interval)
+    _check_radius(h, x, mu_hat1, k_max)
     spec = MeanSpec(pair=pair, measure=measure)
     values = [_section(spec, float(x), float(h * s), mu_hat1) for s in _ORACLE_SCALED]
     # the limit is read at call time, so lowering it still takes effect
@@ -399,3 +401,23 @@ def diagonal_derivatives_numeric(
     return tuple(
         float(coef[k]) * math.factorial(k) / h**k for k in range(1, k_max + 1)
     )
+
+
+def _check_radius(h: float, x: float, mu_hat1: float, k_max: int) -> None:
+    """The oracle divides by h**k for k <= k_max and samples the sections
+    through x at u = h*s; each must be a usable number."""
+    if not math.isfinite(h):
+        raise ValueError(f"radius {h!r} must be finite")
+    if not h > 0.0:
+        raise ValueError(f"radius {h!r} must be positive")
+    try:
+        power = h**k_max
+    except OverflowError:
+        power = math.inf
+    if not sys.float_info.min <= power < math.inf:
+        raise ValueError(f"radius {h!r} is unusable: its power {k_max} is not a normal float")
+    for j, s in enumerate(_ORACLE_SCALED):
+        u = h * s
+        # the middle node is cos(pi/2), 6e-17: its section is x at any radius
+        if j != ORACLE_NODES // 2 and x + (1.0 - mu_hat1) * u == x - mu_hat1 * u:
+            raise ValueError(f"radius {h!r} is unusable: the section at u = {u!r} is the point {x!r}")

@@ -401,93 +401,229 @@ def _sc_rule(e: Union[SType, CType]) -> tuple[float, _Rule | None]:
     return math.sqrt(abs(e.t)), _RULES[sine if isinstance(e, SType) else cosine]
 
 
-def _kernel(e: Expr, arrays: bool) -> Callable:
-    """The one compiler behind compile_scalar and compile_array.
+def _value_shape(e: Expr, consts: list, seen: dict):
+    """The key and the shape of e's value code; e's arguments go to consts.
 
-    It prints e as the source of a kernel factory: straight-line code with
-    one local per subexpression, in evaluation order. A denominator is
-    evaluated and checked before its numerator, and C(0; u) never evaluates
-    u. The source names only node structure and the fixed names of _RULES;
-    every constant (values, exponents, S/C scales) is an argument of the
-    factory, so all trees of one shape share one source and one code.
+    The shape is all the printed code depends on: node structure, the class
+    of each power and the rule of each S/C node. consts gets the constants,
+    exponents and S/C scales in the order _Printer.value takes them. The key
+    is e's structure with those values in it. seen maps the keys of the
+    compound values already computed at the same point to their number, in
+    the order their code ends: such a subtree has the shape ("ref", i) and
+    no arguments, and a new one joins seen.
     """
-    body: list[str] = []
-    args: list = []
-    names = itertools.count()
+    if isinstance(e, Const):
+        consts.append(e.value)
+        return ("c", e.value), "c"
+    if isinstance(e, Var):
+        return "x", "x"
+    start = len(consts)
+    if isinstance(e, Neg):
+        k, s = _value_shape(e.operand, consts, seen)
+        key, shape = ("neg", k), ("neg", s)
+    elif isinstance(e, BinOp):
+        if e.op == "/":  # the denominator comes first
+            kr, sr = _value_shape(e.right, consts, seen)
+            kl, sl = _value_shape(e.left, consts, seen)
+        else:
+            kl, sl = _value_shape(e.left, consts, seen)
+            kr, sr = _value_shape(e.right, consts, seen)
+        key, shape = (e.op, kl, kr), (e.op, sl, sr)
+    elif isinstance(e, Pow):
+        kb, sb = _value_shape(e.base, consts, seen)
+        q = e.exponent
+        if q.denominator != 1:
+            kind, k = "rpow", float(q)
+        else:  # the sign of a Fraction is its numerator's
+            k = q.numerator
+            kind = "npow" if k < 0 else "ipow"
+        consts.append(k)
+        key, shape = (kind, k, kb), (kind, sb)
+    elif isinstance(e, Call):
+        k, s = _value_shape(e.arg, consts, seen)
+        key, shape = (e.func, k), (e.func, s)
+    elif isinstance(e, (SType, CType)):
+        scale, rule = _sc_rule(e)
+        if rule is None:  # S(0; u) is u, and C(0; u) is 1 without u
+            if isinstance(e, SType):
+                return _value_shape(e.arg, consts, seen)
+            return _value_shape(Const(1.0), consts, seen)
+        consts.append(scale)
+        k, s = _value_shape(e.arg, consts, seen)
+        key, shape = ("sc", rule.name, scale, k), ("sc", rule.name, s)
+    else:
+        raise TypeError(f"not an Expr node: {e!r}")
+    i = seen.get(key)
+    if i is not None:
+        del consts[start:]
+        return key, ("ref", i)
+    seen[key] = len(seen)
+    return key, shape
 
-    def let(rhs: str) -> str:
-        v = f"v{next(names)}"
-        body.append(f"{v} = {rhs}")
+
+def _reads(shape, out: set) -> set:
+    """Adds to out the numbers of the values shape reads back, its ("ref", i)."""
+    if isinstance(shape, tuple):
+        if shape[0] == "ref":
+            out.add(shape[1])
+        for s in shape[1:]:
+            _reads(s, out)
+    return out
+
+
+# an inline expression of unchecked code nests at most this many nodes deep:
+# the compiler recurses once per level
+_INLINE_DEPTH = 32
+
+
+class _Printer:
+    """Prints the value code of shapes (_value_shape) as straight-line code
+    into body: one local per subexpression, in evaluation order.
+
+    A denominator is evaluated and checked before its numerator, and C(0; u)
+    never evaluates u. The code names only node structure, the fixed names
+    of _RULES and its arguments c0, c1, ...: every constant (values,
+    exponents, S/C scales) is an argument, so all trees of one shape share
+    one source. Scalar code takes a float point, array code an array.
+
+    Unchecked scalar code is for a caller that prints many points and can
+    rerun checked code where one of them fails. It leaves the failures that
+    an operation raises by itself as they are (math's ValueError and
+    OverflowError, Python's ZeroDivisionError), without the try or the check
+    that names the point; it keeps the check of a non-integer power, as **
+    gives a complex number for a negative base and 0.0 for a zero one. It
+    writes a value inline, as an expression in the one place that reads it,
+    unless a check or a later subtree reads it too (keep holds the numbers
+    of the latter) or the expression would nest deeper than _INLINE_DEPTH.
+    A try, and a local, cost little to run but much to compile, and each
+    local adds to the cost of a call. Python then sets the order of
+    evaluation, not the walk; each value keeps its bits.
+    """
+
+    # per class of power: the check, its message, and whether unchecked
+    # code keeps it
+    _POW = {
+        "rpow": ("{} <= 0.0", "non-integer power of non-positive base", True),
+        "npow": ("{} == 0.0", "zero base with negative power", False),
+        "ipow": (None, "", False),
+    }
+
+    def __init__(self, arrays: bool, checked: bool = True, keep: frozenset = frozenset()):
+        self.arrays = arrays
+        self.checked = checked
+        self.keep = keep
+        self.body: list[str] = []
+        self._names = itertools.count()
+        # the nesting depth of each inline expression
+        self._depth: dict[str, int] = {}
+
+    def let(self, rhs: str) -> str:
+        v = f"v{next(self._names)}"
+        self.body.append(f"{v} = {rhs}")
         return v
 
-    def arg(value) -> str:
-        args.append(value)
-        return f"c{len(args) - 1}"
+    def out(self, rhs: str, operands: tuple, keep: bool) -> str:
+        """The value of rhs: a new local, or in unchecked code, where it is
+        read only once, the expression itself."""
+        depth = 1 + max((self._depth.get(a, 0) for a in operands), default=0)
+        if self.checked or keep or depth > _INLINE_DEPTH:
+            return self.let(rhs)
+        self._depth[f"({rhs})"] = depth
+        return f"({rhs})"
 
-    def check(cond: str, message: str) -> None:
-        if arrays:
-            body.extend((f"bad = {cond}", f"if bad.any(): raise _violation({message!r}, x, bad)"))
+    def check(self, cond: str, message: str, x: str) -> None:
+        if self.arrays:
+            self.body.extend((f"bad = {cond}", f"if bad.any(): raise _violation({message!r}, {x}, bad)"))
         else:
-            body.append(f"if {cond}: raise _violation({message!r}, x)")
+            self.body.append(f"if {cond}: raise _violation({message!r}, {x})")
 
-    def call(name: str, a: str, rhs: str, bad: str | None, domain: str, overflows: bool,
-             infinite: bool = False) -> str:
-        if bad is not None:
-            check(bad.format(a), domain)
-        if infinite and arrays:
-            check(f"isinf({a})", f"{name} of infinite value")
-        if not overflows and not (infinite and not arrays):
-            return let(rhs)
-        v = f"v{next(names)}"
-        if arrays:
-            body.extend(('with errstate(over="ignore"):', f"    {v} = {rhs}"))
-            check(f"isinf({v}) & isfinite({a})", f"{name} overflow")
+    def call(self, name: str, a: str, rhs: str, x: str, bad: str | None = None,
+             domain: str = "", overflows: bool = True, infinite: bool = False,
+             always: bool = False, keep: bool = True) -> str:
+        """The value of rhs, a template on the operand a, after the checks of
+        its rule; always keeps the domain check in unchecked code."""
+        if bad is not None and (self.checked or always):
+            if a in self._depth:  # the check and the call read one local
+                a = self.let(a)
+            self.check(bad.format(a), domain, x)
+        rhs = rhs.format(a)
+        if not self.checked:
+            return self.out(rhs, (a,), keep)
+        if infinite and self.arrays:
+            self.check(f"isinf({a})", f"{name} of infinite value", x)
+        if not overflows and not (infinite and not self.arrays):
+            return self.let(rhs)
+        v = f"v{next(self._names)}"
+        if self.arrays:
+            self.body.extend(('with errstate(over="ignore"):', f"    {v} = {rhs}"))
+            self.check(f"isinf({v}) & isfinite({a})", f"{name} overflow", x)
         else:  # math raises OverflowError or ValueError only for these rules
             error, message = ("OverflowError", "overflow") if overflows else ("ValueError", "of infinite value")
-            body.extend(("try:", f"    {v} = {rhs}", f"except {error}:",
-                         f"    raise _violation({name + ' ' + message!r}, x) from None"))
+            self.body.extend(("try:", f"    {v} = {rhs}", f"except {error}:",
+                              f"    raise _violation({name + ' ' + message!r}, {x}) from None"))
         return v
 
-    def walk(e: Expr) -> str:
-        if isinstance(e, Const):
-            return let(f"full(shape(x), {arg(e.value)})") if arrays else arg(e.value)
-        if isinstance(e, Var):
-            return let("asarray(x, dtype=float)") if arrays else "x"
-        if isinstance(e, Neg):
-            return let(f"-{walk(e.operand)}")
-        if isinstance(e, BinOp):
-            if e.op != "/":
-                left = walk(e.left)
-                return let(f"{left} {e.op} {walk(e.right)}")
-            d = walk(e.right)
-            check(f"{d} == 0.0", "division by zero")
-            return let(f"{walk(e.left)} / {d}")
-        if isinstance(e, Pow):
-            b, q = walk(e.base), e.exponent
-            if q.denominator != 1:
-                bad, domain, k = "{} <= 0.0", "non-integer power of non-positive base", float(q)
-            elif q < 0:
-                bad, domain, k = "{} == 0.0", "zero base with negative power", q.numerator
-            else:
-                bad, domain, k = None, "", q.numerator
-            return call("power", b, f"{b} ** {arg(k)}", bad, domain, True)
-        if isinstance(e, Call):
-            r, a = _RULES[e.func], walk(e.arg)
-            return call(r.name, a, f"{r.name}({a})", r.bad, r.domain, r.overflows, r.infinite)
-        if isinstance(e, (SType, CType)):
-            scale, r = _sc_rule(e)
-            if r is None:
-                return walk(e.arg) if isinstance(e, SType) else walk(Const(1.0))
-            c = arg(scale)
-            a = let(f"{c} * {walk(e.arg)}")
-            return call(r.name, a, f"{r.name}({a})", r.bad, r.domain, r.overflows, r.infinite)
-        raise TypeError(f"not an Expr node: {e!r}")
+    def value(self, shape, x: str, memo: list, first: int = 0) -> tuple[str, int]:
+        """Print the value of shape at the point x, with arguments from
+        c<first> on. memo holds the compound values computed at x so far, in
+        the numbering of _value_shape's seen, and gains the new ones.
+        Returns the value (a local, or an expression in unchecked code) and
+        the next argument's index."""
+        count = itertools.count(first)
 
-    out = walk(e)
-    lines = "".join(f"        {line}\n" for line in body)
-    params = ", ".join(f"c{i}" for i in range(len(args)))
-    source = f"def factory({params}):\n    def kernel(x):\n{lines}        return {out}\n    return kernel\n"
-    return _factory(source, arrays)(*args)
+        def arg() -> str:
+            return f"c{next(count)}"
+
+        def walk(s) -> str:
+            if s == "c":
+                return self.let(f"full(shape({x}), {arg()})") if self.arrays else arg()
+            if s == "x":
+                return self.let(f"asarray({x}, dtype=float)") if self.arrays else x
+            tag = s[0]
+            if tag == "ref":
+                return memo[s[1]]
+            if tag == "neg":
+                u = walk(s[1])
+                v = self.out(f"-{u}", (u,), len(memo) in self.keep)
+            elif tag == "/":
+                d = walk(s[2])
+                if self.checked:
+                    self.check(f"{d} == 0.0", "division by zero", x)
+                n = walk(s[1])
+                v = self.out(f"{n} / {d}", (n, d), len(memo) in self.keep)
+            elif tag in ("+", "-", "*"):
+                left = walk(s[1])
+                right = walk(s[2])
+                v = self.out(f"{left} {tag} {right}", (left, right), len(memo) in self.keep)
+            elif tag in self._POW:
+                b = walk(s[1])
+                bad, domain, always = self._POW[tag]
+                v = self.call("power", b, "{} ** " + arg(), x, bad, domain,
+                              always=always, keep=len(memo) in self.keep)
+            else:
+                r = _RULES[s[1] if tag == "sc" else tag]
+                if tag == "sc":
+                    c = arg()
+                    u = walk(s[2])
+                    a = self.out(f"{c} * {u}", (u,), False)
+                else:
+                    a = walk(s[1])
+                v = self.call(r.name, a, r.name + "({})", x, r.bad, r.domain, r.overflows,
+                              r.infinite, keep=len(memo) in self.keep)
+            memo.append(v)
+            return v
+
+        out = walk(shape)
+        return out, next(count)
+
+
+def _kernel(e: Expr, arrays: bool) -> Callable:
+    """The one compiler behind compile_scalar and compile_array: the factory
+    of e's shape, given e's arguments. A subtree equal to one computed
+    before is not computed again."""
+    consts: list = []
+    _, shape = _value_shape(e, consts, {})
+    return _factory(shape, arrays)(*consts)
 
 
 def _violation(message: str, x, mask=None) -> DomainViolation:
@@ -507,8 +643,13 @@ _ARRAY_NAMES = {
 
 
 @lru_cache(maxsize=KERNEL_SHAPE_CACHE_SIZE)
-def _factory(source: str, arrays: bool) -> Callable:
-    """The factory _kernel printed, compiled once per source and route."""
+def _factory(shape, arrays: bool) -> Callable:
+    """The kernel factory of a shape on one route, printed and compiled once."""
+    pr = _Printer(arrays)
+    out, n = pr.value(shape, "x", [])
+    lines = "".join(f"        {line}\n" for line in pr.body)
+    params = ", ".join(f"c{i}" for i in range(n))
+    source = f"def factory({params}):\n    def kernel(x):\n{lines}        return {out}\n    return kernel\n"
     return jets.compile_source(source, _ARRAY_NAMES if arrays else _SCALAR_NAMES, "kernel")["factory"]
 
 
@@ -750,6 +891,21 @@ class FunctionPair:
     @cached_property
     def g_at(self) -> Callable[[float], float]:
         return compile_scalar(self.g)
+
+    # the mean kernels of the pair (means.mean_eval), one per measure, bound
+    # on first use and then held
+    @cached_property
+    def mean_kernels(self) -> dict:
+        return {}
+
+    # the shapes of f's and g's value code, g's taken with f's seen so that
+    # it reuses the subtrees the two share, and their arguments in order
+    @cached_property
+    def value_shapes(self) -> tuple[tuple, tuple]:
+        consts: list = []
+        seen: dict = {}
+        shapes = (_value_shape(self.f, consts, seen)[1], _value_shape(self.g, consts, seen)[1])
+        return shapes, tuple(consts)
 
     def contains(self, x: float) -> bool:
         lo, hi = self.interval

@@ -8,6 +8,14 @@ solver cannot miss it. The classical specializations (quasiarithmetic,
 Bajraktarevic, Cauchy) are separate entry points with their own closed
 forms, used in tests as independent routes to the same values.
 
+mean_eval runs one printed kernel per pair shape (_mean_factory): the
+segment sums and the Brent steps in one function, with f and g inlined and
+their shared subtrees computed once per point. The measure's nodes and the
+tree's constants are its arguments, so one code object serves every pair of
+a shape under every measure. Where a value is not finite or fails, or the
+solve leaves the plain path, the node loops (measures.segment_sum) and
+_solve_bracketed run instead and raise what they always raised.
+
 mean_table and quasiarithmetic_table fill a whole n x n table of those
 means with one vectorized bracketed solve, of the upper triangle only where
 M(x, y) = M(y, x). The scalar mean_eval and quasiarithmetic stay the
@@ -23,6 +31,8 @@ Both root solvers live here and share one pair of root tolerances:
 - brentq solves one bracket by Brent's method (Algorithms for Minimization
   without Derivatives, 1973, ch. 4), step for step as the classic C routine
   (the same bracket swaps, interpolate/extrapolate test and step bounds).
+  Its steps are stated once, in _BRENT_STEPS, and printed into brentq and
+  into every mean kernel.
 
 The scalar route stays Brent rather than a one-element Chandrupatla: the two
 methods stop at points a few ulps apart, and callers that difference means
@@ -34,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -42,10 +53,12 @@ from . import expr as ex
 from .errors import (
     BracketFailure,
     DegenerateDenominator,
+    DomainViolation,
     NotPositive,
     OutOfInterval,
 )
 from .expr import FunctionPair
+from .jets import compile_source
 from .measures import Measure, moments, segment_sum
 
 __all__ = [
@@ -83,73 +96,116 @@ def _solve_bracketed(func: Callable[[float], float], lo: float, hi: float) -> fl
     return brentq(func, lo, hi, flo, fhi)
 
 
-def brentq(f: Callable[[float], float], a: float, b: float, fa: float, fb: float) -> float:
-    """Root of f on [a, b] by Brent's method, given fa = f(a) and fb = f(b).
-
-    fa and fb must be floats that are nonzero, not nan and of opposite sign
-    (_solve_bracketed checks that). Follows the classic C routine step for
-    step with xtol = _XATOL, rtol = _XRTOL and at most _MAXITER steps; f is
-    called once per step and its value taken as a float. Raises
-    BracketFailure on a nan value and on no convergence.
-    """
-    xpre, fpre, xcur, fcur = a, fa, b, fb
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_MAXITER):
-        # zeros and nans never get here, so < 0 is the sign bit
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (_XATOL + _XRTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:
-                    # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:
-                    # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:
-                # C divides to an inf or a nan here (a denominator underflows
-                # for tiny residuals), which fails the step test: bisect
-                stry = math.inf
-            bound = 3 * abs(sbis) - delta
-            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
-                spre, scur = scur, stry  # good short step
+# Brent's method (Algorithms for Minimization without Derivatives, 1973,
+# ch. 4), step for step as the classic C routine: the same bracket swaps,
+# interpolate/extrapolate test and step bounds, with xtol = _XATOL,
+# rtol = _XRTOL and at most _MAXITER steps. These steps are stated here
+# only, and printed into brentq and into every mean kernel. They start from
+# the bracket [a, b] with fa = f(a) and fb = f(b), nonzero, not nan and of
+# opposite sign; {resid} sets fcur to the residual at xcur, {nan} runs where
+# that is nan and {limit} after _MAXITER steps. Past the loop, xcur is the root.
+_BRENT_STEPS = """\
+xpre, fpre, xcur, fcur = a, fa, b, fb
+xblk = fblk = spre = scur = 0.0
+for _ in range(_MAXITER):
+    # zeros and nans never get here, so < 0 is the sign bit
+    if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+        xblk, fblk = xpre, fpre
+        spre = scur = xcur - xpre
+    # each abs is taken once per step, as a call costs more than arithmetic,
+    # and the literals are floats, as float-by-float arithmetic runs faster
+    afcur, afblk = abs(fcur), abs(fblk)
+    if afblk < afcur:
+        xpre, xcur, xblk = xcur, xblk, xcur
+        fpre, fcur, fblk = fcur, fblk, fcur
+        afcur = afblk
+    delta = (_XATOL + _XRTOL * abs(xcur)) * 0.5
+    sbis = (xblk - xcur) * 0.5
+    asbis = abs(sbis)
+    if fcur == 0.0 or asbis < delta:
+        break
+    aspre = abs(spre)
+    if aspre > delta and afcur < abs(fpre):
+        try:
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
             else:
-                spre = scur = sbis
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        except ZeroDivisionError:
+            # C divides to an inf or a nan here (a denominator underflows
+            # for tiny residuals), which fails the step test: bisect
+            stry = math.inf
+        bound = 3.0 * asbis - delta
+        if 2.0 * abs(stry) < (aspre if aspre < bound else bound):
+            spre, scur = scur, stry  # good short step
         else:
             spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = float(f(xcur))
-        if fcur != fcur:
-            raise BracketFailure(a, b, fa, fb, detail=f"residual is nan at {xcur!r}")
-    raise BracketFailure(a, b, fa, fb, detail=f"no convergence in {_MAXITER} steps")
+    else:
+        spre = scur = sbis
+    xpre, fpre = xcur, fcur
+    if abs(scur) > delta:
+        xcur += scur
+    else:
+        xcur += delta if sbis > 0.0 else -delta
+    {resid}
+    if fcur != fcur:
+        {nan}
+else:
+    {limit}
+"""
+
+
+def _brent(resid: list[str], nan: str, limit: str) -> list[str]:
+    """The lines of _BRENT_STEPS with each hole replaced by its lines."""
+    holes = {"{resid}": resid, "{nan}": [nan], "{limit}": [limit]}
+    out = []
+    for line in _BRENT_STEPS.splitlines():
+        text = line.lstrip()
+        pad = line[: len(line) - len(text)]
+        out += [pad + s for s in holes.get(text, [text])]
+    return out
+
+
+def _printed(source: str, name: str, label: str) -> Callable:
+    """The function name of printed source, run in this module's namespace:
+    it reads _MAXITER and the tolerances when it runs, as brentq always has."""
+    return compile_source(source, globals(), label)[name]
+
+
+# the mean kernels call the elementary functions and the DomainViolation
+# of expr's scalar kernels under the same names
+globals().update(ex._SCALAR_NAMES)
+
+brentq = _printed("def brentq(f, a, b, fa, fb):\n" + "".join(f"    {line}\n" for line in _brent(
+    ["fcur = float(f(xcur))"],
+    'raise BracketFailure(a, b, fa, fb, detail=f"residual is nan at {xcur!r}")',
+    'raise BracketFailure(a, b, fa, fb, detail=f"no convergence in {_MAXITER} steps")',
+) + ["return xcur"]), "brentq", "brentq")
+brentq.__doc__ = """Root of f on [a, b] by Brent's method, given fa = f(a) and fb = f(b).
+
+    fa and fb must be floats that are nonzero, not nan and of opposite sign
+    (_solve_bracketed checks that). Runs _BRENT_STEPS; f is called once per
+    step and its value taken as a float. Raises BracketFailure on a nan
+    value and on no convergence.
+    """
 
 
 def _bracketed_roots(
-    resid: Callable[..., np.ndarray], lo: np.ndarray, hi: np.ndarray, *args: np.ndarray
+    resid: Callable[..., np.ndarray], lo: np.ndarray, hi: np.ndarray, *args: np.ndarray,
+    ends: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Roots of resid(z, *args) on [lo, hi], elementwise, in one batched solve.
 
-    resid must be elementwise in z and args. As in _solve_bracketed, an end
-    whose residual is exactly 0 is the root. Returns the roots and a mask
-    of the elements solved; elsewhere (no sign change, or no convergence)
-    the root is nan.
+    resid must be elementwise in z and args; ends, if given, are its values
+    at lo and hi. As in _solve_bracketed, an end whose residual is exactly 0
+    is the root. Returns the roots and a mask of the elements solved;
+    elsewhere (no sign change, or no convergence) the root is nan.
     """
-    flo = resid(lo, *args)
-    fhi = resid(hi, *args)
+    flo, fhi = ends if ends is not None else (resid(lo, *args), resid(hi, *args))
     z = np.where(flo == 0.0, lo, np.where(fhi == 0.0, hi, np.nan))
     ok = (flo == 0.0) | (fhi == 0.0)
     solve = np.flatnonzero(~ok & ((flo > 0.0) != (fhi > 0.0)))
@@ -248,24 +304,43 @@ def mean_eval(spec: MeanSpec, x: float, y: float) -> float:
     """The mean of x and y for the given pair and measure.
 
     Returns the unique z in [min(x,y), max(x,y)] with (f/g)(z) equal to the
-    ratio of the segment integrals of f and g. Equal arguments return
+    ratio r of the segment integrals of f and g. Equal arguments return
     exactly; otherwise the result carries a residual certificate of
     |(f/g)(z) - r| <= RESIDUAL_TOL * (1 + |r|).
 
-    Both integrals are segment_sum over the segment points t*x + (1-t)*y
-    of the measure's nodes, f at every point first and then g.
+    Both integrals are left-to-right sums of w * v over the segment points
+    t*x + (1-t)*y of the measure's nodes, f at every point first and then g;
+    the root is brentq's, on the residual f(z) - r*g(z). The pair's mean
+    kernel (_mean_factory) does all of that in one call. Where it leaves the
+    plain path, the node loops (segment_sum) and _solve_bracketed run here,
+    raise the first failure they meet (QuadratureNonFinite at the first
+    non-finite value, a DomainViolation of f before one of g) and keep the
+    endpoint fallback.
     """
     x, y = float(x), float(y)
-    if not spec.pair.contains(x):
-        raise OutOfInterval(x, spec.pair.interval)
-    if not spec.pair.contains(y):
-        raise OutOfInterval(y, spec.pair.interval)
+    pair = spec.pair
+    lo, hi = pair.interval
+    # pair.contains, written out: this is the hot path of every scalar mean
+    if not lo < x < hi:
+        raise OutOfInterval(x, pair.interval)
+    if not lo < y < hi:
+        raise OutOfInterval(y, pair.interval)
     if x == y:
         return x
-    f, g = spec.pair.f_at, spec.pair.g_at
-    ts, ws = spec.measure._nodes()
-    points = [t * x + (1.0 - t) * y for t in ts]
-    r = segment_sum(ts, ws, f, points) / segment_sum(ts, ws, g, points)
+    kernel = pair.mean_kernels.get(spec.measure)
+    if kernel is None:
+        kernel = _mean_kernel(pair, spec.measure)
+    try:
+        z, r = kernel(x, y)
+    except (DomainViolation, ArithmeticError, ValueError):
+        z = r = None
+    if z is not None:
+        return z
+    f, g = pair.f_at, pair.g_at
+    if r is None:
+        ts, ws = spec.measure._nodes()
+        points = [t * x + (1.0 - t) * y for t in ts]
+        r = segment_sum(ts, ws, f, points) / segment_sum(ts, ws, g, points)
     lo, hi = (x, y) if x < y else (y, x)
 
     def resid(z: float) -> float:
@@ -283,6 +358,78 @@ def mean_eval(spec: MeanSpec, x: float, y: float) -> float:
     if abs(f(z) / g(z) - r) > RESIDUAL_TOL * (1.0 + abs(r)):
         raise BracketFailure(lo, hi, resid(lo), resid(hi), detail="residual above tolerance")
     return z
+
+
+def _mean_kernel(pair: FunctionPair, measure: Measure) -> Callable:
+    """Binds the pair's mean kernel under the measure and holds it on the
+    pair: the factory of the pair's shape, given the measure's segment
+    nodes and the pair's arguments."""
+    shapes, consts = pair.value_shapes
+    kernel = pair.mean_kernels[measure] = _mean_factory(shapes)(_segment_nodes(measure), *consts)
+    return kernel
+
+
+@lru_cache(maxsize=ex.KERNEL_SHAPE_CACHE_SIZE)
+def _segment_nodes(measure: Measure) -> tuple[tuple[float, float, float], ...]:
+    """The measure's (t, 1 - t, w) per node, in order."""
+    ts, ws = measure._nodes()
+    return tuple((t, 1.0 - t, w) for t, w in zip(ts, ws))
+
+
+@lru_cache(maxsize=ex.KERNEL_SHAPE_CACHE_SIZE)
+def _mean_factory(shapes: tuple) -> Callable:
+    """The mean kernel factory of a pair shape, printed once.
+
+    shapes are the pair's value_shapes: at each point, g takes the subtrees
+    it shares with f from f's code. The factory takes the segment nodes of
+    a measure (_segment_nodes) and the pair's arguments, and gives
+    kernel(x, y), for x != y, with mean_eval's arithmetic: at each node in
+    turn the segment point t*x + (1-t)*y, f and g there, and the two sums
+    w * v from left to right; then r, the Brent steps on f(z) - r*g(z) and
+    the certificate. Each value it computes has the bits mean_eval's loops
+    give it. It returns (z, r), or (None, r) where the bracket, the steps or
+    the certificate leave the plain path, or (None, None) where a sum is
+    not finite. Its code is unchecked (expr._Printer): where a value fails
+    it raises a DomainViolation, ValueError or ArithmeticError, which need
+    not be the failure the loops meet first, as it takes g at a node before
+    f at the next.
+
+    The nodes are a loop rather than unrolled code, so one code object
+    serves every measure: on CPython 3.11 the two run the 32-node sums of
+    sin and cos at the same speed, and the unrolled code takes three to
+    fifteen times as long to compile.
+    """
+    fshape, gshape = shapes
+    keep = frozenset(ex._reads(gshape, ex._reads(fshape, set())))
+    pr = ex._Printer(arrays=False, checked=False, keep=keep)
+
+    def at(point: str) -> tuple[list[str], str, str, int]:
+        """The lines of f and g at the point, their values and the number
+        of arguments."""
+        pr.body = []
+        memo: list = []
+        fv, nf = pr.value(fshape, point, memo)
+        gv, n = pr.value(gshape, point, memo, nf)
+        return pr.body, fv, gv, n
+
+    lines, fv, gv, n = at("p")
+    body = ["num = den = 0.0", "for t, u, w in nodes:", "    p = t * x + u * y",
+            *(f"    {line}" for line in lines), f"    num = num + w * {fv}", f"    den = den + w * {gv}",
+            "if num - num != 0.0 or den - den != 0.0:", "    return None, None",
+            "r = num / den", "a, b = (x, y) if x < y else (y, x)"]
+    for end in "ab":
+        lines, fv, gv, _ = at(end)
+        body += lines + [f"f{end} = {fv} - r * {gv}"]
+    body += ["if not (fa < 0.0 < fb or fb < 0.0 < fa):", "    return None, r"]
+    lines, fv, gv, _ = at("xcur")
+    body += _brent(lines + [f"fcur = {fv} - r * {gv}"], "return None, r", "return None, r")
+    lines, fv, gv, _ = at("xcur")
+    body += lines + [f"if abs({fv} / {gv} - r) > RESIDUAL_TOL * (1.0 + abs(r)):",
+                     "    return None, r", "return xcur, r"]
+    params = ", ".join(["nodes"] + [f"c{i}" for i in range(n)])
+    source = (f"def factory({params}):\n    def kernel(x, y):\n"
+              + "".join(f"        {line}\n" for line in body) + "    return kernel\n")
+    return _printed(source, "factory", "mean kernel")
 
 
 def mean_table(spec: MeanSpec, xs: Sequence[float]) -> np.ndarray:
@@ -309,7 +456,14 @@ def mean_table(spec: MeanSpec, xs: Sequence[float]) -> np.ndarray:
     r = num / den
     mirror = _symmetric(spec.measure)
     solve, lo, hi = _brackets(xs, mirror)
-    z, ok = _bracketed_roots(lambda z, r: f(z) - r * g(z), lo, hi, r[solve])
+    try:
+        fx, gx = f(xs), g(xs)
+    except DomainViolation:
+        # evaluated bracket by bracket, the ends name the point they always named
+        ends = None
+    else:
+        ends = _ends(xs, solve, fx[:, None] - r * gx[:, None], fx[None, :] - r * gx[None, :])
+    z, ok = _bracketed_roots(lambda z, r: f(z) - r * g(z), lo, hi, r[solve], ends=ends)
     ratio = np.full(z.shape, np.nan)
     ratio[ok] = f(z[ok]) / g(z[ok])
 
@@ -340,8 +494,9 @@ def quasiarithmetic_table(
     xs = np.asarray(xs, dtype=float)
     p = np.asarray(phi(xs), dtype=float)
     solve, lo, hi = _brackets(xs, True)
-    target = (0.5 * (p[:, None] + p[None, :]))[solve]
-    z, ok = _bracketed_roots(lambda z, c: phi(z) - c, lo, hi, target)
+    target = 0.5 * (p[:, None] + p[None, :])
+    z, ok = _bracketed_roots(lambda z, c: phi(z) - c, lo, hi, target[solve],
+                             ends=_ends(xs, solve, p[:, None] - target, p[None, :] - target))
     ok &= (p[:, None] != p[None, :])[solve]
     return _fill_table(xs, solve, z, ok, lambda x, y: quasiarithmetic(phi, x, y), ok)
 
@@ -352,6 +507,17 @@ def _brackets(xs: np.ndarray, upper: bool) -> tuple[np.ndarray, np.ndarray, np.n
     X, Y = xs[:, None], xs[None, :]
     solve = np.triu(X != Y, 1) if upper else X != Y
     return solve, np.minimum(X, Y)[solve], np.maximum(X, Y)[solve]
+
+
+def _ends(
+    xs: np.ndarray, solve: np.ndarray, row: np.ndarray, col: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The residuals at the lower and the upper ends of the brackets of
+    _brackets: the bracket ends are grid points, and row[i, j] is the
+    residual of element (i, j) at xs[i], col[i, j] the one at xs[j]."""
+    row_lo = (xs[:, None] < xs[None, :])[solve]
+    row, col = row[solve], col[solve]
+    return np.where(row_lo, row, col), np.where(row_lo, col, row)
 
 
 def _fill_table(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -436,3 +437,22 @@ class TestNumericOracle:
         monkeypatch.setattr(ca, "FIT_CONDITION_LIMIT", 1.0)
         with pytest.raises(IllConditionedFit):
             ca.diagonal_derivatives_numeric(LOG, EBM, 1.0)
+
+    # 1e-300**6 underflows to 0; at 1e-40 every section is the point 0.2
+    @pytest.mark.parametrize("h, why", [
+        (1e-300, "is unusable: its power 6 is not a normal float"),
+        (1e-40, "is unusable: the section at u = .* is the point 0.2"),
+        (math.nan, "must be finite"), (math.inf, "must be finite"), (-0.1, "must be positive"),
+    ], ids=["underflow", "collapse", "nan", "inf", "negative"])
+    def test_unusable_radius(self, h, why):
+        pair = ex.validate_pair("exp(x)", "1", (-0.5, 0.9))
+        with pytest.raises(ValueError, match=rf"^radius {re.escape(repr(h))} {why}$"):
+            ca.diagonal_derivatives_numeric(pair, Lebesgue(), 0.2, h=h)
+
+    def test_smallest_usable_radius_samples_every_section(self):
+        # the middle node, cos(pi/2) = 6e-17, gives the point x at any radius
+        pair = ex.validate_pair("exp(x)", "1", (-0.5, 0.9))
+        got = ca.diagonal_derivatives_numeric(pair, Lebesgue(), 0.2, h=1e-14)
+        assert all(math.isfinite(v) for v in got)
+        with pytest.raises(ValueError, match="the section at u"):
+            ca.diagonal_derivatives_numeric(pair, Lebesgue(), 0.2, h=1e-16)

@@ -180,6 +180,15 @@ class TestDerivatives:
         assert numeric[1] == pytest.approx(closed[1], abs=1e-6)
         assert doc["config"]["radius"] == 0.5
 
+    @pytest.mark.parametrize("radius", ["1e-300", "1e-40", "nan", "inf", "-0.1"])
+    def test_unusable_radius_exits_2(self, capsys, radius):
+        code, out, err = run_cli(capsys, [
+            "derivatives", "--f", "exp(x)", "--g", "1", "--x", "0.2", "--lo", "-0.5", "--hi", "0.9",
+            "--numeric", "--radius", radius,
+        ])
+        assert code == 2 and out == ""
+        assert err.startswith(f"error (ValueError): radius {float(radius)!r} ")
+
 
 class TestCheckEquality:
     def test_binary_symmetric_battery(self, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 import re
 
 import numpy as np
@@ -14,6 +15,8 @@ from meanlab import expr as ex
 from meanlab.errors import NotApplicable, NotPositive
 from meanlab.means import MeanSpec, mean_eval, quasiarithmetic
 from meanlab.measures import Discrete, Lebesgue, preset_measure
+
+from conftest import mp_value, random_admissible_pair
 
 INTERVAL = (-0.7, 0.7)
 SINCOS = ex.validate_pair("sin(x)", "cos(x)", INTERVAL)
@@ -125,6 +128,30 @@ class TestAntiderivative:
         got = eq.antiderivative(lambda t: 1.0 + t * t, 0.5, -0.5)
         exact = (-0.5 + (-0.5) ** 3 / 3.0) - (0.5 + 0.5**3 / 3.0)
         assert got == pytest.approx(exact, abs=1e-14)
+
+
+@pytest.mark.parametrize("cube", [False, True], ids=["w10", "cbrt_w10"])
+@pytest.mark.parametrize("family", ["power", "exponential", "log", "polynomial"])
+def test_cumulative_integral_matches_50_digit_reference(family, cube):
+    # the (viii) integrands, W10 under EBM and its real cube root under ECM,
+    # from the pair's centre to 13 points across its interval
+    mpmath = pytest.importorskip("mpmath")
+    pair = random_admissible_pair(random.Random(f"{family}-cumulative"), family)
+    lo, hi = pair.interval
+    anchor = 0.5 * (lo + hi)
+    xs = lo + (hi - lo) * np.arange(1, 14) / 14
+    w10 = eq._w10_array(pair)
+    got = eq.CumulativeIntegral((lambda t: np.cbrt(w10(t))) if cube else w10, anchor)(xs)
+    df, dg = ex._derivative(pair.f), ex._derivative(pair.g)
+    with mpmath.workdps(50):
+        def w(t):
+            v = mp_value(df, t) * mp_value(pair.g, t) - mp_value(pair.f, t) * mp_value(dg, t)
+            # mpmath.cbrt of a negative value is complex
+            return mpmath.sign(v) * abs(v) ** (mpmath.mpf(1) / 3) if cube else v
+
+        for x, v in zip(xs, got):
+            ref = mpmath.quad(w, [mpmath.mpf(anchor), mpmath.mpf(float(x))])
+            assert abs(v - ref) <= 1e-14 * (1 + abs(ref)), (x, v, ref)
 
 
 @pytest.mark.parametrize("check", [eq.check_EBM, eq.check_ECM])

@@ -395,6 +395,23 @@ class TestEmittedKernels:
         assert c.__code__ is ex.compile_array(ex.parse("sin(0.7*x+0.2)")).__code__
         assert c.__code__ is not a.__code__
 
+    # a subtree equal to one computed before at the point is read back, not
+    # computed again; C(0; u) computes nothing, so its u is not read back
+    @pytest.mark.parametrize("text, shared", [
+        ("log(x) / (log(x) - log(x))", True),
+        ("sin(x + 1) * cos(x + 1) + sin(x + 1)", True),
+        ("C(0; log(x)) * log(x)", False),
+    ])
+    def test_repeated_subtrees(self, text, shared):
+        e = ex.parse(text)
+        _, shape = ex._value_shape(e, [], {})
+        assert ("'ref'" in repr(shape)) is shared
+        scalar, array = ex.compile_scalar(e), ex.compile_array(e)
+        for x in _POINTS + [-1.0]:
+            assert _outcome(scalar, x) == _outcome(lambda p: _reference(e, p, False), x), x
+        xs = np.array(_POINTS + [-1.0])
+        assert _outcome(array, xs) == _outcome(lambda p: _reference(e, p, True), xs)
+
     def test_factory_cache_is_bounded(self):
         info = ex._factory.cache_info()
         assert info.maxsize == ex.KERNEL_SHAPE_CACHE_SIZE

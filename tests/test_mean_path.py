@@ -1,16 +1,19 @@
 """The scalar mean path: bit identity with the node-by-node route, a 50-digit
 reference, and properties of every mean.
 
-mean_eval takes its two segment sums over plain-float nodes with the
-compiled kernels held on the pair. _node_by_node_mean_eval is the route it
-replaced: one integrand call per node over numpy-scalar nodes, as the
-nodes of numpy's Gauss-Legendre rule come.
+mean_eval runs the pair's printed mean kernel: the segment sums over
+plain-float nodes and the Brent steps in one function. _node_by_node_mean_eval
+is the route it replaced: one integrand call per node over numpy-scalar
+nodes, as the nodes of numpy's Gauss-Legendre rule come, then
+_solve_bracketed on the residual, the endpoint fallback and the certificate.
+Both must give the same bits, and the same failure class, text and node.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -20,12 +23,20 @@ from hypothesis import strategies as st
 from meanlab import expr as ex
 from meanlab import means as mn
 from meanlab import measures as ms
-from meanlab.errors import DomainViolation, QuadratureNonFinite
+from meanlab.errors import BracketFailure, DomainViolation, MeanLabError, QuadratureNonFinite
 from meanlab.expr import FunctionPair
 from meanlab.means import MeanSpec, mean_eval
 from meanlab.measures import Density, Lebesgue, preset_measure
 
 from conftest import PAIR_FAMILIES, mp_value, random_admissible_pair
+
+_PAIRS = {fam: random_admissible_pair(random.Random(3), fam) for fam in PAIR_FAMILIES}
+_unit = st.floats(min_value=1e-6, max_value=1.0 - 1e-6)
+
+
+def _unit_points():
+    return st.tuples(_unit, _unit)
+
 
 MEASURES = {
     "ebm": preset_measure("ebm"),
@@ -54,7 +65,33 @@ def _node_by_node_mean_eval(spec, x, y):
     den = _node_by_node_integrate(spec.measure, lambda t: g(t * x + (1 - t) * y))
     r = num / den
     lo, hi = (x, y) if x < y else (y, x)
-    return mn._solve_bracketed(lambda z: f(z) - r * g(z), lo, hi)
+    tol = mn.RESIDUAL_TOL * (1.0 + abs(r))
+
+    def resid(z):
+        return f(z) - r * g(z)
+
+    try:
+        z = mn._solve_bracketed(resid, lo, hi)
+    except BracketFailure:
+        for end in (lo, hi):
+            if abs(f(end) / g(end) - r) <= tol:
+                return end
+        raise
+    if abs(f(z) / g(z) - r) > tol:
+        raise BracketFailure(lo, hi, resid(lo), resid(hi), detail="residual above tolerance")
+    return z
+
+
+def _outcome(route, spec, x, y):
+    """The value's repr, or the failure's class, text and node, with the
+    numpy scalars of the node-by-node route printed as floats (and their
+    overflow warnings silenced, as Python floats give none)."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return repr(route(spec, x, y))
+    except (ArithmeticError, ValueError, MeanLabError) as exc:
+        text = re.sub(r"np\.float64\(([^)]*)\)", r"\1", str(exc))
+        return type(exc).__name__, text, repr(float(getattr(exc, "node", math.nan)))
 
 
 def _points(rng, interval, n=3):
@@ -107,6 +144,106 @@ def test_f_fails_before_g(measure):
     with pytest.raises(DomainViolation) as old:
         _node_by_node_mean_eval(spec, x, y)
     assert str(old.value) == str(got.value).replace(repr(p), repr(np.float64(p)))
+    # g = sqrt(x) fails from the first point below 0 on, f = log(x + 0.3)
+    # only below -0.3: f still fails first, at its own first point
+    pair = FunctionPair(ex.parse("log(x + 0.3)"), ex.parse("sqrt(x)"), (-1.0, 1.0), 6)
+    spec = MeanSpec(pair, MEASURES[measure])
+    x, y = -0.9, 0.8
+    ts = MEASURES[measure]._nodes()[0]
+    points = [t * x + (1.0 - t) * y for t in ts]
+    first = next(p for p in points if p + 0.3 <= 0.0)
+    with pytest.raises(DomainViolation, match=rf"^log of non-positive value at {re.escape(repr(first))}$"):
+        mean_eval(spec, x, y)
+    assert _outcome(mean_eval, spec, x, y) == _outcome(_node_by_node_mean_eval, spec, x, y)
+
+
+def _family_pair(data, fam):
+    """A random admissible pair of the family, drawn from a seed."""
+    return random_admissible_pair(random.Random(data.draw(st.integers(0, 2**32 - 1))), fam)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(PAIR_FAMILIES), st.sampled_from(sorted(MEASURES)), _unit_points(),
+       st.sampled_from([None, 1e-3, 1e-9, 1e-14]))
+def test_kernel_matches_node_by_node_route(data, fam, measure, uv, near):
+    pair = _family_pair(data, fam)
+    spec = MeanSpec(pair, MEASURES[measure])
+    lo, hi = pair.interval
+    x, y = (lo + (hi - lo) * u for u in uv)
+    if near is not None:  # close to the diagonal, where the endpoint fallback lives
+        y = min(max(x + near * (hi - lo) * (uv[1] - 0.5), lo + 1e-12), hi - 1e-12)
+    want = _outcome(_node_by_node_mean_eval, spec, x, y)
+    assert _outcome(mean_eval, spec, x, y) == want
+    assert isinstance(want, str)
+
+
+# hand-built pairs that skip validate_pair, each failing on the segment
+FAILING = {
+    # 1e308 * x overflows to inf inside sin from about x = 1.8 on
+    "overflow_in_sin": ("sin(1e308 * x)", "1", (0.0, 3.0), (2.5, 0.5)),
+    # the segment runs from 1 down to -0.5: log fails only at later nodes
+    "log_at_a_later_node": ("log(x)", "1", (-1.0, 2.0), (-0.5, 1.0)),
+    # g = sqrt(x) fails at an earlier node than f = log(x + 0.3)
+    "g_before_f": ("log(x + 0.3)", "sqrt(x)", (-1.0, 1.0), (-0.9, 0.8)),
+    # f is inf at the first nodes and fails a domain check at later ones
+    "non_finite_then_domain": ("1e308 * x * x + log(x)", "1", (-1.0, 3.0), (-0.5, 2.5)),
+    # ** gives 0.0 for a zero base and a complex number for a negative one
+    "zero_base_rational_power": ("(x - x)^(3/2) + x", "1", (0.0, 3.0), (0.5, 2.5)),
+    "negative_base_rational_power": ("x + (1 - x)^(3/2)", "1", (0.0, 3.0), (0.5, 2.5)),
+    # g is inf - inf, a nan, from about x = 1.34 on, without an error
+    "nan_value": ("x", "1e308 * x * x - 1e308 * x * x + 1", (0.0, 3.0), (0.5, 2.5)),
+}
+
+
+@pytest.mark.parametrize("measure", sorted(MEASURES))
+@pytest.mark.parametrize("case", sorted(FAILING))
+def test_kernel_fails_as_the_node_by_node_route(case, measure):
+    f, g, interval, (x, y) = FAILING[case]
+    pair = FunctionPair(ex.parse(f), ex.parse(g), interval, 6)
+    spec = MeanSpec(pair, MEASURES[measure])
+    want = _outcome(_node_by_node_mean_eval, spec, x, y)
+    assert _outcome(mean_eval, spec, x, y) == want
+    assert not isinstance(want, str), want  # each case fails on each measure
+
+
+def test_deep_tree_compiles_to_a_kernel():
+    # 200 nested sin(u + 0.01): the kernel writes values inline, but never
+    # nests an expression deep enough to stop the compiler
+    e = ex.Var()
+    for _ in range(200):
+        e = ex.Call("sin", ex.BinOp("+", e, ex.Const(0.01)))
+    pair = FunctionPair(e, ex.parse("1"), (0.1, 2.0), 6)
+    for measure in ("ebm", "lebesgue"):
+        spec = MeanSpec(pair, MEASURES[measure])
+        want = _outcome(_node_by_node_mean_eval, spec, 0.3, 1.7)
+        assert isinstance(want, str) and _outcome(mean_eval, spec, 0.3, 1.7) == want
+    assert len(pair.mean_kernels) == 2
+
+
+def test_one_kernel_code_per_pair_shape():
+    a = ex.validate_pair("sin(0.5 * x + 0.1)", "cos(0.5 * x + 0.1)", (-0.3, 0.9))
+    b = ex.validate_pair("sin(0.7 * x + 0.3)", "cos(0.7 * x + 0.3)", (-0.3, 0.9))
+    leb, ebm = MEASURES["lebesgue"], MEASURES["ebm"]
+    for pair in (a, b):
+        for m in (leb, ebm):
+            mean_eval(MeanSpec(pair, m), 0.1, 0.5)
+    ka, kb = a.mean_kernels[leb], b.mean_kernels[leb]
+    assert ka is not kb and ka.__code__ is kb.__code__ is a.mean_kernels[ebm].__code__
+    # held on the pair: a second call binds nothing
+    mean_eval(MeanSpec(a, Lebesgue()), 0.2, 0.4)
+    assert a.mean_kernels[leb] is ka and len(a.mean_kernels) == 2
+    # the constants and the nodes are arguments, not code
+    assert 0.7 not in kb.__code__.co_consts and 0.1 not in ka.__code__.co_consts
+    cells = [c.cell_contents for c in kb.__closure__]
+    assert 0.7 in cells and 0.3 in cells and mn._segment_nodes(leb) in cells
+    assert mn._segment_nodes(leb) == tuple((t, 1.0 - t, w) for t, w in zip(*leb._nodes()))
+    assert mn._mean_factory.cache_info().maxsize == ex.KERNEL_SHAPE_CACHE_SIZE
+    # f and g share 0.5 * x + 0.1, so g's code reads it off f's
+    (fs, gs), consts = a.value_shapes
+    assert gs == ("cos", ("ref", 1)) and consts == (0.5, 0.1)
+    # and with another shift only 0.5 * x
+    (fs, gs), consts = ex.validate_pair("sin(0.5 * x + 0.1)", "cos(0.5 * x + 0.2)", (-0.3, 0.9)).value_shapes
+    assert gs == ("cos", ("+", ("ref", 0), "c")) and consts == (0.5, 0.1, 0.2)
 
 
 def test_pair_holds_its_kernels():
@@ -167,8 +304,6 @@ def test_mean_table_matches_50_digit_reference(measure):
 
 # --------------------------------------------------------------- properties
 
-_PAIRS = {fam: random_admissible_pair(random.Random(3), fam) for fam in PAIR_FAMILIES}
-_unit = st.floats(min_value=1e-6, max_value=1.0 - 1e-6)
 
 
 def _at(pair, u):
