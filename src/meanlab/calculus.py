@@ -80,13 +80,6 @@ class SeqPair:
         return len(self.phi) - 1
 
 
-def _pair_jets(pair: FunctionPair, x, order: int) -> tuple[Jet, Jet]:
-    """Jets of f and g at a float x or at an array of points (NaN is outside)."""
-    lo, hi = pair.interval
-    reject((x <= lo) | (x >= hi) | (x != x), lambda i: OutOfInterval(at(x, i), pair.interval))
-    return ex.eval_jet(pair.f, x, order), ex.eval_jet(pair.g, x, order)
-
-
 def wronskian(pair: FunctionPair, x: float, i: int, j: int) -> float:
     """Determinant f^(i) g^(j) - f^(j) g^(i) at x."""
     k = max(i, j)
@@ -94,7 +87,7 @@ def wronskian(pair: FunctionPair, x: float, i: int, j: int) -> float:
         raise OrderOutOfRange(
             f"Wronskian order ({i}, {j}) outside the validated order {pair.validated_order}"
         )
-    jf, jg = _pair_jets(pair, x, k)
+    jf, jg = ex.pair_jets(pair, x, k)
     return jf.derivative_value(i) * jg.derivative_value(j) - jf.derivative_value(
         j
     ) * jg.derivative_value(i)
@@ -160,7 +153,7 @@ def phi_psi(pair: FunctionPair, x: float, order: int = 4) -> PhiPsi:
     reachable jet order of Phi and Psi.
     """
     _check_phi_psi_order(pair, order)
-    phi_jet, psi_jet = _phi_psi_jets(*_pair_jets(pair, x, order + 2), order)
+    phi_jet, psi_jet = _phi_psi_jets(*ex.pair_jets(pair, x, order + 2), order)
     return PhiPsi(x=x, phi_jet=phi_jet, psi_jet=psi_jet)
 
 
@@ -190,7 +183,7 @@ def sample(pair: FunctionPair, xs, order: int) -> GridSamples:
     _check_phi_psi_order(pair, order)
 
     def run(pts):
-        jf, jg = _pair_jets(pair, pts, order + 2)
+        jf, jg = ex.pair_jets(pair, pts, order + 2)
         return (jf, jg, *_phi_psi_jets(jf, jg, order))
 
     with np.errstate(over="ignore", invalid="ignore"):

@@ -27,7 +27,9 @@ from typing import Callable, Union
 import numpy as np
 
 from . import jets
-from .errors import DomainViolation, NonSmooth, NotPositive, ParseError, WronskianVanishes
+from .errors import (
+    DomainViolation, NonSmooth, NotPositive, OutOfInterval, ParseError, WronskianVanishes,
+)
 from .jets import Jet
 
 __all__ = [
@@ -43,10 +45,8 @@ DEFAULT_GRID_SIZE = 257
 PAIR_CACHE_SIZE = 256
 PARSE_CACHE_SIZE = 2 * PAIR_CACHE_SIZE
 # bound of the memos of kernel factories: one per tree shape and route for
-# values, one per tree shape and order for jets
+# values, one per tuple of shapes and order for jets
 KERNEL_SHAPE_CACHE_SIZE = 256
-# bound of the memo that holds each tree's jet kernel, per order
-JET_KERNEL_CACHE_SIZE = 1024
 
 class Expr:
     """Base class; concrete nodes are frozen dataclasses below."""
@@ -405,9 +405,10 @@ def _value_shape(e: Expr, consts: list, seen: dict):
     """The key and the shape of e's value code; e's arguments go to consts.
 
     The shape is all the printed code depends on: node structure, the class
-    of each power and the rule of each S/C node. consts gets the constants,
-    exponents and S/C scales in the order _Printer.value takes them. The key
-    is e's structure with those values in it. seen maps the keys of the
+    of each power, each integer exponent (the jet code unrolls on it) and
+    the rule of each S/C node. consts gets the constants, exponents and S/C
+    scales in the order _Printer.value and _emit_jet take them. The key is
+    e's structure with those values in it. seen maps the keys of the
     compound values already computed at the same point to their number, in
     the order their code ends: such a subtree has the shape ("ref", i) and
     no arguments, and a new one joins seen.
@@ -432,13 +433,14 @@ def _value_shape(e: Expr, consts: list, seen: dict):
     elif isinstance(e, Pow):
         kb, sb = _value_shape(e.base, consts, seen)
         q = e.exponent
-        if q.denominator != 1:
-            kind, k = "rpow", float(q)
+        if q.denominator != 1:  # OverflowError for a fraction with no float
+            k = float(q)
+            key, shape = ("rpow", k, kb), ("rpow", sb)
         else:  # the sign of a Fraction is its numerator's
             k = q.numerator
             kind = "npow" if k < 0 else "ipow"
+            key, shape = (kind, k, kb), (kind, sb, k)
         consts.append(k)
-        key, shape = (kind, k, kb), (kind, sb)
     elif isinstance(e, Call):
         k, s = _value_shape(e.arg, consts, seen)
         key, shape = (e.func, k), (e.func, s)
@@ -681,120 +683,95 @@ def eval_jet(e: Expr, x, order: int) -> Jet:
     x, each coefficient is an array of its shape with the bits of each point
     alone, and an error is the float route's at the first failing point in C
     order, with that flat index in its index attribute."""
-    jets._check_order(order)
-    kernel = _jet_kernel(e, order)
-    if not isinstance(x, np.ndarray):
+    consts: list = []
+    _, shape = _value_shape(e, consts, {})
+    return _run_jets(_jet_factory((shape,), order)(*consts), x, order)[0]
+
+
+def pair_jets(pair: FunctionPair, x, order: int) -> tuple[Jet, Jet]:
+    """The jets of f and g at a float x or an array of points, as eval_jet
+    gives each, from the pair's jet kernel of the order, printed from its
+    value_shapes and then held. A point outside the interval (or nan) raises
+    OutOfInterval; an error is the one at the first failing point, f's before
+    g's at one point."""
+    lo, hi = pair.interval
+    jets.reject((x <= lo) | (x >= hi) | (x != x), lambda i: OutOfInterval(jets.at(x, i), pair.interval))
+    kernel = pair.jet_kernels.get(order)
+    if kernel is None:
+        shapes, consts = pair.value_shapes
+        kernel = pair.jet_kernels[order] = _jet_factory(shapes, order)(*consts)
+    return _run_jets(kernel, x, order)
+
+
+def _run_jets(kernel: Callable, x, order: int) -> tuple[Jet, ...]:
+    """The jets a jet kernel gives at x, order + 1 coefficients each."""
+    if isinstance(x, np.ndarray):
+        x = np.asarray(x, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs = jets.first_failure(kernel, x)
+        coeffs = tuple(c if isinstance(c, np.ndarray) else np.full(x.shape, c) for c in coeffs)
+    else:
         x = float(x)
-        return Jet(x, kernel(x))
-    x = np.asarray(x, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = jets.first_failure(kernel, x)
-    return Jet(x, tuple(c if isinstance(c, np.ndarray) else np.full(x.shape, c) for c in coeffs))
+        coeffs = kernel(x)
+    n = order + 1
+    return tuple(Jet(x, coeffs[i : i + n]) for i in range(0, len(coeffs), n))
 
 
-_JET_KERNELS: dict = {}
-
-
-def _jet_kernel(e: Expr, order: int) -> Callable:
-    """The jet kernel of the tree e at order, with e's constants bound.
-
-    Held per tree object (the entry keeps the tree, so its id stays its
-    own), so a repeated tree pays no shape walk and no tree hash; the
-    oldest entry goes when JET_KERNEL_CACHE_SIZE are held.
-    """
-    entry = _JET_KERNELS.get((id(e), order))
-    if entry is None:
-        consts: list = []
-        shape = _jet_shape(e, consts)
-        entry = (e, _jet_factory(shape, order)(*consts))
-        if len(_JET_KERNELS) >= JET_KERNEL_CACHE_SIZE:
-            del _JET_KERNELS[next(iter(_JET_KERNELS))]
-        _JET_KERNELS[(id(e), order)] = entry
-    return entry[1]
-
-
-def _jet_shape(e: Expr, consts: list):
-    """The shape of e's jet kernel: node structure, integer exponents and the
-    sign class of each S/C parameter. Appends the kernel's arguments
-    (constants, non-integer exponents, S/C scales) to consts in the order
-    _emit_jet takes them: children first."""
-    if isinstance(e, Const):
-        consts.append(e.value)
-        return "c"
-    if isinstance(e, Var):
-        return "x"
-    if isinstance(e, Neg):
-        return ("neg", _jet_shape(e.operand, consts))
-    if isinstance(e, BinOp):
-        return (e.op, _jet_shape(e.left, consts), _jet_shape(e.right, consts))
-    if isinstance(e, Pow):
-        base = _jet_shape(e.base, consts)
-        try:
-            n = jets.integer_exponent(e.exponent)
-        except OverflowError:  # no float: the kernel raises it after the base
-            consts.append(e.exponent)
-            return ("pow!", base)
-        if n is not None:
-            return ("pow", base, n)
-        consts.append(float(e.exponent))
-        return ("rpow", base)
-    if isinstance(e, Call):
-        return (e.func, _jet_shape(e.arg, consts))
-    if isinstance(e, (SType, CType)):
-        arg = _jet_shape(e.arg, consts)
-        scale, rule = _sc_rule(e)
-        if rule is None:
-            return ("S0" if isinstance(e, SType) else "C0", arg)
-        consts.append(scale)
-        return ("sc", rule.name, arg)
-    raise TypeError(f"not an Expr node: {e!r}")
-
-
-def _emit_jet(em: jets.Emitter, shape, order: int, arg: Callable[[], str]) -> list:
-    """Print the jet of a shape through em; arg() names the next argument.
-    Children come first, left before right, as the rules take them, and
-    C(0; u) evaluates u before it gives 1."""
+def _emit_jet(em: jets.Emitter, shape, order: int, arg: Callable[[], str], memo: list) -> list:
+    """Print the jet of a value shape (_value_shape) through em; arg() names
+    the next argument, and memo holds the jets of the compound values printed
+    so far, which a ("ref", i) reads back. The walk is the value code's: a
+    denominator and its check come before the numerator, an S/C scale before
+    its argument, and C(0; u) is the constant 1 of its shape, without u."""
     if shape == "x":
         return ["x", 1.0, *[0.0] * order][: order + 1]
     if shape == "c":
         return [arg()] + [0.0] * order
-    tag, *kids = shape
-    sub = _emit_jet(em, kids[1] if tag == "sc" else kids[0], order, arg)
-    if tag == "neg":
-        return [em.neg(v) for v in sub]
-    if tag in ("+", "-", "*", "/"):
-        other = _emit_jet(em, kids[1], order, arg)
-        if tag == "+":
-            return [em.add(a, b) for a, b in zip(sub, other)]
-        if tag == "-":
-            return [em.sub(a, b) for a, b in zip(sub, other)]
-        return (jets.mul_rule if tag == "*" else jets.div_rule)(em, sub, other)
-    if tag == "pow":
-        return jets.ipow_rule(em, sub, kids[1])
-    if tag == "rpow":
-        return jets.rpow_rule(em, sub, arg())
-    if tag == "pow!":
-        em.let(f"float({arg()})", effect=True)
-        return sub
-    if tag == "S0":
-        return sub
-    if tag == "C0":
-        return [1.0] + [0.0] * order
-    if tag == "sc":
-        sub = jets.mul_rule(em, [arg()] + [0.0] * order, sub)
-        return _RULES[kids[0]].jet(em, sub)
-    return _RULES[tag].jet(em, sub)
+    tag = shape[0]
+    if tag == "ref":
+        return memo[shape[1]]
+
+    def walk(s) -> list:
+        return _emit_jet(em, s, order, arg, memo)
+
+    if tag == "/":
+        b = walk(shape[2])
+        jets.nonzero_divisor(em, b[0])
+        out = jets.div_rule(em, walk(shape[1]), b, check=False)
+    elif tag == "sc":
+        scale = [arg()] + [0.0] * order
+        out = _RULES[shape[1]].jet(em, jets.mul_rule(em, scale, walk(shape[2])))
+    else:
+        a = walk(shape[1])
+        if tag == "neg":
+            out = [em.neg(v) for v in a]
+        elif tag == "*":
+            out = jets.mul_rule(em, a, walk(shape[2]))
+        elif tag in ("+", "-"):
+            out = [(em.add if tag == "+" else em.sub)(p, q) for p, q in zip(a, walk(shape[2]))]
+        elif tag == "rpow":
+            out = jets.rpow_rule(em, a, arg())
+        elif tag in ("ipow", "npow"):
+            arg()  # the value code's exponent; the jet unrolls on shape[2]
+            out = jets.ipow_rule(em, a, shape[2])
+        else:
+            out = _RULES[tag].jet(em, a)
+    memo.append(out)
+    return out
 
 
 @lru_cache(maxsize=KERNEL_SHAPE_CACHE_SIZE)
-def _jet_factory(shape, order: int, fold: bool = True) -> Callable:
-    """The jet kernel factory of a shape at order, compiled once.
+def _jet_factory(shapes: tuple, order: int, fold: bool = True) -> Callable:
+    """The jet kernel factory of a tuple of value shapes at order, compiled once.
 
-    The factory takes the tree's constants and gives kernel(x), for a float
-    x or an array of points alike. With fold, kernel folds the known zeros
-    and ones of constant and identity jets; where a dropped term 0 * v meets
-    a v that is not finite, it returns the unfolded kernel's jet instead.
+    The factory takes the shapes' arguments and gives kernel(x), for a float
+    x or an array of points alike, which returns each shape's coefficients in
+    turn; a later shape reads the subtrees it shares with an earlier one.
+    With fold, kernel folds the known zeros and ones of constant and identity
+    jets; where a dropped term 0 * v meets a v that is not finite, it returns
+    the unfolded kernel's coefficients instead.
     """
+    jets._check_order(order)
     params: list[str] = []
 
     def arg() -> str:
@@ -802,11 +779,12 @@ def _jet_factory(shape, order: int, fold: bool = True) -> Callable:
         return params[-1]
 
     em = jets.Emitter(fold)
-    out = _emit_jet(em, shape, order, arg)
+    memo: list = []
+    out = [c for shape in shapes for c in _emit_jet(em, shape, order, arg, memo)]
     consts = ", ".join(params)
-    fallback = f"_jet_factory(_shape, {order}, False)({consts})(x)"
+    fallback = f"_jet_factory(_shapes, {order}, False)({consts})(x)"
     source = f"def factory({consts}):\n    def kernel(x):\n{em.body(out, ' ' * 8, fallback)}    return kernel\n"
-    names = {**jets.NAMES, "_jet_factory": _jet_factory, "_shape": shape}
+    names = {**jets.NAMES, "_jet_factory": _jet_factory, "_shapes": shapes}
     return jets.compile_source(source, names, "jet kernel")["factory"]
 
 
@@ -892,10 +870,15 @@ class FunctionPair:
     def g_at(self) -> Callable[[float], float]:
         return compile_scalar(self.g)
 
-    # the mean kernels of the pair (means.mean_eval), one per measure, bound
-    # on first use and then held
+    # the mean kernels of the pair (means.mean_eval), one per measure, and
+    # its jet kernels (pair_jets), one per order, bound on first use and then
+    # held
     @cached_property
     def mean_kernels(self) -> dict:
+        return {}
+
+    @cached_property
+    def jet_kernels(self) -> dict:
         return {}
 
     # the shapes of f's and g's value code, g's taken with f's seen so that
@@ -964,18 +947,22 @@ def _validated_pair(
     if grid_size < 32:
         raise ValueError("grid_size must be at least 32")
     xs = _interior_points((lo, hi), grid_size)
+    # the checks run the pair's own jet kernel, so its shapes are walked once
+    pair = FunctionPair(f=f, g=g, interval=(lo, hi), validated_order=n)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            sign = jets.first_failure(lambda p: _grid_sign(f, g, p, max(n, 1), tol_w), xs)
+            sign = jets.first_failure(lambda p: _grid_sign(pair, p, max(n, 1), tol_w), xs)
     except (DomainViolation, OverflowError, ValueError) as exc:
         raise NonSmooth(float(xs[getattr(exc, "index", 0)]), str(exc)) from exc
-    return FunctionPair(f=f, g=g, interval=(lo, hi), validated_order=n, w_sign=sign)
+    # set as Const sets its value: the pair is not shared before it returns
+    object.__setattr__(pair, "w_sign", sign)
+    return pair
 
 
-def _grid_sign(f: Expr, g: Expr, xs: np.ndarray, order: int, tol_w: float) -> int:
+def _grid_sign(pair: FunctionPair, xs: np.ndarray, order: int, tol_w: float) -> int:
     """The sign of f'g - fg' on the points xs, after the checks of
     validate_pair; each check raises at its first failing point."""
-    jf, jg = eval_jet(f, xs, order), eval_jet(g, xs, order)
+    jf, jg = pair_jets(pair, xs, order)
     finite = jf.is_finite() & jg.is_finite()
     jets.reject(~finite, lambda i: NonSmooth(float(xs[i]), "non-finite jet coefficients"))
     g0, w = jg.coeffs[0], jf.coeffs[1] * jg.coeffs[0] - jf.coeffs[0] * jg.coeffs[1]

@@ -13,9 +13,10 @@ straight-line code at a fixed order (Emitter): sums run left to right in one
 fixed order and constant terms come from libm, mapped over the points of an
 array. So a point gives the same bits alone as in any batch, and overflow
 gives inf (callers silence numpy's warnings). The templates run only in
-printed kernels: expr.eval_jet prints whole trees, and calculus the Phi/Psi
-jets and the phi_i/psi_i recursion. There is no jet arithmetic here; the jet
-of a composite function is eval_jet of its tree.
+printed kernels: expr prints the jets of the value shapes, one tree's for
+eval_jet and a pair's in one kernel per order, and calculus the Phi/Psi jets
+and the phi_i/psi_i recursion. There is no jet arithmetic here; the jet of a
+composite function is eval_jet of its tree.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -310,8 +310,15 @@ def mul_rule(em: Emitter, a, b) -> list:
     return out
 
 
-def div_rule(em: Emitter, a, b) -> list:
-    em.check("{} == 0.0", "_zero_divisor({})", b[0])
+def nonzero_divisor(em: Emitter, b0) -> None:
+    """Reject a divisor whose constant term b0 is 0."""
+    em.check("{} == 0.0", "_zero_divisor({})", b0)
+
+
+def div_rule(em: Emitter, a, b, check: bool = True) -> list:
+    """a / b; check=False where the caller has made the divisor's check."""
+    if check:
+        nonzero_divisor(em, b[0])
     out: list = []
     for k in range(len(a)):
         out.append(em.div(em.sub(a[k], dot(em, b, out, k, k)), b[0]))
@@ -423,11 +430,3 @@ def sqrt_rule(em: Emitter, u) -> list:
     _positive(em, u[0], repr("sqrt"))
     return rpow_rule(em, u, 0.5, check=False)
 
-
-def integer_exponent(exponent) -> int | None:
-    """The integer of an integral exponent, None for a real one; raises
-    OverflowError for a fraction with no float."""
-    if isinstance(exponent, Fraction) and exponent.denominator == 1:
-        return exponent.numerator
-    e = float(exponent)
-    return int(e) if e == int(e) else None

@@ -13,7 +13,7 @@ segment sums and the Brent steps in one function, with f and g inlined and
 their shared subtrees computed once per point. The measure's nodes and the
 tree's constants are its arguments, so one code object serves every pair of
 a shape under every measure. Where a value is not finite or fails, or the
-solve leaves the plain path, the node loops (measures.segment_sum) and
+solve leaves the plain path, the node loops (Measure.integrate) and
 _solve_bracketed run instead and raise what they always raised.
 
 mean_table and quasiarithmetic_table fill a whole n x n table of those
@@ -59,7 +59,7 @@ from .errors import (
 )
 from .expr import FunctionPair
 from .jets import compile_source
-from .measures import Measure, moments, segment_sum
+from .measures import Measure, moments
 
 __all__ = [
     "MeanSpec", "mean_eval", "mean_table", "quasiarithmetic", "quasiarithmetic_table",
@@ -195,17 +195,16 @@ brentq.__doc__ = """Root of f on [a, b] by Brent's method, given fa = f(a) and f
 
 
 def _bracketed_roots(
-    resid: Callable[..., np.ndarray], lo: np.ndarray, hi: np.ndarray, *args: np.ndarray,
-    ends: tuple[np.ndarray, np.ndarray] | None = None,
+    resid: Callable[..., np.ndarray], lo: np.ndarray, hi: np.ndarray, *args: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Roots of resid(z, *args) on [lo, hi], elementwise, in one batched solve.
 
-    resid must be elementwise in z and args; ends, if given, are its values
-    at lo and hi. As in _solve_bracketed, an end whose residual is exactly 0
-    is the root. Returns the roots and a mask of the elements solved;
-    elsewhere (no sign change, or no convergence) the root is nan.
+    resid must be elementwise in z and args. As in _solve_bracketed, an end
+    whose residual is exactly 0 is the root. Returns the roots and a mask of
+    the elements solved; elsewhere (no sign change, or no convergence) the
+    root is nan.
     """
-    flo, fhi = ends if ends is not None else (resid(lo, *args), resid(hi, *args))
+    flo, fhi = resid(lo, *args), resid(hi, *args)
     z = np.where(flo == 0.0, lo, np.where(fhi == 0.0, hi, np.nan))
     ok = (flo == 0.0) | (fhi == 0.0)
     solve = np.flatnonzero(~ok & ((flo > 0.0) != (fhi > 0.0)))
@@ -312,8 +311,8 @@ def mean_eval(spec: MeanSpec, x: float, y: float) -> float:
     t*x + (1-t)*y of the measure's nodes, f at every point first and then g;
     the root is brentq's, on the residual f(z) - r*g(z). The pair's mean
     kernel (_mean_factory) does all of that in one call. Where it leaves the
-    plain path, the node loops (segment_sum) and _solve_bracketed run here,
-    raise the first failure they meet (QuadratureNonFinite at the first
+    plain path, the node loops (Measure.integrate) and _solve_bracketed run
+    here, raise the first failure they meet (QuadratureNonFinite at the first
     non-finite value, a DomainViolation of f before one of g) and keep the
     endpoint fallback.
     """
@@ -338,9 +337,8 @@ def mean_eval(spec: MeanSpec, x: float, y: float) -> float:
         return z
     f, g = pair.f_at, pair.g_at
     if r is None:
-        ts, ws = spec.measure._nodes()
-        points = [t * x + (1.0 - t) * y for t in ts]
-        r = segment_sum(ts, ws, f, points) / segment_sum(ts, ws, g, points)
+        integrate = spec.measure.integrate
+        r = integrate(lambda t: f(t * x + (1.0 - t) * y)) / integrate(lambda t: g(t * x + (1.0 - t) * y))
     lo, hi = (x, y) if x < y else (y, x)
 
     def resid(z: float) -> float:
@@ -456,14 +454,7 @@ def mean_table(spec: MeanSpec, xs: Sequence[float]) -> np.ndarray:
     r = num / den
     mirror = _symmetric(spec.measure)
     solve, lo, hi = _brackets(xs, mirror)
-    try:
-        fx, gx = f(xs), g(xs)
-    except DomainViolation:
-        # evaluated bracket by bracket, the ends name the point they always named
-        ends = None
-    else:
-        ends = _ends(xs, solve, fx[:, None] - r * gx[:, None], fx[None, :] - r * gx[None, :])
-    z, ok = _bracketed_roots(lambda z, r: f(z) - r * g(z), lo, hi, r[solve], ends=ends)
+    z, ok = _bracketed_roots(lambda z, r: f(z) - r * g(z), lo, hi, r[solve])
     ratio = np.full(z.shape, np.nan)
     ratio[ok] = f(z[ok]) / g(z[ok])
 
@@ -495,8 +486,7 @@ def quasiarithmetic_table(
     p = np.asarray(phi(xs), dtype=float)
     solve, lo, hi = _brackets(xs, True)
     target = 0.5 * (p[:, None] + p[None, :])
-    z, ok = _bracketed_roots(lambda z, c: phi(z) - c, lo, hi, target[solve],
-                             ends=_ends(xs, solve, p[:, None] - target, p[None, :] - target))
+    z, ok = _bracketed_roots(lambda z, c: phi(z) - c, lo, hi, target[solve])
     ok &= (p[:, None] != p[None, :])[solve]
     return _fill_table(xs, solve, z, ok, lambda x, y: quasiarithmetic(phi, x, y), ok)
 
@@ -507,17 +497,6 @@ def _brackets(xs: np.ndarray, upper: bool) -> tuple[np.ndarray, np.ndarray, np.n
     X, Y = xs[:, None], xs[None, :]
     solve = np.triu(X != Y, 1) if upper else X != Y
     return solve, np.minimum(X, Y)[solve], np.maximum(X, Y)[solve]
-
-
-def _ends(
-    xs: np.ndarray, solve: np.ndarray, row: np.ndarray, col: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The residuals at the lower and the upper ends of the brackets of
-    _brackets: the bracket ends are grid points, and row[i, j] is the
-    residual of element (i, j) at xs[i], col[i, j] the one at xs[j]."""
-    row_lo = (xs[:, None] < xs[None, :])[solve]
-    row, col = row[solve], col[solve]
-    return np.where(row_lo, row, col), np.where(row_lo, col, row)
 
 
 def _fill_table(

@@ -24,7 +24,7 @@ from .errors import DegenerateMeasure, QuadratureNonFinite
 __all__ = [
     "Measure", "Discrete", "Lebesgue", "Density",
     "MomentData", "Regime", "RegimeInfo",
-    "integrate", "weighted_sum", "segment_sum", "moments", "classify",
+    "integrate", "weighted_sum", "moments", "classify",
     "measure_to_json", "measure_from_json", "preset_measure", "PRESETS",
 ]
 
@@ -60,24 +60,6 @@ def weighted_sum(
             raise QuadratureNonFinite(t, v)
         total = total + w * v
     return total if isinstance(total, np.ndarray) else float(total)
-
-
-def segment_sum(ts: Sequence[float], ws: Sequence[float], h: Callable[[float], float],
-                points: Sequence[float]) -> float:
-    """weighted_sum(ts, ws, map(h, points)) for a float kernel h, in floats only.
-
-    The same arithmetic, total = total + w * v from left to right, and the
-    same failure: QuadratureNonFinite at the first node whose value is not
-    finite, before the next node is evaluated.
-    """
-    isfinite = math.isfinite
-    total = 0.0
-    for t, w, p in zip(ts, ws, points):
-        v = h(p)
-        if not isfinite(v):
-            raise QuadratureNonFinite(t, v)
-        total = total + w * v
-    return total
 
 
 class Measure:

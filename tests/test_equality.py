@@ -12,6 +12,7 @@ import pytest
 from meanlab import calculus
 from meanlab import equality as eq
 from meanlab import expr as ex
+from meanlab import means as mn
 from meanlab.errors import NotApplicable, NotPositive
 from meanlab.means import MeanSpec, mean_eval, quasiarithmetic
 from meanlab.measures import Discrete, Lebesgue, preset_measure
@@ -130,28 +131,60 @@ class TestAntiderivative:
         assert got == pytest.approx(exact, abs=1e-14)
 
 
+def _viii_generator(family: str, cube: bool, mpmath):
+    """A pair of the family, the centre of its interval, and the (viii)
+    integrand, W10 under EBM and its real cube root under ECM, as the
+    report's float function and as a 50-digit mpmath function."""
+    pair = random_admissible_pair(random.Random(f"{family}-cumulative"), family)
+    w10 = eq._w10_array(pair)
+    df, dg = ex._derivative(pair.f), ex._derivative(pair.g)
+
+    def w(t):
+        v = mp_value(df, t) * mp_value(pair.g, t) - mp_value(pair.f, t) * mp_value(dg, t)
+        # mpmath.cbrt of a negative value is complex
+        return mpmath.sign(v) * abs(v) ** (mpmath.mpf(1) / 3) if cube else v
+
+    lo, hi = pair.interval
+    return pair, 0.5 * (lo + hi), (lambda t: np.cbrt(w10(t))) if cube else w10, w
+
+
 @pytest.mark.parametrize("cube", [False, True], ids=["w10", "cbrt_w10"])
 @pytest.mark.parametrize("family", ["power", "exponential", "log", "polynomial"])
 def test_cumulative_integral_matches_50_digit_reference(family, cube):
-    # the (viii) integrands, W10 under EBM and its real cube root under ECM,
-    # from the pair's centre to 13 points across its interval
+    # the (viii) integrands from the pair's centre to 13 points across its interval
     mpmath = pytest.importorskip("mpmath")
-    pair = random_admissible_pair(random.Random(f"{family}-cumulative"), family)
+    pair, anchor, integrand, w = _viii_generator(family, cube, mpmath)
     lo, hi = pair.interval
-    anchor = 0.5 * (lo + hi)
     xs = lo + (hi - lo) * np.arange(1, 14) / 14
-    w10 = eq._w10_array(pair)
-    got = eq.CumulativeIntegral((lambda t: np.cbrt(w10(t))) if cube else w10, anchor)(xs)
-    df, dg = ex._derivative(pair.f), ex._derivative(pair.g)
+    got = eq.CumulativeIntegral(integrand, anchor)(xs)
     with mpmath.workdps(50):
-        def w(t):
-            v = mp_value(df, t) * mp_value(pair.g, t) - mp_value(pair.f, t) * mp_value(dg, t)
-            # mpmath.cbrt of a negative value is complex
-            return mpmath.sign(v) * abs(v) ** (mpmath.mpf(1) / 3) if cube else v
-
         for x, v in zip(xs, got):
             ref = mpmath.quad(w, [mpmath.mpf(anchor), mpmath.mpf(float(x))])
             assert abs(v - ref) <= 1e-14 * (1 + abs(ref)), (x, v, ref)
+
+
+@pytest.mark.parametrize("cube", [False, True], ids=["w10", "cbrt_w10"])
+@pytest.mark.parametrize("family", ["power", "exponential", "log", "polynomial"])
+def test_viii_inversion_matches_50_digit_reference(family, cube):
+    # the quasiarithmetic table of the (viii) generator, the integral Phi of
+    # the integrand, against the 50-digit root z in [x, y] of
+    # Phi(z) - Phi(x) = (Phi(y) - Phi(x)) / 2, by Newton from the midpoint
+    mpmath = pytest.importorskip("mpmath")
+    pair, anchor, integrand, w = _viii_generator(family, cube, mpmath)
+    lo, hi = pair.interval
+    xs = lo + (hi - lo) * np.arange(1, 4) / 4
+    got = mn.quasiarithmetic_table(eq.CumulativeIntegral(integrand, anchor), xs)
+    with mpmath.workdps(50):
+        ends = [mpmath.mpf(float(x)) for x in xs]
+        for i in range(len(xs)):
+            for j in range(i + 1, len(xs)):
+                a, b = ends[i], ends[j]
+                half = mpmath.quad(w, [a, b]) / 2
+                ref = mpmath.findroot(lambda z: mpmath.quad(w, [a, z]) - half, (a + b) / 2,
+                                      solver="newton", df=w)
+                assert a < ref < b
+                for v in (got[i, j], got[j, i]):
+                    assert abs(v - ref) <= 1e-14 * (1 + abs(ref)), (xs[i], xs[j], v, ref)
 
 
 @pytest.mark.parametrize("check", [eq.check_EBM, eq.check_ECM])
@@ -182,23 +215,18 @@ def test_viii_matches_scalar_route(check):
 
 @pytest.mark.parametrize("check", [eq.check_EBM, eq.check_ECM])
 def test_ladder_samples_each_pair_once(check, monkeypatch):
-    # one jet pass of f and of g per pair over the whole grid; validation
-    # happens before, and neither pair has a prefactor to track
-    inner, depth, calls = ex.eval_jet, [0], []
+    # one pass of the pair jet kernel per pair over the whole grid;
+    # validation happens before, and neither pair has a prefactor to track
+    inner, calls = ex.pair_jets, []
 
-    def counted(e, x, order):
-        if not depth[0]:
-            calls.append(x)
-        depth[0] += 1
-        try:
-            return inner(e, x, order)
-        finally:
-            depth[0] -= 1
+    def counted(pair, x, order):
+        calls.append(x)
+        return inner(pair, x, order)
 
-    monkeypatch.setattr(ex, "eval_jet", counted)
+    monkeypatch.setattr(ex, "pair_jets", counted)
     rep = check(SINCOS, EXP, grid=12)
     assert len(rep.grid) == 12
-    assert len(calls) == 4
+    assert len(calls) == 2
     assert all(np.array_equal(x, rep.grid) for x in calls)
 
 

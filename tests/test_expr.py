@@ -598,11 +598,11 @@ class TestValidatePairMemo:
         pair = ex.validate_pair("x^2 + 1", "exp(x)", (0.1, 0.9))
 
         def no_jets(*args, **kwargs):
-            raise AssertionError("eval_jet called")
+            raise AssertionError("pair_jets called")
 
-        monkeypatch.setattr(ex, "eval_jet", no_jets)
+        monkeypatch.setattr(ex, "pair_jets", no_jets)
         assert ex.validate_pair("x^2 + 1", "exp(x)", (0.1, 0.9)) is pair
-        with pytest.raises(AssertionError, match="eval_jet called"):
+        with pytest.raises(AssertionError, match="pair_jets called"):
             ex.validate_pair("x^2 + 1", "exp(x)", (0.1, 0.8))
 
     def test_caches_are_bounded(self):

@@ -1,8 +1,8 @@
 """Emitted jet kernels against the loop forms of the Taylor rules.
 
 The loop forms below are the rules as jets.py stated them before they became
-printed templates, and _ref_jet is the recursive tree walk that served
-eval_jet; both stay here as the reference. rule prints one template alone,
+printed templates, and _ref_jet is a recursive tree walk in the order of the
+value kernels; both stay here as the reference. rule prints one template alone,
 unfolded, at one order, as the Phi/Psi and recursion kernels run them. The
 eval_jet kernels fold the known zeros and ones of constant and identity
 jets, so two differences are allowed there:
@@ -30,6 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from meanlab import MeanSpec, mean_eval, preset_measure
 from meanlab import calculus as ca
 from meanlab import expr as ex
 from meanlab import jets
@@ -61,8 +62,12 @@ def _mul(ac, bc):
     return out
 
 
+def _nonzero(b0):
+    jets.reject(b0 == 0.0, lambda i: DivisionByZeroConstantTerm("divisor jet has zero constant term"))
+
+
 def _div(ac, bc):
-    jets.reject(bc[0] == 0.0, lambda i: DivisionByZeroConstantTerm("divisor jet has zero constant term"))
+    _nonzero(bc[0])
     out = []
     for k in range(len(ac)):
         out.append((ac[k] - _dot(bc, out, k, k)) / bc[0])
@@ -126,8 +131,6 @@ def _pow(u, exponent):
     if isinstance(exponent, Fraction) and exponent.denominator == 1:
         return _ipow(u, exponent.numerator)
     e = float(exponent)
-    if e == int(e):
-        return _ipow(u, int(e))
     u0 = u[0]
     _positive(u0, f"non-integer power {e!r}")
     w = [jets._libm(lambda v: v**e, u0, "power")]
@@ -164,7 +167,9 @@ def rule(template, order: int, arity: int, *params):
 
 
 def _ref_jet(e: ex.Expr, x, n: int) -> list:
-    """The recursive jet walk: children left to right, then the rule."""
+    """The recursive jet walk: children, then the rule; left before right,
+    except that a denominator and its check come before the numerator, and
+    C(0; u) is 1 without u, as in the value kernels."""
     if isinstance(e, ex.Const):
         return [float(e.value)] + [0.0] * n
     if isinstance(e, ex.Var):
@@ -172,17 +177,23 @@ def _ref_jet(e: ex.Expr, x, n: int) -> list:
     if isinstance(e, ex.Neg):
         return [-c for c in _ref_jet(e.operand, x, n)]
     if isinstance(e, ex.BinOp):
+        if e.op == "/":
+            b = _ref_jet(e.right, x, n)
+            _nonzero(b[0])
+            return _div(_ref_jet(e.left, x, n), b)
         a, b = _ref_jet(e.left, x, n), _ref_jet(e.right, x, n)
         if e.op in "+-":
             return [p + q if e.op == "+" else p - q for p, q in zip(a, b)]
-        return _mul(a, b) if e.op == "*" else _div(a, b)
+        return _mul(a, b)
     if isinstance(e, ex.Pow):
         return _pow(_ref_jet(e.base, x, n), e.exponent)
     if isinstance(e, ex.Call):
         return _LOOP_RULES[e.func](_ref_jet(e.arg, x, n))
+    if e.t == 0.0 and isinstance(e, ex.CType):
+        return [1.0] + [0.0] * n
     a = _ref_jet(e.arg, x, n)
     if e.t == 0.0:
-        return a if isinstance(e, ex.SType) else [1.0] + [0.0] * n
+        return a
     sine, cosine = ("sin", "cos") if e.t < 0.0 else ("sinh", "cosh")
     scaled = _mul([math.sqrt(abs(e.t))] + [0.0] * n, a)
     return _LOOP_RULES[sine if isinstance(e, ex.SType) else cosine](scaled)
@@ -303,19 +314,27 @@ class TestAgainstLoopForms:
 class TestKernelShapes:
     def test_trees_of_one_shape_share_one_code_object(self):
         a, b = ex.parse("sin(0.5*x+0.1)"), ex.parse("sin(0.7*x+0.2)")
-        ka, kb = ex._jet_kernel(a, 6), ex._jet_kernel(b, 6)
-        assert ka is not kb and ka.__code__ is kb.__code__
-        assert [c.cell_contents for c in kb.__closure__] == [0.7, 0.2]
+        ex._jet_factory.cache_clear()
         assert ex.eval_jet(a, 0.3, 6).coeffs != ex.eval_jet(b, 0.3, 6).coeffs
+        info = ex._jet_factory.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
         # a float and an array run the same kernel
         xs = np.array([0.3, 0.4])
         assert ex.eval_jet(a, xs, 6).coeffs[3][0] == ex.eval_jet(a, 0.3, 6).coeffs[3]
-        assert ex._jet_kernel(a, 4).__code__ is not ka.__code__
+        # so do pairs of one shape: g reads the argument it shares with f
+        pa = ex.validate_pair("sin(0.5*x+0.1)", "cos(0.5*x+0.1)", (-1.0, 1.0))
+        pb = ex.validate_pair("sin(0.7*x+0.2)", "cos(0.7*x+0.2)", (-1.0, 1.0))
+        ex.pair_jets(pa, 0.3, 6), ex.pair_jets(pb, 0.3, 6), ex.pair_jets(pb, 0.3, 4)
+        ka, kb = pa.jet_kernels[6], pb.jet_kernels[6]
+        assert ka is not kb and ka.__code__ is kb.__code__
+        assert [c.cell_contents for c in kb.__closure__] == [0.7, 0.2]
+        assert pb.jet_kernels[4].__code__ is not kb.__code__
 
     def test_non_integer_power_names_its_own_exponent(self):
         base = ex.BinOp("*", ex.Var(), ex.Const(-0.25))
         first, second = ex.Pow(base, Fraction(2, 3)), ex.Pow(base, Fraction(-5, 4))
-        assert ex._jet_kernel(first, 3).__code__ is ex._jet_kernel(second, 3).__code__
+        # one shape, so one kernel: the exponent is an argument
+        assert ex._value_shape(first, [], {})[1] == ex._value_shape(second, [], {})[1]
         for e, exponent in ((first, 2 / 3), (second, -1.25)):
             message = f"non-integer power {exponent!r} of non-positive constant term -0.25"
             with pytest.raises(DomainViolation) as info:
@@ -325,33 +344,108 @@ class TestKernelShapes:
                 ex.eval_jet(e, np.array([-1.0, 1.0]), 3)
             assert (str(info.value), info.value.index) == (message, 1)
 
-    def test_cosine_type_at_zero_evaluates_its_argument(self):
-        # unlike the value kernels, the jet route evaluates u before it gives 1
+    def test_cosine_type_at_zero_is_one_without_its_argument(self):
+        # C(0; u) is the constant 1 on every route: u is not evaluated
         e = ex.parse("C(0; log(x))")
-        message = "log of non-positive constant term -1.0"
-        with pytest.raises(DomainViolation, match=f"^{message}$"):
-            ex.eval_jet(e, -1.0, 2)
-        with pytest.raises(DomainViolation, match=f"^{message}$"):
-            ex.eval_jet(e, np.array([2.0, -1.0]), 2)
-        assert ex.eval_jet(e, 2.0, 2).coeffs == (1.0, 0.0, 0.0)
+        xs = np.array([2.0, -1.0])
+        assert ex.compile_scalar(e)(-1.0) == 1.0
+        assert ex.compile_array(e)(xs).tolist() == [1.0, 1.0]
+        assert ex.eval_jet(e, -1.0, 2).coeffs == (1.0, 0.0, 0.0)
+        assert [c.tolist() for c in ex.eval_jet(e, xs, 2).coeffs] == [[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]
 
     def test_overflow_before_a_domain_error_stays_first(self):
         # nothing of a known constant is evaluated when the kernel is printed
-        e = ex.parse("log(-C(0; sinh(12345.678)))")
+        e = ex.parse("log(-sinh(12345.678))")
         with pytest.raises(DomainViolation, match="^sinh/cosh overflow at constant term 12345.678$"):
             ex.eval_jet(e, 0.5, 2)
 
     def test_memos_stay_at_their_bounds(self):
+        # eval_jet holds nothing per tree; the factories are one bounded memo
         info = ex._jet_factory.cache_info()
         assert info.maxsize == ex.KERNEL_SHAPE_CACHE_SIZE
         tree = ex.Var()
         for _ in range(ex.KERNEL_SHAPE_CACHE_SIZE + 3):
             tree = ex.BinOp("+", tree, ex.Var())
-            ex._jet_factory(ex._jet_shape(tree, []), 0)
+            ex.eval_jet(tree, 0.5, 0)
         assert ex._jet_factory.cache_info().currsize == ex.KERNEL_SHAPE_CACHE_SIZE
-        for i in range(ex.JET_KERNEL_CACHE_SIZE + 3):
-            ex.eval_jet(ex.Const(float(i)), 0.5, 1)
-        assert len(ex._JET_KERNELS) == ex.JET_KERNEL_CACHE_SIZE
+
+
+class TestOneShapeWalk:
+    """The jets walk the value shapes: a pair's jets come from one kernel per
+    order, and every route evaluates a tree in one order."""
+
+    @pytest.mark.parametrize("family", PAIR_FAMILIES)
+    def test_pair_kernel_equals_eval_jet_of_each_tree(self, rng, family):
+        for _ in range(3):
+            pair = random_admissible_pair(rng, family)
+            lo, hi = pair.interval
+            xs = np.linspace(lo, hi, 11)[1:-1]
+            for order in range(jets.MAX_ORDER + 1):
+                for x in (float(xs[4]), xs, xs.reshape(3, 3)):
+                    jf, jg = ex.pair_jets(pair, x, order)
+                    for got, e in ((jf, pair.f), (jg, pair.g)):
+                        want = ex.eval_jet(e, x, order)
+                        assert _bits(got.coeffs) == _bits(want.coeffs)
+                        assert _bits([got.base_point]) == _bits([want.base_point])
+
+    def test_pair_error_is_the_one_at_the_earliest_point(self):
+        # g fails from x = 1 on and f from x = 2 on; at one point, f fails first
+        pair = ex.FunctionPair(ex.parse("log(2 - x)"), ex.parse("sqrt(1 - x)"), (-3.0, 3.0), 6)
+        xs = np.array([0.5, 2.5, 1.5]), np.array([0.5, 1.5, 2.5])
+        for x, e, index in ((xs[0], pair.f, 1), (xs[1], pair.g, 1), (2.5, pair.f, 0)):
+            got = _outcome(lambda: ex.pair_jets(pair, x, 3)[0].coeffs)
+            want = _outcome(lambda: ex.eval_jet(e, x, 3).coeffs)
+            assert got[0] == "error" and got == want and got[3] == index
+
+    @pytest.mark.parametrize("text, value, jet", [
+        ("log(x) / log(x - 2)", "log of non-positive value", "log of non-positive constant term -3.0"),
+        ("sqrt(x) / log(x - 2)", "log of non-positive value", "log of non-positive constant term -3.0"),
+        ("log(x) / sqrt(x - 2)", "sqrt of negative value", "sqrt of non-positive constant term -3.0"),
+    ])
+    def test_a_denominator_fails_first_on_every_route(self, text, value, jet):
+        e = ex.parse(text)
+        xs = np.array([4.0, -1.0])
+        for run, message in (
+            (lambda: ex.compile_scalar(e)(-1.0), f"{value} at -1.0"),
+            (lambda: ex.compile_array(e)(xs), f"{value} at -1.0"),
+            (lambda: ex.eval_jet(e, -1.0, 2), jet),
+            (lambda: ex.eval_jet(e, xs, 2), jet),
+        ):
+            with pytest.raises(DomainViolation) as info:
+                run()
+            assert str(info.value) == message
+
+    def test_a_fractional_exponent_with_no_float_raises_one_error(self):
+        # the exponent's float is taken with the shape, before any point
+        e = ex.parse("log(x)^(10^400/3)")
+        with pytest.raises(OverflowError) as want:
+            float(Fraction(10**400, 3))
+        for x in (-0.5, 2.5, np.array([2.5, -0.5]), np.array([-0.5, 2.5])):
+            with pytest.raises(OverflowError) as info:
+                ex.eval_jet(e, x, 2)
+            assert str(info.value) == str(want.value)
+            assert getattr(info.value, "index", None) is None
+
+    def test_a_fresh_pair_walks_its_shapes_once(self, monkeypatch):
+        walks, depth, inner = [], [0], ex._value_shape
+
+        def counted(e, consts, seen):
+            if not depth[0]:
+                walks.append(e)
+            depth[0] += 1
+            try:
+                return inner(e, consts, seen)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(ex, "_value_shape", counted)
+        pair = ex.validate_pair("sin(0.4321 * x + 0.1)", "cos(0.4321 * x + 0.1)", (-0.3, 0.9))
+        assert walks == [pair.f, pair.g]
+        ca.phi_psi(pair, 0.2, 4)
+        for name in ("ebm", "lebesgue"):
+            mean_eval(MeanSpec(pair, preset_measure(name)), 0.1, 0.5)
+        assert walks == [pair.f, pair.g]
+        assert sorted(pair.jet_kernels) == [6]
 
 
 # ------------------------------------------------- single rules, unfolded

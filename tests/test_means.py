@@ -344,8 +344,8 @@ class TestMeanTable:
     def test_bracket_ends_fall_back_where_f_fails_at_a_grid_point(self):
         # f fails at the grid points a and b and at no segment point: the
         # diagonal ones, t*a + (1-t)*a, round off a and b. f over the grid
-        # names a, the first in xs; the bracket route names b, the lower end
-        # of the first bracket, as it did before the ends came from the grid
+        # names a, the first in xs; the bracket ends are taken bracket by
+        # bracket, so the table names b, the lower end of the first bracket
         a, b = 1.8237185012477866, 0.8826035386091325
         f = ex.parse(f"1 / ((x - {a!r}) * (x - {b!r}))")
         pair = ex.FunctionPair(f, ex.parse("1"), (0.5, 2.5), 6)
@@ -355,23 +355,6 @@ class TestMeanTable:
             ex.compile_array(f)(xs)
         with pytest.raises(DomainViolation, match=rf"^division by zero at {b!r}$"):
             mean_table(spec, xs)
-
-    @pytest.mark.parametrize("family", PAIR_FAMILIES)
-    def test_bracket_ends_from_the_grid_equal_the_bracket_route(self, family, rng, monkeypatch):
-        spec = MeanSpec(random_admissible_pair(rng, family), Lebesgue())
-        lo, hi = spec.pair.interval
-        xs = np.linspace(lo, hi, 12)[1:-1]
-        seen = []
-        solve = mn._bracketed_roots
-
-        def recorded(resid, lo, hi, *args, ends=None):
-            seen.append((ends, resid(lo, *args), resid(hi, *args)))
-            return solve(resid, lo, hi, *args, ends=ends)
-
-        monkeypatch.setattr(mn, "_bracketed_roots", recorded)
-        mean_table(spec, xs)
-        (flo, fhi), want_lo, want_hi = seen[0]
-        assert flo.tobytes() == want_lo.tobytes() and fhi.tobytes() == want_hi.tobytes()
 
 
 def _full_square_table(spec: MeanSpec, xs) -> tuple[np.ndarray, np.ndarray]:
