@@ -313,20 +313,20 @@ def diagonal_closed_form(phi, psi, mu: tuple[float, ...]) -> tuple:
     m1 = 0.0
     m2 = mu2 * P
     m3 = mu3 * seq[3]
-    m4 = -3.0 * mu2**2 * (PPP + 2 * P * Q) + mu4 * seq[4]
+    m4 = -3 * mu2**2 * (PPP + 2 * P * Q) + mu4 * seq[4]
     m5 = (
-        -10.0 * mu3 * mu2 * (PP * P1 + PP * PP + (P1 + 3 * PP) * Q + P * Q1 + QQ)
+        -10 * mu3 * mu2 * (PP * P1 + PP * PP + (P1 + 3 * PP) * Q + P * Q1 + QQ)
         + mu5 * seq[5]
     )
     m6 = (
-        15.0 * mu2**3 * (-P1 * PPP + 2 * PP * PPP + 8 * PPP * Q + 6 * P * QQ)
-        - 10.0
+        15 * mu2**3 * (-P1 * PPP + 2 * PP * PPP + 8 * PPP * Q + 6 * P * QQ)
+        - 10
         * mu3**2
         * (
             P1 * P1 * P + 2 * P1 * PPP + PP * PPP + 3 * P * QQ
             + 4 * (P1 * P + PPP) * Q + 2 * (P1 + PP) * Q1 + 2 * Q1 * Q
         )
-        - 15.0
+        - 15
         * mu2
         * mu4
         * (

@@ -34,8 +34,6 @@ EQUIVALENCE_TOL = 1e-9
 DETERMINANT_FLOOR = 1e-10
 PHI_PSI_TOL = 1e-9
 FIT_TOL = 1e-8
-CONSTANCY_TOL = 1e-8
-FIT_CONDITION_LIMIT = 1e8
 DEFAULT_FIT_GRID = 101
 DEFAULT_BATTERY_GRID = 50
 
@@ -252,7 +250,8 @@ def _lstsq(design: np.ndarray, target: np.ndarray, context: str) -> np.ndarray:
     if design.ndim == 1:
         design = design[:, None]
     cond = np.linalg.cond(design)
-    if not cond < FIT_CONDITION_LIMIT:
+    # the limit is read at call time, so lowering it still takes effect
+    if not cond < calculus.FIT_CONDITION_LIMIT:
         raise IllConditionedFit(cond, context=context)
     coef, *_ = np.linalg.lstsq(design, target, rcond=None)
     return coef

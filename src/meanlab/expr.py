@@ -463,21 +463,6 @@ def _value_shape(e: Expr, consts: list, seen: dict):
     return key, shape
 
 
-def _reads(shape, out: set) -> set:
-    """Adds to out the numbers of the values shape reads back, its ("ref", i)."""
-    if isinstance(shape, tuple):
-        if shape[0] == "ref":
-            out.add(shape[1])
-        for s in shape[1:]:
-            _reads(s, out)
-    return out
-
-
-# an inline expression of unchecked code nests at most this many nodes deep:
-# the compiler recurses once per level
-_INLINE_DEPTH = 32
-
-
 class _Printer:
     """Prints the value code of shapes (_value_shape) as straight-line code
     into body: one local per subexpression, in evaluation order.
@@ -487,51 +472,24 @@ class _Printer:
     of _RULES and its arguments c0, c1, ...: every constant (values,
     exponents, S/C scales) is an argument, so all trees of one shape share
     one source. Scalar code takes a float point, array code an array.
-
-    Unchecked scalar code is for a caller that prints many points and can
-    rerun checked code where one of them fails. It leaves the failures that
-    an operation raises by itself as they are (math's ValueError and
-    OverflowError, Python's ZeroDivisionError), without the try or the check
-    that names the point; it keeps the check of a non-integer power, as **
-    gives a complex number for a negative base and 0.0 for a zero one. It
-    writes a value inline, as an expression in the one place that reads it,
-    unless a check or a later subtree reads it too (keep holds the numbers
-    of the latter) or the expression would nest deeper than _INLINE_DEPTH.
-    A try, and a local, cost little to run but much to compile, and each
-    local adds to the cost of a call. Python then sets the order of
-    evaluation, not the walk; each value keeps its bits.
     """
 
-    # per class of power: the check, its message, and whether unchecked
-    # code keeps it
+    # per class of power: the check and its message
     _POW = {
-        "rpow": ("{} <= 0.0", "non-integer power of non-positive base", True),
-        "npow": ("{} == 0.0", "zero base with negative power", False),
-        "ipow": (None, "", False),
+        "rpow": ("{} <= 0.0", "non-integer power of non-positive base"),
+        "npow": ("{} == 0.0", "zero base with negative power"),
+        "ipow": (None, ""),
     }
 
-    def __init__(self, arrays: bool, checked: bool = True, keep: frozenset = frozenset()):
+    def __init__(self, arrays: bool):
         self.arrays = arrays
-        self.checked = checked
-        self.keep = keep
         self.body: list[str] = []
         self._names = itertools.count()
-        # the nesting depth of each inline expression
-        self._depth: dict[str, int] = {}
 
     def let(self, rhs: str) -> str:
         v = f"v{next(self._names)}"
         self.body.append(f"{v} = {rhs}")
         return v
-
-    def out(self, rhs: str, operands: tuple, keep: bool) -> str:
-        """The value of rhs: a new local, or in unchecked code, where it is
-        read only once, the expression itself."""
-        depth = 1 + max((self._depth.get(a, 0) for a in operands), default=0)
-        if self.checked or keep or depth > _INLINE_DEPTH:
-            return self.let(rhs)
-        self._depth[f"({rhs})"] = depth
-        return f"({rhs})"
 
     def check(self, cond: str, message: str, x: str) -> None:
         if self.arrays:
@@ -540,17 +498,12 @@ class _Printer:
             self.body.append(f"if {cond}: raise _violation({message!r}, {x})")
 
     def call(self, name: str, a: str, rhs: str, x: str, bad: str | None = None,
-             domain: str = "", overflows: bool = True, infinite: bool = False,
-             always: bool = False, keep: bool = True) -> str:
+             domain: str = "", overflows: bool = True, infinite: bool = False) -> str:
         """The value of rhs, a template on the operand a, after the checks of
-        its rule; always keeps the domain check in unchecked code."""
-        if bad is not None and (self.checked or always):
-            if a in self._depth:  # the check and the call read one local
-                a = self.let(a)
+        its rule."""
+        if bad is not None:
             self.check(bad.format(a), domain, x)
         rhs = rhs.format(a)
-        if not self.checked:
-            return self.out(rhs, (a,), keep)
         if infinite and self.arrays:
             self.check(f"isinf({a})", f"{name} of infinite value", x)
         if not overflows and not (infinite and not self.arrays):
@@ -569,8 +522,7 @@ class _Printer:
         """Print the value of shape at the point x, with arguments from
         c<first> on. memo holds the compound values computed at x so far, in
         the numbering of _value_shape's seen, and gains the new ones.
-        Returns the value (a local, or an expression in unchecked code) and
-        the next argument's index."""
+        Returns the value's local and the next argument's index."""
         count = itertools.count(first)
 
         def arg() -> str:
@@ -585,33 +537,25 @@ class _Printer:
             if tag == "ref":
                 return memo[s[1]]
             if tag == "neg":
-                u = walk(s[1])
-                v = self.out(f"-{u}", (u,), len(memo) in self.keep)
+                v = self.let(f"-{walk(s[1])}")
             elif tag == "/":
                 d = walk(s[2])
-                if self.checked:
-                    self.check(f"{d} == 0.0", "division by zero", x)
-                n = walk(s[1])
-                v = self.out(f"{n} / {d}", (n, d), len(memo) in self.keep)
+                self.check(f"{d} == 0.0", "division by zero", x)
+                v = self.let(f"{walk(s[1])} / {d}")
             elif tag in ("+", "-", "*"):
                 left = walk(s[1])
-                right = walk(s[2])
-                v = self.out(f"{left} {tag} {right}", (left, right), len(memo) in self.keep)
+                v = self.let(f"{left} {tag} {walk(s[2])}")
             elif tag in self._POW:
                 b = walk(s[1])
-                bad, domain, always = self._POW[tag]
-                v = self.call("power", b, "{} ** " + arg(), x, bad, domain,
-                              always=always, keep=len(memo) in self.keep)
+                v = self.call("power", b, "{} ** " + arg(), x, *self._POW[tag])
             else:
                 r = _RULES[s[1] if tag == "sc" else tag]
                 if tag == "sc":
                     c = arg()
-                    u = walk(s[2])
-                    a = self.out(f"{c} * {u}", (u,), False)
+                    a = self.let(f"{c} * {walk(s[2])}")
                 else:
                     a = walk(s[1])
-                v = self.call(r.name, a, r.name + "({})", x, r.bad, r.domain, r.overflows,
-                              r.infinite, keep=len(memo) in self.keep)
+                v = self.call(r.name, a, r.name + "({})", x, r.bad, r.domain, r.overflows, r.infinite)
             memo.append(v)
             return v
 
@@ -623,9 +567,17 @@ def _kernel(e: Expr, arrays: bool) -> Callable:
     """The one compiler behind compile_scalar and compile_array: the factory
     of e's shape, given e's arguments. A subtree equal to one computed
     before is not computed again."""
-    consts: list = []
-    _, shape = _value_shape(e, consts, {})
+    (shape,), consts = _value_shapes(e)
     return _factory(shape, arrays)(*consts)
+
+
+def _value_shapes(*trees: Expr) -> tuple[tuple, tuple]:
+    """The shapes of the trees' value code, each taken with the earlier
+    trees' seen so that it reuses the subtrees they share, and their
+    arguments in order."""
+    consts: list = []
+    seen: dict = {}
+    return tuple(_value_shape(e, consts, seen)[1] for e in trees), tuple(consts)
 
 
 def _violation(message: str, x, mask=None) -> DomainViolation:
@@ -683,9 +635,8 @@ def eval_jet(e: Expr, x, order: int) -> Jet:
     x, each coefficient is an array of its shape with the bits of each point
     alone, and an error is the float route's at the first failing point in C
     order, with that flat index in its index attribute."""
-    consts: list = []
-    _, shape = _value_shape(e, consts, {})
-    return _run_jets(_jet_factory((shape,), order)(*consts), x, order)[0]
+    shapes, consts = _value_shapes(e)
+    return _run_jets(_jet_factory(shapes, order)(*consts), x, order)[0]
 
 
 def pair_jets(pair: FunctionPair, x, order: int) -> tuple[Jet, Jet]:
@@ -881,14 +832,11 @@ class FunctionPair:
     def jet_kernels(self) -> dict:
         return {}
 
-    # the shapes of f's and g's value code, g's taken with f's seen so that
-    # it reuses the subtrees the two share, and their arguments in order
+    # the shapes of f's and g's value code, g's reusing the subtrees the two
+    # share, and their arguments in order (_value_shapes)
     @cached_property
     def value_shapes(self) -> tuple[tuple, tuple]:
-        consts: list = []
-        seen: dict = {}
-        shapes = (_value_shape(self.f, consts, seen)[1], _value_shape(self.g, consts, seen)[1])
-        return shapes, tuple(consts)
+        return _value_shapes(self.f, self.g)
 
     def contains(self, x: float) -> bool:
         lo, hi = self.interval

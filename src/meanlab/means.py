@@ -9,12 +9,13 @@ Bajraktarevic, Cauchy) are separate entry points with their own closed
 forms, used in tests as independent routes to the same values.
 
 mean_eval runs one printed kernel per pair shape (_mean_factory): the
-segment sums and the Brent steps in one function, with f and g inlined and
-their shared subtrees computed once per point. The measure's nodes and the
-tree's constants are its arguments, so one code object serves every pair of
-a shape under every measure. Where a value is not finite or fails, or the
-solve leaves the plain path, the node loops (Measure.integrate) and
-_solve_bracketed run instead and raise what they always raised.
+segment sums and the Brent steps in one function, with the checked value
+code of f and g (expr._Printer) at each point and their shared subtrees
+computed once per point. The measure's nodes and the tree's constants are
+its arguments, so one code object serves every pair of a shape under every
+measure. Where a value is not finite or fails, or the solve leaves the
+plain path, the node loops (Measure.integrate) and _solve_bracketed run
+instead and raise what they always raised.
 
 mean_table and quasiarithmetic_table fill a whole n x n table of those
 means with one vectorized bracketed solve, of the upper triangle only where
@@ -387,10 +388,11 @@ def _mean_factory(shapes: tuple) -> Callable:
     the certificate. Each value it computes has the bits mean_eval's loops
     give it. It returns (z, r), or (None, r) where the bracket, the steps or
     the certificate leave the plain path, or (None, None) where a sum is
-    not finite. Its code is unchecked (expr._Printer): where a value fails
-    it raises a DomainViolation, ValueError or ArithmeticError, which need
-    not be the failure the loops meet first, as it takes g at a node before
-    f at the next.
+    not finite. f and g print as compile_scalar's checked code
+    (expr._Printer): where a value fails it raises a DomainViolation, and
+    ZeroDivisionError where r or the certificate divides by zero. The
+    failure need not be the one the loops meet first, as the kernel takes
+    g at a node before f at the next.
 
     The nodes are a loop rather than unrolled code, so one code object
     serves every measure: on CPython 3.11 the two run the 32-node sums of
@@ -398,8 +400,7 @@ def _mean_factory(shapes: tuple) -> Callable:
     fifteen times as long to compile.
     """
     fshape, gshape = shapes
-    keep = frozenset(ex._reads(gshape, ex._reads(fshape, set())))
-    pr = ex._Printer(arrays=False, checked=False, keep=keep)
+    pr = ex._Printer(arrays=False)
 
     def at(point: str) -> tuple[list[str], str, str, int]:
         """The lines of f and g at the point, their values and the number
@@ -573,14 +574,15 @@ def cauchy(phi: Union[ex.Expr, str], psi: Union[ex.Expr, str], x: float, y: floa
     if abs(dpsi) <= 1e-14:
         raise DegenerateDenominator(x, y, dpsi)
     target = (pf(y) - pf(x)) / dpsi
+    # the jets of phi and psi, as eval_jet gives each, from one kernel
+    shapes, consts = ex._value_shapes(phi, psi)
+    jet = ex._jet_factory(shapes, 1)(*consts)
 
     def ratio(z: float) -> float:
-        jp = ex.eval_jet(phi, z, 1)
-        js = ex.eval_jet(psi, z, 1)
-        ds = js.coeffs[1]
+        _, dp, _, ds = jet(z)
         if not ds > 0.0:
             raise NotPositive("psi'", z, ds)
-        return jp.coeffs[1] / ds
+        return dp / ds
 
     lo, hi = (x, y) if x < y else (y, x)
     return _solve_bracketed(lambda z: ratio(z) - target, lo, hi)

@@ -303,13 +303,30 @@ class TestClosedForms:
             got = ca._seq_closed_form(*([math.factorial(k) * c[k] for k in range(5)] for c in (p, q)))
             assert got == want
 
+    def test_diagonal_equals_the_exact_series_solve(self):
+        # on rational Taylor coefficients c of f and d of g at x, with
+        # W10 = c1 d0 - c0 d1 nonzero, and rational centred moments, the
+        # diagonal closed forms of the exact Phi and Psi must give the
+        # section's derivatives exactly: every coefficient is an int
+        rng = random.Random(1912)
+        draws = 0
+        while draws < 100:
+            c, d = ([Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(7)] for _ in range(2))
+            if c[1] * d[0] == c[0] * d[1]:
+                continue
+            draws += 1
+            mu = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(5)]
+            assert ca.diagonal_closed_form(*_exact_phi_psi(c, d), mu) == _exact_diagonal(c, d, mu)
+
+
+def _mul(a: list, b: list) -> list:
+    """The Cauchy product of two truncated series of one length."""
+    return [sum(a[j] * b[k - j] for j in range(k + 1)) for k in range(len(a))]
+
 
 def _exact_recursion(p: list, q: list, n: int = 6) -> tuple[tuple, tuple]:
     """phi_i, psi_i for i <= n in rational arithmetic, from the Taylor
     coefficients p of Phi and q of Psi: a Cauchy product and the shift."""
-
-    def mul(a, b):
-        return [sum(a[j] * b[k - j] for j in range(k + 1)) for k in range(len(a))]
 
     def shift(a):
         return [(k + 1) * a[k + 1] for k in range(len(a) - 1)]
@@ -318,12 +335,59 @@ def _exact_recursion(p: list, q: list, n: int = 6) -> tuple[tuple, tuple]:
     phis, psis = [0, 1], [1, 0]
     for m in range(n - 1, 0, -1):
         phi_i, psi_i = (
-            [d + c + e for d, c, e in zip(shift(phi_i), mul(phi_i[:m], p[:m]), psi_i)],
-            [c + d for c, d in zip(mul(phi_i[:m], q[:m]), shift(psi_i))],
+            [d + c + e for d, c, e in zip(shift(phi_i), _mul(phi_i[:m], p[:m]), psi_i)],
+            [c + d for c, d in zip(_mul(phi_i[:m], q[:m]), shift(psi_i))],
         )
         phis.append(phi_i[0])
         psis.append(psi_i[0])
     return tuple(phis), tuple(psis)
+
+
+def _exact_phi_psi(c: list, d: list, n: int = 4) -> tuple[list, list]:
+    """Phi = W20/W10, Psi = -W21/W10 and their first n derivatives at x, in
+    rational arithmetic, from the Taylor coefficients c of f and d of g at
+    x, with Wij = f^(i) g^(j) - f^(j) g^(i)."""
+
+    def derivative(a, i):  # the Taylor coefficients of the i-th derivative
+        return [a[m + i] * (math.factorial(m + i) // math.factorial(m)) for m in range(n + 1)]
+
+    def w(i, j):
+        return [u - v for u, v in zip(_mul(derivative(c, i), derivative(d, j)),
+                                      _mul(derivative(c, j), derivative(d, i)))]
+
+    def div(a, b):
+        q: list = []
+        for k in range(n + 1):
+            q.append((a[k] - sum(q[j] * b[k - j] for j in range(k))) / b[0])
+        return q
+
+    phi, psi = div(w(2, 0), w(1, 0)), div(w(2, 1), w(1, 0))
+    return ([math.factorial(k) * v for k, v in enumerate(phi)],
+            [-math.factorial(k) * v for k, v in enumerate(psi)])
+
+
+def _exact_diagonal(c: list, d: list, mu: list, n: int = 6) -> tuple:
+    """m^(k)(0) = k! a_k for k = 1, ..., n, in rational arithmetic: the
+    section x + delta(u), delta = sum a_k u^k, solves
+    f(x + delta) D(u) = g(x + delta) N(u) with N = sum c_j mu_j u^j and D
+    the same sum with d (mu0 = 1, mu1 = 0), one order at a time."""
+    moments = [1, 0, *mu]
+    N, D = ([e * m for e, m in zip(a, moments)] for a in (c, d))
+    a = [Fraction(0)] * (n + 1)
+
+    def compose(e):  # the Taylor coefficients of e at x + delta(u)
+        out = [e[n]] + [0] * n
+        for j in range(n - 1, -1, -1):
+            out = _mul(out, a)
+            out[0] += e[j]
+        return out
+
+    for k in range(1, n + 1):
+        # order k of f(x + delta) D - g(x + delta) N with a_k = 0; a_k adds
+        # (c1 d0 - c0 d1) a_k to it
+        gap = _mul(compose(c), D)[k] - _mul(compose(d), N)[k]
+        a[k] = -gap / (c[1] * d[0] - c[0] * d[1])
+    return tuple(math.factorial(k) * a[k] for k in range(1, n + 1))
 
 
 class TestDiagonalDerivatives:

@@ -13,7 +13,7 @@ from meanlab import calculus
 from meanlab import equality as eq
 from meanlab import expr as ex
 from meanlab import means as mn
-from meanlab.errors import NotApplicable, NotPositive
+from meanlab.errors import IllConditionedFit, NotApplicable, NotPositive
 from meanlab.means import MeanSpec, mean_eval, quasiarithmetic
 from meanlab.measures import Discrete, Lebesgue, preset_measure
 
@@ -398,6 +398,12 @@ class TestPowerLawR:
     def test_phi_mismatch_not_applicable(self):
         with pytest.raises(NotApplicable):
             eq.check_power_law_R(EXP, LINEAR, EBM, 15)
+
+    def test_condition_limit_enforced(self, monkeypatch):
+        # one limit serves every fit, the equality fits' and the oracle's
+        monkeypatch.setattr(calculus, "FIT_CONDITION_LIMIT", 1.0)
+        with pytest.raises(IllConditionedFit, match="power-law gap fit"):
+            eq.check_power_law_R(SINCOS, LINEAR, EBM, 25)
 
 
 class TestSplitCheck:

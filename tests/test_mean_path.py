@@ -207,8 +207,7 @@ def test_kernel_fails_as_the_node_by_node_route(case, measure):
 
 
 def test_deep_tree_compiles_to_a_kernel():
-    # 200 nested sin(u + 0.01): the kernel writes values inline, but never
-    # nests an expression deep enough to stop the compiler
+    # 200 nested sin(u + 0.01), a local and a try per call, in one kernel
     e = ex.Var()
     for _ in range(200):
         e = ex.Call("sin", ex.BinOp("+", e, ex.Const(0.01)))

@@ -176,6 +176,43 @@ class TestCauchy:
                 continue
             assert cauchy(phi, psi, x, y) == pytest.approx(mean_eval(spec, x, y), abs=1e-10)
 
+    CASES = [("x^2", "x", 1.0, 3.0), ("log(x)", "x", 1.0, math.e),
+             # phi and psi share 0.5 * x + 0.1
+             ("sin(0.5 * x + 0.1)", "-cos(0.5 * x + 0.1)", 1.7, 0.2),
+             ("S(-2; x^2 + 0.5 * x)", "C(-2; x^2 + 0.5 * x) + 3 * x", 0.6, 0.1)]
+
+    @pytest.mark.parametrize("phi, psi, x, y", CASES)
+    def test_equals_the_ratio_of_eval_jets(self, phi, psi, x, y):
+        phi, psi = ex.parse(phi), ex.parse(psi)
+        pf, sf = ex.compile_scalar(phi), ex.compile_scalar(psi)
+        target = (pf(y) - pf(x)) / (sf(y) - sf(x))
+
+        def resid(z):
+            return ex.eval_jet(phi, z, 1).coeffs[1] / ex.eval_jet(psi, z, 1).coeffs[1] - target
+
+        assert cauchy(phi, psi, x, y) == mn._solve_bracketed(resid, min(x, y), max(x, y))
+
+    # the solve of x^2 over x takes one step, of the others six to nine
+    @pytest.mark.parametrize("phi, psi, x, y", CASES[1:])
+    def test_walks_each_shape_once_per_call(self, phi, psi, x, y, monkeypatch):
+        cauchy(phi, psi, x, y)  # compiles phi and psi for the target
+        walks, depth, inner, steps, solve = [], [0], ex._value_shape, [], mn.brentq
+
+        def counted(e, consts, seen):
+            if not depth[0]:
+                walks.append(e)
+            depth[0] += 1
+            try:
+                return inner(e, consts, seen)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(ex, "_value_shape", counted)
+        monkeypatch.setattr(mn, "brentq", lambda f, *ends: solve(lambda z: steps.append(z) or f(z), *ends))
+        cauchy(phi, psi, x, y)
+        # one walk of each shape, however many steps the solve takes
+        assert walks == [ex.parse(phi), ex.parse(psi)] and len(steps) >= 3
+
 
 class TestMCurve:
     def test_center_value(self):
