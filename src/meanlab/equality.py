@@ -6,13 +6,18 @@ grid resolution, whether the associated means coincide and why: a direct
 Psi coefficient functions with exponents driven by the measure's moments,
 and two full assertion ladders for the binary-symmetric measure
 (delta_0 + delta_1)/2 and for the Lebesgue measure. check_equality picks
-the battery for a measure. Every verdict is a grid certificate: "holds"
-means the defining residual stayed below its tolerance on the sampled
-grid, nothing stronger.
+the battery for a measure; a battery's grid has at least 3 distinct points.
+Every verdict is a grid certificate: "holds" means the defining residual
+stayed below its tolerance on the sampled grid, nothing stronger. Every
+ladder row comes from one constructor: it holds iff its residual is within
+tolerance, unless more than one number or none decides it. For equivalent
+pairs, rows (iv) to (ix) of the EBM and ECM ladders take the first
+alternative together, after the fits of (iv) and (v).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -226,16 +231,24 @@ def _common_interval(pairA: FunctionPair, pairB: FunctionPair) -> tuple[float, f
     return pairA.interval
 
 
-def _resolve_grid(interval: tuple[float, float], grid: GridSpec) -> list[float]:
+def _resolve_grid(
+    interval: tuple[float, float], grid: GridSpec, min_distinct: int = 1
+) -> list[float]:
+    """That many interior points, at least 3, or the explicit points, each
+    inside the interval and at least min_distinct of them distinct."""
     if isinstance(grid, int):
         if grid < 3:
             raise ValueError("grid size must be at least 3")
         return interior_grid(interval, grid)
     lo, hi = interval
     xs = [float(x) for x in grid]
+    if not xs:
+        raise ValueError("the explicit grid is empty")
     for x in xs:
         if not lo < x < hi:
             raise OutOfInterval(x, interval)
+    if len(set(xs)) < min_distinct:
+        raise ValueError(f"grid size must be at least {min_distinct}")
     return xs
 
 
@@ -410,14 +423,7 @@ class PhiPsiGaps:
     tolerance: float
 
     def as_dict(self) -> dict:
-        return {
-            "phi_gap": self.phi_gap,
-            "psi_gap": self.psi_gap,
-            "phi_scale": self.phi_scale,
-            "psi_scale": self.psi_scale,
-            "holds": self.holds,
-            "tolerance": self.tolerance,
-        }
+        return dataclasses.asdict(self)
 
 
 def check_phi_psi(pairA: FunctionPair, pairB: FunctionPair, grid: GridSpec) -> PhiPsiGaps:
@@ -438,14 +444,7 @@ def _phi_psi_gaps(sa: GridSamples, sb: GridSamples) -> PhiPsiGaps:
     holds = phi_gap <= PHI_PSI_TOL * (1.0 + phi_scale) and psi_gap <= PHI_PSI_TOL * (
         1.0 + psi_scale
     )
-    return PhiPsiGaps(
-        phi_gap=phi_gap,
-        psi_gap=psi_gap,
-        phi_scale=phi_scale,
-        psi_scale=psi_scale,
-        holds=holds,
-        tolerance=PHI_PSI_TOL,
-    )
+    return PhiPsiGaps(phi_gap, psi_gap, phi_scale, psi_scale, holds, PHI_PSI_TOL)
 
 
 def check_power_law_R(
@@ -531,7 +530,7 @@ def check_N25(
     p = info.p
     if p is None:
         raise NotApplicable("the exponent p needs a positive fourth moment")
-    xs = _resolve_grid(_common_interval(pairA, pairB), grid)
+    xs = _resolve_grid(_common_interval(pairA, pairB), grid, 3)
     sa, sb = sample(pairA, xs, 1), sample(pairB, xs, 1)
     (phiA, dphiA), psiA, psiB = sa.phi, sa.psi[0], sb.psi[0]
     gaps = _phi_psi_gaps(sa, sb)
@@ -592,7 +591,7 @@ def check_N3(
     mu6_matches = measures._is_zero(mu6 - 5.0 * mu2 * mu4, 6, mu2)
 
     interval = _common_interval(pairA, pairB)
-    xs = _resolve_grid(interval, grid)
+    xs = _resolve_grid(interval, grid, 3)
     n = len(xs)
     sa, sb = sample(pairA, xs, 2), sample(pairB, xs, 0)
     (phiA, dphiA, d2phiA), psiA, psiB = sa.phi, sa.psi[0], sb.psi[0]
@@ -894,11 +893,31 @@ def _w10_array(pair: FunctionPair) -> Callable[[np.ndarray], np.ndarray]:
     return lambda t: df(t) * g(t) - f(t) * dg(t)
 
 
+_BY_RESIDUAL = object()
+
+
+def _row(
+    assertion_id: str, residual: float | None, tolerance: float, note: str,
+    holds: bool | None | object = _BY_RESIDUAL, **constants: float | None,
+) -> AssertionResult:
+    """One ladder row. It holds iff its residual is within tolerance, unless
+    holds is passed: by rows decided by more than one number, and by rows
+    that sampling cannot decide."""
+    if holds is _BY_RESIDUAL:
+        holds = residual <= tolerance
+    return AssertionResult(assertion_id, holds, residual, tolerance, constants, note)
+
+
+def _equivalence(
+    pairA: FunctionPair, pairB: FunctionPair, n: int, tols: Mapping[str, float]
+) -> tuple[Union[Matrix2, NotEquivalent], float]:
+    """The equivalence fit on the finer of the n-point and the default fit grid."""
+    xs = interior_grid(pairA.interval, max(n, DEFAULT_FIT_GRID))
+    return _fit_matrix(pairA, pairB, xs, tols["equivalence_residual"])
+
+
 def _mean_rows(
-    pairA: FunctionPair,
-    pairB: FunctionPair,
-    measure: Measure,
-    xs: Sequence[float],
+    pairA: FunctionPair, pairB: FunctionPair, measure: Measure, xs: Sequence[float],
     tols: Mapping[str, float],
 ) -> tuple[AssertionResult, AssertionResult, np.ndarray, np.ndarray]:
     """Rows (i) and (ii), the means on the square grid and near its diagonal,
@@ -906,31 +925,13 @@ def _mean_rows(
     ma = mean_table(MeanSpec(pairA, measure), xs)
     mb = mean_table(MeanSpec(pairB, measure), xs)
     gap = np.abs(ma - mb)
-    sup_gap = float(np.max(gap))
     lo, hi = pairA.interval
     xcol = np.asarray(xs)
     near_mask = np.abs(xcol[:, None] - xcol[None, :]) <= 0.2 * (hi - lo)
     near_gap = float(np.max(gap[near_mask]))
-    a_i = AssertionResult(
-        "i", sup_gap <= tols["mean_gap"], sup_gap, tols["mean_gap"], {},
-        "the two means agree on the square grid",
-    )
-    a_ii = AssertionResult(
-        "ii", near_gap <= tols["near_diagonal_gap"], near_gap, tols["near_diagonal_gap"], {},
-        "the two means agree near the diagonal",
-    )
+    a_i = _row("i", float(np.max(gap)), tols["mean_gap"], "the two means agree on the square grid")
+    a_ii = _row("ii", near_gap, tols["near_diagonal_gap"], "the two means agree near the diagonal")
     return a_i, a_ii, ma, mb
-
-
-def _equivalent_row(assertion_id: str, eq_resid: float, tols: Mapping[str, float]) -> AssertionResult:
-    return AssertionResult(
-        assertion_id,
-        True,
-        eq_resid,
-        tols["equivalence_residual"],
-        {"equivalent": 1.0},
-        "first alternative: the pairs are equivalent",
-    )
 
 
 def _rel_gap(a: np.ndarray, b: np.ndarray) -> float:
@@ -967,6 +968,30 @@ def _reconstruction(
     return gap, CumulativeIntegral(lambda u: 1.0 / P(u), anchor)(t)
 
 
+def _row_vii(pairA: FunctionPair, pairB: FunctionPair, ebm: bool, tol: float) -> AssertionResult:
+    """Row (vii), the sine and cosine type representation, read off the
+    expression trees; it stays open whenever they do not show it."""
+    matchA = _match_sincos(pairA, cauchy=not ebm)
+    matchB = _match_sincos(pairB, cauchy=not ebm)
+    if not (matchA and matchB and matchA[1] == matchB[1]):
+        note = "not decidable structurally; no sine and cosine type pattern exposed"
+        return _row("vii", None, tol, note, holds=None)
+    (t_a, phi_ast, preA), (t_b, _, preB) = matchA, matchB
+    spreads = [0.0, 0.0]
+    if not ebm:
+        # cauchy flavor: the prefactor (1 when absent) must be a constant
+        # multiple of the derivative of the shared generator
+        spreads = [
+            _prefactor_tracks_derivative(pre or ex.Const(1.0), phi_ast, pairA.interval)
+            for pre in (preA, preB)
+        ]
+    if None in spreads or max(spreads) > tol:
+        note = "prefactor does not track the derivative of the matched generator"
+        return _row("vii", None, tol, note, holds=None)
+    note = "both pairs expose sine and cosine type components of one generator"
+    return _row("vii", max(spreads), tol, note, alpha=t_a, beta=t_b)
+
+
 def _sincos_battery(
     pairA: FunctionPair,
     pairB: FunctionPair,
@@ -985,15 +1010,12 @@ def _sincos_battery(
         raise NotApplicable("this ladder is specific to the Lebesgue measure")
 
     interval = _common_interval(pairA, pairB)
-    lo, hi = interval
-    xs = _resolve_grid(interval, grid)
+    xs = _resolve_grid(interval, grid, 3)
     n = len(xs)
     regime = classify(measure)
     notes: list[str] = ["all verdicts are grid certificates at the reported grid"]
 
-    equivalence, eq_resid = _fit_matrix(
-        pairA, pairB, interior_grid(interval, max(n, DEFAULT_FIT_GRID)), tols["equivalence_residual"]
-    )
+    equivalence, eq_resid = _equivalence(pairA, pairB, n, tols)
     equivalent = isinstance(equivalence, Matrix2)
     a_i, a_ii, ma, mb = _mean_rows(pairA, pairB, measure, xs, tols)
 
@@ -1004,16 +1026,9 @@ def _sincos_battery(
     mu = calculus.diagonal_moments(measure)
     da = calculus.diagonal_closed_form(sa.phi, sa.psi, mu)
     db = calculus.diagonal_closed_form(sb.phi, sb.psi, mu)
-    worst = {k: _rel_gap(da[k - 1], db[k - 1]) for k in (2, 4, 6)}
-    deriv_resid = max(worst.values())
-    a_iii = AssertionResult(
-        "iii",
-        deriv_resid <= tols["derivative_gap"],
-        deriv_resid,
-        tols["derivative_gap"],
-        {"gap_order_2": worst[2], "gap_order_4": worst[4], "gap_order_6": worst[6]},
-        "even diagonal derivatives match through order 6",
-    )
+    worst = {f"gap_order_{k}": _rel_gap(da[k - 1], db[k - 1]) for k in (2, 4, 6)}
+    note = "even diagonal derivatives match through order 6"
+    a_iii = _row("iii", max(worst.values()), tols["derivative_gap"], note, **worst)
 
     # pointwise coefficient data shared by the remaining assertions
     phiA, dphiA, psiA = sa.phi[0], sa.phi[1], sa.psi[0]
@@ -1022,7 +1037,8 @@ def _sincos_battery(
     psi_scale = 1.0 + max(float(np.max(np.abs(psiA))), float(np.max(np.abs(psiB))))
     phi_scale = 1.0 + max(float(np.max(np.abs(phiA))), float(np.max(np.abs(phiB))))
 
-    # (iv): Phi equality plus the forced power law for both Psi functions
+    # the fits of (iv) and (v) run for every pair, equivalent or not:
+    # (iv) Phi equality plus the forced power law for both Psi functions
     phi_gap = float(np.max(np.abs(phiA - phiB))) / phi_scale
     if ebm:
         basis = wa**2
@@ -1035,190 +1051,102 @@ def _sincos_battery(
     beta = float(_lstsq(basis, targetB, context="Psi power-law fit")[0])
     fitA = float(np.max(np.abs(targetA - alpha * basis))) / psi_scale
     fitB = float(np.max(np.abs(targetB - beta * basis))) / psi_scale
-    resid_iv = max(phi_gap, fitA, fitB)
-    holds_iv = phi_gap <= tols["phi_psi_gap"] and max(fitA, fitB) <= tols["fit_residual"]
-    a_iv = AssertionResult(
-        "iv",
-        holds_iv,
-        resid_iv,
-        max(tols["phi_psi_gap"], tols["fit_residual"]),
-        {"alpha": alpha, "beta": beta, "phi_gap": phi_gap},
-        "shared Phi and power-law Psi with the fitted constants",
-    )
-    if equivalent:
-        a_iv, alpha, beta = _equivalent_row("iv", eq_resid, tols), None, None
 
-    # (v): quadratic forms in the generators plus proportional Wronskians
+    # (v) quadratic forms in the generators plus proportional Wronskians
     ratios = wb / wa
     gamma_w = float(np.median(ratios))
     w_spread = _spread(ratios)
     P, residP, ta, P_min = _quadratic_form_fit(sa, np.ones(n) if ebm else np.abs(wa) ** (2.0 / 3.0))
     Q, residQ, tb, Q_min = _quadratic_form_fit(sb, np.ones(n) if ebm else np.abs(wb) ** (2.0 / 3.0))
     positive = P_min > 0.0 and Q_min > 0.0
-    if equivalent:
-        a_v = _equivalent_row("v", eq_resid, tols)
-    else:
-        resid_v = max(residP, residQ, w_spread)
-        holds_v = (
-            max(residP, residQ) <= tols["fit_residual"]
-            and w_spread <= tols["constancy_spread"]
-            and positive
-        )
-        a_v = AssertionResult(
-            "v",
-            holds_v,
-            resid_v,
-            max(tols["fit_residual"], tols["constancy_spread"]),
-            {
-                "P_a": P.a, "P_b": P.b, "P_c": P.c,
-                "Q_a": Q.a, "Q_b": Q.b, "Q_c": Q.c,
-                "gamma": gamma_w, "wronskian_ratio_spread": w_spread,
-            },
-            "quadratic forms in the generators; Wronskians proportional"
-            + ("" if positive else "; fitted quadratic not positive on the sampled range"),
-        )
 
-    # (vi): reconstruct the generators from the fitted quadratics
     delta_vi: float | None = None
     if equivalent:
-        a_vi = _equivalent_row("vi", eq_resid, tols)
-    elif not positive:
-        a_vi = AssertionResult(
-            "vi",
-            False,
-            None,
-            tols["fit_residual"],
-            {},
-            "no admissible quadratic forms to reconstruct from",
-        )
+        # rows (iv) to (ix) all take the first alternative
+        alpha = beta = None
+        note = "first alternative: the pairs are equivalent"
+        later = [
+            _row(k, eq_resid, tols["equivalence_residual"], note, equivalent=1.0)
+            for k in ("iv", "v", "vi", "vii", "viii", "ix")
+        ]
     else:
-        rg, v = _reconstruction(sa, P, ta, ebm)
-        rG, u = _reconstruction(sb, Q, tb, ebm)
-        design = np.column_stack([v, np.ones(n)])
-        coef = _lstsq(design, u, context="antiderivative relation fit")
-        slope, delta_vi = float(coef[0]), float(coef[1])
-        r_rel = float(np.max(np.abs(design @ coef - u))) / (1.0 + float(np.max(np.abs(u))))
-        resid_vi = max(rg, rG, r_rel)
-        slope_name = "gamma" if ebm else "gamma_cuberoot"
-        a_vi = AssertionResult(
-            "vi",
-            resid_vi <= tols["fit_residual"],
-            resid_vi,
-            tols["fit_residual"],
-            {slope_name: slope, "delta": delta_vi},
-            "generators rebuilt from the quadratics; antiderivatives affinely related",
+        a_iv = _row(
+            "iv", max(phi_gap, fitA, fitB), max(tols["phi_psi_gap"], tols["fit_residual"]),
+            "shared Phi and power-law Psi with the fitted constants",
+            holds=phi_gap <= tols["phi_psi_gap"] and max(fitA, fitB) <= tols["fit_residual"],
+            alpha=alpha, beta=beta, phi_gap=phi_gap,
+        )
+        a_v = _row(
+            "v", max(residP, residQ, w_spread), max(tols["fit_residual"], tols["constancy_spread"]),
+            "quadratic forms in the generators; Wronskians proportional"
+            + ("" if positive else "; fitted quadratic not positive on the sampled range"),
+            holds=max(residP, residQ) <= tols["fit_residual"]
+            and w_spread <= tols["constancy_spread"]
+            and positive,
+            P_a=P.a, P_b=P.b, P_c=P.c, Q_a=Q.a, Q_b=Q.b, Q_c=Q.c,
+            gamma=gamma_w, wronskian_ratio_spread=w_spread,
         )
 
-    # (vii): sine and cosine type representation, decided structurally
-    if equivalent:
-        a_vii = _equivalent_row("vii", eq_resid, tols)
-    else:
-        matchA = _match_sincos(pairA, cauchy=not ebm)
-        matchB = _match_sincos(pairB, cauchy=not ebm)
-        if matchA and matchB and matchA[1] == matchB[1]:
-            t_a, phi_ast, preA = matchA
-            t_b, _, preB = matchB
-            if ebm:
-                spreadA = spreadB = 0.0
-            else:
-                # cauchy flavor: the prefactor (1 when absent) must be a
-                # constant multiple of the derivative of the shared generator
-                one = ex.Const(1.0)
-                spreadA = _prefactor_tracks_derivative(preA or one, phi_ast, interval)
-                spreadB = _prefactor_tracks_derivative(preB or one, phi_ast, interval)
-            if spreadA is None or spreadB is None or max(spreadA, spreadB) > tols["fit_residual"]:
-                a_vii = AssertionResult(
-                    "vii",
-                    None,
-                    None,
-                    tols["fit_residual"],
-                    {},
-                    "prefactor does not track the derivative of the matched generator",
-                )
-            else:
-                a_vii = AssertionResult(
-                    "vii",
-                    True,
-                    max(spreadA, spreadB),
-                    tols["fit_residual"],
-                    {"alpha": t_a, "beta": t_b},
-                    "both pairs expose sine and cosine type components of one generator",
-                )
-        else:
-            a_vii = AssertionResult(
-                "vii",
-                None,
-                None,
-                tols["fit_residual"],
-                {},
-                "not decidable structurally; no sine and cosine type pattern exposed",
+        # (vi): reconstruct the generators from the fitted quadratics
+        if positive:
+            rg, v = _reconstruction(sa, P, ta, ebm)
+            rG, u = _reconstruction(sb, Q, tb, ebm)
+            design = np.column_stack([v, np.ones(n)])
+            coef = _lstsq(design, u, context="antiderivative relation fit")
+            slope, delta_vi = float(coef[0]), float(coef[1])
+            r_rel = float(np.max(np.abs(design @ coef - u))) / (1.0 + float(np.max(np.abs(u))))
+            a_vi = _row(
+                "vi", max(rg, rG, r_rel), tols["fit_residual"],
+                "generators rebuilt from the quadratics; antiderivatives affinely related",
+                **{"gamma" if ebm else "gamma_cuberoot": slope, "delta": delta_vi},
             )
+        else:
+            note = "no admissible quadratic forms to reconstruct from"
+            a_vi = _row("vi", None, tols["fit_residual"], note, holds=False)
 
-    # (viii) and (ix): both means against the quasiarithmetic mean of the
-    # Wronskian antiderivative
-    if equivalent:
-        a_viii, a_ix = _equivalent_row("viii", eq_resid, tols), _equivalent_row("ix", eq_resid, tols)
-    else:
+        a_vii = _row_vii(pairA, pairB, ebm, tols["fit_residual"])
+
+        # (viii) and (ix): both means against the quasiarithmetic mean of
+        # the Wronskian antiderivative
         w10 = _w10_array(pairA)
         integrand = w10 if ebm else lambda t: np.cbrt(w10(t))
-        phi_int = CumulativeIntegral(integrand, 0.5 * (lo + hi))
-        stride = max(1, n // 12)
-        idx = np.arange(0, n, stride)
+        phi_int = CumulativeIntegral(integrand, 0.5 * (interval[0] + interval[1]))
+        idx = np.arange(0, n, max(1, n // 12))
         z = quasiarithmetic_table(phi_int, np.asarray(xs)[idx])
         sub = np.ix_(idx, idx)
         aphi_gap = float(max(np.max(np.abs(ma[sub] - z)), np.max(np.abs(mb[sub] - z))))
-        holds_viii = aphi_gap <= tols["quasiarithmetic_gap"]
-        a_viii = AssertionResult(
-            "viii",
-            holds_viii,
-            aphi_gap,
-            tols["quasiarithmetic_gap"],
-            {"subgrid": float(len(idx))},
-            "both means equal the quasiarithmetic mean of the Wronskian antiderivative",
-        )
-        a_ix = AssertionResult(
-            "ix",
-            holds_viii,
-            aphi_gap,
-            tols["quasiarithmetic_gap"],
-            {},
-            "witnessed by the antiderivative generator from (viii)",
-        )
+        later = [
+            a_iv, a_v, a_vi, a_vii,
+            _row(
+                "viii", aphi_gap, tols["quasiarithmetic_gap"],
+                "both means equal the quasiarithmetic mean of the Wronskian antiderivative",
+                subgrid=float(len(idx)),
+            ),
+            _row(
+                "ix", aphi_gap, tols["quasiarithmetic_gap"],
+                "witnessed by the antiderivative generator from (viii)",
+            ),
+        ]
 
-    assertions = [a_i, a_ii, a_iii, a_iv, a_v, a_vi, a_vii, a_viii, a_ix]
+    assertions = [a_i, a_ii, a_iii, *later]
 
     if not ebm:
         # constancy of the third-order Wronskian combination; meaningful
         # only when the power-law assertion holds, not by equivalence
-        spreads = {}
-        values = {}
-        for name, s in (("A", sa), ("B", sb)):
+        spreads, values = [], []
+        for s in (sa, sb):
             w10 = np.abs(s.w(1, 0))
-            es = (3.0 * s.w(3, 0) + 12.0 * s.w(2, 1)) / w10 ** (5.0 / 3.0) - 5.0 * s.w(
-                2, 0
-            ) ** 2 / w10 ** (8.0 / 3.0)
-            spreads[name] = _spread(es)
-            values[name] = float(np.mean(es))
-        exp_resid = max(spreads.values())
-        if a_iv.holds and not equivalent:
-            a_exp = AssertionResult(
-                "exp",
-                exp_resid <= tols["constancy_spread"],
-                exp_resid,
-                tols["constancy_spread"],
-                {"value_A": values["A"], "value_B": values["B"]},
-                "third-order Wronskian combination is constant for each pair",
-            )
-        else:
-            a_exp = AssertionResult(
-                "exp",
-                None,
-                exp_resid,
-                tols["constancy_spread"],
-                {"value_A": values["A"], "value_B": values["B"]},
-                "constancy is only forced when the power-law assertion holds",
-            )
-        assertions.append(a_exp)
+            es = (3.0 * s.w(3, 0) + 12.0 * s.w(2, 1)) / w10 ** (5.0 / 3.0)
+            es = es - 5.0 * s.w(2, 0) ** 2 / w10 ** (8.0 / 3.0)
+            spreads.append(_spread(es))
+            values.append(float(np.mean(es)))
+        forced = not equivalent and later[0].holds
+        note = "third-order Wronskian combination is constant for each pair"
+        assertions.append(_row(
+            "exp", max(spreads), tols["constancy_spread"],
+            note if forced else "constancy is only forced when the power-law assertion holds",
+            holds=_BY_RESIDUAL if forced else None, value_A=values[0], value_B=values[1],
+        ))
 
     by_id = {a.assertion_id: a for a in assertions}
     for upstream, downstream in (("ix", "i"), ("ix", "ii"), ("ix", "iii"), ("i", "ii")):
@@ -1228,24 +1156,12 @@ def _sincos_battery(
                 "inspect tolerances and grid"
             )
 
-    fitted = {
-        "alpha": alpha,
-        "beta": beta,
-        "gamma": gamma_w,
-        "delta": delta_vi,
-    }
     return EqualityReport(
-        battery="EBM" if ebm else "ECM",
-        interval=interval,
-        grid=tuple(xs),
-        regime=regime,
+        battery="EBM" if ebm else "ECM", interval=interval, grid=tuple(xs), regime=regime,
         assertions=tuple(assertions),
-        fitted=fitted,
-        R_values=tuple((psiA - psiB).tolist()),
-        S_values=tuple((psiA + psiB).tolist()),
-        equivalence=equivalence,
-        tolerances=tols,
-        notes=tuple(notes),
+        fitted={"alpha": alpha, "beta": beta, "gamma": gamma_w, "delta": delta_vi},
+        R_values=tuple((psiA - psiB).tolist()), S_values=tuple((psiA + psiB).tolist()),
+        equivalence=equivalence, tolerances=tols, notes=tuple(notes),
     )
 
 
@@ -1262,8 +1178,8 @@ def check_EBM(
     matching, the squared-Wronskian power law for Psi, unit quadratic forms
     in the generators, generator reconstruction, the sine and cosine type
     representation, and finally reduction of both means to a quasiarithmetic
-    mean of the Wronskian antiderivative. Assertions with an equivalence
-    escape short-circuit when the pairs are equivalent.
+    mean of the Wronskian antiderivative. For equivalent pairs rows (iv)
+    to (ix) take the first alternative together.
     """
     return _sincos_battery(pairA, pairB, grid, measure, tolerances, "ebm")
 
@@ -1304,10 +1220,9 @@ def check_N15(
     """
     tols = _with_overrides(N15_TOLERANCES, tolerances)
     interval = _common_interval(pairA, pairB)
-    xs = _resolve_grid(interval, grid)
+    xs = _resolve_grid(interval, grid, 3)
     regime = classify(measure)
-    md = regime.moment_data
-    mu2, mu3 = md.mu[2], md.mu[3]
+    mu2, mu3 = regime.moment_data.mu[2], regime.moment_data.mu[3]
     notes = ["all verdicts are grid certificates at the reported grid"]
     if regime.regime is not Regime.MU3_NONZERO:
         notes.append(
@@ -1322,57 +1237,36 @@ def check_N15(
     # third diagonal derivative: mu3 times the third recursion value
     m3a, m3b = (mu3 * (s.phi[1] + s.phi[0] * s.phi[0] + s.psi[0]) for s in (sa, sb))
     worst3 = _rel_gap(m3a, m3b)
-    deriv_resid = max(worst2, worst3)
-    a_iii = AssertionResult(
-        "iii",
-        deriv_resid <= tols["derivative_gap"],
-        deriv_resid,
-        tols["derivative_gap"],
-        {"gap_order_2": worst2, "gap_order_3": worst3},
-        "diagonal derivatives match at orders 2 and 3",
+    a_iii = _row(
+        "iii", max(worst2, worst3), tols["derivative_gap"],
+        "diagonal derivatives match at orders 2 and 3", gap_order_2=worst2, gap_order_3=worst3,
     )
 
     gaps = _phi_psi_gaps(sa, sb)
-    resid_iv = max(
-        gaps.phi_gap / (1.0 + gaps.phi_scale), gaps.psi_gap / (1.0 + gaps.psi_scale)
-    )
-    a_iv = AssertionResult(
+    a_iv = _row(
         "iv",
-        resid_iv <= tols["phi_psi_gap"],
-        resid_iv,
-        tols["phi_psi_gap"],
-        {"phi_gap": gaps.phi_gap, "psi_gap": gaps.psi_gap},
-        "the coefficient functions Phi and Psi agree",
+        max(gaps.phi_gap / (1.0 + gaps.phi_scale), gaps.psi_gap / (1.0 + gaps.psi_scale)),
+        tols["phi_psi_gap"], "the coefficient functions Phi and Psi agree",
+        phi_gap=gaps.phi_gap, psi_gap=gaps.psi_gap,
     )
 
-    equivalence, eq_resid = _fit_matrix(
-        pairA, pairB, interior_grid(interval, max(len(xs), DEFAULT_FIT_GRID)),
-        tols["equivalence_residual"],
-    )
+    equivalence, eq_resid = _equivalence(pairA, pairB, len(xs), tols)
     equivalent = isinstance(equivalence, Matrix2)
-    a_v = AssertionResult(
-        "v",
-        equivalent,
-        eq_resid,
-        tols["equivalence_residual"],
-        {"det": equivalence.det()} if equivalent else {},
+    a_v = _row(
+        "v", eq_resid, tols["equivalence_residual"],
         "the pairs are related by a nonsingular two by two matrix"
         if equivalent
         else "no matrix relates the pairs within tolerance",
+        holds=equivalent, **({"det": equivalence.det()} if equivalent else {}),
     )
 
     return EqualityReport(
-        battery="N1.5",
-        interval=interval,
-        grid=tuple(xs),
-        regime=regime,
+        battery="N1.5", interval=interval, grid=tuple(xs), regime=regime,
         assertions=(a_i, a_ii, a_iii, a_iv, a_v),
         fitted={"alpha": None, "beta": None, "gamma": None, "delta": None},
         R_values=tuple((sa.psi[0] - sb.psi[0]).tolist()),
         S_values=tuple((sa.psi[0] + sb.psi[0]).tolist()),
-        equivalence=equivalence,
-        tolerances=tols,
-        notes=tuple(notes),
+        equivalence=equivalence, tolerances=tols, notes=tuple(notes),
     )
 
 

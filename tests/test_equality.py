@@ -313,6 +313,64 @@ def test_check_equality_calls_the_batteries_through_the_module(monkeypatch):
     assert got == list(names)
 
 
+# one measure per battery: EBM, ECM, N1.5, N2.5 and N3
+BATTERY_MEASURES = {
+    "ebm": EBM, "lebesgue": LEB, "atoms": ASYMMETRIC, "split": SPLIT_MEASURE, "even": EVEN,
+}
+
+
+@pytest.mark.parametrize("measure", BATTERY_MEASURES.values(), ids=list(BATTERY_MEASURES))
+@pytest.mark.parametrize(
+    "grid", [[0.1], [0.1, 0.2], [0.1, 0.1, 0.2]], ids=["one", "two", "repeated"]
+)
+def test_batteries_reject_explicit_grids_below_three_points(measure, grid):
+    with pytest.raises(ValueError, match="grid size must be at least 3"):
+        eq.check_equality(EXP, LINEAR, measure, grid)
+    # four points, three of them distinct, are enough
+    eq.check_equality(EXP, LINEAR, measure, [-0.5, 0.0, 0.0, 0.5])
+
+
+def test_one_point_grid_no_longer_certifies_unequal_means():
+    # on the grid [0.1] alone, N3 reported alternative iv as holding with
+    # residual 4.4e-16, although the two means differ at (-0.5, 0.5)
+    gap = mean_eval(MeanSpec(EXP, EVEN), -0.5, 0.5) - mean_eval(MeanSpec(LINEAR, EVEN), -0.5, 0.5)
+    assert gap == pytest.approx(0.0498, abs=1e-4)
+    with pytest.raises(ValueError, match="grid size must be at least 3"):
+        eq.check_equality(EXP, LINEAR, EVEN, [0.1])
+    assert not eq.check_equality(EXP, LINEAR, EVEN, 12).holds
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda grid: eq.check_phi_psi(SINCOS, LINEAR, grid),
+        lambda grid: eq.check_power_law_R(SINCOS, LINEAR, EBM, grid),
+        *(
+            lambda grid, m=m: eq.check_equality(SINCOS, LINEAR, m, grid)
+            for m in BATTERY_MEASURES.values()
+        ),
+    ],
+    ids=["phi_psi", "power_law_R", *BATTERY_MEASURES],
+)
+def test_empty_explicit_grid_is_named(check):
+    with pytest.raises(ValueError, match="the explicit grid is empty"):
+        check([])
+
+
+@pytest.mark.parametrize("check", [eq.check_EBM, eq.check_ECM])
+@pytest.mark.parametrize(
+    "limit, context", [(1.0, "Psi power-law fit"), (1.5, "quadratic form fit")]
+)
+def test_equivalent_pairs_still_run_the_fits_of_iv_and_v(check, limit, context, monkeypatch):
+    # rows (iv) to (ix) take the first alternative for equivalent pairs only
+    # after the one-column Psi fits of (iv) (condition 1) and the quadratic
+    # form fits of (v) (condition about 7) have run
+    image = eq.Matrix2(2.0, 1.0, -1.0, 1.0).apply(SINCOS)
+    monkeypatch.setattr(calculus, "FIT_CONDITION_LIMIT", limit)
+    with pytest.raises(IllConditionedFit, match=f"in {context}$"):
+        check(SINCOS, image, grid=12)
+
+
 class TestFitEquivalence:
     def test_round_trip_recovery(self):
         m = eq.Matrix2(1.5, -0.5, 0.25, 2.0)
