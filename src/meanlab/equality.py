@@ -579,6 +579,7 @@ def check_N3(
     midpoint; their additive constants are absorbed by the fitted delta.
     When the sixth-order moment condition vanishes the two power laws
     collapse and the fitted constants are also reported as alpha and beta.
+    Branch (iv) also takes the Phi gap of the two pairs into its residual.
     """
     info = classify(measure)
     if info.regime is not Regime.EVEN_SYMMETRIC:
@@ -681,9 +682,13 @@ def check_N3(
     gamma, delta, resid = _two_sided_fit(
         basis_p, basis_q, psiA - known, psiB - known, context="two-exponent power-law fit"
     )
+    # the identity needs Phi_B = Phi_A: their sup gap, scaled as in N1.5 (iv)
+    phiB = sb.phi[0]
+    phi_scale = 1.0 + max(float(np.max(np.abs(phiA))), float(np.max(np.abs(phiB))))
+    resid = max(float(np.max(np.abs(phiA - phiB))) / phi_scale, resid / psi_scale)
     collapse = measures._is_zero(info.moment_condition_6, 10, mu2)
     return report(
-        "iv", resid / psi_scale, n, "single power law (exponents collapse)" if collapse else "",
+        "iv", resid, n, "single power law (exponents collapse)" if collapse else "",
         gamma=gamma, delta=delta, p=p, q=q,
         alpha=gamma + delta if collapse else None, beta=delta - gamma if collapse else None,
     )

@@ -21,7 +21,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Union
 
 import numpy as np
@@ -380,10 +380,10 @@ _RULES = {
     for r in (
         _Rule("exp", math.exp, np.exp, jets.exp_rule, overflows=True),
         _Rule("log", math.log, np.log, jets.log_rule, "{} <= 0.0", "log of non-positive value"),
-        _Rule("sin", math.sin, np.sin, jets.sin_rule, infinite=True),
-        _Rule("cos", math.cos, np.cos, jets.cos_rule, infinite=True),
-        _Rule("sinh", math.sinh, np.sinh, jets.sinh_rule, overflows=True),
-        _Rule("cosh", math.cosh, np.cosh, jets.cosh_rule, overflows=True),
+        _Rule("sin", math.sin, np.sin, partial(jets.sincos_rule, name="sin"), infinite=True),
+        _Rule("cos", math.cos, np.cos, partial(jets.sincos_rule, name="cos"), infinite=True),
+        _Rule("sinh", math.sinh, np.sinh, partial(jets.sincos_rule, name="sinh"), overflows=True),
+        _Rule("cosh", math.cosh, np.cosh, partial(jets.sincos_rule, name="cosh"), overflows=True),
         _Rule("sqrt", math.sqrt, np.sqrt, jets.sqrt_rule, "{} < 0.0", "sqrt of negative value"),
     )
 }
@@ -405,14 +405,22 @@ def _value_shape(e: Expr, consts: list, seen: dict):
     """The key and the shape of e's value code; e's arguments go to consts.
 
     The shape is all the printed code depends on: node structure, the class
-    of each power, each integer exponent (the jet code unrolls on it) and
-    the rule of each S/C node. consts gets the constants, exponents and S/C
-    scales in the order _Printer.value and _emit_jet take them. The key is
-    e's structure with those values in it. seen maps the keys of the
-    compound values already computed at the same point to their number, in
-    the order their code ends: such a subtree has the shape ("ref", i) and
-    no arguments, and a new one joins seen.
+    of each power and each integer exponent (the jet code unrolls on it).
+    An S/C node is walked as the call of its rule on scale * u, or as u or
+    1 where t = 0. consts gets the constants and exponents in the order
+    _Printer.value and _emit_jet take them. The key is e's structure with
+    those values in it. seen maps the keys of the compound values already
+    computed at the same point to their number, in the order their code
+    ends: such a subtree has the shape ("ref", i) and no arguments, and a
+    new one joins seen.
     """
+    if isinstance(e, (SType, CType)):
+        scale, rule = _sc_rule(e)
+        if rule is not None:
+            e = Call(rule.name, BinOp("*", Const(scale), e.arg))
+        else:  # S(0; u) is u, and C(0; u) is 1 without u
+            e = e.arg if isinstance(e, SType) else Const(1.0)
+        return _value_shape(e, consts, seen)
     if isinstance(e, Const):
         consts.append(e.value)
         return ("c", e.value), "c"
@@ -444,15 +452,6 @@ def _value_shape(e: Expr, consts: list, seen: dict):
     elif isinstance(e, Call):
         k, s = _value_shape(e.arg, consts, seen)
         key, shape = (e.func, k), (e.func, s)
-    elif isinstance(e, (SType, CType)):
-        scale, rule = _sc_rule(e)
-        if rule is None:  # S(0; u) is u, and C(0; u) is 1 without u
-            if isinstance(e, SType):
-                return _value_shape(e.arg, consts, seen)
-            return _value_shape(Const(1.0), consts, seen)
-        consts.append(scale)
-        k, s = _value_shape(e.arg, consts, seen)
-        key, shape = ("sc", rule.name, scale, k), ("sc", rule.name, s)
     else:
         raise TypeError(f"not an Expr node: {e!r}")
     i = seen.get(key)
@@ -549,12 +548,7 @@ class _Printer:
                 b = walk(s[1])
                 v = self.call("power", b, "{} ** " + arg(), x, *self._POW[tag])
             else:
-                r = _RULES[s[1] if tag == "sc" else tag]
-                if tag == "sc":
-                    c = arg()
-                    a = self.let(f"{c} * {walk(s[2])}")
-                else:
-                    a = walk(s[1])
+                r, a = _RULES[tag], walk(s[1])
                 v = self.call(r.name, a, r.name + "({})", x, r.bad, r.domain, r.overflows, r.infinite)
             memo.append(v)
             return v
@@ -672,8 +666,8 @@ def _emit_jet(em: jets.Emitter, shape, order: int, arg: Callable[[], str], memo:
     """Print the jet of a value shape (_value_shape) through em; arg() names
     the next argument, and memo holds the jets of the compound values printed
     so far, which a ("ref", i) reads back. The walk is the value code's: a
-    denominator and its check come before the numerator, an S/C scale before
-    its argument, and C(0; u) is the constant 1 of its shape, without u."""
+    denominator and its check come before the numerator, and C(0; u) is the
+    constant 1 of its shape, without u."""
     if shape == "x":
         return ["x", 1.0, *[0.0] * order][: order + 1]
     if shape == "c":
@@ -689,9 +683,6 @@ def _emit_jet(em: jets.Emitter, shape, order: int, arg: Callable[[], str], memo:
         b = walk(shape[2])
         jets.nonzero_divisor(em, b[0])
         out = jets.div_rule(em, walk(shape[1]), b, check=False)
-    elif tag == "sc":
-        scale = [arg()] + [0.0] * order
-        out = _RULES[shape[1]].jet(em, jets.mul_rule(em, scale, walk(shape[2])))
     else:
         a = walk(shape[1])
         if tag == "neg":

@@ -178,6 +178,8 @@ class Emitter:
         self.fold = fold
         self.lines: list[tuple[str | None, str, bool]] = []
         self.guard: dict[str, None] = {}
+        # the sine and cosine coefficients printed so far, by family and argument
+        self.sincos: dict[tuple, tuple[list, list]] = {}
         self._names = itertools.count()
 
     def let(self, rhs: str, effect: bool = False) -> str:
@@ -285,7 +287,8 @@ def compile_source(source: str, names: dict, label: str) -> dict:
 #
 # Each template takes an Emitter and coefficient lists of one order n and
 # returns the coefficients of the result; checks come first where the rules
-# check, and libm gives every constant term.
+# check, and libm gives every constant term. sin, cos, sinh and cosh are one
+# template, whose coupled recurrence an Emitter prints once per argument.
 
 def dot(em: Emitter, a, b, k: int, n: int):
     """a[1]*b[k-1] + ... + a[n]*b[k-n] left to right (0.0 if n < 1): every sum but mul's."""
@@ -355,33 +358,25 @@ def log_rule(em: Emitter, u) -> list:
     return w
 
 
-def sincos_rule(em: Emitter, u, hyperbolic: bool, name: str) -> tuple[list, list]:
-    """The coupled sine and cosine recurrences; name is the rule's, in the
-    errors of libm (only sinh and cosh overflow, only sin and cos of an
-    infinity fail, both functions at once)."""
-    ju = _scaled(em, u)
-    sine, cosine, sign = ("sinh", "cosh", 1.0) if hyperbolic else ("sin", "cos", -1.0)
-    s, c = [em.libm(sine, u[0], name)], [em.libm(cosine, u[0], name)]
-    for k in range(1, len(u)):
-        s.append(em.div(dot(em, ju, c, k, k), k))
-        c.append(em.div(em.mul(sign, dot(em, ju, s, k, k)), k))
-    return s, c
-
-
-def sin_rule(em: Emitter, u) -> list:
-    return sincos_rule(em, u, False, "sin")[0]
-
-
-def cos_rule(em: Emitter, u) -> list:
-    return sincos_rule(em, u, False, "cos")[1]
-
-
-def sinh_rule(em: Emitter, u) -> list:
-    return sincos_rule(em, u, True, "sinh/cosh")[0]
-
-
-def cosh_rule(em: Emitter, u) -> list:
-    return sincos_rule(em, u, True, "sinh/cosh")[1]
+def sincos_rule(em: Emitter, u, name: str) -> list:
+    """name(u), name one of sin, cos, sinh and cosh, by the coupled sine and
+    cosine recurrences, printed once per family and argument: a later rule
+    of the family on u (by the source of its coefficients, so 0.0 and -0.0
+    stay apart) reads the first one's result. The first rule's name is in
+    the errors of libm (sinh/cosh for either hyperbolic rule; only sinh and
+    cosh overflow, only sin and cos of an infinity fail, both functions at
+    once)."""
+    sine, cosine, sign = ("sinh", "cosh", 1.0) if name in ("sinh", "cosh") else ("sin", "cos", -1.0)
+    key = (sine, *map(_src, u))
+    if key not in em.sincos:
+        ju = _scaled(em, u)
+        label = "sinh/cosh" if sign > 0.0 else name
+        s, c = [em.libm(sine, u[0], label)], [em.libm(cosine, u[0], label)]
+        for k in range(1, len(u)):
+            s.append(em.div(dot(em, ju, c, k, k), k))
+            c.append(em.div(em.mul(sign, dot(em, ju, s, k, k)), k))
+        em.sincos[key] = s, c
+    return em.sincos[key][name != sine]
 
 
 def ipow_rule(em: Emitter, a, n: int) -> list:

@@ -531,6 +531,20 @@ class TestEvenAlternatives:
         assert br.grid_used == 0
         assert br.constants["gamma"] == pytest.approx(-0.5, abs=1e-10)
 
+    def test_power_law_branch_fails_where_phi_differs(self):
+        # the Psi identities of (iv) alone pass (exp(x), 1) against (x, 1),
+        # whose means differ; their Phi gap is 1, over 1 + 1
+        measure = Discrete(((0.1, 0.5), (0.9, 0.5)))
+        for a, b in ((EXP, LINEAR), (LINEAR, EXP)):
+            br = eq.check_N3(a, b, measure, 20)
+            assert br.alternative == "iv"
+            assert not br.holds
+            assert br.residual == pytest.approx(0.5, abs=1e-12)
+        for b in (LINEAR, eq.Matrix2(2.0, 1.0, -1.0, 1.0).apply(SINCOS)):
+            br = eq.check_N3(SINCOS, b, measure, 20)
+            assert br.alternative == "iv"
+            assert br.holds
+
     def test_sixth_only_measure_fails_for_unequal_means(self):
         br = eq.check_N3(EXP, LINEAR, SIXTH_ONLY, 20)
         assert br.alternative == "ii"

@@ -163,7 +163,8 @@ def rule(template, order: int, arity: int, *params):
     args = [p for p in params if isinstance(p, str)] + [a for row in ins for a in row]
     out = template(em, *ins, *params)
     source = f"def rule({', '.join(args)}):\n{em.body(out, '    ')}"
-    return jets.compile_source(source, jets.NAMES, f"jet rule {template.__name__}")["rule"]
+    name = getattr(template, "func", template).__name__  # a rule of _RULES may be a partial
+    return jets.compile_source(source, jets.NAMES, f"jet rule {name}")["rule"]
 
 
 def _ref_jet(e: ex.Expr, x, n: int) -> list:
@@ -277,6 +278,7 @@ class TestAgainstLoopForms:
         "exp(0.8 * x)", "exp(-0.4 * x)", "x^(3/2)", "x^(-1/2)", "sqrt(x)", "log(x)", "x^2",
         "x + 0.3 * x * x", "1 / (x + 2)", "S(-2; x)", "C(1.5; 2 * x)", "C(0; log(x))",
         "exp(sin(x) / (1 + x^2)) * log(x + 1) - sqrt(cosh(x)) * S(-0.5; 2 * x)",
+        "S(-2; x^2 + 0.5 * x) / C(-2; x^2 + 0.5 * x) - cosh(x) * sinh(x)",
     ])
     def test_pair_families_and_mixed_trees(self, text):
         e = ex.parse(text)
@@ -426,6 +428,47 @@ class TestOneShapeWalk:
             assert str(info.value) == str(want.value)
             assert getattr(info.value, "index", None) is None
 
+    @pytest.mark.parametrize("f, g", [
+        ("sin(0.734 * x + 0.1)", "cos(0.734 * x + 0.1)"),
+        ("sinh(0.5 * x + 0.2)", "cosh(0.5 * x + 0.2)"),
+        ("S(-2; x^2 + 0.5 * x)", "C(-2; x^2 + 0.5 * x)"),
+        ("C(3; x)", "S(3; x)"),
+    ])
+    def test_one_sine_cosine_recurrence_per_argument(self, f, g, monkeypatch):
+        sources, compile_source = [], jets.compile_source
+
+        def printed(source, names, label):
+            sources.append(source)
+            return compile_source(source, names, label)
+
+        monkeypatch.setattr(jets, "compile_source", printed)
+        shapes, _ = ex._value_shapes(ex.parse(f), ex.parse(g))
+        ex._jet_factory.__wrapped__(shapes, 6)
+        assert sources[0].count("_libm(") == 2
+
+    @pytest.mark.parametrize("t", [-2.0, -0.5, 0.0, 0.25, 4.0])
+    @pytest.mark.parametrize("u", ["x", "x^2 + 0.5 * x", "0.3 / (x + 2)"])
+    def test_sine_cosine_type_pairs_keep_the_bits_of_each_tree(self, t, u):
+        f, g = ex.parse(f"S({t}; {u})"), ex.parse(f"C({t}; {u}) + 2")
+        pair = ex.FunctionPair(f, g, (-1.0, 1.0), 6)
+        xs = np.linspace(-0.9, 0.9, 7)
+        for order in (0, 1, 6):
+            for x in (0.3, xs):
+                jf, jg = ex.pair_jets(pair, x, order)
+                for got, e in ((jf, f), (jg, g)):
+                    assert _bits(got.coeffs) == _bits(ex.eval_jet(e, x, order).coeffs)
+
+    def test_the_first_rule_of_a_family_names_its_error(self):
+        # sin and cos share one recurrence on u, and f's cos comes first
+        pair = ex.FunctionPair(ex.parse("cos(1e306 * x)"), ex.parse("sin(1e306 * x)"), (-1e3, 1e3), 6)
+        for x, index in ((800.0, None), (np.array([0.5, 800.0]), 1)):
+            with pytest.raises(DomainViolation) as info:
+                ex.pair_jets(pair, x, 6)
+            assert str(info.value) == "cos of constant term inf: math domain error"
+            assert getattr(info.value, "index", None) == index
+        with pytest.raises(DomainViolation, match="^sin of constant term inf"):
+            ex.eval_jet(pair.g, 800.0, 6)
+
     def test_a_fresh_pair_walks_its_shapes_once(self, monkeypatch):
         walks, depth, inner = [], [0], ex._value_shape
 
@@ -482,10 +525,10 @@ class TestJetFunctions:
         cases = [
             (rule(jets.mul_rule, n, 2)(*u, *v), _mul(u, v)),
             (rule(jets.exp_rule, n, 1)(*u), _exp(u)),
-            (rule(jets.sin_rule, n, 1)(*u), _LOOP_RULES["sin"](u)),
-            (rule(jets.cos_rule, n, 1)(*u), _LOOP_RULES["cos"](u)),
-            (rule(jets.sinh_rule, n, 1)(*u), _LOOP_RULES["sinh"](u)),
-            (rule(jets.cosh_rule, n, 1)(*u), _LOOP_RULES["cosh"](u)),
+            (rule(ex._RULES["sin"].jet, n, 1)(*u), _LOOP_RULES["sin"](u)),
+            (rule(ex._RULES["cos"].jet, n, 1)(*u), _LOOP_RULES["cos"](u)),
+            (rule(ex._RULES["sinh"].jet, n, 1)(*u), _LOOP_RULES["sinh"](u)),
+            (rule(ex._RULES["cosh"].jet, n, 1)(*u), _LOOP_RULES["cosh"](u)),
             (rule(jets.log_rule, n, 1)(*p), _log(p)),
             (rule(jets.sqrt_rule, n, 1)(*p), _sqrt(p)),
             (rule(jets.rpow_rule, n, 1, "e")(2 / 3, *p), _pow(p, Fraction(2, 3))),

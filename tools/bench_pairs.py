@@ -8,8 +8,11 @@ it). For each workload, pair k = 1, ..., PAIRS runs ``perfbench/run.py
 the before tree first, even pairs the after tree first. Every run must print ``check: outputs match the
 reference``. For each end-to-end metric of BENCHMARK.json the output holds
 the median and quartiles of each side, the after/before ratio of the medians
-and the number of pairs the after tree won. It also runs each tree once with
-``--trace 1`` (seed 1) per workload and stores its per-layer metrics. perfbench itself is only invoked, never changed.
+and the number of pairs the after tree won. Per workload it also runs
+TRACES traced passes (``--trace 1``) per tree, seeds 1, ..., TRACES in the
+same alternating order, and stores the median and quartiles of each
+per-layer metric per side: one traced pass is too noisy to compare.
+perfbench itself is only invoked, never changed.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("ladder", "regimes", "point")
 PAIRS = 10
+TRACES = 5
 SECONDS = 30.0
 
 
@@ -38,6 +42,17 @@ def run(tree: Path, workload: str, seed: int, trace: int) -> dict:
     record = next(json.loads(s[len("record "):]) for s in lines if s.startswith("record "))
     metrics = {k: v["value"] for k, v in json.loads(lines[-1])["metrics"].items()}
     return {"seed": seed, "metrics": metrics, "record": record}
+
+
+def alternate(trees: dict, workload: str, count: int, trace: int) -> dict:
+    """count runs per side with seeds 1, ..., count; odd seeds run the before
+    tree first, even seeds the after tree."""
+    runs = {"before": [], "after": []}
+    for seed in range(1, count + 1):
+        for side in (("before", "after") if seed % 2 else ("after", "before")):
+            runs[side].append(run(trees[side], workload, seed, trace))
+            print(workload, side, seed, trace, runs[side][-1]["metrics"], file=sys.stderr, flush=True)
+    return runs
 
 
 def quartiles(values: list[float]) -> dict:
@@ -67,17 +82,17 @@ def main(argv=None) -> int:
     end_to_end = json.loads((args.after / "BENCHMARK.json").read_text())["end_to_end"]
     trees = {"before": args.before.resolve(), "after": args.after.resolve()}
     doc = {"command": "perfbench/run.py --trace 0", "seconds": SECONDS,
-           "pairs": PAIRS, "order": "odd pairs before first, even pairs after first",
+           "pairs": PAIRS, "traces": TRACES, "order": "odd pairs before first, even pairs after first",
            "host": {"python": platform.python_version(), "machine": platform.machine()},
            "workloads": {}}
     for workload in WORKLOADS:
-        runs = {"before": [], "after": []}
-        for seed in range(1, PAIRS + 1):
-            for side in (("before", "after") if seed % 2 else ("after", "before")):
-                runs[side].append(run(trees[side], workload, seed, 0))
-                print(workload, side, seed, runs[side][-1]["metrics"], file=sys.stderr, flush=True)
+        runs = alternate(trees, workload, PAIRS, 0)
         entry = {"metrics": summarize(runs["before"], runs["after"], end_to_end), "runs": runs}
-        entry["trace"] = {side: run(tree, workload, 1, 1) for side, tree in trees.items()}
+        traces = alternate(trees, workload, TRACES, 1)
+        entry["trace"] = {
+            side: {name: quartiles([r["metrics"][name] for r in rs]) for name in rs[0]["metrics"]}
+            for side, rs in traces.items()
+        }
         doc["workloads"][workload] = entry
         args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0
