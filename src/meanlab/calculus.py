@@ -30,7 +30,7 @@ from .errors import (
 from .expr import FunctionPair
 from .jets import Jet, at, first_failure, reject
 from .means import MeanSpec, _section
-from .measures import DEGENERATE_TOL, MOMENT_ZERO_TOL, Measure, moments
+from .measures import DEGENERATE_TOL, Measure, _is_zero, moments
 
 __all__ = [
     "PhiPsi", "SeqPair",
@@ -74,10 +74,6 @@ class SeqPair:
     x: float
     phi: tuple[float, ...]
     psi: tuple[float, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.phi) - 1
 
 
 def wronskian(pair: FunctionPair, x: float, i: int, j: int) -> float:
@@ -284,17 +280,16 @@ def closed_form_seq(pair: FunctionPair, x: float) -> SeqPair:
 def diagonal_moments(measure: Measure) -> tuple[float, float, float, float, float]:
     """mu2, ..., mu6 as the diagonal closed forms use them.
 
-    Rejects a degenerate mu2; mu3 and mu5 that vanish to tolerance are
-    zeroed outright, so symmetric measures give exact structural zeros in
-    the odd derivatives instead of noise.
+    Rejects a degenerate mu2; mu3 and mu5 that vanish to tolerance, by
+    the zero rule of measures.classify, are zeroed outright, so symmetric
+    measures give exact structural zeros in the odd derivatives instead of
+    noise.
     """
     mu2, mu3, mu4, mu5, mu6 = moments(measure, 6).mu[2:7]
     if mu2 <= DEGENERATE_TOL:
         raise DegenerateMeasure(mu2)
-    if abs(mu3) <= MOMENT_ZERO_TOL * max(1.0, mu2**1.5):
-        mu3 = 0.0
-    if abs(mu5) <= MOMENT_ZERO_TOL * max(1.0, mu2**2.5):
-        mu5 = 0.0
+    mu3 = 0.0 if _is_zero(mu3, 3, mu2) else mu3
+    mu5 = 0.0 if _is_zero(mu5, 5, mu2) else mu5
     return mu2, mu3, mu4, mu5, mu6
 
 

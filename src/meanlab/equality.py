@@ -124,9 +124,6 @@ class QuadraticForm:
                 candidates.append(self(vertex))
         return min(candidates)
 
-    def as_dict(self) -> dict:
-        return {"a": self.a, "b": self.b, "c": self.c}
-
 
 @dataclass(frozen=True)
 class AssertionResult:
@@ -259,7 +256,10 @@ def _spread(values: np.ndarray) -> float:
     return width / max(center, 1e-300)
 
 
-def _lstsq(design: np.ndarray, target: np.ndarray, context: str) -> np.ndarray:
+def _fit(design: np.ndarray, target: np.ndarray, context: str) -> tuple[list[float], float]:
+    """Least-squares coefficients of design @ coef = target, as floats, and
+    the sup of |design @ coef - target|; a design whose condition number
+    reaches FIT_CONDITION_LIMIT raises IllConditionedFit naming context."""
     if design.ndim == 1:
         design = design[:, None]
     cond = np.linalg.cond(design)
@@ -267,7 +267,7 @@ def _lstsq(design: np.ndarray, target: np.ndarray, context: str) -> np.ndarray:
     if not cond < calculus.FIT_CONDITION_LIMIT:
         raise IllConditionedFit(cond, context=context)
     coef, *_ = np.linalg.lstsq(design, target, rcond=None)
-    return coef
+    return [float(c) for c in coef], float(np.max(np.abs(design @ coef - target)))
 
 
 # ------------------------------------------------------------ antiderivative
@@ -296,24 +296,16 @@ def _panel_sums(
     return half * total
 
 
-def _elementwise(func: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
-    """Array adapter for a scalar integrand: func applied point by point."""
-
-    def apply(ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        return np.array([func(t) for t in ts.ravel().tolist()]).reshape(ts.shape)
-
-    return apply
-
-
 class CumulativeIntegral:
     """Antiderivative of func anchored to 0 at x0.
 
-    func is elementwise on numpy arrays; wrap a scalar integrand with
-    _elementwise. The instance takes a float or an array of points. Values
-    at a fixed panel lattice rooted at x0 are cached, so repeated
-    evaluation costs one remainder panel per point; the lattice depends
-    only on x0, never on the evaluation order or on how points are batched.
+    func is elementwise on numpy arrays. The quadrature is composite
+    Gauss-Legendre with 16 points per panel of width at most PANEL_WIDTH,
+    exact for polynomial integrands up to degree 31. The instance takes a
+    float or an array of points. Values at a fixed panel lattice rooted at
+    x0 are cached, so repeated evaluation costs one remainder panel per
+    point; the lattice depends only on x0, never on the evaluation order or
+    on how points are batched.
     """
 
     def __init__(self, func: Callable[[np.ndarray], np.ndarray], x0: float):
@@ -345,13 +337,16 @@ class CumulativeIntegral:
         return float(out[0]) if xa.ndim == 0 else out.reshape(xa.shape)
 
 
-def antiderivative(func: Callable[[float], float], x0: float, x: float) -> float:
-    """Integral of the scalar integrand func from x0 to x.
+def _phi3_w_integral(
+    pair: FunctionPair, e: float, anchor: float, xs: Sequence[float]
+) -> np.ndarray:
+    """Antiderivative of Phi^3 |W10|^e at xs, 0 at anchor: N3 (iii) and (iv)."""
 
-    Composite Gauss-Legendre quadrature with 16 points per panel of width
-    at most PANEL_WIDTH; exact for polynomial integrands up to degree 31.
-    """
-    return CumulativeIntegral(_elementwise(func), x0)(x)
+    def integrand(t: np.ndarray) -> np.ndarray:
+        s = sample(pair, t, 0)
+        return s.phi[0] ** 3 * np.abs(s.w(1, 0)) ** e
+
+    return CumulativeIntegral(integrand, anchor)(np.asarray(xs))
 
 
 # --------------------------------------------------------------- equivalence
@@ -379,33 +374,40 @@ def _fit_matrix(
     return NotEquivalent(residual), residual
 
 
+def _equivalence(
+    pairA: FunctionPair, pairB: FunctionPair, grid_size: int, tol: float
+) -> tuple[Union[Matrix2, NotEquivalent], float]:
+    """The one decider of equivalence: the fit of _fit_matrix on grid_size
+    interior points, then, for an accepted matrix, the two means under
+    (delta_0 + delta_1)/2 at a 3 x 3 spot grid, since equivalent pairs must
+    generate the same mean. Returns the matrix or NotEquivalent, with the
+    fit residual, or the first spot gap that exceeds its tolerance."""
+    interval = _common_interval(pairA, pairB)
+    m, residual = _fit_matrix(pairA, pairB, interior_grid(interval, grid_size), tol)
+    if isinstance(m, NotEquivalent):
+        return m, residual
+    spot = preset_measure("ebm")
+    sa, sb = MeanSpec(pairA, spot), MeanSpec(pairB, spot)
+    pts = interior_grid(interval, 3)
+    tol_spot = 1e-8 * (1.0 + max(abs(interval[0]), abs(interval[1])))
+    for x in pts:
+        for y in pts:
+            gap = abs(mean_eval(sa, x, y) - mean_eval(sb, x, y))
+            if gap > tol_spot:
+                return NotEquivalent(gap), gap
+    return m, residual
+
+
 def fit_equivalence(
     pairA: FunctionPair, pairB: FunctionPair, grid_size: int = DEFAULT_FIT_GRID
 ) -> Union[Matrix2, NotEquivalent]:
     """The 2x2 matrix sending (f, g) to (F, G), or NotEquivalent.
 
-    Accepts only when the relative fit residual is at most EQUIVALENCE_TOL
-    and the normalized matrix is nonsingular; an accepted fit is then
-    cross-checked by comparing the two means on a coarse spot grid, since
-    equivalent pairs must generate the same mean.
+    Accepts only when the relative fit residual is at most EQUIVALENCE_TOL,
+    the normalized matrix is nonsingular and the two means agree on a
+    coarse spot grid; the batteries decide equivalence the same way.
     """
-    interval = _common_interval(pairA, pairB)
-    xs = interior_grid(interval, int(grid_size))
-    m, _ = _fit_matrix(pairA, pairB, xs, EQUIVALENCE_TOL)
-    if isinstance(m, NotEquivalent):
-        return m
-    spot = preset_measure("ebm")
-    sa = MeanSpec(pairA, spot)
-    sb = MeanSpec(pairB, spot)
-    pts = interior_grid(interval, 3)
-    lo, hi = interval
-    tol_spot = 1e-8 * (1.0 + max(abs(lo), abs(hi)))
-    for x in pts:
-        for y in pts:
-            gap = abs(mean_eval(sa, x, y) - mean_eval(sb, x, y))
-            if gap > tol_spot:
-                return NotEquivalent(gap)
-    return m
+    return _equivalence(pairA, pairB, int(grid_size), EQUIVALENCE_TOL)[0]
 
 
 # ----------------------------------------------------- necessary conditions
@@ -441,9 +443,8 @@ def _phi_psi_gaps(sa: GridSamples, sb: GridSamples) -> PhiPsiGaps:
     psi_gap = float(np.max(np.abs(sa.psi[0] - sb.psi[0])))
     phi_scale = float(max(np.max(np.abs(sa.phi[0])), np.max(np.abs(sb.phi[0]))))
     psi_scale = float(max(np.max(np.abs(sa.psi[0])), np.max(np.abs(sb.psi[0]))))
-    holds = phi_gap <= PHI_PSI_TOL * (1.0 + phi_scale) and psi_gap <= PHI_PSI_TOL * (
-        1.0 + psi_scale
-    )
+    holds = (phi_gap <= PHI_PSI_TOL * (1.0 + phi_scale)
+             and psi_gap <= PHI_PSI_TOL * (1.0 + psi_scale))
     return PhiPsiGaps(phi_gap, psi_gap, phi_scale, psi_scale, holds, PHI_PSI_TOL)
 
 
@@ -468,9 +469,8 @@ def check_power_law_R(
     if gaps.phi_gap > PHI_PSI_TOL * (1.0 + gaps.phi_scale):
         raise NotApplicable("the Phi functions differ, so no single power law applies")
     R = sa.psi[0] - sb.psi[0]
-    basis = 2.0 * np.abs(sa.w(1, 0)) ** p
-    gamma = float(_lstsq(basis, R, context="power-law gap fit")[0])
-    fit_resid = float(np.max(np.abs(R - gamma * basis))) / (1.0 + float(np.max(np.abs(R))))
+    (gamma,), fit_gap = _fit(2.0 * np.abs(sa.w(1, 0)) ** p, R, context="power-law gap fit")
+    fit_resid = fit_gap / (1.0 + float(np.max(np.abs(R))))
     dR = sa.psi[1] - sb.psi[1]
     ode_gap = np.abs(dR - p * sa.phi[0] * R)
     ode_resid = float(np.max(ode_gap)) / (1.0 + float(np.max(np.abs(dR))))
@@ -513,6 +513,28 @@ class BranchReport:
         return out
 
 
+def _split_law(
+    sa: GridSamples, sb: GridSamples, gaps: PhiPsiGaps, p: float, keep: np.ndarray,
+    tail: np.ndarray, context: str,
+) -> tuple[float, float]:
+    """The split law Psi_A = tail + gamma |W_A|^p, Psi_B = tail - gamma |W_A|^p on keep.
+
+    gamma is fitted to Psi_A - Psi_B = 2 gamma |W_A|^p on the whole grid.
+    The residual is the larger of the sup gap of both identities on keep
+    over 1 + the larger sup |Psi|, and, since equal means need Phi_A =
+    Phi_B, the sup Phi gap over 1 + the larger sup |Phi|, as in N1.5 (iv).
+    """
+    basis = np.abs(sa.w(1, 0)) ** p
+    (gamma,), _ = _fit(2.0 * basis, sa.psi[0] - sb.psi[0], context=context)
+    psi_gap = 0.0
+    if np.any(keep):
+        psi_gap = max(
+            float(np.max(np.abs(sa.psi[0][keep] - (gamma * basis[keep] + tail)))),
+            float(np.max(np.abs(sb.psi[0][keep] - (-gamma * basis[keep] + tail)))),
+        )
+    return gamma, max(gaps.phi_gap / (1.0 + gaps.phi_scale), psi_gap / (1.0 + gaps.psi_scale))
+
+
 def check_N25(
     pairA: FunctionPair, pairB: FunctionPair, measure: Measure, grid: GridSpec
 ) -> BranchReport:
@@ -520,7 +542,8 @@ def check_N25(
 
     Either the Psi functions agree outright, or they sit symmetrically
     around the forced combination of Phi' and Phi^2, offset by a fitted
-    gamma times |W|^p on each side. Acceptance is by residual only.
+    gamma times |W|^p on each side. Acceptance is by residual only; the
+    residual includes the Phi gap of the two pairs.
     """
     info = classify(measure)
     if info.regime is not Regime.MU3_ZERO_MU5_NONZERO:
@@ -532,25 +555,19 @@ def check_N25(
         raise NotApplicable("the exponent p needs a positive fourth moment")
     xs = _resolve_grid(_common_interval(pairA, pairB), grid, 3)
     sa, sb = sample(pairA, xs, 1), sample(pairB, xs, 1)
-    (phiA, dphiA), psiA, psiB = sa.phi, sa.psi[0], sb.psi[0]
+    phiA, dphiA = sa.phi
     gaps = _phi_psi_gaps(sa, sb)
-    psi_scale = gaps.psi_scale
     note = ""
     if gaps.phi_gap > PHI_PSI_TOL * (1.0 + gaps.phi_scale):
         note = "the Phi functions differ; residuals measured against the first pair"
-    R = psiA - psiB
-    if gaps.psi_gap <= PHI_PSI_TOL * (1.0 + psi_scale) and not note:
+    if gaps.psi_gap <= PHI_PSI_TOL * (1.0 + gaps.psi_scale) and not note:
         return BranchReport(
-            "N2.5", info, "psi_equal", True, gaps.psi_gap / (1.0 + psi_scale), PHI_PSI_TOL,
+            "N2.5", info, "psi_equal", True, gaps.psi_gap / (1.0 + gaps.psi_scale), PHI_PSI_TOL,
             {"gamma": 0.0}, note="the Psi functions already agree",
         )
-    basis = np.abs(sa.w(1, 0)) ** p
-    gamma = float(_lstsq(2.0 * basis, R, context="split gap fit")[0])
     tail = -0.5 * (4.0 + 3.0 * p) * dphiA - 0.5 * (3.0 + 5.0 * p + 3.0 * p * p) * phiA**2
-    resid = max(
-        float(np.max(np.abs(psiA - (gamma * basis + tail)))),
-        float(np.max(np.abs(psiB - (-gamma * basis + tail)))),
-    ) / (1.0 + psi_scale)
+    whole = np.ones(len(xs), dtype=bool)
+    gamma, resid = _split_law(sa, sb, gaps, p, whole, tail, context="split gap fit")
     return BranchReport(
         "N2.5", info, "power_law", resid <= FIT_TOL, resid, FIT_TOL, {"gamma": gamma}, note=note
     )
@@ -558,13 +575,11 @@ def check_N25(
 
 def _two_sided_fit(
     col: np.ndarray, shared: np.ndarray, targetA: np.ndarray, targetB: np.ndarray, context: str
-) -> tuple[float, float, float]:
+) -> tuple[list[float], float]:
     """Fit targetA = gamma col + delta shared and targetB = -gamma col +
-    delta shared together; returns gamma, delta and the sup residual."""
+    delta shared together; returns [gamma, delta] and the sup residual."""
     design = np.vstack([np.column_stack([col, shared]), np.column_stack([-col, shared])])
-    target = np.concatenate([targetA, targetB])
-    coef = _lstsq(design, target, context=context)
-    return float(coef[0]), float(coef[1]), float(np.max(np.abs(design @ coef - target)))
+    return _fit(design, np.concatenate([targetA, targetB]), context=context)
 
 
 def check_N3(
@@ -579,7 +594,8 @@ def check_N3(
     midpoint; their additive constants are absorbed by the fitted delta.
     When the sixth-order moment condition vanishes the two power laws
     collapse and the fitted constants are also reported as alpha and beta.
-    Branch (iv) also takes the Phi gap of the two pairs into its residual.
+    Branches (ii) and (iv) also take the Phi gap of the two pairs into
+    their residuals.
     """
     info = classify(measure)
     if info.regime is not Regime.EVEN_SYMMETRIC:
@@ -598,7 +614,8 @@ def check_N3(
     (phiA, dphiA, d2phiA), psiA, psiB = sa.phi, sa.psi[0], sb.psi[0]
     wA = sa.w(1, 0)
     R = psiA - psiB
-    psi_scale = 1.0 + float(max(np.max(np.abs(psiA)), np.max(np.abs(psiB))))
+    gaps = _phi_psi_gaps(sa, sb)
+    psi_scale = 1.0 + gaps.psi_scale
     anchor = 0.5 * (interval[0] + interval[1])
 
     def report(alternative: str, resid: float, grid_used: int, note: str = "", **constants):
@@ -610,10 +627,8 @@ def check_N3(
     if mu6_matches and mu4_matches:
         # the sixth-order relation collapses to Phi'' = 0
         design = np.column_stack([np.ones(n), np.asarray(xs)])
-        coef = _lstsq(design, phiA, context="first-degree fit of Phi")
-        line_resid = float(np.max(np.abs(design @ coef - phiA))) / (
-            1.0 + float(np.max(np.abs(phiA)))
-        )
+        _, line_gap = _fit(design, phiA, context="first-degree fit of Phi")
+        line_resid = line_gap / (1.0 + float(np.max(np.abs(phiA))))
         r_spread = float(np.max(R) - np.min(R)) / psi_scale
         return report(
             "i", max(line_resid, r_spread), n,
@@ -623,39 +638,23 @@ def check_N3(
 
     if mu6_matches and not mu4_matches:
         p = info.p
-        basis = np.abs(wA) ** p
-        gamma = float(_lstsq(2.0 * basis, R, context="power-law gap fit")[0])
         keep = np.abs(phiA) > 1e-6
-        if not np.any(keep):
-            return report(
-                "ii", 0.0, 0, "Phi vanishes on the whole grid; the identity is vacuous there",
-                gamma=gamma, p=p,
-            )
         tail = (
             -(p + 1.0) / (3.0 * p) * d2phiA[keep] / phiA[keep]
             - 0.5 * (2.0 * p + 3.0) * dphiA[keep]
             - (2.0 * p * p + 3.0 * p + 4.0) / 6.0 * phiA[keep] ** 2
         )
-        resid = max(
-            float(np.max(np.abs(psiA[keep] - (gamma * basis[keep] + tail)))),
-            float(np.max(np.abs(psiB[keep] - (-gamma * basis[keep] + tail)))),
-        ) / psi_scale
-        return report(
-            "ii", resid, int(np.sum(keep)),
-            "identity restricted to the subgrid where Phi is nonzero", gamma=gamma, p=p,
-        )
+        gamma, resid = _split_law(sa, sb, gaps, p, keep, tail, context="power-law gap fit")
+        note = ("identity restricted to the subgrid where Phi is nonzero" if np.any(keep)
+                else "Phi vanishes on the whole grid; the identity is vacuous there")
+        return report("ii", resid, int(np.sum(keep)), note, gamma=gamma, p=p)
 
     if mu4_matches:
         r = info.r
-
-        def integrand_iii(t: np.ndarray) -> np.ndarray:
-            s = sample(pairA, t, 0)
-            return s.phi[0] ** 3 * np.abs(s.w(1, 0))
-
-        J = CumulativeIntegral(integrand_iii, anchor)(np.asarray(xs))
+        J = _phi3_w_integral(pairA, 1, anchor, xs)
         inv_w = 1.0 / np.abs(wA)
         known = -0.5 * r * dphiA + 0.25 * (r - 5.0) * phiA**2 - (3.0 * r - 7.0) / 12.0 * inv_w * J
-        gamma, delta, resid = _two_sided_fit(
+        (gamma, delta), resid = _two_sided_fit(
             np.ones(n), inv_w, psiA - known, psiB - known,
             context="constant plus inverse-Wronskian fit",
         )
@@ -667,25 +666,15 @@ def check_N3(
     c1 = (2.0 * (q - p) * (p + 1.0) - p + 2.0) / (6.0 * p)
     c2 = ((q - p) * (q + 3.0 * p + 1.0) * (p + 1.0) + p * p - 2.0 * p) / (6.0 * p)
     c3 = (q - p) * (2.0 * p + q) * (p + q + 1.0) * (p + 1.0) / (6.0 * p)
-    if c3 == 0.0:
-        K = np.zeros(n)
-    else:
-
-        def integrand_iv(t: np.ndarray) -> np.ndarray:
-            s = sample(pairA, t, 0)
-            return s.phi[0] ** 3 * np.abs(s.w(1, 0)) ** (-q)
-
-        K = CumulativeIntegral(integrand_iv, anchor)(np.asarray(xs))
+    K = np.zeros(n) if c3 == 0.0 else _phi3_w_integral(pairA, -q, anchor, xs)
     basis_p = np.abs(wA) ** p
     basis_q = np.abs(wA) ** q
     known = c1 * dphiA + c2 * phiA**2 + c3 * basis_q * K
-    gamma, delta, resid = _two_sided_fit(
+    (gamma, delta), resid = _two_sided_fit(
         basis_p, basis_q, psiA - known, psiB - known, context="two-exponent power-law fit"
     )
     # the identity needs Phi_B = Phi_A: their sup gap, scaled as in N1.5 (iv)
-    phiB = sb.phi[0]
-    phi_scale = 1.0 + max(float(np.max(np.abs(phiA))), float(np.max(np.abs(phiB))))
-    resid = max(float(np.max(np.abs(phiA - phiB))) / phi_scale, resid / psi_scale)
+    resid = max(gaps.phi_gap / (1.0 + gaps.phi_scale), resid / psi_scale)
     collapse = measures._is_zero(info.moment_condition_6, 10, mu2)
     return report(
         "iv", resid, n, "single power law (exponents collapse)" if collapse else "",
@@ -878,16 +867,14 @@ def _with_overrides(table: Mapping[str, float], overrides: Mapping[str, float] |
     return {**table, **values}
 
 
-_EBM_ATOMS = ((0.0, 0.5), (1.0, 0.5))
-
-
 def _is_ebm_measure(m: Measure) -> bool:
-    if not isinstance(m, Discrete) or len(m.atoms) != 2:
+    """Whether m has the atoms of the ebm preset, to 1e-12."""
+    ebm = preset_measure("ebm").atoms
+    if not isinstance(m, Discrete) or len(m.atoms) != len(ebm):
         return False
-    atoms = sorted(m.atoms)
     return all(
         abs(t - t0) <= 1e-12 and abs(w - w0) <= 1e-12
-        for (t, w), (t0, w0) in zip(atoms, _EBM_ATOMS)
+        for (t, w), (t0, w0) in zip(sorted(m.atoms), ebm)
     )
 
 
@@ -911,14 +898,6 @@ def _row(
     if holds is _BY_RESIDUAL:
         holds = residual <= tolerance
     return AssertionResult(assertion_id, holds, residual, tolerance, constants, note)
-
-
-def _equivalence(
-    pairA: FunctionPair, pairB: FunctionPair, n: int, tols: Mapping[str, float]
-) -> tuple[Union[Matrix2, NotEquivalent], float]:
-    """The equivalence fit on the finer of the n-point and the default fit grid."""
-    xs = interior_grid(pairA.interval, max(n, DEFAULT_FIT_GRID))
-    return _fit_matrix(pairA, pairB, xs, tols["equivalence_residual"])
 
 
 def _mean_rows(
@@ -954,9 +933,9 @@ def _quadratic_form_fit(
     """
     f, g = s.d_f[0], s.d_g[0]
     design = np.column_stack([f**2, f * g, g**2])
-    coef = _lstsq(design, target, context="quadratic form fit")
-    resid = float(np.max(np.abs(design @ coef - target))) / (1.0 + float(np.max(np.abs(target))))
-    P = QuadraticForm(*(float(v) for v in coef))
+    coef, gap = _fit(design, target, context="quadratic form fit")
+    resid = gap / (1.0 + float(np.max(np.abs(target))))
+    P = QuadraticForm(*coef)
     t = f / g
     return P, resid, t, P.min_on(float(np.min(t)), float(np.max(t)))
 
@@ -1020,7 +999,9 @@ def _sincos_battery(
     regime = classify(measure)
     notes: list[str] = ["all verdicts are grid certificates at the reported grid"]
 
-    equivalence, eq_resid = _equivalence(pairA, pairB, n, tols)
+    equivalence, eq_resid = _equivalence(
+        pairA, pairB, max(n, DEFAULT_FIT_GRID), tols["equivalence_residual"]
+    )
     equivalent = isinstance(equivalence, Matrix2)
     a_i, a_ii, ma, mb = _mean_rows(pairA, pairB, measure, xs, tols)
 
@@ -1036,15 +1017,13 @@ def _sincos_battery(
     a_iii = _row("iii", max(worst.values()), tols["derivative_gap"], note, **worst)
 
     # pointwise coefficient data shared by the remaining assertions
-    phiA, dphiA, psiA = sa.phi[0], sa.phi[1], sa.psi[0]
-    phiB, psiB = sb.phi[0], sb.psi[0]
+    phiA, dphiA, psiA, psiB = sa.phi[0], sa.phi[1], sa.psi[0], sb.psi[0]
     wa, wb = sa.w(1, 0), sb.w(1, 0)
-    psi_scale = 1.0 + max(float(np.max(np.abs(psiA))), float(np.max(np.abs(psiB))))
-    phi_scale = 1.0 + max(float(np.max(np.abs(phiA))), float(np.max(np.abs(phiB))))
+    gaps = _phi_psi_gaps(sa, sb)
 
     # the fits of (iv) and (v) run for every pair, equivalent or not:
     # (iv) Phi equality plus the forced power law for both Psi functions
-    phi_gap = float(np.max(np.abs(phiA - phiB))) / phi_scale
+    phi_gap = gaps.phi_gap / (1.0 + gaps.phi_scale)
     if ebm:
         basis = wa**2
         targetA, targetB = psiA, psiB
@@ -1052,10 +1031,9 @@ def _sincos_battery(
         basis = np.abs(wa) ** (2.0 / 3.0)
         tail = dphiA / 3.0 - 2.0 * phiA**2 / 9.0
         targetA, targetB = psiA - tail, psiB - tail
-    alpha = float(_lstsq(basis, targetA, context="Psi power-law fit")[0])
-    beta = float(_lstsq(basis, targetB, context="Psi power-law fit")[0])
-    fitA = float(np.max(np.abs(targetA - alpha * basis))) / psi_scale
-    fitB = float(np.max(np.abs(targetB - beta * basis))) / psi_scale
+    (alpha,), fitA = _fit(basis, targetA, context="Psi power-law fit")
+    (beta,), fitB = _fit(basis, targetB, context="Psi power-law fit")
+    fit_resid = max(fitA, fitB) / (1.0 + gaps.psi_scale)
 
     # (v) quadratic forms in the generators plus proportional Wronskians
     ratios = wb / wa
@@ -1076,9 +1054,9 @@ def _sincos_battery(
         ]
     else:
         a_iv = _row(
-            "iv", max(phi_gap, fitA, fitB), max(tols["phi_psi_gap"], tols["fit_residual"]),
+            "iv", max(phi_gap, fit_resid), max(tols["phi_psi_gap"], tols["fit_residual"]),
             "shared Phi and power-law Psi with the fitted constants",
-            holds=phi_gap <= tols["phi_psi_gap"] and max(fitA, fitB) <= tols["fit_residual"],
+            holds=phi_gap <= tols["phi_psi_gap"] and fit_resid <= tols["fit_residual"],
             alpha=alpha, beta=beta, phi_gap=phi_gap,
         )
         a_v = _row(
@@ -1097,9 +1075,8 @@ def _sincos_battery(
             rg, v = _reconstruction(sa, P, ta, ebm)
             rG, u = _reconstruction(sb, Q, tb, ebm)
             design = np.column_stack([v, np.ones(n)])
-            coef = _lstsq(design, u, context="antiderivative relation fit")
-            slope, delta_vi = float(coef[0]), float(coef[1])
-            r_rel = float(np.max(np.abs(design @ coef - u))) / (1.0 + float(np.max(np.abs(u))))
+            (slope, delta_vi), r_gap = _fit(design, u, context="antiderivative relation fit")
+            r_rel = r_gap / (1.0 + float(np.max(np.abs(u))))
             a_vi = _row(
                 "vi", max(rg, rG, r_rel), tols["fit_residual"],
                 "generators rebuilt from the quadratics; antiderivatives affinely related",
@@ -1255,7 +1232,9 @@ def check_N15(
         phi_gap=gaps.phi_gap, psi_gap=gaps.psi_gap,
     )
 
-    equivalence, eq_resid = _equivalence(pairA, pairB, len(xs), tols)
+    equivalence, eq_resid = _equivalence(
+        pairA, pairB, max(len(xs), DEFAULT_FIT_GRID), tols["equivalence_residual"]
+    )
     equivalent = isinstance(equivalence, Matrix2)
     a_v = _row(
         "v", eq_resid, tols["equivalence_residual"],

@@ -175,10 +175,6 @@ class MomentData:
     mu_hat1: float
     mu: tuple[float, ...]
 
-    @property
-    def nmax(self) -> int:
-        return len(self.mu) - 1
-
 
 def moments(m: Measure, nmax: int = 6) -> MomentData:
     """Centralized moments mu_n = integral of (t - mu_hat1)^n, n <= nmax.

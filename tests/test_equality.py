@@ -99,16 +99,16 @@ class TestAssertionResult:
 
 class TestAntiderivative:
     def test_constant_integrand(self):
-        assert eq.antiderivative(lambda t: 1.0, 0.0, 2.0) == pytest.approx(2.0, abs=1e-14)
+        got = eq.CumulativeIntegral(np.ones_like, 0.0)(2.0)
+        assert got == pytest.approx(2.0, abs=1e-14)
 
     def test_polynomial_integrand(self):
-        assert eq.antiderivative(lambda t: 3.0 * t * t, 0.0, 1.0) == pytest.approx(
-            1.0, abs=1e-14
-        )
+        got = eq.CumulativeIntegral(lambda t: 3.0 * t * t, 0.0)(1.0)
+        assert got == pytest.approx(1.0, abs=1e-14)
 
     def test_cosine_matches_sine(self):
         for x in (-1.3, -0.2, 0.4, 2.1):
-            got = eq.antiderivative(math.cos, 0.0, x)
+            got = eq.CumulativeIntegral(np.cos, 0.0)(x)
             assert got == pytest.approx(math.sin(x), abs=1e-13)
 
     def test_cumulative_is_call_order_independent(self):
@@ -126,9 +126,25 @@ class TestAntiderivative:
         assert batch == pytest.approx(np.exp(xs) - 1.0, rel=1e-14, abs=1e-15)
 
     def test_backward_direction(self):
-        got = eq.antiderivative(lambda t: 1.0 + t * t, 0.5, -0.5)
+        got = eq.CumulativeIntegral(lambda t: 1.0 + t * t, 0.5)(-0.5)
         exact = (-0.5 + (-0.5) ** 3 / 3.0) - (0.5 + 0.5**3 / 3.0)
         assert got == pytest.approx(exact, abs=1e-14)
+
+
+@pytest.mark.parametrize("check", [eq.check_EBM, eq.check_ECM])
+def test_row_vii_reads_sine_and_cosine_type_nodes(check):
+    # t = -2 is neither sin/cos nor sinh/cosh, so the pair keeps its S and C nodes
+    pair = eq.make_sincos_pair(-2.0, "x", interval=INTERVAL)
+    assert isinstance(pair.f, ex.SType) and isinstance(pair.g, ex.CType)
+    vii = check(pair, SINCOS, grid=12).verdict_per_assertion["vii"]
+    assert vii.holds is True
+    assert vii.constants == {"alpha": -2.0, "beta": -1.0}
+
+
+def test_product_factors_fold_negation_and_constant_divisors():
+    assert eq._product_factors(ex.parse("-(2 * sin(x)) / 4")) == (-0.5, [ex.parse("sin(x)")])
+    # a zero divisor is not folded
+    assert eq._product_factors(ex.parse("x / 0")) == (1.0, [ex.parse("x / 0")])
 
 
 def _viii_generator(family: str, cube: bool, mpmath):
@@ -189,17 +205,18 @@ def test_viii_inversion_matches_50_digit_reference(family, cube):
 
 @pytest.mark.parametrize("check", [eq.check_EBM, eq.check_ECM])
 def test_viii_matches_scalar_route(check):
-    # (viii) from per-point jet Wronskians, scalar mean_eval and scalar
-    # quasiarithmetic, against the batched residual of the report
+    # (viii) from jet Wronskians (not the compiled derivative trees of the
+    # report), scalar mean_eval and scalar quasiarithmetic, against the
+    # batched residual of the report
     grid = 13
     rep = check(EXP, LINEAR, grid=grid)
     measure = preset_measure("ebm") if check is eq.check_EBM else Lebesgue()
 
-    def w(t):
-        v = calculus.wronskian(EXP, t, 1, 0)
-        return v if check is eq.check_EBM else math.copysign(abs(v) ** (1.0 / 3.0), v)
+    def w(ts):
+        v = calculus.sample(EXP, ts, 0).w(1, 0)
+        return v if check is eq.check_EBM else np.copysign(np.abs(v) ** (1.0 / 3.0), v)
 
-    phi = eq.CumulativeIntegral(eq._elementwise(w), 0.0)
+    phi = eq.CumulativeIntegral(w, 0.0)
     xs = ex.interior_grid(INTERVAL, grid)[:: max(1, grid // 12)]
     sa, sb = MeanSpec(EXP, measure), MeanSpec(LINEAR, measure)
     gap = 0.0
@@ -419,6 +436,24 @@ class TestFitEquivalence:
             done += 1
 
 
+    @pytest.mark.parametrize("check", [
+        lambda a, b: eq.check_EBM(a, b, grid=12),
+        lambda a, b: eq.check_ECM(a, b, grid=12),
+        lambda a, b: eq.check_N15(a, b, ASYMMETRIC, grid=12),
+    ], ids=["EBM", "ECM", "N15"])
+    def test_batteries_decide_as_fit_equivalence(self, check, monkeypatch):
+        # a battery fits on max(grid, DEFAULT_FIT_GRID) points, here the
+        # default grid of fit_equivalence, so both give the same matrix
+        image = eq.Matrix2(1.5, -0.5, 0.25, 2.0).apply(SINCOS)
+        rep = check(SINCOS, image)
+        assert isinstance(rep.equivalence, eq.Matrix2)
+        assert rep.equivalence == eq.fit_equivalence(SINCOS, image)
+        # and both reject an accepted fit whose spot means differ
+        monkeypatch.setattr(eq, "mean_eval", lambda spec, x, y: float(spec.pair is image))
+        assert eq.fit_equivalence(SINCOS, image) == eq.NotEquivalent(1.0)
+        assert check(SINCOS, image).equivalence == eq.NotEquivalent(1.0)
+
+
 class TestPhiPsi:
     def test_pair_against_itself(self):
         gaps = eq.check_phi_psi(SINCOS, SINCOS, 15)
@@ -457,11 +492,39 @@ class TestPowerLawR:
         with pytest.raises(NotApplicable):
             eq.check_power_law_R(EXP, LINEAR, EBM, 15)
 
-    def test_condition_limit_enforced(self, monkeypatch):
-        # one limit serves every fit, the equality fits' and the oracle's
-        monkeypatch.setattr(calculus, "FIT_CONDITION_LIMIT", 1.0)
-        with pytest.raises(IllConditionedFit, match="power-law gap fit"):
-            eq.check_power_law_R(SINCOS, LINEAR, EBM, 25)
+    @pytest.mark.parametrize("run, fit_name", [
+        pytest.param(lambda: eq.check_power_law_R(SINCOS, LINEAR, EBM, 25), "power-law gap fit",
+                     id="R"),
+        pytest.param(lambda: eq.check_N25(SINCOS, LINEAR, SPLIT_MEASURE, 15), "split gap fit",
+                     id="N2.5"),
+        pytest.param(lambda: eq.check_N3(SINCOS, LINEAR, GAUSSIAN_RATIO, 15),
+                     "first-degree fit of Phi", id="N3-i"),
+        pytest.param(lambda: eq.check_N3(SINCOS, LINEAR, SIXTH_ONLY, 15), "power-law gap fit",
+                     id="N3-ii"),
+        pytest.param(lambda: eq.check_N3(SINCOS, LINEAR, FOURTH_ONLY, 15),
+                     "constant plus inverse-Wronskian fit", id="N3-iii"),
+        pytest.param(lambda: eq.check_N3(SINCOS, LINEAR, EVEN, 15), "two-exponent power-law fit",
+                     id="N3-iv"),
+        *(pytest.param(lambda c=check: c(SINCOS, LINEAR, grid=12), context, id=f"{name}-{row}")
+          for name, check in (("EBM", eq.check_EBM), ("ECM", eq.check_ECM))
+          for row, context in (("iv", "Psi power-law fit"), ("v", "quadratic form fit"),
+                               ("vi", "antiderivative relation fit"))),
+    ])
+    def test_condition_limit_enforced(self, run, fit_name, monkeypatch):
+        # one limit serves every fit, the equality fits' and the oracle's; it
+        # is lowered to 1.0, below any condition number, while the named fit
+        # runs, so the fits that come before it in a ladder still pass
+        inner = eq._fit
+
+        def fit(design, target, context):
+            with monkeypatch.context() as m:
+                if context == fit_name:
+                    m.setattr(calculus, "FIT_CONDITION_LIMIT", 1.0)
+                return inner(design, target, context=context)
+
+        monkeypatch.setattr(eq, "_fit", fit)
+        with pytest.raises(IllConditionedFit, match=f"in {fit_name}$"):
+            run()
 
 
 class TestSplitCheck:
@@ -482,6 +545,16 @@ class TestSplitCheck:
         assert split.alternative == "power_law"
         assert not split.holds
         assert split.constants["gamma"] == pytest.approx(-0.5, abs=1e-10)
+
+    def test_power_law_fails_where_phi_differs(self):
+        # m2 = mu2 Phi, so equal means need equal Phi; (x, 1) against
+        # (exp(x), 1) fit the split law of the Psi functions exactly, and
+        # only their Phi gap, 1 over 1 + 1, fails them
+        split = eq.check_N25(LINEAR, EXP, SPLIT_MEASURE, 20)
+        assert split.alternative == "power_law"
+        assert not split.holds
+        assert split.residual == pytest.approx(0.5, abs=1e-12)
+        assert not eq.check_N25(EXP, LINEAR, SPLIT_MEASURE, 20).holds
 
 
 class TestEvenAlternatives:
@@ -550,6 +623,15 @@ class TestEvenAlternatives:
         assert br.alternative == "ii"
         assert not br.holds
         assert br.grid_used == 20
+
+    def test_sixth_only_vacuous_branch_still_compares_phi(self):
+        # Phi of (x, 1) vanishes, so the identity has no points to test,
+        # but Phi of (exp(x), 1) is 1: the Phi gap, 1 over 1 + 1, fails it
+        br = eq.check_N3(LINEAR, EXP, SIXTH_ONLY, 20)
+        assert br.alternative == "ii"
+        assert br.grid_used == 0
+        assert not br.holds
+        assert br.residual == pytest.approx(0.5, abs=1e-12)
 
 
 class TestBinarySymmetricLadder:

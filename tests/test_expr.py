@@ -88,6 +88,19 @@ class TestParsing:
             ex.parse(text)
         assert info.value.position is not None
 
+    @pytest.mark.parametrize("text, message, position", [
+        ("x $ 1", "unexpected character '$'", 2),
+        ("x^(2^(1/2))", "non-integer power inside constant exponent", 3),
+        ("x + 1e400", "constant '1e400' overflows to infinity", 4),
+    ])
+    def test_error_messages(self, text, message, position):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)} at position {position}$"):
+            ex.parse(text)
+
+    def test_constant_grammar_folds_difference_and_product(self):
+        assert ex.parse("S(2-3; x)") == ex.SType(-1.0, ex.Var())
+        assert ex.parse("S(2*3; x)") == ex.SType(6.0, ex.Var())
+
     def test_unknown_identifier_lists_alternatives(self):
         with pytest.raises(ParseError) as info:
             ex.parse("tan(x)")
@@ -486,6 +499,12 @@ class TestDerivativeTree:
             for _ in range(5):
                 x = rng.uniform(-0.5, 0.5)
                 assert df(x) == pytest.approx(fd_derivative(f, x, 1, h=0.02), rel=1e-8, abs=1e-8)
+
+    def test_negation_and_flat_cosine_type(self):
+        sin = ex.Call("sin", ex.Var())
+        assert ex._derivative(ex.Neg(sin)) == ex.Neg(ex._derivative(sin))
+        # C(0; u) is the constant 1
+        assert ex._derivative(ex.parse("C(0; x^2)")) == ex.Const(0.0)
 
 
 class TestValidatePair:

@@ -135,6 +135,18 @@ class TestBajraktarevic:
         with pytest.raises(NotPositive):
             bajraktarevic("x", "x - 5", 1.0, 2.0)
 
+    def test_weight_must_be_positive_at_y(self):
+        with pytest.raises(NotPositive) as info:
+            bajraktarevic("x", "3 - x", 1.0, 4.0)
+        assert (info.value.point, info.value.value) == (4.0, -1.0)
+
+    def test_equal_arguments_give_the_point(self):
+        assert bajraktarevic("x^2", "1", 1.5, 1.5) == 1.5
+
+    def test_phi_must_separate_the_arguments(self):
+        with pytest.raises(BracketFailure, match="phi is not strictly monotone"):
+            bajraktarevic("x^2", "1", -1.0, 1.0)
+
     def test_matches_mean_eval_of_scaled_pair(self, rng):
         # B_{phi,p} is the two-atom mean of the pair (phi*p, p)
         spec = spec_of("log(x) * x", "x", (0.8, 5.0), EBM)
