@@ -118,7 +118,7 @@ def _phi_psi_kernel(order: int):
     of Phi, then of Psi, printed once per order from the jets templates.
 
     The Wronskian jets W10 = f'g - fg', W20 = f''g - fg'' and W21 = f''g' -
-    f'g'' come from the derivative shifts of the pair jets; |W10| <= tol
+    f'g'' come from the derivative shifts of the pair jets; |W10| < tol
     raises WronskianVanishes before the two divisions.
     """
     em = jets.Emitter()
@@ -134,7 +134,7 @@ def _phi_psi_kernel(order: int):
     f2, g2 = _shift(em, f1), _shift(em, g1)
     f0, g0, f1, g1 = f[:n], g[:n], f1[:n], g1[:n]
     w10, w20, w21 = wronskian(f1, g0, f0, g1), wronskian(f2, g0, f0, g2), wronskian(f2, g1, f1, g2)
-    em.check("abs({}) <= tol", f"_vanishing({{}}, x, {w10[0]})", w10[0])
+    em.check("abs({}) < tol", f"_vanishing({{}}, x, {w10[0]})", w10[0])
     phi = jets.div_rule(em, w20, w10)
     psi = [em.neg(v) for v in jets.div_rule(em, w21, w10)]
     source = f"def kernel(x, tol, {', '.join(f + g)}):\n{em.body(phi + psi, '    ')}"
@@ -353,21 +353,18 @@ def diagonal_derivatives_numeric(
     pair: FunctionPair,
     measure: Measure,
     x: float,
-    k_max: int = 6,
     h: float | None = None,
 ) -> tuple[float, ...]:
     """Sampling oracle for the diagonal derivatives, independent of jets.
 
     Samples the diagonal section at Chebyshev nodes in u, fits one
     polynomial of degree 8 by least squares in the scaled variable u/h, and
-    reads the derivatives off the coefficients. The default radius h fills
-    most of the room the interval leaves around x, since the k = 6
-    coefficient amplifies sampling noise like 1/h^6. A radius that is not
-    finite and positive, whose k_max-th power is not a normal float, or
+    reads the derivatives of orders 1 to 6 off the coefficients. The default
+    radius h fills most of the room the interval leaves around x, since the
+    k = 6 coefficient amplifies sampling noise like 1/h^6. A radius that is
+    not finite and positive, whose sixth power is not a normal float, or
     whose sections collapse to a point raises ValueError.
     """
-    if not (1 <= k_max <= 6):
-        raise OrderOutOfRange(f"k_max = {k_max} outside 1..6")
     lo, hi = pair.interval
     if not pair.contains(x):
         raise OutOfInterval(x, pair.interval)
@@ -379,31 +376,29 @@ def diagonal_derivatives_numeric(
         # unmodeled tail contaminates it like h^4; 0.12 keeps the tail a few
         # orders below the k = 5, 6 budget with noise still far underneath
         h = min(0.12, 0.8 * dist / wmax)
-    _check_radius(h, x, mu_hat1, k_max)
+    _check_radius(h, x, mu_hat1)
     spec = MeanSpec(pair=pair, measure=measure)
     values = [_section(spec, float(x), float(h * s), mu_hat1) for s in _ORACLE_SCALED]
     # the limit is read at call time, so lowering it still takes effect
     if _ORACLE_COND > FIT_CONDITION_LIMIT:
         raise IllConditionedFit(_ORACLE_COND, context="diagonal derivative oracle")
     coef, *_ = np.linalg.lstsq(_ORACLE_DESIGN, np.asarray(values), rcond=None)
-    return tuple(
-        float(coef[k]) * math.factorial(k) / h**k for k in range(1, k_max + 1)
-    )
+    return tuple(float(coef[k]) * math.factorial(k) / h**k for k in range(1, 7))
 
 
-def _check_radius(h: float, x: float, mu_hat1: float, k_max: int) -> None:
-    """The oracle divides by h**k for k <= k_max and samples the sections
+def _check_radius(h: float, x: float, mu_hat1: float) -> None:
+    """The oracle divides by h**k for k <= 6 and samples the sections
     through x at u = h*s; each must be a usable number."""
     if not math.isfinite(h):
         raise ValueError(f"radius {h!r} must be finite")
     if not h > 0.0:
         raise ValueError(f"radius {h!r} must be positive")
     try:
-        power = h**k_max
+        power = h**6
     except OverflowError:
         power = math.inf
     if not sys.float_info.min <= power < math.inf:
-        raise ValueError(f"radius {h!r} is unusable: its power {k_max} is not a normal float")
+        raise ValueError(f"radius {h!r} is unusable: its power 6 is not a normal float")
     for j, s in enumerate(_ORACLE_SCALED):
         u = h * s
         # the middle node is cos(pi/2), 6e-17: its section is x at any radius

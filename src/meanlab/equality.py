@@ -18,7 +18,6 @@ alternative together, after the fits of (iv) and (v).
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence, Union
@@ -75,8 +74,8 @@ class Matrix2:
         s = (1.0 if lead >= 0.0 else -1.0) / n
         return Matrix2(*(s * v for v in entries))
 
-    def apply(self, pair: FunctionPair, n: int | None = None) -> FunctionPair:
-        """Validated image pair (a f + b g, c f + d g)."""
+    def apply(self, pair: FunctionPair) -> FunctionPair:
+        """Validated image pair (a f + b g, c f + d g), at the pair's order."""
 
         def combo(u: float, v: float) -> ex.Expr:
             return ex.BinOp(
@@ -85,9 +84,8 @@ class Matrix2:
                 ex.BinOp("*", ex.Const(v), pair.g),
             )
 
-        order = pair.validated_order if n is None else n
         return ex.validate_pair(
-            combo(self.a, self.b), combo(self.c, self.d), pair.interval, n=order
+            combo(self.a, self.b), combo(self.c, self.d), pair.interval, n=pair.validated_order
         )
 
     def as_dict(self) -> dict:
@@ -212,9 +210,6 @@ class EqualityReport:
             "all_hold": self.all_hold,
             "failing": list(self.failing),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, indent=2)
 
 
 # ------------------------------------------------------------------ helpers
@@ -398,16 +393,15 @@ def _equivalence(
     return m, residual
 
 
-def fit_equivalence(
-    pairA: FunctionPair, pairB: FunctionPair, grid_size: int = DEFAULT_FIT_GRID
-) -> Union[Matrix2, NotEquivalent]:
-    """The 2x2 matrix sending (f, g) to (F, G), or NotEquivalent.
+def fit_equivalence(pairA: FunctionPair, pairB: FunctionPair) -> Union[Matrix2, NotEquivalent]:
+    """The 2x2 matrix sending (f, g) to (F, G), or NotEquivalent, fitted on
+    DEFAULT_FIT_GRID interior points.
 
     Accepts only when the relative fit residual is at most EQUIVALENCE_TOL,
     the normalized matrix is nonsingular and the two means agree on a
     coarse spot grid; the batteries decide equivalence the same way.
     """
-    return _equivalence(pairA, pairB, int(grid_size), EQUIVALENCE_TOL)[0]
+    return _equivalence(pairA, pairB, DEFAULT_FIT_GRID, EQUIVALENCE_TOL)[0]
 
 
 # ----------------------------------------------------- necessary conditions
@@ -459,10 +453,7 @@ def check_power_law_R(
     quantity tested. The Phi functions must already agree on the grid;
     otherwise the power law is not applicable.
     """
-    info = classify(measure)
-    if info.p is None:
-        raise NotApplicable("the exponent p needs a positive fourth moment")
-    p = info.p
+    p = classify(measure).p
     xs = _resolve_grid(_common_interval(pairA, pairB), grid)
     sa, sb = sample(pairA, xs, 1), sample(pairB, xs, 1)
     gaps = _phi_psi_gaps(sa, sb)
@@ -551,8 +542,6 @@ def check_N25(
             f"the split alternative needs mu3 = 0 and mu5 nonzero, got regime {info.regime.value}"
         )
     p = info.p
-    if p is None:
-        raise NotApplicable("the exponent p needs a positive fourth moment")
     xs = _resolve_grid(_common_interval(pairA, pairB), grid, 3)
     sa, sb = sample(pairA, xs, 1), sample(pairB, xs, 1)
     phiA, dphiA = sa.phi
@@ -729,8 +718,7 @@ def _remove_factors(pool: list[ex.Expr], taken: list[ex.Expr]) -> list[ex.Expr] 
 
 
 def _as_product(factors: list[ex.Expr]) -> ex.Expr:
-    if not factors:
-        return ex.Const(1.0)
+    """The product of a non-empty list of factors, left to right."""
     out = factors[0]
     for f in factors[1:]:
         out = ex.BinOp("*", out, f)
@@ -798,7 +786,6 @@ def make_sincos_pair(
     cauchy_flavor: bool = False,
     *,
     interval: tuple[float, float],
-    n: int = 6,
 ) -> FunctionPair:
     """Validated pair (S_alpha of phi, C_alpha of phi), optionally with a
     phi-prime prefactor on both components.
@@ -826,7 +813,7 @@ def make_sincos_pair(
         d_ast = ex._derivative(phi_ast)
         f_ast = ex.BinOp("*", d_ast, f_ast)
         g_ast = d_ast if t == 0.0 else ex.BinOp("*", d_ast, g_ast)
-    return ex.validate_pair(f_ast, g_ast, interval, n=n)
+    return ex.validate_pair(f_ast, g_ast, interval)
 
 
 # ------------------------------------------------------- assertion ladders
@@ -879,10 +866,12 @@ def _is_ebm_measure(m: Measure) -> bool:
 
 
 def _w10_array(pair: FunctionPair) -> Callable[[np.ndarray], np.ndarray]:
-    """The Wronskian W10 = f'g - fg' as an elementwise array callable."""
-    f, g = ex.compile_array(pair.f), ex.compile_array(pair.g)
-    df, dg = ex.compile_array(ex._derivative(pair.f)), ex.compile_array(ex._derivative(pair.g))
-    return lambda t: df(t) * g(t) - f(t) * dg(t)
+    """The Wronskian W10 = f'g - fg' as one array kernel, so subtrees that f,
+    g and their derivatives share are computed once per point."""
+    f, g = pair.f, pair.g
+    return ex.compile_array(ex.BinOp(
+        "-", ex.BinOp("*", ex._derivative(f), g), ex.BinOp("*", f, ex._derivative(g))
+    ))
 
 
 _BY_RESIDUAL = object()

@@ -852,17 +852,15 @@ def validate_pair(
     g: Union[Expr, str],
     interval: tuple[float, float],
     n: int = 6,
-    grid_size: int = DEFAULT_GRID_SIZE,
-    tol_w: float = TOL_WRONSKIAN,
 ) -> FunctionPair:
     """Grid-certify admissibility of (f, g) on the open interval.
 
-    Checks, at each of grid_size interior points: finite jets of order
-    max(n, 1) for both functions (NonSmooth), g > 0 (NotPositive), and
-    |f'g - fg'| >= tol_w with constant sign (WronskianVanishes).
+    Checks, at each of DEFAULT_GRID_SIZE interior points: finite jets of
+    order max(n, 1) for both functions (NonSmooth), g > 0 (NotPositive), and
+    |f'g - fg'| >= TOL_WRONSKIAN with constant sign (WronskianVanishes).
 
     Admissibility is memoized per process: equal trees (or texts), interval
-    ends and options give back the same frozen FunctionPair, with the
+    ends and order give back the same frozen FunctionPair, with the
     kernels it already holds. A failure is not cached and is raised again
     on every call.
     """
@@ -873,24 +871,20 @@ def validate_pair(
     # + 0.0 folds -0.0, as Const does, so an end's sign of zero cannot leak
     # from one call into the pair another call gets back
     lo, hi = float(interval[0]) + 0.0, float(interval[1]) + 0.0
-    return _validated_pair(f, g, lo, hi, n, grid_size, tol_w)
+    return _validated_pair(f, g, lo, hi, n)
 
 
 # typed: n = 6 and n = 6.0 are kept apart, as validated_order records n
 @lru_cache(maxsize=PAIR_CACHE_SIZE, typed=True)
-def _validated_pair(
-    f: Expr, g: Expr, lo: float, hi: float, n: int, grid_size: int, tol_w: float
-) -> FunctionPair:
+def _validated_pair(f: Expr, g: Expr, lo: float, hi: float, n: int) -> FunctionPair:
     if not (lo < hi):
         raise ValueError(f"empty interval ({lo!r}, {hi!r})")
-    if grid_size < 32:
-        raise ValueError("grid_size must be at least 32")
-    xs = _interior_points((lo, hi), grid_size)
+    xs = _interior_points((lo, hi), DEFAULT_GRID_SIZE)
     # the checks run the pair's own jet kernel, so its shapes are walked once
     pair = FunctionPair(f=f, g=g, interval=(lo, hi), validated_order=n)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            sign = jets.first_failure(lambda p: _grid_sign(pair, p, max(n, 1), tol_w), xs)
+            sign = jets.first_failure(lambda p: _grid_sign(pair, p, max(n, 1)), xs)
     except (DomainViolation, OverflowError, ValueError) as exc:
         raise NonSmooth(float(xs[getattr(exc, "index", 0)]), str(exc)) from exc
     # set as Const sets its value: the pair is not shared before it returns
@@ -898,7 +892,7 @@ def _validated_pair(
     return pair
 
 
-def _grid_sign(pair: FunctionPair, xs: np.ndarray, order: int, tol_w: float) -> int:
+def _grid_sign(pair: FunctionPair, xs: np.ndarray, order: int) -> int:
     """The sign of f'g - fg' on the points xs, after the checks of
     validate_pair; each check raises at its first failing point."""
     jf, jg = pair_jets(pair, xs, order)
@@ -906,7 +900,7 @@ def _grid_sign(pair: FunctionPair, xs: np.ndarray, order: int, tol_w: float) -> 
     jets.reject(~finite, lambda i: NonSmooth(float(xs[i]), "non-finite jet coefficients"))
     g0, w = jg.coeffs[0], jf.coeffs[1] * jg.coeffs[0] - jf.coeffs[0] * jg.coeffs[1]
     jets.reject(~(g0 > 0.0), lambda i: NotPositive("g", float(xs[i]), float(g0[i])))
-    small = ~np.isfinite(w) | (np.abs(w) < tol_w)
+    small = ~np.isfinite(w) | (np.abs(w) < TOL_WRONSKIAN)
     jets.reject(small, lambda i: WronskianVanishes(float(xs[i]), float(w[i])))
     jets.reject(
         np.r_[False, np.diff(w > 0)],

@@ -4,7 +4,7 @@ Three concrete measures: finite atomic combinations, the Lebesgue measure,
 and absolutely continuous measures given by a density expression. Moments
 are always centralized at the first raw moment. classify() reads the regime
 off mu2, mu3, mu5 and attaches the derived exponents p, q, r that drive the
-equality analysis, each present only when its defining denominator allows.
+equality analysis; q and r are present only when their denominators allow.
 """
 
 from __future__ import annotations
@@ -129,7 +129,8 @@ class Lebesgue(Measure):
 
 @dataclass(frozen=True)
 class Density(Measure):
-    """Measure rho(t) dt with an expression density normalized on [0,1]."""
+    """Measure rho(t) dt with an expression density normalized on [0,1],
+    nonnegative at its quadrature nodes."""
 
     rho: ex.Expr
     order: int = 32
@@ -149,6 +150,8 @@ class Density(Measure):
             v = rf(t)
             if not math.isfinite(v):
                 raise QuadratureNonFinite(t, v)
+            if v < 0.0:
+                raise ValueError(f"density value {v!r} at node {t!r} is negative")
             values.append(w * v)
         norm = math.fsum(values)
         if abs(norm - 1.0) > DENSITY_NORM_TOL:
@@ -207,15 +210,16 @@ class Regime(enum.Enum):
 class RegimeInfo:
     """Classification plus the exponents the equality checks are built on.
 
-    p, q, r are None whenever their defining denominators vanish: p needs
-    mu4 > 0, q needs mu6 != 5 mu2 mu4, and r needs mu4 = 3 mu2^2 together
-    with mu6 != 15 mu2^3. moment_condition_6 carries the raw value of
-    6 mu6 mu2^2 - mu6 mu4 - 5 mu4^2 mu2, whose vanishing marks the measures
-    for which the two exponent scales collapse into one power law.
+    p is defined, as mu4 >= mu2^2 > 0 for nonnegative weights. q and r are
+    None whenever their denominators vanish: q needs mu6 != 5 mu2 mu4, and
+    r needs mu4 = 3 mu2^2 together with mu6 != 15 mu2^3. moment_condition_6
+    carries the raw value of 6 mu6 mu2^2 - mu6 mu4 - 5 mu4^2 mu2, whose
+    vanishing marks the measures for which the two exponent scales collapse
+    into one power law.
     """
 
     regime: Regime
-    p: float | None
+    p: float
     q: float | None
     r: float | None
     moment_condition_6: float
@@ -252,11 +256,11 @@ def classify(m: Measure) -> RegimeInfo:
     else:
         regime = Regime.EVEN_SYMMETRIC
 
-    p = 3.0 * mu2 * mu2 / mu4 - 1.0 if mu4 > 0.0 else None
+    p = 3.0 * mu2 * mu2 / mu4 - 1.0
 
     q_den = mu6 - 5.0 * mu4 * mu2
     q = None
-    if not _is_zero(q_den, 6, mu2) and mu4 > 0.0:
+    if not _is_zero(q_den, 6, mu2):
         q = (mu2 / mu4) * (10.0 * mu4 * mu4 - 3.0 * mu6 * mu2 - 15.0 * mu4 * mu2 * mu2) / q_den
 
     r = None

@@ -431,7 +431,7 @@ class TestDiagonalDerivatives:
 
 class TestNumericOracle:
     def test_geometric_mean_curvature(self):
-        got = ca.diagonal_derivatives_numeric(LOG, EBM, 1.0, k_max=2)
+        got = ca.diagonal_derivatives_numeric(LOG, EBM, 1.0)[:2]
         assert got[1] == pytest.approx(-0.25, abs=1e-7)
 
     def test_linear_pair_flat(self):
@@ -488,10 +488,6 @@ class TestNumericOracle:
                 for k in range(1, 7):
                     tol = 1e-5 if k <= 4 else 1e-3
                     assert abs(got[k - 1] - want[k - 1]) <= tol * (1.0 + abs(want[k - 1]))
-
-    def test_k_max_cap(self):
-        with pytest.raises(OrderOutOfRange):
-            ca.diagonal_derivatives_numeric(LOG, EBM, 1.0, k_max=7)
 
     def test_x_outside(self):
         with pytest.raises(OutOfInterval):

@@ -180,7 +180,7 @@ class TestDerivatives:
         assert numeric[1] == pytest.approx(closed[1], abs=1e-6)
         assert doc["config"]["radius"] == 0.5
 
-    @pytest.mark.parametrize("radius", ["1e-300", "1e-40", "nan", "inf", "-0.1"])
+    @pytest.mark.parametrize("radius", ["1e-300", "1e-40", "nan", "inf", "-0.1", "1e60"])
     def test_unusable_radius_exits_2(self, capsys, radius):
         code, out, err = run_cli(capsys, [
             "derivatives", "--f", "exp(x)", "--g", "1", "--x", "0.2", "--lo", "-0.5", "--hi", "0.9",
@@ -314,6 +314,19 @@ class TestCheckEquality:
         code, out, err = run_cli(capsys, EBM_WITNESS + ["--tol", "mean_gap=0"])
         assert code == 2
         assert "positive" in err
+
+    def test_empty_interval_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, EBM_WITNESS[:-6] + ["--lo", "1", "--hi", "0", "--grid", "10"])
+        assert (code, out) == (2, "")
+        assert "empty interval" in err
+
+    def test_signed_density_exits_2(self, capsys):
+        # a signed density is an input error, not an internal one (exit 1)
+        density = json.dumps({"type": "density", "rho": "2 - 12*(x - 0.5)^2"})
+        argv = EBM_WITNESS[:1] + ["--f", "exp(x)", "--g", "1"] + EBM_WITNESS[5:]
+        code, out, err = run_cli(capsys, [a if a != "ebm" else density for a in argv])
+        assert (code, out) == (2, "")
+        assert err.startswith("error (ValueError): density value -0.98360563045282")
 
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_nonfinite_tolerance_exits_2(self, capsys, value):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import re
@@ -13,7 +14,9 @@ from meanlab import calculus
 from meanlab import equality as eq
 from meanlab import expr as ex
 from meanlab import means as mn
-from meanlab.errors import IllConditionedFit, NotApplicable, NotPositive
+from meanlab.errors import (
+    IllConditionedFit, NotApplicable, NotPositive, OutOfInterval, QuadratureNonFinite,
+)
 from meanlab.means import MeanSpec, mean_eval, quasiarithmetic
 from meanlab.measures import Discrete, Lebesgue, preset_measure
 
@@ -60,6 +63,10 @@ class TestMatrix2:
         assert m.norm() == pytest.approx(1.0, abs=1e-15)
         # the largest magnitude entry (originally -2) is flipped positive
         assert m.a > 0.0
+
+    def test_zero_matrix_normalizes_to_itself(self):
+        zero = eq.Matrix2(0.0, 0.0, 0.0, 0.0)
+        assert zero.normalized() is zero
 
     def test_apply_evaluates_combination(self):
         m = eq.Matrix2(2.0, 1.0, -1.0, 1.0)
@@ -129,6 +136,10 @@ class TestAntiderivative:
         got = eq.CumulativeIntegral(lambda t: 1.0 + t * t, 0.5)(-0.5)
         exact = (-0.5 + (-0.5) ** 3 / 3.0) - (0.5 + 0.5**3 / 3.0)
         assert got == pytest.approx(exact, abs=1e-14)
+
+    def test_non_finite_integrand(self):
+        with pytest.raises(QuadratureNonFinite, match="^integrand returned nan at quadrature node"):
+            eq.CumulativeIntegral(lambda t: np.full_like(t, np.nan), 0.0)(0.3)
 
 
 @pytest.mark.parametrize("check", [eq.check_EBM, eq.check_ECM])
@@ -338,7 +349,7 @@ BATTERY_MEASURES = {
 
 @pytest.mark.parametrize("measure", BATTERY_MEASURES.values(), ids=list(BATTERY_MEASURES))
 @pytest.mark.parametrize(
-    "grid", [[0.1], [0.1, 0.2], [0.1, 0.1, 0.2]], ids=["one", "two", "repeated"]
+    "grid", [[0.1], [0.1, 0.2], [0.1, 0.1, 0.2], 2], ids=["one", "two", "repeated", "size_two"]
 )
 def test_batteries_reject_explicit_grids_below_three_points(measure, grid):
     with pytest.raises(ValueError, match="grid size must be at least 3"):
@@ -475,6 +486,21 @@ class TestPhiPsi:
     def test_explicit_grid(self):
         gaps = eq.check_phi_psi(SINCOS, LINEAR, [0.1, 0.2])
         assert gaps.psi_gap == pytest.approx(1.0, abs=1e-12)
+
+    def test_explicit_grid_point_outside_interval(self):
+        with pytest.raises(OutOfInterval):
+            eq.check_phi_psi(SINCOS, LINEAR, [5.0])
+
+
+@pytest.mark.parametrize("measure", [EBM, LEB, ASYMMETRIC], ids=["ebm", "lebesgue", "atoms"])
+def test_wronskian_at_the_bound_is_admissible_everywhere(measure):
+    # W10 = 1e-9 + 3 x^2 equals TOL_WRONSKIAN at the grid node 0.0, which
+    # validate_pair accepts (|W10| >= TOL_WRONSKIAN); Phi and Psi must too
+    pair = ex.validate_pair("1e-9*x + x^3", "1", (-1.0, 1.0))
+    line = ex.validate_pair("x", "1", (-1.0, 1.0))
+    assert 0.0 in ex.interior_grid(pair.interval, 11)
+    assert isinstance(eq.check_equality(pair, line, measure, 11), eq.EqualityReport)
+    assert calculus.phi_psi(pair, 0.0).phi() == 0.0
 
 
 class TestPowerLawR:
@@ -681,9 +707,8 @@ class TestBinarySymmetricLadder:
             eq.check_EBM(SINCOS, LINEAR, grid=15, measure=LEB)
 
     def test_report_json_deterministic(self):
-        a = eq.check_EBM(SINCOS, LINEAR, grid=10).to_json()
-        b = eq.check_EBM(SINCOS, LINEAR, grid=10).to_json()
-        assert a == b
+        a, b = (eq.check_EBM(SINCOS, LINEAR, grid=10).as_dict() for _ in range(2))
+        assert json.dumps(a, sort_keys=True, indent=2) == json.dumps(b, sort_keys=True, indent=2)
 
     @pytest.mark.parametrize("check", [
         lambda tols: eq.check_EBM(EXP, LINEAR, grid=10, tolerances=tols),
@@ -738,6 +763,15 @@ class TestLebesgueLadder:
         for key in ("i", "ii", "iii", "iv", "v", "vi", "viii", "ix"):
             assert v[key].holds is True
         assert rep.all_hold
+
+    def test_prefactor_that_does_not_track_the_derivative(self):
+        # x^2 * (sin x, cos x) matches the cauchy pattern with u = x^2, but
+        # u / phi' = x^2 is far from constant, so row (vii) is undecided
+        A = ex.validate_pair("x^2 * sin(x)", "x^2 * cos(x)", (0.1, 0.7))
+        B = ex.validate_pair("x", "1", (0.1, 0.7))
+        vii = eq.check_ECM(A, B, grid=12).verdict_per_assertion["vii"]
+        assert vii.holds is None
+        assert vii.note == "prefactor does not track the derivative of the matched generator"
 
     def test_measure_gate(self):
         with pytest.raises(NotApplicable):

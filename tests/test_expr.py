@@ -128,6 +128,10 @@ class TestPrinting:
             text = ex.to_string(e)
             assert ex.parse(text) == e, text
 
+    def test_non_finite_constant_is_not_printed(self):
+        with pytest.raises(ValueError, match="^cannot print non-finite constant inf$"):
+            ex.to_string(ex.Const(math.inf))
+
 
 class TestEvaluation:
     def test_scalar_matches_math(self):
@@ -577,13 +581,11 @@ class TestValidatePairMemo:
         base = ex.validate_pair("x", "1", (0.5, 2.0))
         others = [
             ex.validate_pair("x", "1", (0.5, 2.0), n=4),
-            ex.validate_pair("x", "1", (0.5, 2.0), grid_size=65),
-            ex.validate_pair("x", "1", (0.5, 2.0), tol_w=1e-8),
             ex.validate_pair("x", "1", (0.5, 2.5)),
         ]
-        assert len({id(p) for p in [base] + others}) == 5
+        assert len({id(p) for p in [base] + others}) == 3
         assert others[0].validated_order == 4 and base.validated_order == 6
-        assert others[3].interval == (0.5, 2.5)
+        assert others[1].interval == (0.5, 2.5)
 
     def test_signed_zero_end_is_one_key(self):
         pair = ex.validate_pair("x", "1", (-0.0, 1.0))
@@ -597,9 +599,8 @@ class TestValidatePairMemo:
             (("2 * exp(x)", "exp(x)", (0.0, 1.0)), WronskianVanishes),
             (("x +", "1", (0.0, 1.0)), ParseError),
             (("x", "1", (1.0, 1.0)), ValueError),
-            (("x", "1", (0.0, 1.0), 6, 31), ValueError),
         ],
-        ids=["g_not_positive", "w_zero", "bad_text", "empty_interval", "small_grid"],
+        ids=["g_not_positive", "w_zero", "bad_text", "empty_interval"],
     )
     def test_failures_are_raised_on_every_call(self, args, error):
         memo = ex.parse if error is ParseError else ex._validated_pair

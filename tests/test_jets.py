@@ -56,6 +56,10 @@ class TestConstruction:
         assert j.derivative_value(2) == 6.0
         assert j.derivative_value(3) == 24.0
 
+    def test_derivative_value_above_the_order(self):
+        with pytest.raises(OrderOutOfRange, match="^derivative order 4 outside jet order 3$"):
+            Jet(0.0, (1.0, 2.0, 3.0, 4.0)).derivative_value(4)
+
     def test_is_finite(self):
         assert Jet(1.0, (1.0, 1.0, 0.0)).is_finite() is True
         assert Jet(1.0, (1.0, math.inf)).is_finite() is False

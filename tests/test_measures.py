@@ -39,6 +39,20 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Density("2 * x", order=1)
 
+    def test_lebesgue_rejects_bad_order(self):
+        with pytest.raises(ValueError, match="quadrature order must be at least 2"):
+            Lebesgue(order=1)
+
+    def test_density_rejects_a_negative_node_value(self):
+        # it integrates to 1 on [0, 1] but is negative near both ends, where
+        # its weights would give mu4 < 0 and leave the exponent p undefined
+        with pytest.raises(ValueError, match="^density value -0.98360563045282.* is negative$"):
+            Density("2 - 12*(x - 0.5)^2")
+
+    def test_density_overflow_is_not_finite(self):
+        with pytest.raises(QuadratureNonFinite):
+            Density("1e308 * x * 10")
+
 
 class TestIntegrate:
     def test_two_atoms_identity(self):
@@ -250,10 +264,12 @@ class TestSerialization:
             {"type": "atoms", "atoms": [[True, 0.5], [0, 0.5]]},
             {"type": "atoms", "atoms": [[0.5, True]]},
             {"type": "density", "rho": "2 * x", "order": True},
+            {"type": "atoms", "atoms": []},
         ],
         ids=[
             "cantor", "atoms_missing", "rho_missing", "atoms_int", "atom_short", "rho_int",
             "order_null", "list", "atom_location_bool", "atom_weight_bool", "order_bool",
+            "atoms_empty",
         ],
     )
     def test_unknown_type(self, data):
@@ -267,6 +283,10 @@ class TestSerialization:
             ms.measure_from_json('{"type": "density", "rho": "2 * x", "order": true}')
         # integers stay numbers
         assert ms.measure_from_json({"type": "atoms", "atoms": [[1, 1]]}).atoms == ((1.0, 1.0),)
+
+    def test_not_a_measure(self):
+        with pytest.raises(TypeError, match="^not a measure"):
+            ms.measure_to_json(object())
 
     def test_presets(self):
         assert ms.moments(ms.preset_measure("ebm"), 2).mu[2] == pytest.approx(0.25)
