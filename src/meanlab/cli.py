@@ -162,23 +162,9 @@ _MARK = {True: "PASS", False: "FAIL", None: "OPEN"}
 
 def _report_text(report, lo: float, hi: float) -> str:
     lines = [f"battery {report.battery} on ({lo}, {hi})"]
-    if isinstance(report, eqmod.BranchReport):
-        lines.append(
-            f"[{_MARK[report.holds]}] alternative {report.alternative}"
-            f" residual {report.residual:.3e} tol {report.tolerance:.1e}"
-        )
-        constants = ", ".join(
-            f"{k} = {report.constants[k]!r}" for k in ("gamma", "delta", "alpha", "beta")
-            if report.constants.get(k) is not None
-        )
-        if constants:
-            lines.append(constants)
-        if report.note:
-            lines.append(f"note: {report.note}")
-        return "\n".join(lines)
     for a in report.assertions:
         resid = "-" if a.residual is None else f"{a.residual:.3e}"
-        lines.append(f"[{_MARK[a.holds]}] ({a.assertion_id}) residual {resid} tol {a.tolerance:.1e}  {a.note}")
+        lines.append(f"[{_MARK[a.holds]}] ({a.assertion_id}) residual {resid} tol {a.tolerance:.1e}  {a.note}".rstrip())
     fitted = {k: v for k, v in report.fitted.items() if v is not None}
     if fitted:
         lines.append("fitted: " + ", ".join(f"{k} = {v!r}" for k, v in sorted(fitted.items())))

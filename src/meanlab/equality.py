@@ -9,7 +9,7 @@ and two full assertion ladders for the binary-symmetric measure
 the battery for a measure; a battery's grid has at least 3 distinct points.
 Every verdict is a grid certificate: "holds" means the defining residual
 stayed below its tolerance on the sampled grid, nothing stronger. Every
-ladder row comes from one constructor: it holds iff its residual is within
+battery row comes from one constructor: it holds iff its residual is within
 tolerance, unless more than one number or none decides it. For equivalent
 pairs, rows (iv) to (ix) of the EBM and ECM ladders take the first
 alternative together, after the fits of (iv) and (v).
@@ -166,7 +166,8 @@ class EqualityReport:
 
     R_values and S_values are the difference and the sum of the two Psi
     functions on the grid; they carry the raw material behind the power-law
-    assertions so reports stay inspectable without rerunning.
+    assertions so reports stay inspectable without rerunning. N2.5 and N3
+    have one row, the alternative they took, and no equivalence verdict.
     """
 
     battery: str
@@ -177,7 +178,7 @@ class EqualityReport:
     fitted: Mapping[str, float | None]
     R_values: tuple[float, ...]
     S_values: tuple[float, ...]
-    equivalence: Union[Matrix2, NotEquivalent]
+    equivalence: Union[Matrix2, NotEquivalent, None]
     tolerances: Mapping[str, float]
     notes: tuple[str, ...] = ()
 
@@ -195,6 +196,14 @@ class EqualityReport:
         return tuple(a.assertion_id for a in self.assertions if a.holds is False)
 
     def as_dict(self) -> dict:
+        if self.battery in ("N2.5", "N3"):
+            # the flat meanlab-report/1 form of the one-row batteries
+            (a,) = self.assertions
+            return {
+                "battery": self.battery, "regime": self.regime.as_dict(),
+                "alternative": a.assertion_id, "holds": a.holds, "residual": a.residual,
+                "tolerance": a.tolerance, "note": a.note, **a.constants,
+            }
         return {
             "battery": self.battery,
             "interval": list(self.interval),
@@ -468,42 +477,6 @@ def check_power_law_R(
     return gamma, max(fit_resid, ode_resid)
 
 
-@dataclass(frozen=True)
-class BranchReport:
-    """Outcome of a battery that tests one identity for the two Psi functions.
-
-    N2.5 (mu3 = 0, mu5 nonzero) chooses between equal Psi and the split
-    power law and reports gamma. N3 (mu3 = mu5 = 0) chooses one of four
-    alternatives by the even moments and reports gamma, delta, alpha, beta,
-    p, q and r (None where unset) and the number of grid points it used.
-    """
-
-    battery: str
-    regime: RegimeInfo
-    alternative: str
-    holds: bool
-    residual: float
-    tolerance: float
-    constants: Mapping[str, float | None]
-    grid_used: int | None = None
-    note: str = ""
-
-    def as_dict(self) -> dict:
-        out = {
-            "battery": self.battery,
-            "regime": self.regime.as_dict(),
-            "alternative": self.alternative,
-            "holds": self.holds,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "note": self.note,
-            **self.constants,
-        }
-        if self.grid_used is not None:
-            out["grid_used"] = self.grid_used
-        return out
-
-
 def _split_law(
     sa: GridSamples, sb: GridSamples, gaps: PhiPsiGaps, p: float, keep: np.ndarray,
     tail: np.ndarray, context: str,
@@ -526,9 +499,25 @@ def _split_law(
     return gamma, max(gaps.phi_gap / (1.0 + gaps.phi_scale), psi_gap / (1.0 + gaps.psi_scale))
 
 
+def _one_row(
+    battery: str, info: RegimeInfo, pairA: FunctionPair, xs: list[float], sa: GridSamples,
+    sb: GridSamples, row: AssertionResult, tolerances: Mapping[str, float],
+) -> EqualityReport:
+    """The report of N2.5 or N3: the row of the alternative taken, with its
+    non-null gamma, delta, alpha and beta as the fitted constants."""
+    psiA, psiB = sa.psi[0], sb.psi[0]
+    return EqualityReport(
+        battery=battery, interval=pairA.interval, grid=tuple(xs), regime=info, assertions=(row,),
+        fitted={k: row.constants[k] for k in ("gamma", "delta", "alpha", "beta")
+                if row.constants.get(k) is not None},
+        R_values=tuple((psiA - psiB).tolist()), S_values=tuple((psiA + psiB).tolist()),
+        equivalence=None, tolerances=tolerances,
+    )
+
+
 def check_N25(
     pairA: FunctionPair, pairB: FunctionPair, measure: Measure, grid: GridSpec
-) -> BranchReport:
+) -> EqualityReport:
     """Split alternative for measures with mu3 = 0 but mu5 nonzero.
 
     Either the Psi functions agree outright, or they sit symmetrically
@@ -549,17 +538,15 @@ def check_N25(
     note = ""
     if gaps.phi_gap > PHI_PSI_TOL * (1.0 + gaps.phi_scale):
         note = "the Phi functions differ; residuals measured against the first pair"
-    if gaps.psi_gap <= PHI_PSI_TOL * (1.0 + gaps.psi_scale) and not note:
-        return BranchReport(
-            "N2.5", info, "psi_equal", True, gaps.psi_gap / (1.0 + gaps.psi_scale), PHI_PSI_TOL,
-            {"gamma": 0.0}, note="the Psi functions already agree",
-        )
-    tail = -0.5 * (4.0 + 3.0 * p) * dphiA - 0.5 * (3.0 + 5.0 * p + 3.0 * p * p) * phiA**2
-    whole = np.ones(len(xs), dtype=bool)
-    gamma, resid = _split_law(sa, sb, gaps, p, whole, tail, context="split gap fit")
-    return BranchReport(
-        "N2.5", info, "power_law", resid <= FIT_TOL, resid, FIT_TOL, {"gamma": gamma}, note=note
-    )
+    psi_resid = gaps.psi_gap / (1.0 + gaps.psi_scale)
+    if psi_resid <= PHI_PSI_TOL and not note:
+        row = _row("psi_equal", psi_resid, PHI_PSI_TOL, "the Psi functions already agree", gamma=0.0)
+    else:
+        tail = -0.5 * (4.0 + 3.0 * p) * dphiA - 0.5 * (3.0 + 5.0 * p + 3.0 * p * p) * phiA**2
+        gamma, resid = _split_law(sa, sb, gaps, p, np.full(len(xs), True), tail, "split gap fit")
+        row = _row("power_law", resid, FIT_TOL, note, gamma=gamma)
+    tols = {"phi_psi_gap": PHI_PSI_TOL, "fit_residual": FIT_TOL}
+    return _one_row("N2.5", info, pairA, xs, sa, sb, row, tols)
 
 
 def _two_sided_fit(
@@ -573,7 +560,7 @@ def _two_sided_fit(
 
 def check_N3(
     pairA: FunctionPair, pairB: FunctionPair, measure: Measure, grid: GridSpec
-) -> BranchReport:
+) -> EqualityReport:
     """Alternative selection for even-symmetric measures (mu3 = mu5 = 0).
 
     Branches on whether mu6 equals 5 mu2 mu4 and whether mu4 equals
@@ -609,9 +596,8 @@ def check_N3(
 
     def report(alternative: str, resid: float, grid_used: int, note: str = "", **constants):
         named = {k: constants.get(k) for k in ("gamma", "delta", "alpha", "beta", "p", "q", "r")}
-        return BranchReport(
-            "N3", info, alternative, resid <= FIT_TOL, resid, FIT_TOL, named, grid_used, note
-        )
+        row = _row(alternative, resid, FIT_TOL, note, **named, grid_used=grid_used)
+        return _one_row("N3", info, pairA, xs, sa, sb, row, {"fit_residual": FIT_TOL})
 
     if mu6_matches and mu4_matches:
         # the sixth-order relation collapses to Phi'' = 0
@@ -1249,7 +1235,7 @@ def check_equality(
     measure: Measure,
     grid: GridSpec = DEFAULT_BATTERY_GRID,
     tolerances: Mapping[str, float] | None = None,
-) -> Union[EqualityReport, BranchReport]:
+) -> EqualityReport:
     """Run the battery that answers the equality question for this measure.
 
     The preset (delta_0 + delta_1)/2 runs check_EBM and the Lebesgue

@@ -251,38 +251,55 @@ class TestCheckEquality:
         ]
 
     @pytest.mark.parametrize(
-        "battery, f, g, atoms, status, want, note",
+        "battery, f, g, atoms, status, want, verdict",
         [
             # the Phi functions of (exp, 1) and (x, 1) differ
             (
                 "N2.5", "exp(x)", "1",
                 [[0.0, 0.6 - 0.21378583129651413], [0.6, 0.4], [1.0, 0.21378583129651413]],
-                r"\[FAIL\] alternative power_law residual 5\.197e\+00 tol 1\.0e-08",
+                r"\[FAIL\] \(power_law\) residual 5\.197e\+00 tol 1\.0e-08  "
+                r"the Phi functions differ; residuals measured against the first pair",
                 {"gamma": 0.0},
-                "note: the Phi functions differ; residuals measured against the first pair",
+                "verdict: failing: power_law",
             ),
             # two symmetric atoms: branch (iv), and the exponents collapse
             (
                 "N3", "sin(x)", "cos(x)", [[0.1, 0.5], [0.9, 0.5]],
-                r"\[PASS\] alternative iv residual \S+ tol 1\.0e-08",
-                {"gamma": -0.5, "delta": -0.5, "alpha": -1.0, "beta": 0.0},
-                "note: single power law (exponents collapse)",
+                r"\[PASS\] \(iv\) residual \S+ tol 1\.0e-08  single power law \(exponents collapse\)",
+                {"alpha": -1.0, "beta": 0.0, "delta": -0.5, "gamma": -0.5},
+                "verdict: all assertions hold",
+            ),
+            # rows without a note, (iii) and (iv) without collapse, end at the tolerance
+            (
+                "N3", "sin(x)", "cos(x)", [[0.0, 1 / 6], [0.5, 2 / 3], [1.0, 1 / 6]],
+                r"\[PASS\] \(iii\) residual \S+ tol 1\.0e-08",
+                {"delta": -0.5, "gamma": -0.5},
+                "verdict: all assertions hold",
+            ),
+            (
+                "N3", "sin(x)", "cos(x)", [[0.0, 0.2], [0.5, 0.6], [1.0, 0.2]],
+                r"\[PASS\] \(iv\) residual \S+ tol 1\.0e-08",
+                {"delta": -0.5, "gamma": -0.5},
+                "verdict: all assertions hold",
             ),
         ],
+        ids=["split", "collapse", "fourth_only", "even"],
     )
-    def test_branch_text(self, capsys, battery, f, g, atoms, status, want, note):
+    def test_branch_text(self, capsys, battery, f, g, atoms, status, want, verdict):
+        # a one-row battery prints as a ladder: its row, the fitted constants, the verdict
         spec = json.dumps({"type": "atoms", "atoms": atoms})
         argv = EBM_WITNESS[:1] + ["--f", f, "--g", g] + EBM_WITNESS[5:]
         code, out, err = run_cli(capsys, [a if a != "ebm" else spec for a in argv])
         assert code == 0, err
-        head, status_line, constants_line, note_line = out.splitlines()
+        head, status_line, fitted_line, verdict_line = out.splitlines()
         assert head == f"battery {battery} on (-0.7, 0.7)"
         assert re.fullmatch(status, status_line)
-        got = dict(item.split(" = ") for item in constants_line.split(", "))
+        assert fitted_line.startswith("fitted: ")
+        got = dict(item.split(" = ") for item in fitted_line.removeprefix("fitted: ").split(", "))
         assert list(got) == list(want)
         for name, value in want.items():
             assert float(got[name]) == pytest.approx(value, abs=1e-10)
-        assert note_line == note
+        assert verdict_line == verdict
 
     def test_tolerance_override_echoed(self, capsys):
         # (exp, 1) vs (x, 1): unequal means, so (i) fails whatever the

@@ -18,7 +18,7 @@ from meanlab.errors import (
     IllConditionedFit, NotApplicable, NotPositive, OutOfInterval, QuadratureNonFinite,
 )
 from meanlab.means import MeanSpec, mean_eval, quasiarithmetic
-from meanlab.measures import Discrete, Lebesgue, preset_measure
+from meanlab.measures import Discrete, Lebesgue, classify, preset_measure
 
 from conftest import mp_value, random_admissible_pair
 
@@ -214,6 +214,52 @@ def test_viii_inversion_matches_50_digit_reference(family, cube):
                     assert abs(v - ref) <= 1e-14 * (1 + abs(ref)), (xs[i], xs[j], v, ref)
 
 
+@pytest.mark.parametrize("exponent", ["iii", "iv"])
+@pytest.mark.parametrize("family", ["power", "exponential", "log", "polynomial"])
+def test_phi3_w_integral_matches_50_digit_reference(family, exponent):
+    # the N3 integrals of Phi^3 |W10|^e, e = 1 in (iii) and e = -q in (iv),
+    # from the pair's centre to 13 points across its interval, with Phi =
+    # W20 / W10 from the derivative trees in 50-digit arithmetic
+    mpmath = pytest.importorskip("mpmath")
+    pair = random_admissible_pair(random.Random(f"{family}-phi3"), family)
+    e = 1.0 if exponent == "iii" else -classify(EVEN).q
+    df, dg = ex._derivative(pair.f), ex._derivative(pair.g)
+    d2f, d2g = ex._derivative(df), ex._derivative(dg)
+
+    def integrand(t):
+        f, g = mp_value(pair.f, t), mp_value(pair.g, t)
+        w10 = mp_value(df, t) * g - f * mp_value(dg, t)
+        w20 = mp_value(d2f, t) * g - f * mp_value(d2g, t)
+        return (w20 / w10) ** 3 * abs(w10) ** mpmath.mpf(e)
+
+    lo, hi = pair.interval
+    anchor = 0.5 * (lo + hi)
+    xs = lo + (hi - lo) * np.arange(1, 14) / 14
+    got = eq._phi3_w_integral(pair, e, anchor, xs)
+    with mpmath.workdps(50):
+        for x, v in zip(xs, got):
+            ref = mpmath.quad(integrand, [mpmath.mpf(anchor), mpmath.mpf(float(x))])
+            assert abs(v - ref) <= 1e-14 * (1 + abs(ref)), (x, v, ref)
+
+
+@pytest.mark.parametrize("alpha", [-1.0, -2.0, 1.0])
+def test_vi_antiderivative_matches_50_digit_reference(alpha):
+    # the antiderivative of 1/P that row (vi) compares, for the quadratic
+    # form fitted to (S_alpha, C_alpha) of x under EBM, at t = f/g on the grid
+    mpmath = pytest.importorskip("mpmath")
+    pair = eq.make_sincos_pair(alpha, "x", interval=INTERVAL)
+    s = calculus.sample(pair, ex.interior_grid(INTERVAL, 13), 0)
+    P, _, t, P_min = eq._quadratic_form_fit(s, np.ones(13))
+    assert P_min > 0.0
+    _, got = eq._reconstruction(s, P, t, ebm=True)
+    anchor = mpmath.mpf(0.5 * (float(np.min(t)) + float(np.max(t))))
+    a, b, c = (mpmath.mpf(v) for v in (P.a, P.b, P.c))
+    with mpmath.workdps(50):
+        for u, v in zip(t, got):
+            ref = mpmath.quad(lambda z: 1 / ((a * z + b) * z + c), [anchor, mpmath.mpf(float(u))])
+            assert abs(v - ref) <= 1e-14 * (1 + abs(ref)), (u, v, ref)
+
+
 @pytest.mark.parametrize("check", [eq.check_EBM, eq.check_ECM])
 def test_viii_matches_scalar_route(check):
     # (viii) from jet Wronskians (not the compiled derivative trees of the
@@ -291,7 +337,8 @@ def test_reports_hold_plain_python_values():
     ]
     for measure in (GAUSSIAN_RATIO, SIXTH_ONLY, FOURTH_ONLY, EVEN):
         reports.append(eq.check_N3(EXP, SINCOS, measure, 20))
-    assert [r.alternative for r in reports[-6:]] == ["power_law", "psi_equal", "i", "ii", "iii", "iv"]
+    alternatives = [r.assertions[0].assertion_id for r in reports[-6:]]
+    assert alternatives == ["power_law", "psi_equal", "i", "ii", "iii", "iv"]
     assert all(isinstance(r.equivalence, eq.Matrix2) for r in equivalent)
     assert equivalent[0].verdict_per_assertion["v"].constants == {"equivalent": 1.0}
     assert overridden.verdict_per_assertion["vii"].holds is None
@@ -347,6 +394,26 @@ BATTERY_MEASURES = {
 }
 
 
+LADDER_KEYS = [
+    "R_values", "S_values", "all_hold", "assertions", "battery", "equivalence", "failing",
+    "fitted", "grid", "interval", "notes", "regime", "tolerances",
+]
+N25_KEYS = ["alternative", "battery", "gamma", "holds", "note", "regime", "residual", "tolerance"]
+N3_KEYS = sorted(N25_KEYS + ["alpha", "beta", "delta", "grid_used", "p", "q", "r"])
+
+
+@pytest.mark.parametrize(
+    "measure, keys",
+    [(EBM, LADDER_KEYS), (LEB, LADDER_KEYS), (ASYMMETRIC, LADDER_KEYS), (SPLIT_MEASURE, N25_KEYS),
+     (EVEN, N3_KEYS)],
+    ids=list(BATTERY_MEASURES),
+)
+def test_result_keys_of_each_battery(measure, keys):
+    # the meanlab-report/1 result: a ladder's fields, or the flat form of the
+    # one row of N2.5 and N3, which the recorded benchmark outputs share
+    assert sorted(eq.check_equality(SINCOS, LINEAR, measure, 20).as_dict()) == keys
+
+
 @pytest.mark.parametrize("measure", BATTERY_MEASURES.values(), ids=list(BATTERY_MEASURES))
 @pytest.mark.parametrize(
     "grid", [[0.1], [0.1, 0.2], [0.1, 0.1, 0.2], 2], ids=["one", "two", "repeated", "size_two"]
@@ -365,7 +432,7 @@ def test_one_point_grid_no_longer_certifies_unequal_means():
     assert gap == pytest.approx(0.0498, abs=1e-4)
     with pytest.raises(ValueError, match="grid size must be at least 3"):
         eq.check_equality(EXP, LINEAR, EVEN, [0.1])
-    assert not eq.check_equality(EXP, LINEAR, EVEN, 12).holds
+    assert not eq.check_equality(EXP, LINEAR, EVEN, 12).assertions[0].holds
 
 
 @pytest.mark.parametrize(
@@ -559,16 +626,16 @@ class TestSplitCheck:
             eq.check_N25(SINCOS, LINEAR, EBM, 15)
 
     def test_equal_pairs_take_first_alternative(self):
-        split = eq.check_N25(SINCOS, SINCOS, SPLIT_MEASURE, 15)
-        assert split.alternative == "psi_equal"
+        (split,) = eq.check_N25(SINCOS, SINCOS, SPLIT_MEASURE, 15).assertions
+        assert split.assertion_id == "psi_equal"
         assert split.holds
         assert split.constants["gamma"] == 0.0
 
     def test_unequal_means_fail_honestly(self):
         # under this measure the two means genuinely differ, so the rigid
         # two-sided identity cannot hold; the gap fit still lands on -1/2
-        split = eq.check_N25(SINCOS, LINEAR, SPLIT_MEASURE, 15)
-        assert split.alternative == "power_law"
+        (split,) = eq.check_N25(SINCOS, LINEAR, SPLIT_MEASURE, 15).assertions
+        assert split.assertion_id == "power_law"
         assert not split.holds
         assert split.constants["gamma"] == pytest.approx(-0.5, abs=1e-10)
 
@@ -576,11 +643,11 @@ class TestSplitCheck:
         # m2 = mu2 Phi, so equal means need equal Phi; (x, 1) against
         # (exp(x), 1) fit the split law of the Psi functions exactly, and
         # only their Phi gap, 1 over 1 + 1, fails them
-        split = eq.check_N25(LINEAR, EXP, SPLIT_MEASURE, 20)
-        assert split.alternative == "power_law"
+        (split,) = eq.check_N25(LINEAR, EXP, SPLIT_MEASURE, 20).assertions
+        assert split.assertion_id == "power_law"
         assert not split.holds
         assert split.residual == pytest.approx(0.5, abs=1e-12)
-        assert not eq.check_N25(EXP, LINEAR, SPLIT_MEASURE, 20).holds
+        assert not eq.check_N25(EXP, LINEAR, SPLIT_MEASURE, 20).assertions[0].holds
 
 
 class TestEvenAlternatives:
@@ -589,8 +656,8 @@ class TestEvenAlternatives:
             eq.check_N3(SINCOS, LINEAR, ASYMMETRIC, 15)
 
     def test_binary_symmetric_selects_collapsed_power_law(self):
-        br = eq.check_N3(SINCOS, LINEAR, EBM, 20)
-        assert br.alternative == "iv"
+        (br,) = eq.check_N3(SINCOS, LINEAR, EBM, 20).assertions
+        assert br.assertion_id == "iv"
         assert br.holds
         assert br.constants["p"] == pytest.approx(2.0, abs=1e-12)
         assert br.constants["q"] == pytest.approx(2.0, abs=1e-10)
@@ -600,34 +667,34 @@ class TestEvenAlternatives:
         assert br.constants["beta"] == pytest.approx(0.0, abs=1e-10)
 
     def test_lebesgue_exponents(self):
-        br = eq.check_N3(SINCOS, LINEAR, LEB, 20)
-        assert br.alternative == "iv"
+        (br,) = eq.check_N3(SINCOS, LINEAR, LEB, 20).assertions
+        assert br.assertion_id == "iv"
         assert br.holds
         assert br.constants["p"] == pytest.approx(2.0 / 3.0, abs=1e-12)
         assert br.constants["q"] == pytest.approx(2.0 / 3.0, abs=1e-9)
         assert br.constants["alpha"] == pytest.approx(-1.0, abs=1e-9)
 
     def test_fourth_only_measure_selects_inverse_wronskian_branch(self):
-        br = eq.check_N3(SINCOS, LINEAR, FOURTH_ONLY, 20)
-        assert br.alternative == "iii"
+        (br,) = eq.check_N3(SINCOS, LINEAR, FOURTH_ONLY, 20).assertions
+        assert br.assertion_id == "iii"
         assert br.holds
         assert br.constants["r"] == pytest.approx(-1.0, abs=1e-10)
         assert br.constants["gamma"] == pytest.approx(-0.5, abs=1e-10)
         assert br.constants["delta"] == pytest.approx(-0.5, abs=1e-10)
 
     def test_gaussian_ratio_measure_selects_first_branch(self):
-        br = eq.check_N3(SINCOS, LINEAR, GAUSSIAN_RATIO, 20)
-        assert br.alternative == "i"
+        (br,) = eq.check_N3(SINCOS, LINEAR, GAUSSIAN_RATIO, 20).assertions
+        assert br.assertion_id == "i"
         assert br.holds
         assert br.constants["gamma"] == pytest.approx(-0.5, abs=1e-10)
 
     def test_sixth_only_measure_vacuous_when_phi_vanishes(self):
         # Phi of both witness pairs is identically zero, so the alternative
         # for this branch has no sample points to test
-        br = eq.check_N3(SINCOS, LINEAR, SIXTH_ONLY, 20)
-        assert br.alternative == "ii"
+        (br,) = eq.check_N3(SINCOS, LINEAR, SIXTH_ONLY, 20).assertions
+        assert br.assertion_id == "ii"
         assert br.holds
-        assert br.grid_used == 0
+        assert br.constants["grid_used"] == 0
         assert br.constants["gamma"] == pytest.approx(-0.5, abs=1e-10)
 
     def test_power_law_branch_fails_where_phi_differs(self):
@@ -635,27 +702,27 @@ class TestEvenAlternatives:
         # whose means differ; their Phi gap is 1, over 1 + 1
         measure = Discrete(((0.1, 0.5), (0.9, 0.5)))
         for a, b in ((EXP, LINEAR), (LINEAR, EXP)):
-            br = eq.check_N3(a, b, measure, 20)
-            assert br.alternative == "iv"
+            (br,) = eq.check_N3(a, b, measure, 20).assertions
+            assert br.assertion_id == "iv"
             assert not br.holds
             assert br.residual == pytest.approx(0.5, abs=1e-12)
         for b in (LINEAR, eq.Matrix2(2.0, 1.0, -1.0, 1.0).apply(SINCOS)):
-            br = eq.check_N3(SINCOS, b, measure, 20)
-            assert br.alternative == "iv"
+            (br,) = eq.check_N3(SINCOS, b, measure, 20).assertions
+            assert br.assertion_id == "iv"
             assert br.holds
 
     def test_sixth_only_measure_fails_for_unequal_means(self):
-        br = eq.check_N3(EXP, LINEAR, SIXTH_ONLY, 20)
-        assert br.alternative == "ii"
+        (br,) = eq.check_N3(EXP, LINEAR, SIXTH_ONLY, 20).assertions
+        assert br.assertion_id == "ii"
         assert not br.holds
-        assert br.grid_used == 20
+        assert br.constants["grid_used"] == 20
 
     def test_sixth_only_vacuous_branch_still_compares_phi(self):
         # Phi of (x, 1) vanishes, so the identity has no points to test,
         # but Phi of (exp(x), 1) is 1: the Phi gap, 1 over 1 + 1, fails it
-        br = eq.check_N3(LINEAR, EXP, SIXTH_ONLY, 20)
-        assert br.alternative == "ii"
-        assert br.grid_used == 0
+        (br,) = eq.check_N3(LINEAR, EXP, SIXTH_ONLY, 20).assertions
+        assert br.assertion_id == "ii"
+        assert br.constants["grid_used"] == 0
         assert not br.holds
         assert br.residual == pytest.approx(0.5, abs=1e-12)
 
