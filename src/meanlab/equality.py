@@ -10,7 +10,9 @@ the battery for a measure; a battery's grid has at least 3 distinct points.
 Every verdict is a grid certificate: "holds" means the defining residual
 stayed below its tolerance on the sampled grid, nothing stronger. Every
 battery row comes from one constructor: it holds iff its residual is within
-tolerance, unless more than one number or none decides it. For equivalent
+tolerance, unless more than one number or none decides it. Every report
+comes from one constructor too, and the three ladders (EBM, ECM, N1.5)
+share one opening that decides equivalence before any row. For equivalent
 pairs, rows (iv) to (ix) of the EBM and ECM ladders take the first
 alternative together, after the fits of (iv) and (v).
 """
@@ -418,25 +420,34 @@ def fit_equivalence(pairA: FunctionPair, pairB: FunctionPair) -> Union[Matrix2, 
 
 @dataclass(frozen=True)
 class PhiPsiGaps:
-    """Sup gaps of the two coefficient functions over a grid."""
+    """Sup gaps of the two coefficient functions over a grid. They agree iff
+    each gap over 1 + its scale (the larger sup of the two) is within tolerance."""
 
     phi_gap: float
     psi_gap: float
     phi_scale: float
     psi_scale: float
-    holds: bool
-    tolerance: float
+    tolerance: float = PHI_PSI_TOL
+
+    @property
+    def phi_resid(self) -> float:
+        return self.phi_gap / (1.0 + self.phi_scale)
+
+    @property
+    def psi_resid(self) -> float:
+        return self.psi_gap / (1.0 + self.psi_scale)
+
+    @property
+    def holds(self) -> bool:
+        return max(self.phi_resid, self.psi_resid) <= self.tolerance
 
     def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return {**dataclasses.asdict(self), "holds": self.holds}
 
 
 def check_phi_psi(pairA: FunctionPair, pairB: FunctionPair, grid: GridSpec) -> PhiPsiGaps:
-    """Compare Phi and Psi of the two pairs pointwise.
-
-    holds iff both sup gaps stay within PHI_PSI_TOL * (1 + scale), with the
-    scale taken as the largest magnitude either pair attains on the grid.
-    """
+    """Compare Phi and Psi of the two pairs pointwise; holds iff both sup
+    gaps over 1 + their scale are within PHI_PSI_TOL."""
     xs = _resolve_grid(_common_interval(pairA, pairB), grid)
     return _phi_psi_gaps(sample(pairA, xs, 0), sample(pairB, xs, 0))
 
@@ -446,9 +457,7 @@ def _phi_psi_gaps(sa: GridSamples, sb: GridSamples) -> PhiPsiGaps:
     psi_gap = float(np.max(np.abs(sa.psi[0] - sb.psi[0])))
     phi_scale = float(max(np.max(np.abs(sa.phi[0])), np.max(np.abs(sb.phi[0]))))
     psi_scale = float(max(np.max(np.abs(sa.psi[0])), np.max(np.abs(sb.psi[0]))))
-    holds = (phi_gap <= PHI_PSI_TOL * (1.0 + phi_scale)
-             and psi_gap <= PHI_PSI_TOL * (1.0 + psi_scale))
-    return PhiPsiGaps(phi_gap, psi_gap, phi_scale, psi_scale, holds, PHI_PSI_TOL)
+    return PhiPsiGaps(phi_gap, psi_gap, phi_scale, psi_scale)
 
 
 def check_power_law_R(
@@ -465,8 +474,7 @@ def check_power_law_R(
     p = classify(measure).p
     xs = _resolve_grid(_common_interval(pairA, pairB), grid)
     sa, sb = sample(pairA, xs, 1), sample(pairB, xs, 1)
-    gaps = _phi_psi_gaps(sa, sb)
-    if gaps.phi_gap > PHI_PSI_TOL * (1.0 + gaps.phi_scale):
+    if _phi_psi_gaps(sa, sb).phi_resid > PHI_PSI_TOL:
         raise NotApplicable("the Phi functions differ, so no single power law applies")
     R = sa.psi[0] - sb.psi[0]
     (gamma,), fit_gap = _fit(2.0 * np.abs(sa.w(1, 0)) ** p, R, context="power-law gap fit")
@@ -496,22 +504,23 @@ def _split_law(
             float(np.max(np.abs(sa.psi[0][keep] - (gamma * basis[keep] + tail)))),
             float(np.max(np.abs(sb.psi[0][keep] - (-gamma * basis[keep] + tail)))),
         )
-    return gamma, max(gaps.phi_gap / (1.0 + gaps.phi_scale), psi_gap / (1.0 + gaps.psi_scale))
+    return gamma, max(gaps.phi_resid, psi_gap / (1.0 + gaps.psi_scale))
 
 
-def _one_row(
-    battery: str, info: RegimeInfo, pairA: FunctionPair, xs: list[float], sa: GridSamples,
-    sb: GridSamples, row: AssertionResult, tolerances: Mapping[str, float],
+def _report(
+    battery: str, regime: RegimeInfo, interval: tuple[float, float], xs: Sequence[float],
+    sa: GridSamples, sb: GridSamples, rows: Sequence[AssertionResult],
+    tolerances: Mapping[str, float], fitted: Mapping[str, float | None],
+    equivalence: Union[Matrix2, NotEquivalent, None] = None, notes: Sequence[str] = (),
 ) -> EqualityReport:
-    """The report of N2.5 or N3: the row of the alternative taken, with its
-    non-null gamma, delta, alpha and beta as the fitted constants."""
+    """The report of every battery; R and S are the difference and the sum
+    of the two Psi functions on the grid."""
     psiA, psiB = sa.psi[0], sb.psi[0]
     return EqualityReport(
-        battery=battery, interval=pairA.interval, grid=tuple(xs), regime=info, assertions=(row,),
-        fitted={k: row.constants[k] for k in ("gamma", "delta", "alpha", "beta")
-                if row.constants.get(k) is not None},
-        R_values=tuple((psiA - psiB).tolist()), S_values=tuple((psiA + psiB).tolist()),
-        equivalence=None, tolerances=tolerances,
+        battery=battery, interval=interval, grid=tuple(xs), regime=regime, assertions=tuple(rows),
+        fitted=fitted, R_values=tuple((psiA - psiB).tolist()),
+        S_values=tuple((psiA + psiB).tolist()), equivalence=equivalence,
+        tolerances=tolerances, notes=tuple(notes),
     )
 
 
@@ -535,18 +544,18 @@ def check_N25(
     sa, sb = sample(pairA, xs, 1), sample(pairB, xs, 1)
     phiA, dphiA = sa.phi
     gaps = _phi_psi_gaps(sa, sb)
-    note = ""
-    if gaps.phi_gap > PHI_PSI_TOL * (1.0 + gaps.phi_scale):
-        note = "the Phi functions differ; residuals measured against the first pair"
-    psi_resid = gaps.psi_gap / (1.0 + gaps.psi_scale)
-    if psi_resid <= PHI_PSI_TOL and not note:
-        row = _row("psi_equal", psi_resid, PHI_PSI_TOL, "the Psi functions already agree", gamma=0.0)
+    if gaps.holds:
+        note = "the Psi functions already agree"
+        row = _row("psi_equal", gaps.psi_resid, PHI_PSI_TOL, note, gamma=0.0)
     else:
+        note = ("" if gaps.phi_resid <= PHI_PSI_TOL
+                else "the Phi functions differ; residuals measured against the first pair")
         tail = -0.5 * (4.0 + 3.0 * p) * dphiA - 0.5 * (3.0 + 5.0 * p + 3.0 * p * p) * phiA**2
         gamma, resid = _split_law(sa, sb, gaps, p, np.full(len(xs), True), tail, "split gap fit")
         row = _row("power_law", resid, FIT_TOL, note, gamma=gamma)
     tols = {"phi_psi_gap": PHI_PSI_TOL, "fit_residual": FIT_TOL}
-    return _one_row("N2.5", info, pairA, xs, sa, sb, row, tols)
+    fitted = {"gamma": row.constants["gamma"]}
+    return _report("N2.5", info, pairA.interval, xs, sa, sb, [row], tols, fitted)
 
 
 def _two_sided_fit(
@@ -597,7 +606,8 @@ def check_N3(
     def report(alternative: str, resid: float, grid_used: int, note: str = "", **constants):
         named = {k: constants.get(k) for k in ("gamma", "delta", "alpha", "beta", "p", "q", "r")}
         row = _row(alternative, resid, FIT_TOL, note, **named, grid_used=grid_used)
-        return _one_row("N3", info, pairA, xs, sa, sb, row, {"fit_residual": FIT_TOL})
+        fitted = {k: named[k] for k in ("gamma", "delta", "alpha", "beta") if named[k] is not None}
+        return _report("N3", info, interval, xs, sa, sb, [row], {"fit_residual": FIT_TOL}, fitted)
 
     if mu6_matches and mu4_matches:
         # the sixth-order relation collapses to Phi'' = 0
@@ -649,7 +659,7 @@ def check_N3(
         basis_p, basis_q, psiA - known, psiB - known, context="two-exponent power-law fit"
     )
     # the identity needs Phi_B = Phi_A: their sup gap, scaled as in N1.5 (iv)
-    resid = max(gaps.phi_gap / (1.0 + gaps.phi_scale), resid / psi_scale)
+    resid = max(gaps.phi_resid, resid / psi_scale)
     collapse = measures._is_zero(info.moment_condition_6, 10, mu2)
     return report(
         "iv", resid, n, "single power law (exponents collapse)" if collapse else "",
@@ -808,21 +818,18 @@ EBM_TOLERANCES: dict[str, float] = {
     "mean_gap": 1e-11,
     "near_diagonal_gap": 1e-11,
     "derivative_gap": 1e-9,
-    "phi_psi_gap": 1e-9,
-    "fit_residual": 1e-8,
+    "phi_psi_gap": PHI_PSI_TOL,
+    "fit_residual": FIT_TOL,
     "constancy_spread": 1e-8,
-    "equivalence_residual": 1e-9,
+    "equivalence_residual": EQUIVALENCE_TOL,
     "quasiarithmetic_gap": 1e-10,
 }
 
 ECM_TOLERANCES: dict[str, float] = dict(EBM_TOLERANCES, mean_gap=1e-10, near_diagonal_gap=1e-10)
 
 N15_TOLERANCES: dict[str, float] = {
-    "mean_gap": 1e-11,
-    "near_diagonal_gap": 1e-11,
-    "derivative_gap": 1e-9,
-    "phi_psi_gap": 1e-9,
-    "equivalence_residual": 1e-9,
+    k: EBM_TOLERANCES[k] for k in
+    ("mean_gap", "near_diagonal_gap", "derivative_gap", "phi_psi_gap", "equivalence_residual")
 }
 
 
@@ -875,22 +882,34 @@ def _row(
     return AssertionResult(assertion_id, holds, residual, tolerance, constants, note)
 
 
-def _mean_rows(
-    pairA: FunctionPair, pairB: FunctionPair, measure: Measure, xs: Sequence[float],
+def _ladder_head(
+    pairA: FunctionPair, pairB: FunctionPair, measure: Measure, grid: GridSpec,
     tols: Mapping[str, float],
-) -> tuple[AssertionResult, AssertionResult, np.ndarray, np.ndarray]:
-    """Rows (i) and (ii), the means on the square grid and near its diagonal,
-    and the two mean tables they compare."""
+) -> tuple[tuple[float, float], list[float], RegimeInfo, Union[Matrix2, NotEquivalent], float,
+           list[AssertionResult], np.ndarray, np.ndarray, list[str]]:
+    """The opening of every ladder: the common interval, a grid of at least
+    3 distinct points, the regime, the equivalence decision on max(n,
+    DEFAULT_FIT_GRID) points with its residual, rows (i) and (ii) (the means
+    on the square grid and near its diagonal), the two mean tables and the
+    first note."""
+    interval = _common_interval(pairA, pairB)
+    xs = _resolve_grid(interval, grid, 3)
+    regime = classify(measure)
+    equivalence, eq_resid = _equivalence(
+        pairA, pairB, max(len(xs), DEFAULT_FIT_GRID), tols["equivalence_residual"]
+    )
     ma = mean_table(MeanSpec(pairA, measure), xs)
     mb = mean_table(MeanSpec(pairB, measure), xs)
     gap = np.abs(ma - mb)
-    lo, hi = pairA.interval
     xcol = np.asarray(xs)
-    near_mask = np.abs(xcol[:, None] - xcol[None, :]) <= 0.2 * (hi - lo)
-    near_gap = float(np.max(gap[near_mask]))
-    a_i = _row("i", float(np.max(gap)), tols["mean_gap"], "the two means agree on the square grid")
-    a_ii = _row("ii", near_gap, tols["near_diagonal_gap"], "the two means agree near the diagonal")
-    return a_i, a_ii, ma, mb
+    near = np.abs(xcol[:, None] - xcol[None, :]) <= 0.2 * (interval[1] - interval[0])
+    rows = [
+        _row("i", float(np.max(gap)), tols["mean_gap"], "the two means agree on the square grid"),
+        _row("ii", float(np.max(gap[near])), tols["near_diagonal_gap"],
+             "the two means agree near the diagonal"),
+    ]
+    notes = ["all verdicts are grid certificates at the reported grid"]
+    return interval, xs, regime, equivalence, eq_resid, rows, ma, mb, notes
 
 
 def _rel_gap(a: np.ndarray, b: np.ndarray) -> float:
@@ -952,12 +971,8 @@ def _row_vii(pairA: FunctionPair, pairB: FunctionPair, ebm: bool, tol: float) ->
 
 
 def _sincos_battery(
-    pairA: FunctionPair,
-    pairB: FunctionPair,
-    grid: GridSpec,
-    measure: Measure | None,
-    tolerances: Mapping[str, float] | None,
-    flavor: str,
+    pairA: FunctionPair, pairB: FunctionPair, grid: GridSpec, measure: Measure | None,
+    tolerances: Mapping[str, float] | None, flavor: str,
 ) -> EqualityReport:
     ebm = flavor == "ebm"
     tols = _with_overrides(EBM_TOLERANCES if ebm else ECM_TOLERANCES, tolerances)
@@ -968,17 +983,11 @@ def _sincos_battery(
     elif not ebm and not isinstance(measure, Lebesgue):
         raise NotApplicable("this ladder is specific to the Lebesgue measure")
 
-    interval = _common_interval(pairA, pairB)
-    xs = _resolve_grid(interval, grid, 3)
-    n = len(xs)
-    regime = classify(measure)
-    notes: list[str] = ["all verdicts are grid certificates at the reported grid"]
-
-    equivalence, eq_resid = _equivalence(
-        pairA, pairB, max(n, DEFAULT_FIT_GRID), tols["equivalence_residual"]
+    interval, xs, regime, equivalence, eq_resid, rows, ma, mb, notes = _ladder_head(
+        pairA, pairB, measure, grid, tols
     )
+    n = len(xs)
     equivalent = isinstance(equivalence, Matrix2)
-    a_i, a_ii, ma, mb = _mean_rows(pairA, pairB, measure, xs, tols)
 
     # every later row reads these samples: Phi and Psi to order 4 for (iii)
     sa, sb = sample(pairA, xs, 4), sample(pairB, xs, 4)
@@ -998,7 +1007,6 @@ def _sincos_battery(
 
     # the fits of (iv) and (v) run for every pair, equivalent or not:
     # (iv) Phi equality plus the forced power law for both Psi functions
-    phi_gap = gaps.phi_gap / (1.0 + gaps.phi_scale)
     if ebm:
         basis = wa**2
         targetA, targetB = psiA, psiB
@@ -1008,7 +1016,7 @@ def _sincos_battery(
         targetA, targetB = psiA - tail, psiB - tail
     (alpha,), fitA = _fit(basis, targetA, context="Psi power-law fit")
     (beta,), fitB = _fit(basis, targetB, context="Psi power-law fit")
-    fit_resid = max(fitA, fitB) / (1.0 + gaps.psi_scale)
+    phi_gap, fit_resid = gaps.phi_resid, max(fitA, fitB) / (1.0 + gaps.psi_scale)
 
     # (v) quadratic forms in the generators plus proportional Wronskians
     ratios = wb / wa
@@ -1085,7 +1093,7 @@ def _sincos_battery(
             ),
         ]
 
-    assertions = [a_i, a_ii, a_iii, *later]
+    assertions = [*rows, a_iii, *later]
 
     if not ebm:
         # constancy of the third-order Wronskian combination; meaningful
@@ -1113,21 +1121,15 @@ def _sincos_battery(
                 "inspect tolerances and grid"
             )
 
-    return EqualityReport(
-        battery="EBM" if ebm else "ECM", interval=interval, grid=tuple(xs), regime=regime,
-        assertions=tuple(assertions),
-        fitted={"alpha": alpha, "beta": beta, "gamma": gamma_w, "delta": delta_vi},
-        R_values=tuple((psiA - psiB).tolist()), S_values=tuple((psiA + psiB).tolist()),
-        equivalence=equivalence, tolerances=tols, notes=tuple(notes),
+    return _report(
+        "EBM" if ebm else "ECM", regime, interval, xs, sa, sb, assertions, tols,
+        {"alpha": alpha, "beta": beta, "gamma": gamma_w, "delta": delta_vi}, equivalence, notes,
     )
 
 
 def check_EBM(
-    pairA: FunctionPair,
-    pairB: FunctionPair,
-    grid: GridSpec = DEFAULT_BATTERY_GRID,
-    measure: Measure | None = None,
-    tolerances: Mapping[str, float] | None = None,
+    pairA: FunctionPair, pairB: FunctionPair, grid: GridSpec = DEFAULT_BATTERY_GRID,
+    measure: Measure | None = None, tolerances: Mapping[str, float] | None = None,
 ) -> EqualityReport:
     """Nine-assertion equality ladder under the measure (delta_0 + delta_1)/2.
 
@@ -1142,11 +1144,8 @@ def check_EBM(
 
 
 def check_ECM(
-    pairA: FunctionPair,
-    pairB: FunctionPair,
-    grid: GridSpec = DEFAULT_BATTERY_GRID,
-    measure: Measure | None = None,
-    tolerances: Mapping[str, float] | None = None,
+    pairA: FunctionPair, pairB: FunctionPair, grid: GridSpec = DEFAULT_BATTERY_GRID,
+    measure: Measure | None = None, tolerances: Mapping[str, float] | None = None,
 ) -> EqualityReport:
     """Nine-assertion equality ladder under the Lebesgue measure.
 
@@ -1161,11 +1160,8 @@ def check_ECM(
 
 
 def check_N15(
-    pairA: FunctionPair,
-    pairB: FunctionPair,
-    measure: Measure,
-    grid: GridSpec = DEFAULT_BATTERY_GRID,
-    tolerances: Mapping[str, float] | None = None,
+    pairA: FunctionPair, pairB: FunctionPair, measure: Measure,
+    grid: GridSpec = DEFAULT_BATTERY_GRID, tolerances: Mapping[str, float] | None = None,
 ) -> EqualityReport:
     """Five-assertion ladder for measures with nonzero third moment.
 
@@ -1176,18 +1172,15 @@ def check_N15(
     not guaranteed, and the report says so.
     """
     tols = _with_overrides(N15_TOLERANCES, tolerances)
-    interval = _common_interval(pairA, pairB)
-    xs = _resolve_grid(interval, grid, 3)
-    regime = classify(measure)
+    interval, xs, regime, equivalence, eq_resid, rows, _, _, notes = _ladder_head(
+        pairA, pairB, measure, grid, tols
+    )
     mu2, mu3 = regime.moment_data.mu[2], regime.moment_data.mu[3]
-    notes = ["all verdicts are grid certificates at the reported grid"]
     if regime.regime is not Regime.MU3_NONZERO:
         notes.append(
             "mu3 vanishes for this measure, so failing later rows does not "
             "certify unequal means by the third-order route"
         )
-
-    a_i, a_ii, _, _ = _mean_rows(pairA, pairB, measure, xs, tols)
 
     sa, sb = sample(pairA, xs, 1), sample(pairB, xs, 1)
     worst2 = _rel_gap(mu2 * sa.phi[0], mu2 * sb.phi[0])
@@ -1201,15 +1194,10 @@ def check_N15(
 
     gaps = _phi_psi_gaps(sa, sb)
     a_iv = _row(
-        "iv",
-        max(gaps.phi_gap / (1.0 + gaps.phi_scale), gaps.psi_gap / (1.0 + gaps.psi_scale)),
-        tols["phi_psi_gap"], "the coefficient functions Phi and Psi agree",
-        phi_gap=gaps.phi_gap, psi_gap=gaps.psi_gap,
+        "iv", max(gaps.phi_resid, gaps.psi_resid), tols["phi_psi_gap"],
+        "the coefficient functions Phi and Psi agree", phi_gap=gaps.phi_gap, psi_gap=gaps.psi_gap,
     )
 
-    equivalence, eq_resid = _equivalence(
-        pairA, pairB, max(len(xs), DEFAULT_FIT_GRID), tols["equivalence_residual"]
-    )
     equivalent = isinstance(equivalence, Matrix2)
     a_v = _row(
         "v", eq_resid, tols["equivalence_residual"],
@@ -1218,23 +1206,15 @@ def check_N15(
         else "no matrix relates the pairs within tolerance",
         holds=equivalent, **({"det": equivalence.det()} if equivalent else {}),
     )
-
-    return EqualityReport(
-        battery="N1.5", interval=interval, grid=tuple(xs), regime=regime,
-        assertions=(a_i, a_ii, a_iii, a_iv, a_v),
-        fitted={"alpha": None, "beta": None, "gamma": None, "delta": None},
-        R_values=tuple((sa.psi[0] - sb.psi[0]).tolist()),
-        S_values=tuple((sa.psi[0] + sb.psi[0]).tolist()),
-        equivalence=equivalence, tolerances=tols, notes=tuple(notes),
+    return _report(
+        "N1.5", regime, interval, xs, sa, sb, [*rows, a_iii, a_iv, a_v], tols,
+        dict.fromkeys(("alpha", "beta", "gamma", "delta")), equivalence, notes,
     )
 
 
 def check_equality(
-    pairA: FunctionPair,
-    pairB: FunctionPair,
-    measure: Measure,
-    grid: GridSpec = DEFAULT_BATTERY_GRID,
-    tolerances: Mapping[str, float] | None = None,
+    pairA: FunctionPair, pairB: FunctionPair, measure: Measure,
+    grid: GridSpec = DEFAULT_BATTERY_GRID, tolerances: Mapping[str, float] | None = None,
 ) -> EqualityReport:
     """Run the battery that answers the equality question for this measure.
 
