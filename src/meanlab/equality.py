@@ -42,6 +42,8 @@ PHI_PSI_TOL = 1e-9
 FIT_TOL = 1e-8
 DEFAULT_FIT_GRID = 101
 DEFAULT_BATTERY_GRID = 50
+# the rows of N2.5 and N3, which take no overrides
+_BRANCH_TOLERANCES = {"phi_psi_gap": PHI_PSI_TOL, "fit_residual": FIT_TOL}
 
 GridSpec = Union[int, Sequence[float]]
 
@@ -520,7 +522,7 @@ def _report(
         battery=battery, interval=interval, grid=tuple(xs), regime=regime, assertions=tuple(rows),
         fitted=fitted, R_values=tuple((psiA - psiB).tolist()),
         S_values=tuple((psiA + psiB).tolist()), equivalence=equivalence,
-        tolerances=tolerances, notes=tuple(notes),
+        tolerances=dict(tolerances), notes=tuple(notes),
     )
 
 
@@ -553,9 +555,8 @@ def check_N25(
         tail = -0.5 * (4.0 + 3.0 * p) * dphiA - 0.5 * (3.0 + 5.0 * p + 3.0 * p * p) * phiA**2
         gamma, resid = _split_law(sa, sb, gaps, p, np.full(len(xs), True), tail, "split gap fit")
         row = _row("power_law", resid, FIT_TOL, note, gamma=gamma)
-    tols = {"phi_psi_gap": PHI_PSI_TOL, "fit_residual": FIT_TOL}
     fitted = {"gamma": row.constants["gamma"]}
-    return _report("N2.5", info, pairA.interval, xs, sa, sb, [row], tols, fitted)
+    return _report("N2.5", info, pairA.interval, xs, sa, sb, [row], _BRANCH_TOLERANCES, fitted)
 
 
 def _two_sided_fit(
@@ -572,7 +573,10 @@ def check_N3(
 ) -> EqualityReport:
     """Alternative selection for even-symmetric measures (mu3 = mu5 = 0).
 
-    Branches on whether mu6 equals 5 mu2 mu4 and whether mu4 equals
+    Pairs that share Phi and Psi (the agreement rule of PhiPsiGaps) solve
+    one y'' = Phi y' + Psi y, so each is a nonsingular linear image of the
+    other and their means agree: they take the alternative "equivalent".
+    Otherwise it branches on whether mu6 equals 5 mu2 mu4 and whether mu4 equals
     3 mu2^2, then evaluates the corresponding displayed identity for the
     two Psi functions, fitting the free constants by least squares. The
     integral terms are cumulative quadratures anchored at the interval
@@ -603,11 +607,16 @@ def check_N3(
     psi_scale = 1.0 + gaps.psi_scale
     anchor = 0.5 * (interval[0] + interval[1])
 
-    def report(alternative: str, resid: float, grid_used: int, note: str = "", **constants):
+    def report(alternative: str, resid: float, grid_used: int, note: str = "",
+               tolerance: float = FIT_TOL, **constants):
         named = {k: constants.get(k) for k in ("gamma", "delta", "alpha", "beta", "p", "q", "r")}
-        row = _row(alternative, resid, FIT_TOL, note, **named, grid_used=grid_used)
+        row = _row(alternative, resid, tolerance, note, **named, grid_used=grid_used)
         fitted = {k: named[k] for k in ("gamma", "delta", "alpha", "beta") if named[k] is not None}
-        return _report("N3", info, interval, xs, sa, sb, [row], {"fit_residual": FIT_TOL}, fitted)
+        return _report("N3", info, interval, xs, sa, sb, [row], _BRANCH_TOLERANCES, fitted)
+
+    if gaps.holds:
+        note = "the pairs share Phi and Psi, so they are equivalent"
+        return report("equivalent", max(gaps.phi_resid, gaps.psi_resid), n, note, PHI_PSI_TOL)
 
     if mu6_matches and mu4_matches:
         # the sixth-order relation collapses to Phi'' = 0

@@ -706,10 +706,24 @@ class TestEvenAlternatives:
             assert br.assertion_id == "iv"
             assert not br.holds
             assert br.residual == pytest.approx(0.5, abs=1e-12)
-        for b in (LINEAR, eq.Matrix2(2.0, 1.0, -1.0, 1.0).apply(SINCOS)):
+        # the image shares Phi and Psi with (sin, cos): equivalent, decided first
+        image = eq.Matrix2(2.0, 1.0, -1.0, 1.0).apply(SINCOS)
+        for b, alternative in ((LINEAR, "iv"), (image, "equivalent")):
             (br,) = eq.check_N3(SINCOS, b, measure, 20).assertions
-            assert br.assertion_id == "iv"
+            assert br.assertion_id == alternative
             assert br.holds
+
+    @pytest.mark.parametrize("measure", [GAUSSIAN_RATIO, SIXTH_ONLY, FOURTH_ONLY, EVEN])
+    def test_pair_against_itself_or_an_image_is_equivalent(self, measure):
+        # each branch's identity alone failed (x^2, x^(5/2)) against itself,
+        # with residuals 0.12 to 0.65 at grid 12
+        powers = ex.validate_pair("x^2", "x^(5/2)", (0.5, 2.0))
+        for b in (powers, eq.Matrix2(2.0, 1.0, 0.5, 1.0).apply(powers)):
+            report = eq.check_N3(powers, b, measure, 12)
+            (br,) = report.assertions
+            assert (br.assertion_id, br.holds, br.constants["grid_used"]) == ("equivalent", True, 12)
+            assert br.tolerance == eq.PHI_PSI_TOL and br.residual <= eq.PHI_PSI_TOL
+            assert report.fitted == {}
 
     def test_sixth_only_measure_fails_for_unequal_means(self):
         (br,) = eq.check_N3(EXP, LINEAR, SIXTH_ONLY, 20).assertions
