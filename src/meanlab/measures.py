@@ -203,7 +203,6 @@ class Regime(enum.Enum):
     MU3_NONZERO = "mu3_nonzero"
     MU3_ZERO_MU5_NONZERO = "mu3_zero_mu5_nonzero"
     EVEN_SYMMETRIC = "even_symmetric"
-    DEGENERATE = "degenerate"
 
 
 @dataclass(frozen=True)
