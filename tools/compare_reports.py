@@ -5,7 +5,9 @@
 OLD_SRC and NEW_SRC are directories that hold a ``meanlab`` package (the
 ``src`` of two checkouts). Each tree runs the same fixed matrix of
 ``check_equality`` calls in its own subprocess, with that tree first on
-``sys.path``. The matrix covers every battery: 13 pair combinations, among
+``sys.path`` and its own hash seed (``PYTHONHASHSEED`` 1 and 2), so
+``compare_reports.py src src`` checks that the reports of one tree do not
+depend on the process or on string hashing. The matrix covers every battery: 13 pair combinations, among
 them equivalent pairs and pairs whose row (vii) stays open, under 10
 measures, at grids 12 and 25, with three tolerance sets, plus explicit
 grids and direct battery calls on the wrong measure. Each case records the
@@ -17,6 +19,7 @@ JSON, text or error differs between the trees and exits 1 if any does.
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -40,8 +43,8 @@ EXPLICIT_GRIDS = {
 }
 
 
-def _cases():
-    """(key, thunk, pair) for every case; the thunk returns a report or raises."""
+def matrix():
+    """The pair combinations and the measures of the matrix, each by name."""
     from meanlab import equality as eq
     from meanlab import expr as ex
     from meanlab.measures import Density, Discrete, Lebesgue, preset_measure
@@ -83,6 +86,15 @@ def _cases():
         "fourth_only": Discrete(((0.0, 1.0 / 6.0), (0.5, 2.0 / 3.0), (1.0, 1.0 / 6.0))),
         "even": Discrete(((0.0, 0.2), (0.5, 0.6), (1.0, 0.2))),
     }
+    return combos, measures
+
+
+def _cases():
+    """(key, thunk, pair) for every case; the thunk returns a report or raises."""
+    from meanlab import equality as eq
+
+    combos, measures = matrix()
+    sincos, linear = combos["sincos-linear"]
 
     def case(a, bb, m, grid, tols=None):
         return lambda: eq.check_equality(a, bb, m, grid, tols)
@@ -140,9 +152,10 @@ def main(argv: list[str]) -> int:
         raise SystemExit(__doc__)
     procs = [
         subprocess.Popen(
-            [sys.executable, __file__, "--emit", src], stdout=subprocess.PIPE, text=True
+            [sys.executable, __file__, "--emit", src], stdout=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONHASHSEED": str(seed)},
         )
-        for src in argv
+        for seed, src in enumerate(argv, start=1)
     ]
     outputs = []
     for src, proc in zip(argv, procs):
