@@ -576,9 +576,9 @@ def check_N3(
     Pairs that share Phi and Psi (the agreement rule of PhiPsiGaps) solve
     one y'' = Phi y' + Psi y, so each is a nonsingular linear image of the
     other and their means agree: they take the alternative "equivalent".
-    Otherwise it branches on whether mu6 equals 5 mu2 mu4 and whether mu4 equals
-    3 mu2^2, then evaluates the corresponding displayed identity for the
-    two Psi functions, fitting the free constants by least squares. The
+    Otherwise it branches on whether mu6 equals 5 mu2 mu4 and whether mu4
+    equals 3 mu2^2, then evaluates the corresponding displayed identity for
+    the two Psi functions, fitting the free constants by least squares. The
     integral terms are cumulative quadratures anchored at the interval
     midpoint; their additive constants are absorbed by the fitted delta.
     When the sixth-order moment condition vanishes the two power laws

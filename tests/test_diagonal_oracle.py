@@ -59,13 +59,10 @@ def diagonal_jet_gap(pairA, pairB, measure, xs) -> float:
         calculus.diagonal_closed_form(s.phi, s.psi, mu)
         for s in (calculus.sample(pairA, xs, 4), calculus.sample(pairB, xs, 4))
     )
-    gaps = []
-    for k in range(2, 7):
-        a = np.broadcast_to(ma[k - 1], len(xs))
-        b = np.broadcast_to(mb[k - 1], len(xs))
-        scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))
-        gaps.append(float(np.max(np.abs(a - b))) / (1.0 + scale))
-    return max(gaps)
+    return max(
+        float(np.max(np.abs(a - b))) / (1.0 + max(float(np.max(np.abs(a))), float(np.max(np.abs(b)))))
+        for a, b in zip(ma[1:], mb[1:])
+    )
 
 
 @pytest.mark.parametrize("key", _case_ids())
