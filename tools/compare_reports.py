@@ -7,12 +7,12 @@ OLD_SRC and NEW_SRC are directories that hold a ``meanlab`` package (the
 ``check_equality`` calls in its own subprocess, with that tree first on
 ``sys.path`` and its own hash seed (``PYTHONHASHSEED`` 1 and 2), so
 ``compare_reports.py src src`` checks that the reports of one tree do not
-depend on the process or on string hashing. The matrix covers every battery: 13 pair combinations, among
-them equivalent pairs and pairs whose row (vii) stays open, under 10
-measures, at grids 12 and 25, with three tolerance sets, plus explicit
-grids and direct battery calls on the wrong measure. Each case records the
-report's JSON (``as_dict``, sorted keys, indent 2) and its CLI text, or the
-type and text of the error it raised. The script prints every case whose
+depend on the process or on string hashing. The matrix covers every
+battery: 13 pair combinations, among them equivalent pairs and pairs whose
+row (vii) stays open, under 10 measures, at grids 12 and 25, with three
+tolerance sets, plus explicit grids and direct battery calls on the wrong
+measure. Each case records the report's JSON (``as_dict``, sorted keys,
+indent 2) and its CLI text, or the type and text of the error it raised. The script prints every case whose
 JSON, text or error differs between the trees and exits 1 if any does.
 """
 
