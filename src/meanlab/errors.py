@@ -19,12 +19,8 @@ class OrderOutOfRange(MeanLabError):
     """Requested truncation order is negative or above the supported maximum."""
 
 
-class DivisionByZeroConstantTerm(MeanLabError):
-    """Jet division where the divisor's constant term vanishes."""
-
-
 class DomainViolation(MeanLabError):
-    """Elementary function applied outside its real-analytic domain."""
+    """A kernel's check failed at a point: a zero divisor, a domain error or an overflow."""
 
 
 # ---------------------------------------------------------------- expr

@@ -574,17 +574,10 @@ def _value_shapes(*trees: Expr) -> tuple[tuple, tuple]:
     return tuple(_value_shape(e, consts, seen)[1] for e in trees), tuple(consts)
 
 
-def _violation(message: str, x, mask=None) -> DomainViolation:
-    """The DomainViolation of both kernel routes: the message and the point
-    x, or for an array x the first point, in C order, where mask holds."""
-    if mask is not None:
-        x = float(np.asarray(x, dtype=float).flat[int(np.argmax(mask))])
-    return DomainViolation(f"{message} at {x!r}")
-
-
-_SCALAR_NAMES = {"_violation": _violation, **{n: r.scalar for n, r in _RULES.items()}}
+_SCALAR_NAMES = {"_violation": jets.violation, **{n: r.scalar for n, r in _RULES.items()}}
 _ARRAY_NAMES = {
-    "_violation": _violation, "full": np.full, "shape": np.shape, "asarray": np.asarray,
+    "_violation": jets.violation, "_first_failure": jets.first_failure,
+    "full": np.full, "shape": np.shape, "asarray": np.asarray,
     "errstate": np.errstate, "isinf": np.isinf, "isfinite": np.isfinite,
     **{n: r.array for n, r in _RULES.items()},
 }
@@ -592,12 +585,14 @@ _ARRAY_NAMES = {
 
 @lru_cache(maxsize=KERNEL_SHAPE_CACHE_SIZE)
 def _factory(shape, arrays: bool) -> Callable:
-    """The kernel factory of a shape on one route, printed and compiled once."""
+    """The kernel factory of a shape on one route, printed and compiled once;
+    an array kernel runs under jets.first_failure."""
     pr = _Printer(arrays)
     out, n = pr.value(shape, "x", [])
     lines = "".join(f"        {line}\n" for line in pr.body)
     params = ", ".join(f"c{i}" for i in range(n))
-    source = f"def factory({params}):\n    def kernel(x):\n{lines}        return {out}\n    return kernel\n"
+    run = "lambda x: _first_failure(kernel, asarray(x, dtype=float))" if arrays else "kernel"
+    source = f"def factory({params}):\n    def kernel(x):\n{lines}        return {out}\n    return {run}\n"
     return jets.compile_source(source, _ARRAY_NAMES if arrays else _SCALAR_NAMES, "kernel")["factory"]
 
 
@@ -612,10 +607,10 @@ def compile_array(e: Expr) -> Callable[[np.ndarray], np.ndarray]:
     """Compile to an elementwise numpy callable, the array twin of compile_scalar.
 
     The result has the shape of its argument. Each domain and overflow check
-    of compile_scalar becomes a mask; DomainViolation names the first point,
-    in C order, where the mask holds, with the text compile_scalar gives for
-    that point. Values agree with compile_scalar to a few ulps (numpy's
-    elementary functions are not libm's).
+    of compile_scalar becomes a mask, with the text compile_scalar gives; a
+    failure is the one at the first failing point in C order, with its flat
+    index (jets.first_failure). Values agree with compile_scalar to a few
+    ulps (numpy's elementary functions are not libm's).
     """
     return _kernel(e, arrays=True)
 

@@ -17,6 +17,10 @@ printed kernels: expr prints the jets of the value shapes, one tree's for
 eval_jet and a pair's in one kernel per order, and calculus the Phi/Psi jets
 and the phi_i/psi_i recursion. There is no jet arithmetic here; the jet of a
 composite function is eval_jet of its tree.
+
+Every printed check, of expr's value kernels and of the templates here, fails
+through violation, "<message> at <x>" with the value kernels' message; under
+first_failure, a kernel over an array fails at its first failing point.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivisionByZeroConstantTerm, DomainViolation, OrderOutOfRange
+from .errors import DomainViolation, OrderOutOfRange
 
 MAX_ORDER = 8
 
@@ -103,42 +107,40 @@ def first_failure(run, points):
         raise
 
 
-def _libm(fn, u0, name: str, *args):
-    """fn(u0, *args) by libm, over each point of an array u0. Overflow and a
-    libm domain error (sin or cos of an infinity) raise DomainViolation."""
-    if not isinstance(u0, np.ndarray):
-        try:
-            return fn(u0, *args)
-        except OverflowError:
-            raise DomainViolation(f"{name} overflow at constant term {u0!r}") from None
-        except ValueError:
-            raise DomainViolation(f"{name} of constant term {u0!r}: math domain error") from None
-    vals = u0.ravel().tolist()
+def violation(message: str, x, bad=True) -> DomainViolation:
+    """The DomainViolation of every printed check, "<message> at <point>": the
+    point x or, for an array x, its first point in C order where bad (a bool
+    or a mask) holds. It carries that point's flat index as its index. An
+    empty array has no point to name."""
+    i = int(np.argmax(bad))
+    exc = DomainViolation(f"{message} at {at(x, i)!r}" if np.size(x) else message)
+    exc.index = i
+    return exc
+
+
+def _fails(fn, v, args) -> bool:
     try:
+        fn(v, *args)
+    except (OverflowError, ValueError):
+        return True
+    return False
+
+
+def _libm(fn, u0, x, name: str, *args):
+    """fn(u0, *args) by libm, over each point of an array u0. An overflow
+    raises the violation "<name> overflow" and a libm domain error (sin or
+    cos of an infinity) "<name> of infinite value", at the first point of x
+    where one happens."""
+    try:
+        if not isinstance(u0, np.ndarray):
+            return fn(u0, *args)
+        vals = u0.ravel().tolist()
         values = map(fn, vals, *(itertools.repeat(a) for a in args))
         return np.fromiter(values, float, len(vals)).reshape(u0.shape)
-    except (OverflowError, ValueError):
-        for i, v in enumerate(vals):
-            try:
-                _libm(fn, v, name, *args)
-            except DomainViolation as exc:
-                exc.index = i
-                raise
-        raise
-
-
-def _nonpositive(bad, u0, what: str) -> None:
-    reject(bad, lambda i: DomainViolation(f"{what} of non-positive constant term {at(u0, i)!r}"))
-
-
-def _zero_divisor(bad) -> None:
-    reject(bad, lambda i: DivisionByZeroConstantTerm("divisor jet has zero constant term"))
-
-
-def _zero_base(bad) -> None:
-    reject(
-        bad, lambda i: DomainViolation("negative integer power of jet with zero constant term")
-    )
+    except (OverflowError, ValueError) as exc:
+        what = "overflow" if isinstance(exc, OverflowError) else "of infinite value"
+        bad = [_fails(fn, v, args) for v in vals] if isinstance(u0, np.ndarray) else True
+        raise violation(f"{name} {what}", x, bad) from None
 
 
 def _finite(t) -> bool:
@@ -189,16 +191,20 @@ class Emitter:
         return v
 
     def check(self, cond: str, failure: str, *operands) -> None:
-        """Run the call failure where cond, a template on the operands, holds
-        (a bool, or a mask anywhere)."""
+        """Run the statement failure, a template on cond's local, where cond,
+        a template on the operands, holds (a bool, or a mask anywhere)."""
         c = self.let(cond.format(*map(_src, operands)))
         self.lines.append(
             (None, f"if {c} is True or {c} is not False and {c}.any(): {failure.format(c)}", True)
         )
 
+    def domain(self, cond: str, message: str, *operands) -> None:
+        """Raise violation(message) at the first point of x where cond holds."""
+        self.check(cond, f"raise _violation({message!r}, x, {{}})", *operands)
+
     def libm(self, fn: str, u0, name: str, *args) -> str:
         extra = "".join(f", {_src(a)}" for a in args)
-        return self.let(f"_libm({fn}, {_src(u0)}, {name!r}{extra})", effect=True)
+        return self.let(f"_libm({fn}, {_src(u0)}, x, {name!r}{extra})", effect=True)
 
     def _drop(self, v) -> float:
         self.guard[v] = None
@@ -269,8 +275,7 @@ class Emitter:
 
 
 NAMES = {
-    "_libm": _libm, "_finite": _finite, "_nonpositive": _nonpositive,
-    "_zero_divisor": _zero_divisor, "_zero_base": _zero_base,
+    "_libm": _libm, "_finite": _finite, "_violation": violation,
     "exp": math.exp, "log": math.log, "sin": math.sin, "cos": math.cos,
     "sinh": math.sinh, "cosh": math.cosh,
 }
@@ -315,7 +320,7 @@ def mul_rule(em: Emitter, a, b) -> list:
 
 def nonzero_divisor(em: Emitter, b0) -> None:
     """Reject a divisor whose constant term b0 is 0."""
-    em.check("{} == 0.0", "_zero_divisor({})", b0)
+    em.domain("{} == 0.0", "division by zero", b0)
 
 
 def div_rule(em: Emitter, a, b, check: bool = True) -> list:
@@ -341,15 +346,9 @@ def exp_rule(em: Emitter, u) -> list:
     return w
 
 
-def _positive(em: Emitter, u0, what: str) -> None:
-    """Reject a constant term u0 <= 0: "<what> of non-positive constant term <u0>";
-    what is source text, evaluated only on failure."""
-    em.check("{} <= 0.0", f"_nonpositive({{}}, {_src(u0)}, {what})", u0)
-
-
 def log_rule(em: Emitter, u) -> list:
     u0 = u[0]
-    _positive(em, u0, repr("log"))
+    em.domain("{} <= 0.0", "log of non-positive value", u0)
     w = [em.libm("log", u0, "log")]
     jw = [0.0]
     for k in range(1, len(u)):
@@ -363,15 +362,13 @@ def sincos_rule(em: Emitter, u, name: str) -> list:
     cosine recurrences, printed once per family and argument: a later rule
     of the family on u (by the source of its coefficients, so 0.0 and -0.0
     stay apart) reads the first one's result. The first rule's name is in
-    the errors of libm (sinh/cosh for either hyperbolic rule; only sinh and
-    cosh overflow, only sin and cos of an infinity fail, both functions at
-    once)."""
+    the errors of libm (only sinh and cosh overflow, only sin and cos of an
+    infinity fail, both functions at once)."""
     sine, cosine, sign = ("sinh", "cosh", 1.0) if name in ("sinh", "cosh") else ("sin", "cos", -1.0)
     key = (sine, *map(_src, u))
     if key not in em.sincos:
         ju = _scaled(em, u)
-        label = "sinh/cosh" if sign > 0.0 else name
-        s, c = [em.libm(sine, u[0], label)], [em.libm(cosine, u[0], label)]
+        s, c = [em.libm(sine, u[0], name)], [em.libm(cosine, u[0], name)]
         for k in range(1, len(u)):
             s.append(em.div(dot(em, ju, c, k, k), k))
             c.append(em.div(em.mul(sign, dot(em, ju, s, k, k)), k))
@@ -384,7 +381,7 @@ def ipow_rule(em: Emitter, a, n: int) -> list:
     if n == 0:
         return [1.0] + [0.0] * (len(a) - 1)
     if n < 0:
-        em.check("{} == 0.0", "_zero_base({})", a[0])
+        em.domain("{} == 0.0", "zero base with negative power", a[0])
         return div_rule(em, [1.0] + [0.0] * (len(a) - 1), ipow_rule(em, a, -n))
     acc, base, m = None, a, n
     while m:
@@ -397,12 +394,11 @@ def ipow_rule(em: Emitter, a, n: int) -> list:
 
 
 def rpow_rule(em: Emitter, u, e, check: bool = True) -> list:
-    """u^e for a non-integer e, a known number or the name of an argument,
-    whose value the domain message gives; check=False where the caller has
-    made the same check."""
+    """u^e for a non-integer e, a known number or the name of an argument;
+    check=False where the caller has made its own check."""
     u0, n = u[0], len(u) - 1
     if check:
-        _positive(em, u0, f"'non-integer power ' + repr({_src(e)})")
+        em.domain("{} <= 0.0", "non-integer power of non-positive base", u0)
     w = [em.libm("pow", u0, "power", e)]
     e1 = em.add(e, 1.0)
     zeros = False
@@ -422,6 +418,9 @@ def rpow_rule(em: Emitter, u, e, check: bool = True) -> list:
 
 
 def sqrt_rule(em: Emitter, u) -> list:
-    _positive(em, u[0], repr("sqrt"))
+    """sqrt(u); at u = 0, where the value is 0 but no derivative is finite,
+    the jet has a check of its own."""
+    em.domain("{} < 0.0", "sqrt of negative value", u[0])
+    em.domain("{} == 0.0", "sqrt of zero value", u[0])
     return rpow_rule(em, u, 0.5, check=False)
 

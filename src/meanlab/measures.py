@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Sequence, Union
 import numpy as np
 
 from . import expr as ex
+from . import jets
 from .errors import DegenerateMeasure, QuadratureNonFinite
 
 __all__ = [
@@ -53,9 +54,7 @@ def weighted_sum(
     total = 0.0
     for t, w, v in zip(ts, ws, values):
         if isinstance(v, np.ndarray):
-            bad = ~np.isfinite(v)
-            if bad.any():
-                raise QuadratureNonFinite(t, float(v[bad][0]))
+            jets.reject(~np.isfinite(v), lambda i: QuadratureNonFinite(t, float(v.flat[i])))
         elif not math.isfinite(v):
             raise QuadratureNonFinite(t, v)
         total = total + w * v

@@ -91,6 +91,16 @@ class TestEval:
         assert code == 2
         assert "ParseError" in err
 
+    def test_zero_divisor_exits_2_at_its_point(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            ["eval", "--f", "1/x", "--g", "1", "--x", "-0.5", "--y", "0.5", "--lo", "-1", "--hi", "1"],
+        )
+        assert (code, out) == (2, "")
+        assert err.strip() == (
+            "error (NonSmooth): function not smooth to the requested order at 0.0: division by zero at 0.0"
+        )
+
     def test_point_outside_interval_exits_2(self, capsys):
         code, out, err = run_cli(
             capsys,
@@ -239,6 +249,22 @@ class TestCheckEquality:
         assert doc["result"]["alternative"] == "iii"
         assert doc["result"]["holds"] is True
         assert doc["result"]["r"] == pytest.approx(-1.0, abs=1e-10)
+
+    def test_sixth_order_boundary_dispatch(self, capsys):
+        # mu6 = 5 mu2 mu4 at the zero tolerance; N3 once exited 1 here with
+        # an internal TypeError. Phi vanishes, so the verdict is vacuous
+        spec = json.dumps({"type": "atoms", "atoms": [
+            [0.2369580832448388, 0.09999999849054474],
+            [0.5, 0.8000000030189105],
+            [0.7630419167551612, 0.09999999849054474],
+        ]})
+        argv = [a if a != "ebm" else spec for a in EBM_WITNESS]
+        argv[argv.index("--grid") + 1] = "20"
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (0, "")
+        doc = run_json(capsys, argv)
+        assert doc["result"]["battery"] == "N3"
+        assert doc["result"]["alternative"] == "ii"
 
     def test_ladder_text_ends_with_verdict_and_notes(self, capsys):
         code, out, err = run_cli(capsys, EBM_WITNESS)

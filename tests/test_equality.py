@@ -18,6 +18,7 @@ from meanlab.errors import (
     IllConditionedFit, NotApplicable, NotPositive, OutOfInterval, QuadratureNonFinite,
 )
 from meanlab.means import MeanSpec, mean_eval, quasiarithmetic
+from meanlab import measures
 from meanlab.measures import Discrete, Lebesgue, classify, preset_measure
 
 from conftest import mp_value, random_admissible_pair
@@ -50,6 +51,14 @@ ASYMMETRIC = Discrete(((0.0, 0.3), (0.7, 0.7)))
 
 # mu3 = mu5 = 0 with mu6 != 5 mu2 mu4 and mu4 != 3 mu2^2: N3 branch (iv)
 EVEN = Discrete(((0.0, 0.2), (0.5, 0.6), (1.0, 0.2)))
+
+# mu6 = 5 mu2 mu4 at the zero tolerance: mu6 - 5 mu2 mu4 and mu6 - 5 mu4 mu2
+# round to either side of it
+SIXTH_BOUNDARY = Discrete((
+    (0.2369580832448388, 0.09999999849054474),
+    (0.5, 0.8000000030189105),
+    (0.7630419167551612, 0.09999999849054474),
+))
 
 
 class TestMatrix2:
@@ -725,6 +734,17 @@ class TestEvenAlternatives:
             assert br.tolerance == eq.PHI_PSI_TOL and br.residual <= eq.PHI_PSI_TOL
             assert report.fitted == {}
 
+    def test_sixth_order_boundary_takes_the_branch_of_classify(self):
+        # N3 once tested mu6 - 5 mu2 mu4 itself, took branch (iv) here and
+        # failed on the q that classify leaves unset; the verdict is vacuous,
+        # as Phi of both pairs vanishes, so only the branch is pinned
+        info = classify(SIXTH_BOUNDARY)
+        mu = info.moment_data.mu
+        assert info.q is None
+        assert not measures._is_zero(mu[6] - 5.0 * mu[2] * mu[4], 6, mu[2])
+        (br,) = eq.check_N3(SINCOS, LINEAR, SIXTH_BOUNDARY, 20).assertions
+        assert br.assertion_id == "ii"
+
     def test_sixth_only_measure_fails_for_unequal_means(self):
         (br,) = eq.check_N3(EXP, LINEAR, SIXTH_ONLY, 20).assertions
         assert br.assertion_id == "ii"
@@ -786,6 +806,25 @@ class TestBinarySymmetricLadder:
     def test_measure_gate(self):
         with pytest.raises(NotApplicable):
             eq.check_EBM(SINCOS, LINEAR, grid=15, measure=LEB)
+
+    def test_row_vi_open_without_positive_quadratic_forms(self):
+        # the bump of g makes the fitted quadratic form of the first pair
+        # non-positive on the grid, so there is nothing to rebuild
+        A = ex.validate_pair("x", "1 + 9*exp(-50*x^2) + 0.6*x", INTERVAL)
+        vi = eq.check_EBM(A, LINEAR, grid=[-0.6, 0.0, 0.4]).verdict_per_assertion["vi"]
+        assert (vi.holds, vi.residual) == (False, None)
+        assert vi.note == "no admissible quadratic forms to reconstruct from"
+
+    @pytest.mark.parametrize("f, g, interval", [
+        ("cos(x)", "sin(x)", (0.2, 1.2)),  # f is cosine type, g sine type
+        ("sin(x)", "cos(2*x)", (-0.5, 0.5)),  # the arguments differ
+    ])
+    def test_row_vii_open_when_the_pattern_does_not_match(self, f, g, interval):
+        A, B = ex.validate_pair(f, g, interval), ex.validate_pair("x", "1", interval)
+        assert eq._match_sincos(A, cauchy=False) is None
+        vii = eq.check_EBM(A, B, grid=12).verdict_per_assertion["vii"]
+        assert (vii.holds, vii.residual) == (None, None)
+        assert vii.note == "not decidable structurally; no sine and cosine type pattern exposed"
 
     def test_report_json_deterministic(self):
         a, b = (eq.check_EBM(SINCOS, LINEAR, grid=10).as_dict() for _ in range(2))
@@ -857,6 +896,28 @@ class TestLebesgueLadder:
     def test_measure_gate(self):
         with pytest.raises(NotApplicable):
             eq.check_ECM(SINCOS, LINEAR, grid=15, measure=EBM)
+
+    def test_generator_derivative_vanishing_between_validation_nodes(self):
+        # phi = x^3 has phi' = 0 at 0.0, a node of the 9-point prefactor grid
+        # but not of the 257-point validation grid, so (vii) stays open
+        interval = (-0.4, 0.6)
+        assert eq._prefactor_tracks_derivative(ex.Const(1.0), ex.parse("x^3"), interval) is None
+        A = ex.validate_pair("sin(x^3)", "cos(x^3)", interval)
+        B = ex.validate_pair("sinh(x^3)", "cosh(x^3)", interval)
+        vii = eq.check_ECM(A, B, grid=12).verdict_per_assertion["vii"]
+        assert (vii.holds, vii.residual) == (None, None)
+        assert vii.note == "prefactor does not track the derivative of the matched generator"
+
+    def test_two_factor_prefactor(self):
+        # u = x * exp(x) is rebuilt as one product; u / phi' = x * exp(x)
+        # is not constant, so (vii) stays open
+        interval = (0.1, 0.9)
+        A = ex.validate_pair("x*exp(x)*sin(x)", "x*exp(x)*cos(x)", interval)
+        B = ex.validate_pair("x*exp(x)*sinh(x)", "x*exp(x)*cosh(x)", interval)
+        assert eq._match_sincos(A, cauchy=True) == (-1.0, ex.Var(), ex.parse("x * exp(x)"))
+        vii = eq.check_ECM(A, B, grid=12).verdict_per_assertion["vii"]
+        assert vii.holds is None
+        assert vii.note == "prefactor does not track the derivative of the matched generator"
 
 
 class TestThirdMomentLadder:

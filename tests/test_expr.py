@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meanlab import expr as ex
+from meanlab import jets
 from meanlab.errors import (
     DomainViolation,
     NonSmooth,
@@ -257,8 +258,10 @@ class TestEvaluation:
 def _ref_reject(bad, x, message: str, arrays: bool) -> None:
     if arrays:
         if bad.any():
-            first = float(np.asarray(x, dtype=float).flat[int(np.argmax(bad))])
-            raise DomainViolation(f"{message} at {first!r}")
+            i = int(np.argmax(bad))
+            exc = DomainViolation(f"{message} at {float(np.asarray(x, dtype=float).flat[i])!r}")
+            exc.index = i
+            raise exc
     elif bad:
         raise DomainViolation(f"{message} at {x!r}")
 
@@ -328,6 +331,11 @@ def _reference(e: ex.Expr, x, arrays: bool):
     return _ref_call(getattr(lib, name), a, x, name, e.t > 0.0, arrays)
 
 
+def _array_reference(e: ex.Expr, xs):
+    """The array walk, failing at the first failing point in C order."""
+    return jets.first_failure(lambda p: _reference(e, p, True), xs)
+
+
 def _outcome(fn, x):
     """The bits of fn(x), or the class and text of what it raised."""
     try:
@@ -367,7 +375,7 @@ class TestEmittedKernels:
         for x in _POINTS:
             assert _outcome(scalar, x) == _outcome(lambda p: _reference(e, p, False), x), x
         for xs in (np.array(_POINTS), np.array(_POINTS[2:5]).reshape(3, 1), np.array(0.3)):
-            assert _outcome(array, xs) == _outcome(lambda p: _reference(e, p, True), xs), xs
+            assert _outcome(array, xs) == _outcome(lambda p: _array_reference(e, p), xs), xs
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_constants_compile(self, value):
@@ -427,7 +435,7 @@ class TestEmittedKernels:
         for x in _POINTS + [-1.0]:
             assert _outcome(scalar, x) == _outcome(lambda p: _reference(e, p, False), x), x
         xs = np.array(_POINTS + [-1.0])
-        assert _outcome(array, xs) == _outcome(lambda p: _reference(e, p, True), xs)
+        assert _outcome(array, xs) == _outcome(lambda p: _array_reference(e, p), xs)
 
     def test_factory_cache_is_bounded(self):
         info = ex._factory.cache_info()
@@ -442,7 +450,7 @@ class TestEmittedKernels:
 
 
 class TestInfiniteArguments:
-    """sin and cos of an infinity: one DomainViolation text per route."""
+    """sin and cos of an infinity: one DomainViolation text on every route."""
 
     # sin(x * inf) and cos(C(-4; x * inf)) are infinite-valued at every x > 0
     TREES = {
@@ -463,16 +471,52 @@ class TestInfiniteArguments:
     @pytest.mark.parametrize("name", TREES)
     def test_jet_route(self, name):
         e = self.TREES[name]
-        message = f"{name} of constant term inf: math domain error"
-        with pytest.raises(DomainViolation, match=f"^{message}$"):
+        with pytest.raises(DomainViolation, match=f"^{name} of infinite value at 1.0$"):
             ex.eval_jet(e, 1.0, 3)
         with pytest.raises(DomainViolation) as info:
             ex.eval_jet(e, np.array([1.5, 2.0]), 3)
-        assert (str(info.value), info.value.index) == (message, 0)
+        assert (str(info.value), info.value.index) == (f"{name} of infinite value at 1.5", 0)
 
     def test_validate_pair_reports_non_smooth(self):
-        with pytest.raises(NonSmooth, match="math domain error"):
+        with pytest.raises(NonSmooth, match="sin of infinite value"):
             ex.validate_pair(self.TREES["sin"], ex.Const(1.0), (0.5, 1.5))
+
+
+class TestOneFailureProtocol:
+    """One text per failure on every route, at the first failing point."""
+
+    @pytest.mark.parametrize("f, detail", [
+        ("1/x", "division by zero"), ("x^(-1)", "zero base with negative power"),
+    ])
+    def test_a_zero_divisor_is_non_smooth_at_its_point(self, f, detail):
+        with pytest.raises(NonSmooth) as info:
+            ex.validate_pair(f, "1", (-1.0, 1.0))
+        assert info.value.point == 0.0
+        assert str(info.value).endswith(f"order at 0.0: {detail} at 0.0")
+
+    @pytest.mark.parametrize("text, xs, message", [
+        # sqrt fails at -1.0 and log at 3.0: the log's failure comes first
+        ("sqrt(x) + log(2 - x)", [3.0, -1.0], "log of non-positive value at 3.0"),
+        # only the value route overflows at 1e155
+        ("(x^2)^(-1)", [0.0, 1e155], "zero base with negative power at 0.0"),
+    ])
+    def test_every_route_names_the_first_failing_point(self, text, xs, message):
+        e = ex.parse(text)
+        scalar = ex.compile_scalar(e)
+        for run in (
+            lambda p: [scalar(x) for x in p.tolist()],
+            ex.compile_array(e),
+            lambda p: ex.eval_jet(e, p, 2),
+        ):
+            with pytest.raises(DomainViolation) as info:
+                run(np.array(xs))
+            assert (str(info.value), info.value.index) == (message, 0)
+
+
+    def test_a_constant_failure_on_no_points_is_a_domain_violation(self):
+        # the jet kernel checks a constant once, whatever the points
+        with pytest.raises(DomainViolation, match="^log of non-positive value$"):
+            ex.eval_jet(ex.parse("log(0 - 1) + x"), np.array([]), 2)
 
 
 class TestInteriorGrid:

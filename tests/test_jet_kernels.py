@@ -34,7 +34,7 @@ from meanlab import MeanSpec, mean_eval, preset_measure
 from meanlab import calculus as ca
 from meanlab import expr as ex
 from meanlab import jets
-from meanlab.errors import DivisionByZeroConstantTerm, DomainViolation, WronskianVanishes
+from meanlab.errors import DomainViolation, WronskianVanishes
 
 from conftest import PAIR_FAMILIES, random_admissible_pair
 
@@ -62,35 +62,32 @@ def _mul(ac, bc):
     return out
 
 
-def _nonzero(b0):
-    jets.reject(b0 == 0.0, lambda i: DivisionByZeroConstantTerm("divisor jet has zero constant term"))
+def _reject(bad, x, message):
+    """A template's check: the violation at the first point of x where bad holds."""
+    if np.any(bad):
+        raise jets.violation(message, x, bad)
 
 
-def _div(ac, bc):
-    _nonzero(bc[0])
+def _div(ac, bc, x):
+    _reject(bc[0] == 0.0, x, "division by zero")
     out = []
     for k in range(len(ac)):
         out.append((ac[k] - _dot(bc, out, k, k)) / bc[0])
     return out
 
 
-def _positive(u0, what):
-    message = f"{what} of non-positive constant term "
-    jets.reject(u0 <= 0.0, lambda i: DomainViolation(message + repr(jets.at(u0, i))))
-
-
-def _exp(u):
+def _exp(u, x):
     ju = [j * c for j, c in enumerate(u)]
-    w = [jets._libm(math.exp, u[0], "exp")]
+    w = [jets._libm(math.exp, u[0], x, "exp")]
     for k in range(1, len(u)):
         w.append(_dot(ju, w, k, k) / k)
     return w
 
 
-def _log(u):
+def _log(u, x):
     u0 = u[0]
-    _positive(u0, "log")
-    w = [jets._libm(math.log, u0, "log")]
+    _reject(u0 <= 0.0, x, "log of non-positive value")
+    w = [jets._libm(math.log, u0, x, "log")]
     jw = [0.0]
     for k in range(1, len(u)):
         w.append((u[k] - _dot(jw, u, k, k - 1) / k) / u0)
@@ -98,25 +95,22 @@ def _log(u):
     return w
 
 
-def _sincos(u, hyperbolic, name):
+def _sincos(u, x, hyperbolic, name):
     ju = [j * c for j, c in enumerate(u)]
     sine, cosine, sign = (math.sinh, math.cosh, 1.0) if hyperbolic else (math.sin, math.cos, -1.0)
-    s, c = [jets._libm(sine, u[0], name)], [jets._libm(cosine, u[0], name)]
+    s, c = [jets._libm(sine, u[0], x, name)], [jets._libm(cosine, u[0], x, name)]
     for k in range(1, len(u)):
         s.append(_dot(ju, c, k, k) / k)
         c.append(sign * _dot(ju, s, k, k) / k)
     return s, c
 
 
-def _ipow(a, n):
+def _ipow(a, n, x):
     if n == 0:
         return [1.0] + [0.0] * (len(a) - 1)
     if n < 0:
-        jets.reject(
-            a[0] == 0.0,
-            lambda i: DomainViolation("negative integer power of jet with zero constant term"),
-        )
-        return _div([1.0] + [0.0] * (len(a) - 1), _ipow(a, -n))
+        _reject(a[0] == 0.0, x, "zero base with negative power")
+        return _div([1.0] + [0.0] * (len(a) - 1), _ipow(a, -n, x), x)
     acc, base, m = None, a, n
     while m:
         if m & 1:
@@ -127,40 +121,43 @@ def _ipow(a, n):
     return acc
 
 
-def _pow(u, exponent):
+def _pow(u, exponent, x):
     if isinstance(exponent, Fraction) and exponent.denominator == 1:
-        return _ipow(u, exponent.numerator)
+        return _ipow(u, exponent.numerator, x)
     e = float(exponent)
     u0 = u[0]
-    _positive(u0, f"non-integer power {e!r}")
-    w = [jets._libm(lambda v: v**e, u0, "power")]
+    _reject(u0 <= 0.0, x, "non-integer power of non-positive base")
+    w = [jets._libm(lambda v: v**e, u0, x, "power")]
     for k in range(1, len(u)):
         cu = [((e + 1.0) * j - k) * c for j, c in enumerate(u[: k + 1])]
         w.append(_dot(cu, w, k, k) / (k * u0))
     return w
 
 
-def _sqrt(u):
-    _positive(u[0], "sqrt")
-    return _pow(u, 0.5)
+def _sqrt(u, x):
+    _reject(u[0] < 0.0, x, "sqrt of negative value")
+    _reject(u[0] == 0.0, x, "sqrt of zero value")
+    return _pow(u, 0.5, x)
 
 
 _LOOP_RULES = {
     "exp": _exp, "log": _log, "sqrt": _sqrt,
-    "sin": lambda u: _sincos(u, False, "sin")[0], "cos": lambda u: _sincos(u, False, "cos")[1],
-    "sinh": lambda u: _sincos(u, True, "sinh/cosh")[0],
-    "cosh": lambda u: _sincos(u, True, "sinh/cosh")[1],
+    "sin": lambda u, x: _sincos(u, x, False, "sin")[0],
+    "cos": lambda u, x: _sincos(u, x, False, "cos")[1],
+    "sinh": lambda u, x: _sincos(u, x, True, "sinh")[0],
+    "cosh": lambda u, x: _sincos(u, x, True, "cosh")[1],
 }
 
 
 @functools.lru_cache(maxsize=None)
 def rule(template, order: int, arity: int, *params):
     """template printed alone at one order, without folding. The function takes
-    the str params (names of run-time arguments), then the coefficients of
-    arity jets; the other params are fixed in the code."""
+    the point x that its checks name, the str params (names of run-time
+    arguments), then the coefficients of arity jets; the other params are
+    fixed in the code."""
     em = jets.Emitter()
     ins = [[f"a{i}_{k}" for k in range(order + 1)] for i in range(arity)]
-    args = [p for p in params if isinstance(p, str)] + [a for row in ins for a in row]
+    args = ["x", *(p for p in params if isinstance(p, str))] + [a for row in ins for a in row]
     out = template(em, *ins, *params)
     source = f"def rule({', '.join(args)}):\n{em.body(out, '    ')}"
     name = getattr(template, "func", template).__name__  # a rule of _RULES may be a partial
@@ -180,16 +177,16 @@ def _ref_jet(e: ex.Expr, x, n: int) -> list:
     if isinstance(e, ex.BinOp):
         if e.op == "/":
             b = _ref_jet(e.right, x, n)
-            _nonzero(b[0])
-            return _div(_ref_jet(e.left, x, n), b)
+            _reject(b[0] == 0.0, x, "division by zero")
+            return _div(_ref_jet(e.left, x, n), b, x)
         a, b = _ref_jet(e.left, x, n), _ref_jet(e.right, x, n)
         if e.op in "+-":
             return [p + q if e.op == "+" else p - q for p, q in zip(a, b)]
         return _mul(a, b)
     if isinstance(e, ex.Pow):
-        return _pow(_ref_jet(e.base, x, n), e.exponent)
+        return _pow(_ref_jet(e.base, x, n), e.exponent, x)
     if isinstance(e, ex.Call):
-        return _LOOP_RULES[e.func](_ref_jet(e.arg, x, n))
+        return _LOOP_RULES[e.func](_ref_jet(e.arg, x, n), x)
     if e.t == 0.0 and isinstance(e, ex.CType):
         return [1.0] + [0.0] * n
     a = _ref_jet(e.arg, x, n)
@@ -197,7 +194,7 @@ def _ref_jet(e: ex.Expr, x, n: int) -> list:
         return a
     sine, cosine = ("sin", "cos") if e.t < 0.0 else ("sinh", "cosh")
     scaled = _mul([math.sqrt(abs(e.t))] + [0.0] * n, a)
-    return _LOOP_RULES[sine if isinstance(e, ex.SType) else cosine](scaled)
+    return _LOOP_RULES[sine if isinstance(e, ex.SType) else cosine](scaled, x)
 
 
 def _reference(e: ex.Expr, x, n: int) -> tuple:
@@ -332,19 +329,21 @@ class TestKernelShapes:
         assert [c.cell_contents for c in kb.__closure__] == [0.7, 0.2]
         assert pb.jet_kernels[4].__code__ is not kb.__code__
 
-    def test_non_integer_power_names_its_own_exponent(self):
+    def test_non_integer_powers_of_one_shape_fail_with_the_value_text(self):
         base = ex.BinOp("*", ex.Var(), ex.Const(-0.25))
         first, second = ex.Pow(base, Fraction(2, 3)), ex.Pow(base, Fraction(-5, 4))
         # one shape, so one kernel: the exponent is an argument
         assert ex._value_shape(first, [], {})[1] == ex._value_shape(second, [], {})[1]
-        for e, exponent in ((first, 2 / 3), (second, -1.25)):
-            message = f"non-integer power {exponent!r} of non-positive constant term -0.25"
-            with pytest.raises(DomainViolation) as info:
-                ex.eval_jet(e, 1.0, 3)
-            assert str(info.value) == message
-            with pytest.raises(DomainViolation) as info:
-                ex.eval_jet(e, np.array([-1.0, 1.0]), 3)
-            assert (str(info.value), info.value.index) == (message, 1)
+        message = "non-integer power of non-positive base at 1.0"
+        for e in (first, second):
+            for run in (lambda: ex.compile_scalar(e)(1.0), lambda: ex.eval_jet(e, 1.0, 3)):
+                with pytest.raises(DomainViolation) as info:
+                    run()
+                assert str(info.value) == message
+            for run in (ex.compile_array(e), lambda p: ex.eval_jet(e, p, 3)):
+                with pytest.raises(DomainViolation) as info:
+                    run(np.array([-1.0, 1.0]))
+                assert (str(info.value), info.value.index) == (message, 1)
 
     def test_cosine_type_at_zero_is_one_without_its_argument(self):
         # C(0; u) is the constant 1 on every route: u is not evaluated
@@ -358,8 +357,9 @@ class TestKernelShapes:
     def test_overflow_before_a_domain_error_stays_first(self):
         # nothing of a known constant is evaluated when the kernel is printed
         e = ex.parse("log(-sinh(12345.678))")
-        with pytest.raises(DomainViolation, match="^sinh/cosh overflow at constant term 12345.678$"):
-            ex.eval_jet(e, 0.5, 2)
+        for run in (ex.compile_scalar(e), lambda x: ex.eval_jet(e, x, 2)):
+            with pytest.raises(DomainViolation, match="^sinh overflow at 0.5$"):
+                run(0.5)
 
     def test_memos_stay_at_their_bounds(self):
         # eval_jet holds nothing per tree; the factories are one bounded memo
@@ -399,23 +399,23 @@ class TestOneShapeWalk:
             want = _outcome(lambda: ex.eval_jet(e, x, 3).coeffs)
             assert got[0] == "error" and got == want and got[3] == index
 
-    @pytest.mark.parametrize("text, value, jet", [
-        ("log(x) / log(x - 2)", "log of non-positive value", "log of non-positive constant term -3.0"),
-        ("sqrt(x) / log(x - 2)", "log of non-positive value", "log of non-positive constant term -3.0"),
-        ("log(x) / sqrt(x - 2)", "sqrt of negative value", "sqrt of non-positive constant term -3.0"),
+    @pytest.mark.parametrize("text, value", [
+        ("log(x) / log(x - 2)", "log of non-positive value"),
+        ("sqrt(x) / log(x - 2)", "log of non-positive value"),
+        ("log(x) / sqrt(x - 2)", "sqrt of negative value"),
     ])
-    def test_a_denominator_fails_first_on_every_route(self, text, value, jet):
+    def test_a_denominator_fails_first_on_every_route(self, text, value):
         e = ex.parse(text)
         xs = np.array([4.0, -1.0])
-        for run, message in (
-            (lambda: ex.compile_scalar(e)(-1.0), f"{value} at -1.0"),
-            (lambda: ex.compile_array(e)(xs), f"{value} at -1.0"),
-            (lambda: ex.eval_jet(e, -1.0, 2), jet),
-            (lambda: ex.eval_jet(e, xs, 2), jet),
+        for run in (
+            lambda: ex.compile_scalar(e)(-1.0),
+            lambda: ex.compile_array(e)(xs),
+            lambda: ex.eval_jet(e, -1.0, 2),
+            lambda: ex.eval_jet(e, xs, 2),
         ):
             with pytest.raises(DomainViolation) as info:
                 run()
-            assert str(info.value) == message
+            assert str(info.value) == f"{value} at -1.0"
 
     def test_a_fractional_exponent_with_no_float_raises_one_error(self):
         # the exponent's float is taken with the shape, before any point
@@ -461,12 +461,11 @@ class TestOneShapeWalk:
     def test_the_first_rule_of_a_family_names_its_error(self):
         # sin and cos share one recurrence on u, and f's cos comes first
         pair = ex.FunctionPair(ex.parse("cos(1e306 * x)"), ex.parse("sin(1e306 * x)"), (-1e3, 1e3), 6)
-        for x, index in ((800.0, None), (np.array([0.5, 800.0]), 1)):
+        for x, index in ((800.0, 0), (np.array([0.5, 800.0]), 1)):
             with pytest.raises(DomainViolation) as info:
                 ex.pair_jets(pair, x, 6)
-            assert str(info.value) == "cos of constant term inf: math domain error"
-            assert getattr(info.value, "index", None) == index
-        with pytest.raises(DomainViolation, match="^sin of constant term inf"):
+            assert (str(info.value), info.value.index) == ("cos of infinite value at 800.0", index)
+        with pytest.raises(DomainViolation, match="^sin of infinite value at 800.0$"):
             ex.eval_jet(pair.g, 800.0, 6)
 
     def test_a_fresh_pair_walks_its_shapes_once(self, monkeypatch):
@@ -522,35 +521,49 @@ class TestJetFunctions:
         u, v = _as_coeffs(rows, arrays)
         n = len(u) - 1
         p = [abs(u[0]) + 0.5, *u[1:]]
+        x = 0.0 * u[0]  # a point of the coefficients' shape
         cases = [
-            (rule(jets.mul_rule, n, 2)(*u, *v), _mul(u, v)),
-            (rule(jets.exp_rule, n, 1)(*u), _exp(u)),
-            (rule(ex._RULES["sin"].jet, n, 1)(*u), _LOOP_RULES["sin"](u)),
-            (rule(ex._RULES["cos"].jet, n, 1)(*u), _LOOP_RULES["cos"](u)),
-            (rule(ex._RULES["sinh"].jet, n, 1)(*u), _LOOP_RULES["sinh"](u)),
-            (rule(ex._RULES["cosh"].jet, n, 1)(*u), _LOOP_RULES["cosh"](u)),
-            (rule(jets.log_rule, n, 1)(*p), _log(p)),
-            (rule(jets.sqrt_rule, n, 1)(*p), _sqrt(p)),
-            (rule(jets.rpow_rule, n, 1, "e")(2 / 3, *p), _pow(p, Fraction(2, 3))),
-            (rule(jets.rpow_rule, n, 1, "e")(-1.25, *p), _pow(p, -1.25)),
-            (rule(jets.ipow_rule, n, 1, 3)(*u), _ipow(u, 3)),
-            (rule(jets.ipow_rule, n, 1, -2)(*p), _ipow(p, -2)),
-            (rule(jets.div_rule, n, 2)(*u, *p), _div(u, p)),
+            (rule(jets.mul_rule, n, 2)(x, *u, *v), _mul(u, v)),
+            (rule(jets.exp_rule, n, 1)(x, *u), _exp(u, x)),
+            (rule(ex._RULES["sin"].jet, n, 1)(x, *u), _LOOP_RULES["sin"](u, x)),
+            (rule(ex._RULES["cos"].jet, n, 1)(x, *u), _LOOP_RULES["cos"](u, x)),
+            (rule(ex._RULES["sinh"].jet, n, 1)(x, *u), _LOOP_RULES["sinh"](u, x)),
+            (rule(ex._RULES["cosh"].jet, n, 1)(x, *u), _LOOP_RULES["cosh"](u, x)),
+            (rule(jets.log_rule, n, 1)(x, *p), _log(p, x)),
+            (rule(jets.sqrt_rule, n, 1)(x, *p), _sqrt(p, x)),
+            (rule(jets.rpow_rule, n, 1, "e")(x, 2 / 3, *p), _pow(p, Fraction(2, 3), x)),
+            (rule(jets.rpow_rule, n, 1, "e")(x, -1.25, *p), _pow(p, -1.25, x)),
+            (rule(jets.ipow_rule, n, 1, 3)(x, *u), _ipow(u, 3, x)),
+            (rule(jets.ipow_rule, n, 1, -2)(x, *p), _ipow(p, -2, x)),
+            (rule(jets.div_rule, n, 2)(x, *u, *p), _div(u, p, x)),
         ]
         for got, want in cases:
             assert _bits(got) == _bits(want)
 
-    def test_failures_equal_the_loop_forms(self):
-        zero = [0.0, 1.0, 0.0, 0.0]
-        for run, ref in (
-            (lambda: rule(jets.div_rule, 3, 2)(1.0, 0.0, 0.0, 0.0, *zero), lambda: _div([1.0, 0, 0, 0], zero)),
-            (lambda: rule(jets.log_rule, 3, 1)(*zero), lambda: _log(zero)),
-            (lambda: rule(jets.ipow_rule, 3, 1, -1)(*zero), lambda: _ipow(zero, -1)),
-            (lambda: rule(jets.rpow_rule, 3, 1, "e")(0.5, *zero), lambda: _pow(zero, 0.5)),
-            (lambda: rule(jets.exp_rule, 2, 1)(1000.0, 1.0, 0.0), lambda: _exp([1000.0, 1.0, 0.0])),
-        ):
+    @pytest.mark.parametrize("x", [0.25, np.array([0.25, 0.5, 0.75])])
+    def test_failures_equal_the_loop_forms(self, x):
+        # a constant term that fails at the last two points of an array
+        u0 = 0.0 if isinstance(x, float) else np.array([1.0, 0.0, 0.0])
+        zero, big = [u0, 1.0, 0.0, 0.0], [1000.0 * (u0 == 0.0), 1.0, 0.0]
+        neg = [u0 - 1.0 * (u0 == 0.0), 1.0, 0.0, 0.0]
+        sqrt = rule(jets.sqrt_rule, 3, 1)
+        cases = [
+            (lambda: rule(jets.div_rule, 3, 2)(x, 1.0, 0.0, 0.0, 0.0, *zero), lambda: _div([1.0, 0, 0, 0], zero, x),
+             "division by zero"),
+            (lambda: rule(jets.log_rule, 3, 1)(x, *zero), lambda: _log(zero, x), "log of non-positive value"),
+            (lambda: rule(jets.ipow_rule, 3, 1, -1)(x, *zero), lambda: _ipow(zero, -1, x),
+             "zero base with negative power"),
+            (lambda: rule(jets.rpow_rule, 3, 1, "e")(x, 0.5, *zero), lambda: _pow(zero, 0.5, x),
+             "non-integer power of non-positive base"),
+            (lambda: sqrt(x, *zero), lambda: _sqrt(zero, x), "sqrt of zero value"),
+            (lambda: sqrt(x, *neg), lambda: _sqrt(neg, x), "sqrt of negative value"),
+            (lambda: rule(jets.exp_rule, 2, 1)(x, *big), lambda: _exp(big, x), "exp overflow"),
+        ]
+        first = 0.25 if isinstance(x, float) else 0.5
+        for run, ref, message in cases:
             got, want = _outcome(run), _outcome(ref)
             assert got[0] == "error" and got == want
+            assert got[1:3] == (DomainViolation, f"{message} at {first!r}")
 
 
 # -------------------------------------------------------- Phi/Psi kernel
@@ -566,16 +579,17 @@ def _phi_psi_composed(jf: jets.Jet, jg: jets.Jet, order: int) -> tuple[list, lis
     f1, g1 = _shift(jf.coeffs)[:n], _shift(jg.coeffs)[:n]
     f2, g2 = _shift(_shift(jf.coeffs)), _shift(_shift(jg.coeffs))
     mul, div = rule(jets.mul_rule, order, 2), rule(jets.div_rule, order, 2)
+    x = jf.base_point
 
     def wronskian(a, b, c, d):
-        return [p - q for p, q in zip(mul(*a, *b), mul(*c, *d))]
+        return [p - q for p, q in zip(mul(x, *a, *b), mul(x, *c, *d))]
 
     w10, w20, w21 = wronskian(f1, g0, f0, g1), wronskian(f2, g0, f0, g2), wronskian(f2, g1, f1, g2)
     jets.reject(
         abs(w10[0]) <= ex.TOL_WRONSKIAN,
         lambda i: WronskianVanishes(jets.at(jf.base_point, i), jets.at(w10[0], i)),
     )
-    return div(*w20, *w10), [-v for v in div(*w21, *w10)]
+    return div(x, *w20, *w10), [-v for v in div(x, *w21, *w10)]
 
 
 @pytest.mark.parametrize("family", PAIR_FAMILIES)
