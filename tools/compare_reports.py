@@ -10,10 +10,13 @@ OLD_SRC and NEW_SRC are directories that hold a ``meanlab`` package (the
 depend on the process or on string hashing. The matrix covers every
 battery: 13 pair combinations, among them equivalent pairs and pairs whose
 row (vii) stays open, under 10 measures, at grids 12 and 25, with three
-tolerance sets, plus explicit grids and direct battery calls on the wrong
-measure. Each case records the report's JSON (``as_dict``, sorted keys,
-indent 2) and its CLI text, or the type and text of the error it raised. The script prints every case whose
-JSON, text or error differs between the trees and exits 1 if any does.
+tolerance sets, plus explicit grids, direct battery calls on the wrong
+measure, N3 at a measure on its mu6 = 5 mu2 mu4 boundary, and fixed failing
+library calls (validate_pair, compile_array, eval_jet and compile_scalar on
+inputs whose checks fail). Each case records the report's JSON (``as_dict``,
+sorted keys, indent 2) and its CLI text, or the type and text of the error it
+raised. The script prints every case whose JSON, text or error differs
+between the trees and exits 1 if any does.
 """
 
 from __future__ import annotations
@@ -41,6 +44,14 @@ EXPLICIT_GRIDS = {
     "empty": [],
     "outside": [0.0, 0.9, 0.3],
 }
+# mu6 - 5 mu2 mu4 and mu6 - 5 mu4 mu2 round to either side of the zero tolerance
+SIXTH_BOUNDARY = (
+    (0.2369580832448388, 0.09999999849054474),
+    (0.5, 0.8000000030189105),
+    (0.7630419167551612, 0.09999999849054474),
+)
+# trees with two checks that fail at different points
+TWO_CHECKS = {"sqrt-log": ("sqrt(x) + log(2 - x)", [3.0, -1.0]), "inverse-square": ("(x^2)^(-1)", [0.0, 1e155])}
 
 
 def matrix():
@@ -92,6 +103,7 @@ def matrix():
 def _cases():
     """(key, thunk, pair) for every case; the thunk returns a report or raises."""
     from meanlab import equality as eq
+    from meanlab.measures import Discrete
 
     combos, measures = matrix()
     sincos, linear = combos["sincos-linear"]
@@ -118,6 +130,33 @@ def _cases():
     }
     for key, thunk in wrong.items():
         yield key, thunk, sincos
+    boundary = Discrete(SIXTH_BOUNDARY)
+    yield "sincos-linear/sixth_boundary/20/default", case(sincos, linear, boundary, 20), sincos
+    for key, call in _failing_calls():
+        yield key, call, None
+
+
+def _failing_calls():
+    """(key, thunk) for library calls that fail; a call that returns fails too."""
+    import numpy as np
+
+    from meanlab import expr as ex
+
+    def failing(call, *args):
+        def thunk():
+            call(*args)
+            raise AssertionError("the call did not fail")
+        return thunk
+
+    for f in ("1/x", "x^(-1)", "log(x)", "sqrt(x)", "x^(1/2)"):
+        yield f"validate_pair/{f}", failing(ex.validate_pair, f, "1", (-1.0, 1.0))
+    for name, (text, xs) in TWO_CHECKS.items():
+        e = ex.parse(text)
+        scalar = ex.compile_scalar(e)
+        yield f"compile_array/{name}", failing(ex.compile_array(e), np.array(xs))
+        yield f"eval_jet/{name}", failing(ex.eval_jet, e, np.array(xs), 2)
+        yield f"compile_scalar/{name}", failing(lambda s, p: [s(x) for x in p], scalar, xs)
+    yield "eval_jet/sin-inf", failing(ex.eval_jet, ex.parse("sin(x)"), float("inf"), 2)
 
 
 def emit(src: str) -> None:
