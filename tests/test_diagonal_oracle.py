@@ -46,21 +46,18 @@ N3_I_FALSE_PASSES = {
 # a nonsingular matrix whose second row keeps g positive for every family
 IMAGE = eq.Matrix2(2.0, 1.0, 0.25, 1.0)
 CAUCHY_INTERVAL = (-0.5, 0.5)
+# generator phi and the two parameters t of the pairs (phi' S_t(phi), phi' C_t(phi))
+CAUCHY_KEYS = [
+    f"{phi}/{a}/{b}"
+    for phi in ("x + 0.3*x^2", "sinh(x)", "2 * x")
+    for a, b in ((-1.0, 0.0), (0.0, 0.5), (-1.0, 0.5), (-2.0, 1.0))
+]
 # the ECM exp row divides by a mean near 1e-16 where t = 0 meets a
 # non-linear phi, and fails; ROADMAP item 2 mends it
 EXP_ROW_FAILS = {
     f"{phi}/{a}/{b}" for phi in ("x + 0.3*x^2", "sinh(x)") for a, b in ((-1.0, 0.0), (0.0, 0.5))
 }
-
-
-def _cauchy_ids(marked: bool) -> list:
-    xfail = pytest.mark.xfail(strict=True, reason="the ECM exp row fails on a mean near 0 (ROADMAP item 2)")
-    keys = [
-        f"{phi}/{a}/{b}"
-        for phi in ("x + 0.3*x^2", "sinh(x)", "2 * x")
-        for a, b in ((-1.0, 0.0), (0.0, 0.5), (-1.0, 0.5), (-2.0, 1.0))
-    ]
-    return [pytest.param(k, id=k, marks=[xfail] if marked and k in EXP_ROW_FAILS else []) for k in keys]
+EXP_ROW_XFAIL = pytest.mark.xfail(strict=True, reason="the ECM exp row fails on a mean near 0 (ROADMAP item 2)")
 
 
 def _cauchy_pairs(key: str):
@@ -134,13 +131,15 @@ def test_an_image_of_each_family_holds_with_equal_diagonal_jets(rng, family):
         assert diagonal_jet_gap(pair, image, measure, report.grid) <= GAP_TOL
 
 
-@pytest.mark.parametrize("key", _cauchy_ids(marked=False))
+@pytest.mark.parametrize("key", CAUCHY_KEYS)
 def test_cauchy_witnesses_have_equal_diagonal_jets(key):
     pairA, pairB = _cauchy_pairs(key)
     assert diagonal_jet_gap(pairA, pairB, Lebesgue(), interior_grid(CAUCHY_INTERVAL, 12)) <= GAP_TOL
 
 
-@pytest.mark.parametrize("key", _cauchy_ids(marked=True))
+@pytest.mark.parametrize("key", [
+    pytest.param(k, id=k, marks=[EXP_ROW_XFAIL] if k in EXP_ROW_FAILS else []) for k in CAUCHY_KEYS
+])
 def test_cauchy_witnesses_hold_under_ecm(key):
     report = eq.check_ECM(*_cauchy_pairs(key), grid=12)
     assert report.all_hold, report.failing
