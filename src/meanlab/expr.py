@@ -16,7 +16,6 @@ them.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -352,53 +351,25 @@ def to_string(e: Expr) -> str:
 
 # ---------------------------------------------------------------- evaluation
 
-@dataclass(frozen=True)
-class _Rule:
-    """One elementary call on every evaluation route.
-
-    scalar and array are its math and numpy functions, jet its Taylor
-    template (jets.Emitter). bad is a condition on the argument, a template
-    such as "{} <= 0.0" that the float and array kernels share; where it
-    holds, the call raises DomainViolation with the domain message. A rule
-    that overflows raises "<name> overflow" where a finite argument gives an
-    infinite value; one that is infinite-valued raises "<name> of infinite
-    value" at an infinite argument, where math raises ValueError.
-    """
-
-    name: str
-    scalar: Callable[[float], float]
-    array: Callable[[np.ndarray], np.ndarray]
-    jet: Callable
-    bad: str | None = None
-    domain: str = ""
-    overflows: bool = False
-    infinite: bool = False
-
-
+# the Taylor template of each elementary call (jets); the value kernels are
+# the same templates at order 0
 _RULES = {
-    r.name: r
-    for r in (
-        _Rule("exp", math.exp, np.exp, jets.exp_rule, overflows=True),
-        _Rule("log", math.log, np.log, jets.log_rule, "{} <= 0.0", "log of non-positive value"),
-        _Rule("sin", math.sin, np.sin, partial(jets.sincos_rule, name="sin"), infinite=True),
-        _Rule("cos", math.cos, np.cos, partial(jets.sincos_rule, name="cos"), infinite=True),
-        _Rule("sinh", math.sinh, np.sinh, partial(jets.sincos_rule, name="sinh"), overflows=True),
-        _Rule("cosh", math.cosh, np.cosh, partial(jets.sincos_rule, name="cosh"), overflows=True),
-        _Rule("sqrt", math.sqrt, np.sqrt, jets.sqrt_rule, "{} < 0.0", "sqrt of negative value"),
-    )
+    "exp": jets.exp_rule, "log": jets.log_rule,
+    **{name: partial(jets.sincos_rule, name=name) for name in ("sin", "cos", "sinh", "cosh")},
+    "sqrt": jets.sqrt_rule,
 }
 _CALLS = tuple(_RULES)
 
 
-def _sc_rule(e: Union[SType, CType]) -> tuple[float, _Rule | None]:
-    """Scale and rule of S_t/C_t: sin/cos for t < 0, sinh/cosh for t > 0.
+def _sc_rule(e: Union[SType, CType]) -> tuple[float, str | None]:
+    """Scale and call of S_t/C_t: sin/cos for t < 0, sinh/cosh for t > 0.
 
     None (t = 0) means the identity for S and the constant 1 for C.
     """
     if e.t == 0.0:
         return 1.0, None
     sine, cosine = ("sin", "cos") if e.t < 0.0 else ("sinh", "cosh")
-    return math.sqrt(abs(e.t)), _RULES[sine if isinstance(e, SType) else cosine]
+    return math.sqrt(abs(e.t)), sine if isinstance(e, SType) else cosine
 
 
 def _value_shape(e: Expr, consts: list, seen: dict):
@@ -408,16 +379,15 @@ def _value_shape(e: Expr, consts: list, seen: dict):
     of each power and each integer exponent (the jet code unrolls on it).
     An S/C node is walked as the call of its rule on scale * u, or as u or
     1 where t = 0. consts gets the constants and exponents in the order
-    _Printer.value and _emit_jet take them. The key is e's structure with
-    those values in it. seen maps the keys of the compound values already
-    computed at the same point to their number, in the order their code
-    ends: such a subtree has the shape ("ref", i) and no arguments, and a
-    new one joins seen.
+    _emit_jet takes them. The key is e's structure with those values in it.
+    seen maps the keys of the compound values already computed at the same
+    point to their number, in the order their code ends: such a subtree has
+    the shape ("ref", i) and no arguments, and a new one joins seen.
     """
     if isinstance(e, (SType, CType)):
-        scale, rule = _sc_rule(e)
-        if rule is not None:
-            e = Call(rule.name, BinOp("*", Const(scale), e.arg))
+        scale, name = _sc_rule(e)
+        if name is not None:
+            e = Call(name, BinOp("*", Const(scale), e.arg))
         else:  # S(0; u) is u, and C(0; u) is 1 without u
             e = e.arg if isinstance(e, SType) else Const(1.0)
         return _value_shape(e, consts, seen)
@@ -462,101 +432,6 @@ def _value_shape(e: Expr, consts: list, seen: dict):
     return key, shape
 
 
-class _Printer:
-    """Prints the value code of shapes (_value_shape) as straight-line code
-    into body: one local per subexpression, in evaluation order.
-
-    A denominator is evaluated and checked before its numerator, and C(0; u)
-    never evaluates u. The code names only node structure, the fixed names
-    of _RULES and its arguments c0, c1, ...: every constant (values,
-    exponents, S/C scales) is an argument, so all trees of one shape share
-    one source. Scalar code takes a float point, array code an array.
-    """
-
-    # per class of power: the check and its message
-    _POW = {
-        "rpow": ("{} <= 0.0", "non-integer power of non-positive base"),
-        "npow": ("{} == 0.0", "zero base with negative power"),
-        "ipow": (None, ""),
-    }
-
-    def __init__(self, arrays: bool):
-        self.arrays = arrays
-        self.body: list[str] = []
-        self._names = itertools.count()
-
-    def let(self, rhs: str) -> str:
-        v = f"v{next(self._names)}"
-        self.body.append(f"{v} = {rhs}")
-        return v
-
-    def check(self, cond: str, message: str, x: str) -> None:
-        if self.arrays:
-            self.body.extend((f"bad = {cond}", f"if bad.any(): raise _violation({message!r}, {x}, bad)"))
-        else:
-            self.body.append(f"if {cond}: raise _violation({message!r}, {x})")
-
-    def call(self, name: str, a: str, rhs: str, x: str, bad: str | None = None,
-             domain: str = "", overflows: bool = True, infinite: bool = False) -> str:
-        """The value of rhs, a template on the operand a, after the checks of
-        its rule."""
-        if bad is not None:
-            self.check(bad.format(a), domain, x)
-        rhs = rhs.format(a)
-        if infinite and self.arrays:
-            self.check(f"isinf({a})", f"{name} of infinite value", x)
-        if not overflows and not (infinite and not self.arrays):
-            return self.let(rhs)
-        v = f"v{next(self._names)}"
-        if self.arrays:
-            self.body.extend(('with errstate(over="ignore"):', f"    {v} = {rhs}"))
-            self.check(f"isinf({v}) & isfinite({a})", f"{name} overflow", x)
-        else:  # math raises OverflowError or ValueError only for these rules
-            error, message = ("OverflowError", "overflow") if overflows else ("ValueError", "of infinite value")
-            self.body.extend(("try:", f"    {v} = {rhs}", f"except {error}:",
-                              f"    raise _violation({name + ' ' + message!r}, {x}) from None"))
-        return v
-
-    def value(self, shape, x: str, memo: list, first: int = 0) -> tuple[str, int]:
-        """Print the value of shape at the point x, with arguments from
-        c<first> on. memo holds the compound values computed at x so far, in
-        the numbering of _value_shape's seen, and gains the new ones.
-        Returns the value's local and the next argument's index."""
-        count = itertools.count(first)
-
-        def arg() -> str:
-            return f"c{next(count)}"
-
-        def walk(s) -> str:
-            if s == "c":
-                return self.let(f"full(shape({x}), {arg()})") if self.arrays else arg()
-            if s == "x":
-                return self.let(f"asarray({x}, dtype=float)") if self.arrays else x
-            tag = s[0]
-            if tag == "ref":
-                return memo[s[1]]
-            if tag == "neg":
-                v = self.let(f"-{walk(s[1])}")
-            elif tag == "/":
-                d = walk(s[2])
-                self.check(f"{d} == 0.0", "division by zero", x)
-                v = self.let(f"{walk(s[1])} / {d}")
-            elif tag in ("+", "-", "*"):
-                left = walk(s[1])
-                v = self.let(f"{left} {tag} {walk(s[2])}")
-            elif tag in self._POW:
-                b = walk(s[1])
-                v = self.call("power", b, "{} ** " + arg(), x, *self._POW[tag])
-            else:
-                r, a = _RULES[tag], walk(s[1])
-                v = self.call(r.name, a, r.name + "({})", x, r.bad, r.domain, r.overflows, r.infinite)
-            memo.append(v)
-            return v
-
-        out = walk(shape)
-        return out, next(count)
-
-
 def _kernel(e: Expr, arrays: bool) -> Callable:
     """The one compiler behind compile_scalar and compile_array: the factory
     of e's shape, given e's arguments. A subtree equal to one computed
@@ -574,25 +449,44 @@ def _value_shapes(*trees: Expr) -> tuple[tuple, tuple]:
     return tuple(_value_shape(e, consts, seen)[1] for e in trees), tuple(consts)
 
 
-_SCALAR_NAMES = {"_violation": jets.violation, **{n: r.scalar for n, r in _RULES.items()}}
+_SCALAR_NAMES = {"_violation": jets.violation, **{n: getattr(math, n) for n in _CALLS}}
 _ARRAY_NAMES = {
     "_violation": jets.violation, "_first_failure": jets.first_failure,
     "full": np.full, "shape": np.shape, "asarray": np.asarray,
     "errstate": np.errstate, "isinf": np.isinf, "isfinite": np.isfinite,
-    **{n: r.array for n, r in _RULES.items()},
+    **{n: getattr(np, n) for n in _CALLS},
 }
+
+
+def _arguments() -> tuple[list[str], Callable[[], str]]:
+    """The parameters of a printed kernel, c0, c1, ..., and arg(), which
+    names the next one."""
+    params: list[str] = []
+
+    def arg() -> str:
+        params.append(f"c{len(params)}")
+        return params[-1]
+
+    return params, arg
+
+
+def _values(em: jets.Emitter, shapes: tuple) -> tuple[list, list[str]]:
+    """Print the values of shapes at em.point through em, as jets of order 0
+    that share their subtrees; their locals and the parameters they read."""
+    params, arg = _arguments()
+    memo: list = []
+    return [_emit_jet(em, shape, 0, arg, memo)[0] for shape in shapes], params
 
 
 @lru_cache(maxsize=KERNEL_SHAPE_CACHE_SIZE)
 def _factory(shape, arrays: bool) -> Callable:
     """The kernel factory of a shape on one route, printed and compiled once;
     an array kernel runs under jets.first_failure."""
-    pr = _Printer(arrays)
-    out, n = pr.value(shape, "x", [])
-    lines = "".join(f"        {line}\n" for line in pr.body)
-    params = ", ".join(f"c{i}" for i in range(n))
+    em = jets.Emitter(route="array" if arrays else "float")
+    (out,), params = _values(em, (shape,))
+    lines = "".join(f"        {line}\n" for line in em.statements([out]))
     run = "lambda x: _first_failure(kernel, asarray(x, dtype=float))" if arrays else "kernel"
-    source = f"def factory({params}):\n    def kernel(x):\n{lines}        return {out}\n    return {run}\n"
+    source = f"def factory({', '.join(params)}):\n    def kernel(x):\n{lines}        return {out}\n    return {run}\n"
     return jets.compile_source(source, _ARRAY_NAMES if arrays else _SCALAR_NAMES, "kernel")["factory"]
 
 
@@ -658,15 +552,15 @@ def _run_jets(kernel: Callable, x, order: int) -> tuple[Jet, ...]:
 
 
 def _emit_jet(em: jets.Emitter, shape, order: int, arg: Callable[[], str], memo: list) -> list:
-    """Print the jet of a value shape (_value_shape) through em; arg() names
-    the next argument, and memo holds the jets of the compound values printed
-    so far, which a ("ref", i) reads back. The walk is the value code's: a
-    denominator and its check come before the numerator, and C(0; u) is the
-    constant 1 of its shape, without u."""
+    """Print the jet of a value shape (_value_shape) at em.point through em;
+    arg() names the next argument, and memo holds the jets of the compound
+    values printed so far, which a ("ref", i) reads back. A denominator and
+    its check come before the numerator, and C(0; u) is the constant 1 of
+    its shape, without u."""
     if shape == "x":
-        return ["x", 1.0, *[0.0] * order][: order + 1]
+        return [em.point, 1.0, *[0.0] * order][: order + 1]
     if shape == "c":
-        return [arg()] + [0.0] * order
+        return [em.const(arg())] + [0.0] * order
     tag = shape[0]
     if tag == "ref":
         return memo[shape[1]]
@@ -689,10 +583,9 @@ def _emit_jet(em: jets.Emitter, shape, order: int, arg: Callable[[], str], memo:
         elif tag == "rpow":
             out = jets.rpow_rule(em, a, arg())
         elif tag in ("ipow", "npow"):
-            arg()  # the value code's exponent; the jet unrolls on shape[2]
-            out = jets.ipow_rule(em, a, shape[2])
+            out = jets.ipow_rule(em, a, shape[2], arg())
         else:
-            out = _RULES[tag].jet(em, a)
+            out = _RULES[tag](em, a)
     memo.append(out)
     return out
 
@@ -709,12 +602,7 @@ def _jet_factory(shapes: tuple, order: int, fold: bool = True) -> Callable:
     the unfolded kernel's coefficients instead.
     """
     jets._check_order(order)
-    params: list[str] = []
-
-    def arg() -> str:
-        params.append(f"c{len(params)}")
-        return params[-1]
-
+    params, arg = _arguments()
     em = jets.Emitter(fold)
     memo: list = []
     out = [c for shape in shapes for c in _emit_jet(em, shape, order, arg, memo)]

@@ -11,16 +11,19 @@ The base point is a float or an array of points, each coefficient a float or
 an array over them. Every rule is stated once, as a template that prints
 straight-line code at a fixed order (Emitter): sums run left to right in one
 fixed order and constant terms come from libm, mapped over the points of an
-array. So a point gives the same bits alone as in any batch, and overflow
-gives inf (callers silence numpy's warnings). The templates run only in
-printed kernels: expr prints the jets of the value shapes, one tree's for
-eval_jet and a pair's in one kernel per order, and calculus the Phi/Psi jets
-and the phi_i/psi_i recursion. There is no jet arithmetic here; the jet of a
-composite function is eval_jet of its tree.
+array. So a point gives the same bits alone as in any batch, and arithmetic
+overflow gives inf (callers silence numpy's warnings). The templates run
+only in printed kernels: expr prints the jets of the value shapes, one
+tree's for eval_jet and a pair's in one kernel per order, and calculus the
+Phi/Psi jets and the phi_i/psi_i recursion. There is no jet arithmetic here;
+the jet of a composite function is eval_jet of its tree.
 
-Every printed check, of expr's value kernels and of the templates here, fails
-through violation, "<message> at <x>" with the value kernels' message; under
-first_failure, a kernel over an array fails at its first failing point.
+The value kernels are the same templates at order 0, printed on another
+route: the constant terms as inline math calls on a float ("float") or
+numpy ufuncs on an array ("array"). So a jet's constant term is the float
+route's value, and every printed check fails through violation, "<message>
+at <x>"; under first_failure, a kernel over an array fails at its first
+failing point.
 """
 
 from __future__ import annotations
@@ -159,6 +162,15 @@ def _src(v) -> str:
     return repr(v) if math.isfinite(v) else f"float({repr(float(v))!r})"
 
 
+# the error a libm call of the templates can raise, and its text after the
+# rule's name; log and sqrt raise none behind their checks
+_LIBM_ERRORS = {
+    "exp": ("OverflowError", "overflow"), "sinh": ("OverflowError", "overflow"),
+    "cosh": ("OverflowError", "overflow"), "pow": ("OverflowError", "overflow"),
+    "sin": ("ValueError", "of infinite value"), "cos": ("ValueError", "of infinite value"),
+}
+
+
 class Emitter:
     """Prints straight-line code for jet rules at a fixed order.
 
@@ -174,20 +186,26 @@ class Emitter:
     where v is not finite, so before it returns, a folded kernel checks that
     every dropped v is finite and otherwise gives the unfolded code's result
     (guard).
+
+    route says how a libm call, a check and a constant print: "jet" maps
+    libm over the points (_libm), "float" calls math inline on one point and
+    "array" calls numpy on an array, as the value kernels do. point is the
+    name of the point that the checks report.
     """
 
-    def __init__(self, fold: bool = False):
-        self.fold = fold
-        self.lines: list[tuple[str | None, str, bool]] = []
+    def __init__(self, fold: bool = False, route: str = "jet", point: str = "x"):
+        self.fold, self.route, self.point = fold, route, point
+        # (local, statement) per line; a check defines no local and is always kept
+        self.lines: list[tuple[str | None, str]] = []
         self.guard: dict[str, None] = {}
         # the sine and cosine coefficients printed so far, by family and argument
         self.sincos: dict[tuple, tuple[list, list]] = {}
         self._names = itertools.count()
 
-    def let(self, rhs: str, effect: bool = False) -> str:
-        """A new local v = rhs; an effect line is kept even when v is unused."""
+    def let(self, rhs: str, form: str = "{}") -> str:
+        """A new local v = rhs, printed as the statement form of "v = rhs"."""
         v = f"t{next(self._names)}"
-        self.lines.append((v, rhs, effect))
+        self.lines.append((v, form.format(f"{v} = {rhs}")))
         return v
 
     def check(self, cond: str, failure: str, *operands) -> None:
@@ -195,16 +213,41 @@ class Emitter:
         a template on the operands, holds (a bool, or a mask anywhere)."""
         c = self.let(cond.format(*map(_src, operands)))
         self.lines.append(
-            (None, f"if {c} is True or {c} is not False and {c}.any(): {failure.format(c)}", True)
+            (None, f"if {c} is True or {c} is not False and {c}.any(): {failure.format(c)}")
         )
 
     def domain(self, cond: str, message: str, *operands) -> None:
-        """Raise violation(message) at the first point of x where cond holds."""
-        self.check(cond, f"raise _violation({message!r}, x, {{}})", *operands)
+        """Raise violation(message) at the first point where cond holds."""
+        if self.route == "float":
+            cond = cond.format(*map(_src, operands))
+            self.lines.append((None, f"if {cond}: raise _violation({message!r}, {self.point})"))
+        else:
+            self.check(cond, f"raise _violation({message!r}, {self.point}, {{}})", *operands)
 
     def libm(self, fn: str, u0, name: str, *args) -> str:
-        extra = "".join(f", {_src(a)}" for a in args)
-        return self.let(f"_libm({fn}, {_src(u0)}, x, {name!r}{extra})", effect=True)
+        """fn(u0, *args), "pow" being u0 ** args[0]; where it overflows or meets
+        an infinity it raises "<name> overflow" or "<name> of infinite value"."""
+        u = _src(u0)
+        if self.route == "jet":
+            extra = "".join(f", {_src(a)}" for a in args)
+            return self.let(f"_libm({fn}, {u}, {self.point}, {name!r}{extra})")
+        call = f"{u} ** {_src(args[0])}" if fn == "pow" else f"{fn}({u})"
+        if fn not in _LIBM_ERRORS:
+            return self.let(call)
+        error, what = _LIBM_ERRORS[fn]
+        if self.route == "float":
+            raised = f"raise _violation({f'{name} {what}'!r}, {self.point}) from None"
+            return self.let(call, f"try: {{}}\nexcept {error}: {raised}")
+        if error == "ValueError":  # numpy gives nan where math fails
+            self.domain("isinf({})", f"{name} {what}", u0)
+            return self.let(call)
+        v = self.let(call, 'with errstate(over="ignore"): {}')
+        self.domain("isinf({}) & isfinite({})", f"{name} {what}", v, u0)
+        return v
+
+    def const(self, c: str):
+        """The constant term of the argument c's constant jet."""
+        return self.let(f"full(shape({self.point}), {c})") if self.route == "array" else c
 
     def _drop(self, v) -> float:
         self.guard[v] = None
@@ -256,28 +299,31 @@ class Emitter:
     def neg(self, a):
         return -a if not isinstance(a, str) else self.let(f"-{a}")
 
-    def body(self, outputs, indent: str, fallback: str = "") -> str:
-        """The lines that outputs and the checks need, then the return. With
-        a guard, the return is fallback where a dropped term's other factor
-        is not finite."""
+    def statements(self, outputs) -> list[str]:
+        """The lines that outputs, the checks and the guard need, in order."""
         live = set(_TEMP.findall(" ".join(map(_src, outputs))))
         live.update(self.guard)
         kept = []
-        for target, rhs, effect in reversed(self.lines):
-            if effect or target in live:
-                live.update(_TEMP.findall(rhs))
-                kept.append(rhs if target is None else f"{target} = {rhs}")
-        kept.reverse()
+        for target, statement in reversed(self.lines):
+            if target is None or target in live:
+                live.update(_TEMP.findall(statement))
+                kept.append(statement)
+        return [line for statement in reversed(kept) for line in statement.split("\n")]
+
+    def body(self, outputs, indent: str, fallback: str = "") -> str:
+        """The statements, then the return of the outputs' tuple. With a
+        guard, the return is fallback where a dropped term's other factor is
+        not finite."""
+        lines = self.statements(outputs)
         if self.guard:
-            kept.append(f"if not _finite({' + '.join(self.guard)}): return {fallback}")
-        kept.append(f"return ({''.join(_src(v) + ', ' for v in outputs)})")
-        return "".join(f"{indent}{line}\n" for line in kept)
+            lines.append(f"if not _finite({' + '.join(self.guard)}): return {fallback}")
+        lines.append(f"return ({''.join(_src(v) + ', ' for v in outputs)})")
+        return "".join(f"{indent}{line}\n" for line in lines)
 
 
 NAMES = {
     "_libm": _libm, "_finite": _finite, "_violation": violation,
-    "exp": math.exp, "log": math.log, "sin": math.sin, "cos": math.cos,
-    "sinh": math.sinh, "cosh": math.cosh,
+    **{name: getattr(math, name) for name in ("exp", "log", "sin", "cos", "sinh", "cosh", "sqrt")},
 }
 
 
@@ -363,7 +409,9 @@ def sincos_rule(em: Emitter, u, name: str) -> list:
     of the family on u (by the source of its coefficients, so 0.0 and -0.0
     stay apart) reads the first one's result. The first rule's name is in
     the errors of libm (only sinh and cosh overflow, only sin and cos of an
-    infinity fail, both functions at once)."""
+    infinity fail, both functions at once). At order 0 it is the one call."""
+    if len(u) == 1:
+        return [em.libm(name, u[0], name)]
     sine, cosine, sign = ("sinh", "cosh", 1.0) if name in ("sinh", "cosh") else ("sin", "cos", -1.0)
     key = (sine, *map(_src, u))
     if key not in em.sincos:
@@ -376,30 +424,36 @@ def sincos_rule(em: Emitter, u, name: str) -> list:
     return em.sincos[key][name != sine]
 
 
-def ipow_rule(em: Emitter, a, n: int) -> list:
-    """a^n by binary powering; a negative n divides 1 by a^-n."""
-    if n == 0:
-        return [1.0] + [0.0] * (len(a) - 1)
+def ipow_rule(em: Emitter, a, n: int, e) -> list:
+    """a^n for an integer n, which e (a number or an argument's name) holds:
+    the constant term a[0] ** e by libm, the others by binary powering. A
+    negative n divides 1 by a^-n after the power, which fails first where
+    a[0]^-n underflows to 0."""
     if n < 0:
         em.domain("{} == 0.0", "zero base with negative power", a[0])
-        return div_rule(em, [1.0] + [0.0] * (len(a) - 1), ipow_rule(em, a, -n))
-    acc, base, m = None, a, n
+    w0 = em.libm("pow", a[0], "power", e)
+    if n == 0:
+        return [w0] + [0.0] * (len(a) - 1)
+    acc, base, m = None, a, abs(n)
     while m:
         if m & 1:
             acc = base if acc is None else mul_rule(em, acc, base)
         m >>= 1
         if m:
             base = mul_rule(em, base, base)
-    return acc
+    if n < 0:
+        acc = div_rule(em, [1.0] + [0.0] * (len(a) - 1), acc, check=False)
+    return [w0, *acc[1:]]
 
 
-def rpow_rule(em: Emitter, u, e, check: bool = True) -> list:
+def rpow_rule(em: Emitter, u, e, w0=None) -> list:
     """u^e for a non-integer e, a known number or the name of an argument;
-    check=False where the caller has made its own check."""
+    given w0, the caller has made its own check and w0 is the constant term."""
     u0, n = u[0], len(u) - 1
-    if check:
+    if w0 is None:
         em.domain("{} <= 0.0", "non-integer power of non-positive base", u0)
-    w = [em.libm("pow", u0, "power", e)]
+        w0 = em.libm("pow", u0, "power", e)
+    w = [w0]
     e1 = em.add(e, 1.0)
     zeros = False
     for k in range(1, n + 1):
@@ -418,9 +472,9 @@ def rpow_rule(em: Emitter, u, e, check: bool = True) -> list:
 
 
 def sqrt_rule(em: Emitter, u) -> list:
-    """sqrt(u); at u = 0, where the value is 0 but no derivative is finite,
-    the jet has a check of its own."""
+    """sqrt(u), its constant term by libm; at u = 0, where the value is 0 but
+    no derivative is finite, a jet of order >= 1 has a check of its own."""
     em.domain("{} < 0.0", "sqrt of negative value", u[0])
-    em.domain("{} == 0.0", "sqrt of zero value", u[0])
-    return rpow_rule(em, u, 0.5, check=False)
-
+    if len(u) > 1:
+        em.domain("{} == 0.0", "sqrt of zero value", u[0])
+    return rpow_rule(em, u, 0.5, em.libm("sqrt", u[0], "sqrt"))

@@ -10,7 +10,7 @@ forms, used in tests as independent routes to the same values.
 
 mean_eval runs one printed kernel per pair shape (_mean_factory): the
 segment sums and the Brent steps in one function, with the checked value
-code of f and g (expr._Printer) at each point and their shared subtrees
+code of f and g (expr._values) at each point and their shared subtrees
 computed once per point. The measure's nodes and the tree's constants are
 its arguments, so one code object serves every pair of a shape under every
 measure. Where a value is not finite or fails, or the solve leaves the
@@ -51,6 +51,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from . import expr as ex
+from . import jets
 from .errors import (
     BracketFailure,
     DegenerateDenominator,
@@ -389,7 +390,7 @@ def _mean_factory(shapes: tuple) -> Callable:
     give it. It returns (z, r), or (None, r) where the bracket, the steps or
     the certificate leave the plain path, or (None, None) where a sum is
     not finite. f and g print as compile_scalar's checked code
-    (expr._Printer): where a value fails it raises a DomainViolation, and
+    (expr._values): where a value fails it raises a DomainViolation, and
     ZeroDivisionError where r or the certificate divides by zero. The
     failure need not be the one the loops meet first, as the kernel takes
     g at a node before f at the next.
@@ -399,17 +400,12 @@ def _mean_factory(shapes: tuple) -> Callable:
     sin and cos at the same speed, and the unrolled code takes three to
     fifteen times as long to compile.
     """
-    fshape, gshape = shapes
-    pr = ex._Printer(arrays=False)
-
     def at(point: str) -> tuple[list[str], str, str, int]:
         """The lines of f and g at the point, their values and the number
         of arguments."""
-        pr.body = []
-        memo: list = []
-        fv, nf = pr.value(fshape, point, memo)
-        gv, n = pr.value(gshape, point, memo, nf)
-        return pr.body, fv, gv, n
+        em = jets.Emitter(route="float", point=point)
+        (fv, gv), params = ex._values(em, shapes)
+        return em.statements([fv, gv]), fv, gv, len(params)
 
     lines, fv, gv, n = at("p")
     body = ["num = den = 0.0", "for t, u, w in nodes:", "    p = t * x + u * y",

@@ -7,9 +7,10 @@ judges them. Over the pair combinations and measures of
 tools/compare_reports.py at grids 12 and 25 and default tolerances, a
 battery that holds must see a jet gap of at most 1e-8, and a pair against
 itself or a linear image of itself must hold. So must a Matrix2 image of
-each pair family of conftest under every measure of the matrix, and the
-Cauchy witnesses under ECM: the pairs (phi' S_t(phi), phi' C_t(phi)) of one
-generator phi, whose means under the Lebesgue measure are all the
+each pair family of conftest under every measure of the matrix, the same
+image of hypothesis-drawn pairs of every family under EBM, ECM and N1.5,
+and the Cauchy witnesses under ECM: the pairs (phi' S_t(phi), phi' C_t(phi))
+of one generator phi, whose means under the Lebesgue measure are all the
 quasi-arithmetic mean of phi.
 """
 
@@ -21,11 +22,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meanlab import calculus
 from meanlab import equality as eq
 from meanlab.expr import interior_grid
-from meanlab.measures import Lebesgue
+from meanlab.measures import Discrete, Lebesgue, preset_measure
 
 from conftest import PAIR_FAMILIES, random_admissible_pair
 
@@ -143,3 +146,22 @@ def test_cauchy_witnesses_have_equal_diagonal_jets(key):
 def test_cauchy_witnesses_hold_under_ecm(key):
     report = eq.check_ECM(*_cauchy_pairs(key), grid=12)
     assert report.all_hold, report.failing
+
+
+# EBM, ECM and N1.5 (the asymmetric atoms of the benchmark's `regimes`)
+ORACLE_MEASURES = {
+    "ebm": preset_measure("ebm"),
+    "lebesgue": Lebesgue(),
+    "asymmetric": Discrete(((0.0, 0.3), (0.7, 0.7))),
+}
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(st.sampled_from(PAIR_FAMILIES), st.randoms(use_true_random=False))
+def test_images_of_drawn_pairs_hold_with_equal_diagonal_jets(family, rng):
+    pair = random_admissible_pair(rng, family)
+    image = IMAGE.apply(pair)
+    for name, measure in ORACLE_MEASURES.items():
+        report = eq.check_equality(pair, image, measure, 12)
+        assert report.all_hold, (name, report.battery, report.failing)
+        assert diagonal_jet_gap(pair, image, measure, report.grid) <= GAP_TOL, name

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 import re
 import warnings
 from fractions import Fraction
@@ -165,17 +166,14 @@ class TestEvaluation:
         e = ex.parse(text)
         with pytest.raises(DomainViolation, match=re.escape(f"overflow at {x!r}")) as scalar:
             ex.compile_scalar(e)(x)
-        # the array route raises the same text; the jet route maps every
-        # overflow of a call to DomainViolation, while an integer power is
-        # jet arithmetic and overflows to inf (NonSmooth in validate_pair)
+        # the array and jet routes raise the same text: a jet's constant term
+        # is the float route's value, an integer power's too
         with pytest.raises(DomainViolation) as array:
             ex.compile_array(e)(np.array([0.5, x, 0.25]))
         assert str(array.value) == str(scalar.value)
-        if text == "x^3":
-            assert ex.eval_jet(e, x, 2).value == math.inf
-        else:
-            with pytest.raises(DomainViolation, match="overflow"):
-                ex.eval_jet(e, x, 2)
+        with pytest.raises(DomainViolation) as jet:
+            ex.eval_jet(e, x, 2)
+        assert str(jet.value) == str(scalar.value)
 
     def test_jet_matches_scalar_value(self, rng):
         for _ in range(200):
@@ -497,7 +495,7 @@ class TestOneFailureProtocol:
     @pytest.mark.parametrize("text, xs, message", [
         # sqrt fails at -1.0 and log at 3.0: the log's failure comes first
         ("sqrt(x) + log(2 - x)", [3.0, -1.0], "log of non-positive value at 3.0"),
-        # only the value route overflows at 1e155
+        # x^2 overflows at 1e155, after the zero base at 0.0
         ("(x^2)^(-1)", [0.0, 1e155], "zero base with negative power at 0.0"),
     ])
     def test_every_route_names_the_first_failing_point(self, text, xs, message):
@@ -512,11 +510,45 @@ class TestOneFailureProtocol:
                 run(np.array(xs))
             assert (str(info.value), info.value.index) == (message, 0)
 
+    def test_an_integer_power_that_overflows_fails_alike_on_every_route(self):
+        # 1e-200^2 underflows to 0, so 1e-200^(-2) overflows: no route divides by zero
+        e = ex.parse("x^(-2)")
+        for run in (ex.compile_scalar(e), ex.compile_array(e), lambda x: ex.eval_jet(e, x, 2)):
+            with pytest.raises(DomainViolation, match="^power overflow at 1e-200$"):
+                run(1e-200)
+        with pytest.raises(NonSmooth) as info:
+            ex.validate_pair("x^(-2)", "1", (1e-201, 1e-199))
+        assert str(info.value).endswith(f": power overflow at {info.value.point!r}")
 
     def test_a_constant_failure_on_no_points_is_a_domain_violation(self):
         # the jet kernel checks a constant once, whatever the points
         with pytest.raises(DomainViolation, match="^log of non-positive value$"):
             ex.eval_jet(ex.parse("log(0 - 1) + x"), np.array([]), 2)
+
+
+def _value(run) -> tuple:
+    """The bits of run()'s float (any nan as one), or its DomainViolation text."""
+    try:
+        v = run()
+    except DomainViolation as exc:
+        return ("error", str(exc))
+    return ("value", "nan" if math.isnan(v) else v.hex())
+
+
+def test_a_jets_constant_term_is_the_float_routes_value():
+    # bit for bit, with the sign of a zero, or the same failure; only the jet
+    # of order >= 1 fails where sqrt meets 0, as no derivative is finite there
+    rng = random.Random(20240817)
+    for _ in range(300):
+        e = random_expr(rng, depth=3)
+        scalar = ex.compile_scalar(e)
+        for x in (rng.uniform(-3.0, 3.0), rng.uniform(0.1, 5.0), 0.0, 1e155):
+            want = _value(lambda: scalar(x))
+            for order in (0, 3):
+                got = _value(lambda: ex.eval_jet(e, x, order).coeffs[0])
+                if order and got == ("error", f"sqrt of zero value at {x!r}"):
+                    continue
+                assert got == want, (ex.to_string(e), x, order)
 
 
 class TestInteriorGrid:

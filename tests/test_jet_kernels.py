@@ -1,8 +1,10 @@
 """Emitted jet kernels against the loop forms of the Taylor rules.
 
 The loop forms below are the rules as jets.py stated them before they became
-printed templates, and _ref_jet is a recursive tree walk in the order of the
-value kernels; both stay here as the reference. rule prints one template alone,
+printed templates, with the constant terms of integer powers and sqrt taken
+from ** and math.sqrt, as the float route takes them, and _ref_jet is a
+recursive tree walk in the order of the value kernels; both stay here as the
+reference. rule prints one template alone,
 unfolded, at one order, as the Phi/Psi and recursion kernels run them. The
 eval_jet kernels fold the known zeros and ones of constant and identity
 jets, so two differences are allowed there:
@@ -68,8 +70,9 @@ def _reject(bad, x, message):
         raise jets.violation(message, x, bad)
 
 
-def _div(ac, bc, x):
-    _reject(bc[0] == 0.0, x, "division by zero")
+def _div(ac, bc, x, check=True):
+    if check:
+        _reject(bc[0] == 0.0, x, "division by zero")
     out = []
     for k in range(len(ac)):
         out.append((ac[k] - _dot(bc, out, k, k)) / bc[0])
@@ -106,28 +109,33 @@ def _sincos(u, x, hyperbolic, name):
 
 
 def _ipow(a, n, x):
-    if n == 0:
-        return [1.0] + [0.0] * (len(a) - 1)
+    # the constant term is a[0] ** n; the others come from binary powering
     if n < 0:
         _reject(a[0] == 0.0, x, "zero base with negative power")
-        return _div([1.0] + [0.0] * (len(a) - 1), _ipow(a, -n, x), x)
-    acc, base, m = None, a, n
+    w0 = jets._libm(lambda v: v**n, a[0], x, "power")
+    if n == 0:
+        return [w0] + [0.0] * (len(a) - 1)
+    acc, base, m = None, a, abs(n)
     while m:
         if m & 1:
             acc = base if acc is None else _mul(acc, base)
         m >>= 1
         if m:
             base = _mul(base, base)
-    return acc
+    if n < 0:
+        acc = _div([1.0] + [0.0] * (len(a) - 1), acc, x, check=False)
+    return [w0, *acc[1:]]
 
 
-def _pow(u, exponent, x):
+def _pow(u, exponent, x, w0=None):
     if isinstance(exponent, Fraction) and exponent.denominator == 1:
         return _ipow(u, exponent.numerator, x)
     e = float(exponent)
     u0 = u[0]
-    _reject(u0 <= 0.0, x, "non-integer power of non-positive base")
-    w = [jets._libm(lambda v: v**e, u0, x, "power")]
+    if w0 is None:
+        _reject(u0 <= 0.0, x, "non-integer power of non-positive base")
+        w0 = jets._libm(lambda v: v**e, u0, x, "power")
+    w = [w0]
     for k in range(1, len(u)):
         cu = [((e + 1.0) * j - k) * c for j, c in enumerate(u[: k + 1])]
         w.append(_dot(cu, w, k, k) / (k * u0))
@@ -135,9 +143,11 @@ def _pow(u, exponent, x):
 
 
 def _sqrt(u, x):
+    # the constant term is math.sqrt's; u = 0 fails only where a derivative is asked for
     _reject(u[0] < 0.0, x, "sqrt of negative value")
-    _reject(u[0] == 0.0, x, "sqrt of zero value")
-    return _pow(u, 0.5, x)
+    if len(u) > 1:
+        _reject(u[0] == 0.0, x, "sqrt of zero value")
+    return _pow(u, 0.5, x, jets._libm(math.sqrt, u[0], x, "sqrt"))
 
 
 _LOOP_RULES = {
@@ -292,8 +302,10 @@ class TestAgainstLoopForms:
         j = ex.eval_jet(e, 0.5, 3)
         assert j.coeffs[0] == 0.0 and all(math.isnan(c) for c in j.coeffs[1:])
         _assert_kernel_matches(e, 0.5, 3)
-        # the same where the infinity comes from overflow, at 1e155
-        e = ex.BinOp("*", ex.Pow(ex.Var(), Fraction(3)), ex.Const(2.0))
+        # the same where the infinity comes from a product that overflows, at
+        # 1e155 (an integer power raises "power overflow" there)
+        cube = ex.BinOp("*", ex.BinOp("*", ex.Var(), ex.Var()), ex.Var())
+        e = ex.BinOp("*", cube, ex.Const(2.0))
         j = ex.eval_jet(e, 1e155, 3)
         assert j.coeffs[0] == math.inf and all(math.isnan(c) for c in j.coeffs[1:])
         _assert_kernel_matches(e, np.array([0.5, 1e155]), 3)
@@ -444,7 +456,8 @@ class TestOneShapeWalk:
         monkeypatch.setattr(jets, "compile_source", printed)
         shapes, _ = ex._value_shapes(ex.parse(f), ex.parse(g))
         ex._jet_factory.__wrapped__(shapes, 6)
-        assert sources[0].count("_libm(") == 2
+        # one call each for sine and cosine, and one for each power of the argument
+        assert sources[0].count("_libm(") == 2 + f.count("^")
 
     @pytest.mark.parametrize("t", [-2.0, -0.5, 0.0, 0.25, 4.0])
     @pytest.mark.parametrize("u", ["x", "x^2 + 0.5 * x", "0.3 / (x + 2)"])
@@ -525,16 +538,16 @@ class TestJetFunctions:
         cases = [
             (rule(jets.mul_rule, n, 2)(x, *u, *v), _mul(u, v)),
             (rule(jets.exp_rule, n, 1)(x, *u), _exp(u, x)),
-            (rule(ex._RULES["sin"].jet, n, 1)(x, *u), _LOOP_RULES["sin"](u, x)),
-            (rule(ex._RULES["cos"].jet, n, 1)(x, *u), _LOOP_RULES["cos"](u, x)),
-            (rule(ex._RULES["sinh"].jet, n, 1)(x, *u), _LOOP_RULES["sinh"](u, x)),
-            (rule(ex._RULES["cosh"].jet, n, 1)(x, *u), _LOOP_RULES["cosh"](u, x)),
+            (rule(ex._RULES["sin"], n, 1)(x, *u), _LOOP_RULES["sin"](u, x)),
+            (rule(ex._RULES["cos"], n, 1)(x, *u), _LOOP_RULES["cos"](u, x)),
+            (rule(ex._RULES["sinh"], n, 1)(x, *u), _LOOP_RULES["sinh"](u, x)),
+            (rule(ex._RULES["cosh"], n, 1)(x, *u), _LOOP_RULES["cosh"](u, x)),
             (rule(jets.log_rule, n, 1)(x, *p), _log(p, x)),
             (rule(jets.sqrt_rule, n, 1)(x, *p), _sqrt(p, x)),
             (rule(jets.rpow_rule, n, 1, "e")(x, 2 / 3, *p), _pow(p, Fraction(2, 3), x)),
             (rule(jets.rpow_rule, n, 1, "e")(x, -1.25, *p), _pow(p, -1.25, x)),
-            (rule(jets.ipow_rule, n, 1, 3)(x, *u), _ipow(u, 3, x)),
-            (rule(jets.ipow_rule, n, 1, -2)(x, *p), _ipow(p, -2, x)),
+            (rule(jets.ipow_rule, n, 1, 3, "e")(x, 3, *u), _ipow(u, 3, x)),
+            (rule(jets.ipow_rule, n, 1, -2, "e")(x, -2, *p), _ipow(p, -2, x)),
             (rule(jets.div_rule, n, 2)(x, *u, *p), _div(u, p, x)),
         ]
         for got, want in cases:
@@ -551,7 +564,7 @@ class TestJetFunctions:
             (lambda: rule(jets.div_rule, 3, 2)(x, 1.0, 0.0, 0.0, 0.0, *zero), lambda: _div([1.0, 0, 0, 0], zero, x),
              "division by zero"),
             (lambda: rule(jets.log_rule, 3, 1)(x, *zero), lambda: _log(zero, x), "log of non-positive value"),
-            (lambda: rule(jets.ipow_rule, 3, 1, -1)(x, *zero), lambda: _ipow(zero, -1, x),
+            (lambda: rule(jets.ipow_rule, 3, 1, -1, "e")(x, -1, *zero), lambda: _ipow(zero, -1, x),
              "zero base with negative power"),
             (lambda: rule(jets.rpow_rule, 3, 1, "e")(x, 0.5, *zero), lambda: _pow(zero, 0.5, x),
              "non-integer power of non-positive base"),

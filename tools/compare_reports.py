@@ -13,10 +13,11 @@ row (vii) stays open, under 10 measures, at grids 12 and 25, with three
 tolerance sets, plus explicit grids, direct battery calls on the wrong
 measure, N3 at a measure on its mu6 = 5 mu2 mu4 boundary, and fixed failing
 library calls (validate_pair, compile_array, eval_jet and compile_scalar on
-inputs whose checks fail). Each case records the report's JSON (``as_dict``,
-sorted keys, indent 2) and its CLI text, or the type and text of the error it
-raised. The script prints every case whose JSON, text or error differs
-between the trees and exits 1 if any does.
+inputs whose checks fail, integer powers that overflow among them). Each
+case records the report's JSON (``as_dict``, sorted keys, indent 2) and its
+CLI text, or the type and text of the error it raised. The script prints
+every case whose JSON, text or error differs between the trees and exits 1
+if any does.
 """
 
 from __future__ import annotations
@@ -157,6 +158,14 @@ def _failing_calls():
         yield f"eval_jet/{name}", failing(ex.eval_jet, e, np.array(xs), 2)
         yield f"compile_scalar/{name}", failing(lambda s, p: [s(x) for x in p], scalar, xs)
     yield "eval_jet/sin-inf", failing(ex.eval_jet, ex.parse("sin(x)"), float("inf"), 2)
+    # integer powers whose value overflows: x^(-2) at 1e-200 on every route, and
+    # the jet of x^3 at 1e200
+    tiny = ex.parse("x^(-2)")
+    yield "compile_scalar/inverse-square-tiny", failing(ex.compile_scalar(tiny), 1e-200)
+    yield "compile_array/inverse-square-tiny", failing(ex.compile_array(tiny), np.array([1.0, 1e-200]))
+    yield "eval_jet/inverse-square-tiny", failing(ex.eval_jet, tiny, 1e-200, 2)
+    yield "validate_pair/inverse-square-tiny", failing(ex.validate_pair, tiny, "1", (1e-201, 1e-199))
+    yield "eval_jet/cube-huge", failing(ex.eval_jet, ex.parse("x^3"), 1e200, 2)
 
 
 def emit(src: str) -> None:
