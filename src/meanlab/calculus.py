@@ -21,7 +21,6 @@ import numpy as np
 from . import expr as ex
 from . import jets
 from .errors import (
-    DegenerateMeasure,
     IllConditionedFit,
     OrderOutOfRange,
     OutOfInterval,
@@ -30,13 +29,13 @@ from .errors import (
 from .expr import FunctionPair
 from .jets import Jet, at, first_failure, reject
 from .means import MeanSpec, _section
-from .measures import DEGENERATE_TOL, Measure, _is_zero, moments
+from .measures import Measure, classify, moments
 
 __all__ = [
     "PhiPsi", "SeqPair",
     "GridSamples", "sample",
     "wronskian", "phi_psi", "recursion_seq", "closed_form_seq",
-    "diagonal_moments", "diagonal_closed_form",
+    "diagonal_closed_form",
     "diagonal_derivatives", "diagonal_derivatives_numeric",
 ]
 
@@ -277,27 +276,11 @@ def closed_form_seq(pair: FunctionPair, x: float) -> SeqPair:
     return SeqPair(x=x, phi=phi, psi=psi)
 
 
-def diagonal_moments(measure: Measure) -> tuple[float, float, float, float, float]:
-    """mu2, ..., mu6 as the diagonal closed forms use them.
-
-    Rejects a degenerate mu2; mu3 and mu5 that vanish to tolerance, by
-    the zero rule of measures.classify, are zeroed outright, so symmetric
-    measures give exact structural zeros in the odd derivatives instead of
-    noise.
-    """
-    mu2, mu3, mu4, mu5, mu6 = moments(measure, 6).mu[2:7]
-    if mu2 <= DEGENERATE_TOL:
-        raise DegenerateMeasure(mu2)
-    mu3 = 0.0 if _is_zero(mu3, 3, mu2) else mu3
-    mu5 = 0.0 if _is_zero(mu5, 5, mu2) else mu5
-    return mu2, mu3, mu4, mu5, mu6
-
-
 def diagonal_closed_form(phi, psi, mu: tuple[float, ...]) -> tuple:
     """(m'(0), ..., m^(6)(0)) from Phi, Psi and their first four derivatives.
 
     phi and psi are as in the phi_i, psi_i closed forms, floats or arrays;
-    mu comes from diagonal_moments.
+    mu is measures.RegimeInfo.diagonal_mu.
     """
     mu2, mu3, mu4, mu5, mu6 = mu
     P, P1, P2 = phi[:3]
@@ -342,7 +325,7 @@ def diagonal_derivatives(
     moments; when mu3 or mu5 vanish to tolerance they are zeroed outright so
     symmetric measures report exact structural zeros instead of noise.
     """
-    mu = diagonal_moments(measure)
+    mu = classify(measure).diagonal_mu
     pp = phi_psi(pair, x, order=4)
     return diagonal_closed_form(
         [pp.phi(k) for k in range(5)], [pp.psi(k) for k in range(5)], mu

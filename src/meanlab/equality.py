@@ -26,7 +26,7 @@ from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
-from . import calculus, jets, measures
+from . import calculus, jets
 from . import expr as ex
 from .calculus import GridSamples, sample
 from .errors import IllConditionedFit, NotApplicable, OutOfInterval, QuadratureNonFinite
@@ -363,10 +363,8 @@ def _fit_matrix(
     """Normalized least-squares transform of pairA onto pairB and its
     relative residual. The transform is accepted only when the residual is
     at most tol and the matrix is nonsingular; otherwise NotEquivalent."""
-    fa = np.array([pairA.f_at(x) for x in xs])
-    ga = np.array([pairA.g_at(x) for x in xs])
-    fb = np.array([pairB.f_at(x) for x in xs])
-    gb = np.array([pairB.g_at(x) for x in xs])
+    kernels = map(ex.compile_scalar, (pairA.f, pairA.g, pairB.f, pairB.g))
+    fa, ga, fb, gb = (np.array([k(x) for x in xs]) for k in kernels)
     design = np.column_stack([fa, ga])
     ab, *_ = np.linalg.lstsq(design, fb, rcond=None)
     cd, *_ = np.linalg.lstsq(design, gb, rcond=None)
@@ -588,9 +586,6 @@ def check_N3(
         raise NotApplicable(
             f"the even alternatives need mu3 = mu5 = 0, got regime {info.regime.value}"
         )
-    md = info.moment_data
-    mu2, mu4 = md.mu[2], md.mu[4]
-    mu4_matches = measures._is_zero(mu4 - 3.0 * mu2 * mu2, 4, mu2)
     # classify leaves q unset exactly where mu6 = 5 mu2 mu4; one decision serves both
     mu6_matches = info.q is None
 
@@ -616,7 +611,7 @@ def check_N3(
         note = "the pairs share Phi and Psi, so they are equivalent"
         return report("equivalent", max(gaps.phi_resid, gaps.psi_resid), n, note, PHI_PSI_TOL)
 
-    if mu6_matches and mu4_matches:
+    if mu6_matches and info.mu4_matches:
         # the sixth-order relation collapses to Phi'' = 0
         design = np.column_stack([np.ones(n), np.asarray(xs)])
         _, line_gap = _fit(design, phiA, context="first-degree fit of Phi")
@@ -628,7 +623,7 @@ def check_N3(
             gamma=float(np.median(R)) / 2.0, p=0.0, q=info.q, r=info.r,
         )
 
-    if mu6_matches and not mu4_matches:
+    if mu6_matches and not info.mu4_matches:
         p = info.p
         keep = np.abs(phiA) > 1e-6
         tail = (
@@ -641,7 +636,7 @@ def check_N3(
                 else "Phi vanishes on the whole grid; the identity is vacuous there")
         return report("ii", resid, int(np.sum(keep)), note, gamma=gamma, p=p)
 
-    if mu4_matches:
+    if info.mu4_matches:
         r = info.r
         J = _phi3_w_integral(pairA, 1, anchor, xs)
         inv_w = 1.0 / np.abs(wA)
@@ -667,7 +662,7 @@ def check_N3(
     )
     # the identity needs Phi_B = Phi_A: their sup gap, scaled as in N1.5 (iv)
     resid = max(gaps.phi_resid, resid / psi_scale)
-    collapse = measures._is_zero(info.moment_condition_6, 10, mu2)
+    collapse = info.collapse
     return report(
         "iv", resid, n, "single power law (exponents collapse)" if collapse else "",
         gamma=gamma, delta=delta, p=p, q=q,
@@ -1000,7 +995,7 @@ def _sincos_battery(
     sa, sb = sample(pairA, xs, 4), sample(pairB, xs, 4)
 
     # (iii): diagonal section derivatives of orders 2, 4, 6
-    mu = calculus.diagonal_moments(measure)
+    mu = regime.diagonal_mu
     da = calculus.diagonal_closed_form(sa.phi, sa.psi, mu)
     db = calculus.diagonal_closed_form(sb.phi, sb.psi, mu)
     worst = {f"gap_order_{k}": _rel_gap(da[k - 1], db[k - 1]) for k in (2, 4, 6)}

@@ -449,7 +449,6 @@ def _value_shapes(*trees: Expr) -> tuple[tuple, tuple]:
     return tuple(_value_shape(e, consts, seen)[1] for e in trees), tuple(consts)
 
 
-_SCALAR_NAMES = {"_violation": jets.violation, **{n: getattr(math, n) for n in _CALLS}}
 _ARRAY_NAMES = {
     "_violation": jets.violation, "_first_failure": jets.first_failure,
     "full": np.full, "shape": np.shape, "asarray": np.asarray,
@@ -487,7 +486,7 @@ def _factory(shape, arrays: bool) -> Callable:
     lines = "".join(f"        {line}\n" for line in em.statements([out]))
     run = "lambda x: _first_failure(kernel, asarray(x, dtype=float))" if arrays else "kernel"
     source = f"def factory({', '.join(params)}):\n    def kernel(x):\n{lines}        return {out}\n    return {run}\n"
-    return jets.compile_source(source, _ARRAY_NAMES if arrays else _SCALAR_NAMES, "kernel")["factory"]
+    return jets.compile_source(source, _ARRAY_NAMES if arrays else jets.NAMES, "kernel")["factory"]
 
 
 @lru_cache(maxsize=1024)
@@ -684,16 +683,6 @@ class FunctionPair:
     g: Expr
     interval: tuple[float, float]
     validated_order: int
-    w_sign: int = 0
-
-    # compile_scalar(f) and (g), looked up once per pair and then held
-    @cached_property
-    def f_at(self) -> Callable[[float], float]:
-        return compile_scalar(self.f)
-
-    @cached_property
-    def g_at(self) -> Callable[[float], float]:
-        return compile_scalar(self.g)
 
     # the mean kernels of the pair (means.mean_eval), one per measure, and
     # its jet kernels (pair_jets), one per order, bound on first use and then
@@ -762,22 +751,22 @@ def validate_pair(
 def _validated_pair(f: Expr, g: Expr, lo: float, hi: float, n: int) -> FunctionPair:
     if not (lo < hi):
         raise ValueError(f"empty interval ({lo!r}, {hi!r})")
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"interval ({lo!r}, {hi!r}) has an infinite end or width")
     xs = _interior_points((lo, hi), DEFAULT_GRID_SIZE)
     # the checks run the pair's own jet kernel, so its shapes are walked once
     pair = FunctionPair(f=f, g=g, interval=(lo, hi), validated_order=n)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            sign = jets.first_failure(lambda p: _grid_sign(pair, p, max(n, 1)), xs)
+            jets.first_failure(lambda p: _check_grid(pair, p, max(n, 1)), xs)
     except (DomainViolation, OverflowError, ValueError) as exc:
         raise NonSmooth(float(xs[getattr(exc, "index", 0)]), str(exc)) from exc
-    # set as Const sets its value: the pair is not shared before it returns
-    object.__setattr__(pair, "w_sign", sign)
     return pair
 
 
-def _grid_sign(pair: FunctionPair, xs: np.ndarray, order: int) -> int:
-    """The sign of f'g - fg' on the points xs, after the checks of
-    validate_pair; each check raises at its first failing point."""
+def _check_grid(pair: FunctionPair, xs: np.ndarray, order: int) -> None:
+    """The checks of validate_pair on the points xs; each raises at its
+    first failing point."""
     jf, jg = pair_jets(pair, xs, order)
     finite = jf.is_finite() & jg.is_finite()
     jets.reject(~finite, lambda i: NonSmooth(float(xs[i]), "non-finite jet coefficients"))
@@ -789,4 +778,3 @@ def _grid_sign(pair: FunctionPair, xs: np.ndarray, order: int) -> int:
         np.r_[False, np.diff(w > 0)],
         lambda i: WronskianVanishes.sign_change(*map(float, (xs[i - 1], w[i - 1], xs[i], w[i]))),
     )
-    return 1 if w[-1] > 0 else -1

@@ -180,7 +180,7 @@ def _printed(source: str, name: str, label: str) -> Callable:
 
 # the mean kernels call the elementary functions and the DomainViolation
 # of expr's scalar kernels under the same names
-globals().update(ex._SCALAR_NAMES)
+globals().update(jets.NAMES)
 
 brentq = _printed("def brentq(f, a, b, fa, fb):\n" + "".join(f"    {line}\n" for line in _brent(
     ["fcur = float(f(xcur))"],
@@ -337,7 +337,7 @@ def mean_eval(spec: MeanSpec, x: float, y: float) -> float:
         z = r = None
     if z is not None:
         return z
-    f, g = pair.f_at, pair.g_at
+    f, g = ex.compile_scalar(pair.f), ex.compile_scalar(pair.g)
     if r is None:
         integrate = spec.measure.integrate
         r = integrate(lambda t: f(t * x + (1.0 - t) * y)) / integrate(lambda t: g(t * x + (1.0 - t) * y))

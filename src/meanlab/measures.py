@@ -34,6 +34,15 @@ ATOM_WEIGHT_TOL = 1e-14
 DENSITY_NORM_TOL = 1e-10
 DEGENERATE_TOL = 1e-14
 MOMENT_ZERO_TOL = 1e-12
+# numpy documents leggauss as tested up to degree 100; its cost grows as order^3
+MAX_QUADRATURE_ORDER = 100
+
+
+def _check_order(order: int) -> None:
+    if order < 2:
+        raise ValueError("quadrature order must be at least 2")
+    if order > MAX_QUADRATURE_ORDER:
+        raise ValueError(f"quadrature order {order!r} is above {MAX_QUADRATURE_ORDER}")
 
 
 @lru_cache(maxsize=16)
@@ -119,8 +128,7 @@ class Lebesgue(Measure):
     order: int = 32
 
     def __post_init__(self):
-        if self.order < 2:
-            raise ValueError("quadrature order must be at least 2")
+        _check_order(self.order)
 
     def _nodes(self):
         return _gauss_nodes(self.order)
@@ -138,8 +146,7 @@ class Density(Measure):
     def __init__(self, rho: Union[ex.Expr, str], order: int = 32):
         if isinstance(rho, str):
             rho = ex.parse(rho)
-        if order < 2:
-            raise ValueError("quadrature order must be at least 2")
+        _check_order(order)
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "order", order)
         ts, ws = _gauss_nodes(order)
@@ -213,7 +220,10 @@ class RegimeInfo:
     r needs mu4 = 3 mu2^2 together with mu6 != 15 mu2^3. moment_condition_6
     carries the raw value of 6 mu6 mu2^2 - mu6 mu4 - 5 mu4^2 mu2, whose
     vanishing marks the measures for which the two exponent scales collapse
-    into one power law.
+    into one power law; collapse is that vanishing, and mu4_matches is
+    mu4 = 3 mu2^2, each decided by the zero rule. diagonal_mu is mu2, ...,
+    mu6 with mu3 and mu5 zeroed where they vanish, as the diagonal closed
+    forms use them. These three stay out of as_dict.
     """
 
     regime: Regime
@@ -222,6 +232,9 @@ class RegimeInfo:
     r: float | None
     moment_condition_6: float
     moment_data: MomentData
+    diagonal_mu: tuple[float, float, float, float, float]
+    mu4_matches: bool
+    collapse: bool
 
     def as_dict(self) -> dict:
         return {
@@ -242,14 +255,15 @@ def _is_zero(value: float, n: int, mu2: float) -> bool:
 
 
 def classify(m: Measure) -> RegimeInfo:
-    """Decide which equality regime applies, from moments up to order 6."""
+    """The regime and every moment condition, each decided once, from moments up to order 6."""
     md = moments(m, 6)
-    mu2, mu3, mu4, mu5, mu6 = md.mu[2], md.mu[3], md.mu[4], md.mu[5], md.mu[6]
+    mu2, mu3, mu4, mu5, mu6 = md.mu[2:7]
     if mu2 <= DEGENERATE_TOL:
         raise DegenerateMeasure(mu2)
-    if not _is_zero(mu3, 3, mu2):
+    mu3_zero, mu5_zero = _is_zero(mu3, 3, mu2), _is_zero(mu5, 5, mu2)
+    if not mu3_zero:
         regime = Regime.MU3_NONZERO
-    elif not _is_zero(mu5, 5, mu2):
+    elif not mu5_zero:
         regime = Regime.MU3_ZERO_MU5_NONZERO
     else:
         regime = Regime.EVEN_SYMMETRIC
@@ -263,12 +277,15 @@ def classify(m: Measure) -> RegimeInfo:
 
     r = None
     r_den = 3.0 * mu6 - 45.0 * mu2 ** 3
-    if _is_zero(mu4 - 3.0 * mu2 * mu2, 4, mu2) and not _is_zero(r_den, 6, mu2):
+    mu4_matches = _is_zero(mu4 - 3.0 * mu2 * mu2, 4, mu2)
+    if mu4_matches and not _is_zero(r_den, 6, mu2):
         r = (7.0 * mu6 - 45.0 * mu2 ** 3) / r_den
 
     cond6 = 6.0 * mu6 * mu2 * mu2 - mu6 * mu4 - 5.0 * mu4 * mu4 * mu2
     return RegimeInfo(
-        regime=regime, p=p, q=q, r=r, moment_condition_6=cond6, moment_data=md
+        regime=regime, p=p, q=q, r=r, moment_condition_6=cond6, moment_data=md,
+        diagonal_mu=(mu2, 0.0 if mu3_zero else mu3, mu4, 0.0 if mu5_zero else mu5, mu6),
+        mu4_matches=mu4_matches, collapse=_is_zero(cond6, 10, mu2),
     )
 
 

@@ -134,7 +134,11 @@ def _outcome(run):
             result = run()
         except (MeanLabError, ValueError) as exc:
             return type(exc), getattr(exc, "point", None), str(exc)
-    return result if isinstance(result, int) else result.w_sign
+    if isinstance(result, int):
+        return result
+    # the sign of f'g - fg' at the last grid point, where the loop reads it
+    last = ex.interior_grid(result.interval, ex.DEFAULT_GRID_SIZE)[-1]
+    return 1 if ca.wronskian(result, last, 1, 0) > 0 else -1
 
 
 VALIDATE_CASES = {

@@ -20,7 +20,7 @@ from meanlab.errors import (
     OutOfInterval,
     WronskianVanishes,
 )
-from meanlab.measures import Discrete, Lebesgue
+from meanlab.measures import Discrete, Lebesgue, classify
 
 from conftest import PAIR_FAMILIES, random_admissible_pair
 
@@ -171,7 +171,7 @@ class TestSample:
         for xs in _family_grids(pair):
             s = ca.sample(pair, xs, 4)
             for measure in measures:
-                grid = ca.diagonal_closed_form(s.phi, s.psi, ca.diagonal_moments(measure))
+                grid = ca.diagonal_closed_form(s.phi, s.psi, classify(measure).diagonal_mu)
                 for idx, x in np.ndenumerate(np.asarray(xs)):
                     want = ca.diagonal_derivatives(pair, measure, x)
                     assert [np.broadcast_to(m, np.shape(xs))[idx] for m in grid] == list(want)

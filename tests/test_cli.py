@@ -110,6 +110,15 @@ class TestEval:
         assert code == 2
         assert "OutOfInterval" in err
 
+    @pytest.mark.parametrize("lo, hi", [("-inf", "inf"), ("-1.7e308", "1.7e308")])
+    def test_interval_with_an_infinite_end_or_width_exits_2(self, capsys, lo, hi):
+        argv = ["eval", "--f", "x", "--g", "1", "--x", "0", "--y", "1", f"--lo={lo}", f"--hi={hi}"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.strip() == (
+            f"error (ValueError): interval ({float(lo)!r}, {float(hi)!r}) has an infinite end or width"
+        )
+
 
 class TestMoments:
     def test_lebesgue_text_with_regime(self, capsys):
@@ -145,6 +154,12 @@ class TestMoments:
         code, out, err = run_cli(capsys, ["moments", "--measure", '{"type": "atoms"}'])
         assert code == 2
         assert "error (ValueError)" in err and "'atoms'" in err
+
+    def test_quadrature_order_above_the_bound_exits_2(self, capsys):
+        spec = '{"type": "density", "rho": "1", "order": 101}'
+        code, out, err = run_cli(capsys, ["moments", "--measure", spec])
+        assert (code, out) == (2, "")
+        assert err.strip() == "error (ValueError): quadrature order 101 is above 100"
 
     def test_boolean_atom_location_exits_2(self, capsys):
         spec = '{"type": "atoms", "atoms": [[true, 0.5], [0, 0.5]]}'
@@ -396,7 +411,7 @@ class TestMakePair:
              "--lo", "-0.4", "--hi", "0.4"],
         )
         pair = ex.validate_pair(doc["result"]["f"], doc["result"]["g"], (-0.4, 0.4))
-        assert pair.g_at(0.0) > 0.0
+        assert ex.compile_scalar(pair.g)(0.0) > 0.0
 
     def test_invalid_domain_exits_2(self, capsys):
         code, out, err = run_cli(

@@ -11,7 +11,9 @@ each pair family of conftest under every measure of the matrix, the same
 image of hypothesis-drawn pairs of every family under EBM, ECM and N1.5,
 and the Cauchy witnesses under ECM: the pairs (phi' S_t(phi), phi' C_t(phi))
 of one generator phi, whose means under the Lebesgue measure are all the
-quasi-arithmetic mean of phi.
+quasi-arithmetic mean of phi. Conversely, two hypothesis-drawn pairs of one
+family whose means differ by more than 1e-6 on a 3 x 3 spot grid must fail
+row (i) of EBM, ECM and N1.5 and show a jet gap above 1e-8.
 """
 
 from __future__ import annotations
@@ -22,13 +24,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from meanlab import calculus
 from meanlab import equality as eq
 from meanlab.expr import interior_grid
-from meanlab.measures import Discrete, Lebesgue, preset_measure
+from meanlab.means import MeanSpec, mean_eval
+from meanlab.measures import Discrete, Lebesgue, classify, preset_measure
 
 from conftest import PAIR_FAMILIES, random_admissible_pair
 
@@ -88,7 +91,7 @@ def _case_ids() -> list:
 
 def diagonal_jet_gap(pairA, pairB, measure, xs) -> float:
     """Largest over k = 2..6 of sup |m_k^A - m_k^B| / (1 + the larger sup |m_k|)."""
-    mu = calculus.diagonal_moments(measure)
+    mu = classify(measure).diagonal_mu
     ma, mb = (
         calculus.diagonal_closed_form(s.phi, s.psi, mu)
         for s in (calculus.sample(pairA, xs, 4), calculus.sample(pairB, xs, 4))
@@ -118,7 +121,7 @@ def test_the_gap_separates_pairs_whose_means_differ():
     exp, linear = combos["exp-linear"]
     xs = interior_grid(exp.interval, 12)
     for measure in measures.values():
-        mu2 = calculus.diagonal_moments(measure)[0]
+        mu2 = classify(measure).diagonal_mu[0]
         assert diagonal_jet_gap(exp, linear, measure, xs) >= 0.99 * mu2 / (1.0 + mu2)
         assert diagonal_jet_gap(exp, exp, measure, xs) == 0.0
 
@@ -165,3 +168,32 @@ def test_images_of_drawn_pairs_hold_with_equal_diagonal_jets(family, rng):
         report = eq.check_equality(pair, image, measure, 12)
         assert report.all_hold, (name, report.battery, report.failing)
         assert diagonal_jet_gap(pair, image, measure, report.grid) <= GAP_TOL, name
+
+
+def _spot_gap(pairA, pairB, measure) -> float:
+    """Largest |M_A - M_B| over a 3 x 3 grid inside the interval that two
+    draws of one family share."""
+    spots = interior_grid(pairA.interval, 3)
+    return max(
+        abs(mean_eval(MeanSpec(pairA, measure), x, y) - mean_eval(MeanSpec(pairB, measure), x, y))
+        for x in spots for y in spots
+    )
+
+
+# two draws of one family keep only the measures under which their means
+# differ: trig and hyperbolic pairs share their means under EBM and the
+# Lebesgue measure (the half-angle identity), and a log pair's constant g
+# drops out of its mean under every measure
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.sampled_from(PAIR_FAMILIES), st.randoms(use_true_random=False))
+def test_drawn_pairs_whose_means_differ_fail_with_unequal_diagonal_jets(family, rng):
+    pairA, pairB = random_admissible_pair(rng, family), random_admissible_pair(rng, family)
+    differing = {
+        name: measure for name, measure in ORACLE_MEASURES.items()
+        if _spot_gap(pairA, pairB, measure) > 1e-6
+    }
+    assume(differing)
+    for name, measure in differing.items():
+        report = eq.check_equality(pairA, pairB, measure, 12)
+        assert "i" in report.failing and not report.all_hold, (name, report.battery)
+        assert diagonal_jet_gap(pairA, pairB, measure, report.grid) > GAP_TOL, name

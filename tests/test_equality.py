@@ -81,8 +81,8 @@ class TestMatrix2:
         m = eq.Matrix2(2.0, 1.0, -1.0, 1.0)
         pair = m.apply(SINCOS)
         x = 0.3
-        assert pair.f_at(x) == pytest.approx(2.0 * math.sin(x) + math.cos(x), rel=1e-14)
-        assert pair.g_at(x) == pytest.approx(-math.sin(x) + math.cos(x), rel=1e-14)
+        assert ex.compile_scalar(pair.f)(x) == pytest.approx(2.0 * math.sin(x) + math.cos(x), rel=1e-14)
+        assert ex.compile_scalar(pair.g)(x) == pytest.approx(-math.sin(x) + math.cos(x), rel=1e-14)
 
 
 class TestQuadraticForm:
@@ -826,6 +826,17 @@ class TestBinarySymmetricLadder:
         assert (vii.holds, vii.residual) == (None, None)
         assert vii.note == "not decidable structurally; no sine and cosine type pattern exposed"
 
+    # validate_pair rejects both pairs (their Wronskian vanishes), so they
+    # are built by hand: a zero scalar factor on f, and a constant f and g
+    @pytest.mark.parametrize("f, g", [("0 * sin(x)", "cos(x)"), ("2", "1")], ids=["zero-scalar", "constant-f"])
+    @pytest.mark.parametrize("ebm", [True, False])
+    def test_row_vii_open_on_a_zero_scalar_or_a_constant_f(self, f, g, ebm):
+        A = ex.FunctionPair(ex.parse(f), ex.parse(g), INTERVAL, 6)
+        assert eq._match_sincos(A, cauchy=not ebm) is None
+        vii = eq._row_vii(A, SINCOS, ebm, 1e-6)
+        assert (vii.holds, vii.residual) == (None, None)
+        assert vii.note == "not decidable structurally; no sine and cosine type pattern exposed"
+
     def test_report_json_deterministic(self):
         a, b = (eq.check_EBM(SINCOS, LINEAR, grid=10).as_dict() for _ in range(2))
         assert json.dumps(a, sort_keys=True, indent=2) == json.dumps(b, sort_keys=True, indent=2)
@@ -956,25 +967,25 @@ class TestMakeSincosPair:
     def test_flat_case(self):
         pair = eq.make_sincos_pair(0.0, "exp(x)", interval=(-0.5, 0.5))
         assert ex.to_string(pair.f) == "exp(x)"
-        assert pair.g_at(0.3) == 1.0
+        assert ex.compile_scalar(pair.g)(0.3) == 1.0
 
     def test_hyperbolic_case(self):
         pair = eq.make_sincos_pair(1.0, "x", interval=(-1.0, 1.0))
         x = 0.45
-        assert pair.f_at(x) == pytest.approx(math.sinh(x), rel=1e-14)
-        assert pair.g_at(x) == pytest.approx(math.cosh(x), rel=1e-14)
+        assert ex.compile_scalar(pair.f)(x) == pytest.approx(math.sinh(x), rel=1e-14)
+        assert ex.compile_scalar(pair.g)(x) == pytest.approx(math.cosh(x), rel=1e-14)
 
     def test_general_negative_parameter(self):
         pair = eq.make_sincos_pair(-4.0, "x", interval=(-0.3, 0.3))
         x = 0.2
-        assert pair.f_at(x) == pytest.approx(math.sin(2.0 * x), rel=1e-14)
-        assert pair.g_at(x) == pytest.approx(math.cos(2.0 * x), rel=1e-14)
+        assert ex.compile_scalar(pair.f)(x) == pytest.approx(math.sin(2.0 * x), rel=1e-14)
+        assert ex.compile_scalar(pair.g)(x) == pytest.approx(math.cos(2.0 * x), rel=1e-14)
 
     def test_derivative_prefactor(self):
         pair = eq.make_sincos_pair(1.0, "2 * x", cauchy_flavor=True, interval=(-0.5, 0.5))
         x = 0.3
-        assert pair.f_at(x) == pytest.approx(2.0 * math.sinh(2.0 * x), rel=1e-14)
-        assert pair.g_at(x) == pytest.approx(2.0 * math.cosh(2.0 * x), rel=1e-14)
+        assert ex.compile_scalar(pair.f)(x) == pytest.approx(2.0 * math.sinh(2.0 * x), rel=1e-14)
+        assert ex.compile_scalar(pair.g)(x) == pytest.approx(2.0 * math.cosh(2.0 * x), rel=1e-14)
 
     def test_rejects_vanishing_cosine_component(self):
         with pytest.raises(NotPositive):

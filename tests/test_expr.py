@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from meanlab import calculus
 from meanlab import expr as ex
 from meanlab import jets
 from meanlab.errors import (
@@ -591,7 +592,7 @@ class TestValidatePair:
     def test_sin_cos_pair(self):
         pair = ex.validate_pair("sin(x)", "cos(x)", (-0.5, 0.5))
         assert pair.validated_order == 6
-        assert pair.w_sign == 1
+        assert calculus.wronskian(pair, 0.0, 1, 0) == 1.0
         assert pair.contains(0.0)
         assert not pair.contains(0.5)
 
@@ -632,10 +633,18 @@ class TestValidatePair:
         p2 = ex.validate_pair(ex.parse("log(x)"), ex.parse("1"), (1.0, 2.0))
         assert p1.f == p2.f and p1.g == p2.g
 
+    @pytest.mark.parametrize("interval", [(-math.inf, math.inf), (0.0, math.inf), (-1.7e308, 1.7e308)])
+    def test_interval_with_an_infinite_end_or_width(self, interval):
+        # rejected before any grid point is formed, so numpy warns of nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^interval \(.*\) has an infinite end or width$"):
+                ex.validate_pair("x", "1", interval)
+
     def test_negative_wronskian_sign(self):
         # W(1, x) = 0*x - 1*1 = -1
         pair = ex.validate_pair("1", "x", (0.5, 2.0))
-        assert pair.w_sign == -1
+        assert calculus.wronskian(pair, 1.0, 1, 0) == -1.0
 
 
 class TestValidatePairMemo:
@@ -651,7 +660,7 @@ class TestValidatePairMemo:
         built = ex.Call("sin", ex.Var()), ex.Call("cos", ex.Var())
         assert ex.validate_pair(*built, [-0.6, 0.6]) is pair
         assert ex.parse("sin(x)") is pair.f
-        assert pair.f_at is ex.validate_pair("sin(x)", "cos(x)", interval).f_at
+        assert pair.mean_kernels is ex.validate_pair("sin(x)", "cos(x)", interval).mean_kernels
 
     def test_options_give_different_pairs(self):
         base = ex.validate_pair("x", "1", (0.5, 2.0))

@@ -137,7 +137,7 @@ def test_f_fails_before_g(measure):
     t = MEASURES[measure]._nodes()[0][0]
     p = t * x + (1.0 - t) * y
     with pytest.raises(DomainViolation) as want:
-        pair.f_at(p)
+        ex.compile_scalar(pair.f)(p)
     assert str(got.value) == str(want.value)
     assert str(got.value).startswith("log") and str(got.value).endswith(f" at {p!r}")
     # the route it replaced names the same point, as a numpy scalar
@@ -247,9 +247,9 @@ def test_one_kernel_code_per_pair_shape():
 
 def test_pair_holds_its_kernels():
     pair = ex.validate_pair("sin(x)", "cos(x)", (-0.5, 0.5))
-    assert pair.f_at is pair.f_at
-    assert pair.f_at is ex.compile_scalar(pair.f)
-    assert pair.g_at(0.25) == math.cos(0.25)
+    kernels = pair.mean_kernels
+    mean_eval(MeanSpec(pair, Lebesgue()), 0.1, 0.2)
+    assert pair.mean_kernels is kernels and Lebesgue() in kernels
     twin = ex.validate_pair("sin(x)", "cos(x)", (-0.5, 0.5))
     assert twin == pair and hash(twin) == hash(pair) and repr(twin) == repr(pair)
 

@@ -43,6 +43,16 @@ class TestConstruction:
         with pytest.raises(ValueError, match="quadrature order must be at least 2"):
             Lebesgue(order=1)
 
+    @pytest.mark.parametrize("build", [
+        lambda n: Lebesgue(order=n),
+        lambda n: Density("1", order=n),
+        lambda n: ms.measure_from_json({"type": "density", "rho": "1", "order": n}),
+    ], ids=["lebesgue", "density", "density-json"])
+    def test_order_above_the_bound_is_rejected(self, build):
+        # only the bound + 1: a large order would build an order x order matrix
+        with pytest.raises(ValueError, match="^quadrature order 101 is above 100$"):
+            build(ms.MAX_QUADRATURE_ORDER + 1)
+
     def test_density_rejects_a_negative_node_value(self):
         # it integrates to 1 on [0, 1] but is negative near both ends, where
         # its weights would give mu4 < 0 and leave the exponent p undefined

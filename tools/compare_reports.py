@@ -12,8 +12,9 @@ battery: 13 pair combinations, among them equivalent pairs and pairs whose
 row (vii) stays open, under 10 measures, at grids 12 and 25, with three
 tolerance sets, plus explicit grids, direct battery calls on the wrong
 measure, N3 at a measure on its mu6 = 5 mu2 mu4 boundary, and fixed failing
-library calls (validate_pair, compile_array, eval_jet and compile_scalar on
-inputs whose checks fail, integer powers that overflow among them). Each
+library calls (validate_pair, compile_array, eval_jet, compile_scalar and
+Density on inputs whose checks fail, integer powers that overflow and
+intervals with an infinite end or width among them). Each
 case records the report's JSON (``as_dict``, sorted keys, indent 2) and its
 CLI text, or the type and text of the error it raised. The script prints
 every case whose JSON, text or error differs between the trees and exits 1
@@ -23,6 +24,7 @@ if any does.
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -142,6 +144,7 @@ def _failing_calls():
     import numpy as np
 
     from meanlab import expr as ex
+    from meanlab import measures as ms
 
     def failing(call, *args):
         def thunk():
@@ -166,6 +169,10 @@ def _failing_calls():
     yield "eval_jet/inverse-square-tiny", failing(ex.eval_jet, tiny, 1e-200, 2)
     yield "validate_pair/inverse-square-tiny", failing(ex.validate_pair, tiny, "1", (1e-201, 1e-199))
     yield "eval_jet/cube-huge", failing(ex.eval_jet, ex.parse("x^3"), 1e200, 2)
+    # intervals with an infinite end or width, and a quadrature order above the bound
+    yield "validate_pair/infinite-ends", failing(ex.validate_pair, "x", "1", (-math.inf, math.inf))
+    yield "validate_pair/infinite-width", failing(ex.validate_pair, "x", "1", (-1.7e308, 1.7e308))
+    yield "Density/order-101", failing(ms.Density, "1", 101)
 
 
 def emit(src: str) -> None:
