@@ -363,8 +363,7 @@ def _fit_matrix(
     """Normalized least-squares transform of pairA onto pairB and its
     relative residual. The transform is accepted only when the residual is
     at most tol and the matrix is nonsingular; otherwise NotEquivalent."""
-    kernels = map(ex.compile_scalar, (pairA.f, pairA.g, pairB.f, pairB.g))
-    fa, ga, fb, gb = (np.array([k(x) for x in xs]) for k in kernels)
+    (fa, ga), (fb, gb) = ((j.value for j in ex.pair_jets(p, np.asarray(xs), 0)) for p in (pairA, pairB))
     design = np.column_stack([fa, ga])
     ab, *_ = np.linalg.lstsq(design, fb, rcond=None)
     cd, *_ = np.linalg.lstsq(design, gb, rcond=None)
@@ -774,8 +773,7 @@ def _prefactor_tracks_derivative(
     d = ex.eval_jet(phi_ast, xs, 1).derivative_value(1)
     if (np.abs(d) < 1e-12).any():
         return None
-    uf = ex.compile_scalar(u_ast)
-    return _spread(np.array([uf(x) for x in xs.tolist()]) / d)
+    return _spread(ex.eval_jet(u_ast, xs, 0).value / d)
 
 
 def make_sincos_pair(

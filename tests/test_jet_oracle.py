@@ -7,14 +7,13 @@ float recurrences of meanlab.jets.
 
 from __future__ import annotations
 
+import mpmath
 import numpy as np
 import pytest
 
 from meanlab import expr as ex
 
 from conftest import mp_value
-
-mpmath = pytest.importorskip("mpmath")
 
 ORDER = 6
 BOUND = 1e-14  # max |c - ref| / max |ref| over the coefficients of one jet

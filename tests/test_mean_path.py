@@ -15,6 +15,7 @@ import math
 import random
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -258,7 +259,6 @@ def test_pair_holds_its_kernels():
 
 def _mp_mean(spec, x, y):
     """The mean with the same nodes and weights, at 50 digits."""
-    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
         ts, ws = spec.measure._nodes()
         X, Y = mpmath.mpf(x), mpmath.mpf(y)
@@ -276,7 +276,6 @@ def _mp_mean(spec, x, y):
 
 @pytest.mark.parametrize("measure", ["ebm", "lebesgue"])
 def test_mean_eval_matches_50_digit_reference(measure):
-    pytest.importorskip("mpmath")
     for fam, pair, points in _cases(5):
         spec = MeanSpec(pair, MEASURES[measure])
         for x, y in points:
@@ -287,7 +286,6 @@ def test_mean_eval_matches_50_digit_reference(measure):
 
 @pytest.mark.parametrize("measure", sorted(MEASURES))
 def test_mean_table_matches_50_digit_reference(measure):
-    pytest.importorskip("mpmath")
     for fam, pair, _ in _cases(6):
         spec = MeanSpec(pair, MEASURES[measure])
         lo, hi = pair.interval

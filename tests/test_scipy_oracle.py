@@ -3,7 +3,7 @@
 means.brentq follows scipy.optimize.brentq step for step, and
 means.chandrupatla follows scipy.optimize.elementwise.find_root, so on the
 brackets the package actually solves both must return the same floats.
-scipy is a test-only dependency; these tests are skipped without it.
+scipy is a test-only dependency; without it this module fails to collect.
 """
 
 from __future__ import annotations
@@ -12,15 +12,14 @@ import random
 
 import numpy as np
 import pytest
+import scipy.optimize as scipy_optimize
+from scipy.optimize.elementwise import find_root
 
 from meanlab import means as mn
 from meanlab.equality import CumulativeIntegral
 from meanlab.measures import Density, Discrete, Lebesgue, preset_measure
 
 from conftest import PAIR_FAMILIES, random_admissible_pair
-
-scipy_optimize = pytest.importorskip("scipy.optimize")
-find_root = pytest.importorskip("scipy.optimize.elementwise").find_root
 
 TABLE_MEASURES = [
     preset_measure("ebm"), Lebesgue(), Discrete(((0.0, 0.3), (0.7, 0.7))), Density("2 * x"),
