@@ -88,6 +88,16 @@ class TestEval:
         assert code == 2
         assert "ParseError" in err
 
+    def test_zero_divisor_exits_2_at_its_point(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            ["eval", "--f", "1/x", "--g", "1", "--x", "-0.5", "--y", "0.5", "--lo", "-1", "--hi", "1"],
+        )
+        assert (code, out) == (2, "")
+        assert err.strip() == (
+            "error (NonSmooth): function not smooth to the requested order at 0.0: division by zero at 0.0"
+        )
+
     def test_point_outside_interval_exits_2(self, capsys):
         code, out, err = run_cli(
             capsys,

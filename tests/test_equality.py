@@ -403,6 +403,26 @@ BATTERY_MEASURES = {
 }
 
 
+LADDER_KEYS = [
+    "R_values", "S_values", "all_hold", "assertions", "battery", "equivalence", "failing",
+    "fitted", "grid", "interval", "notes", "regime", "tolerances",
+]
+N25_KEYS = ["alternative", "battery", "gamma", "holds", "note", "regime", "residual", "tolerance"]
+N3_KEYS = sorted(N25_KEYS + ["alpha", "beta", "delta", "grid_used", "p", "q", "r"])
+
+
+@pytest.mark.parametrize(
+    "measure, keys",
+    [(EBM, LADDER_KEYS), (LEB, LADDER_KEYS), (ASYMMETRIC, LADDER_KEYS), (SPLIT_MEASURE, N25_KEYS),
+     (EVEN, N3_KEYS)],
+    ids=list(BATTERY_MEASURES),
+)
+def test_result_keys_of_each_battery(measure, keys):
+    # the meanlab-report/1 result: a ladder's fields, or the flat form of the
+    # one row of N2.5 and N3, which the recorded benchmark outputs share
+    assert sorted(eq.check_equality(SINCOS, LINEAR, measure, 20).as_dict()) == keys
+
+
 @pytest.mark.parametrize("measure", BATTERY_MEASURES.values(), ids=list(BATTERY_MEASURES))
 @pytest.mark.parametrize(
     "grid", [[0.1], [0.1, 0.2], [0.1, 0.1, 0.2], 2], ids=["one", "two", "repeated", "size_two"]

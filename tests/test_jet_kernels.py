@@ -402,6 +402,17 @@ class TestOneShapeWalk:
                         assert _bits(got.coeffs) == _bits(want.coeffs)
                         assert _bits([got.base_point]) == _bits([want.base_point])
 
+    @pytest.mark.parametrize("family", PAIR_FAMILIES)
+    def test_order_0_pair_values_keep_the_bits_of_the_scalar_kernels(self, rng, family):
+        # the equivalence fit and the prefactor check read a pair's values
+        # from its order-0 jets, where they once looped compile_scalar
+        for _ in range(3):
+            pair = random_admissible_pair(rng, family)
+            xs = np.asarray(ex.interior_grid(pair.interval, 101))
+            for jet, e in zip(ex.pair_jets(pair, xs, 0), (pair.f, pair.g)):
+                kernel = ex.compile_scalar(e)
+                assert _bits([jet.value]) == _bits([[kernel(x) for x in xs.tolist()]])
+
     def test_pair_error_is_the_one_at_the_earliest_point(self):
         # g fails from x = 1 on and f from x = 2 on; at one point, f fails first
         pair = ex.FunctionPair(ex.parse("log(2 - x)"), ex.parse("sqrt(1 - x)"), (-3.0, 3.0), 6)
