@@ -28,7 +28,7 @@ from .errors import (
 )
 from .expr import FunctionPair
 from .jets import Jet, at, first_failure, reject
-from .means import MeanSpec, _section
+from .means import MeanSpec, m_curve
 from .measures import Measure, classify, moments
 
 __all__ = [
@@ -351,7 +351,7 @@ def diagonal_derivatives_numeric(
     lo, hi = pair.interval
     if not pair.contains(x):
         raise OutOfInterval(x, pair.interval)
-    mu_hat1 = moments(measure, 1).mu_hat1
+    mu_hat1 = moments(measure).mu_hat1
     wmax = max(mu_hat1, 1.0 - mu_hat1, 1e-9)
     dist = min(x - lo, hi - x)
     if h is None:
@@ -361,7 +361,7 @@ def diagonal_derivatives_numeric(
         h = min(0.12, 0.8 * dist / wmax)
     _check_radius(h, x, mu_hat1)
     spec = MeanSpec(pair=pair, measure=measure)
-    values = [_section(spec, float(x), float(h * s), mu_hat1) for s in _ORACLE_SCALED]
+    values = [m_curve(spec, x, h * s) for s in _ORACLE_SCALED]
     # the limit is read at call time, so lowering it still takes effect
     if _ORACLE_COND > FIT_CONDITION_LIMIT:
         raise IllConditionedFit(_ORACLE_COND, context="diagonal derivative oracle")

@@ -417,13 +417,12 @@ def fit_equivalence(pairA: FunctionPair, pairB: FunctionPair) -> Union[Matrix2, 
 @dataclass(frozen=True)
 class PhiPsiGaps:
     """Sup gaps of the two coefficient functions over a grid. They agree iff
-    each gap over 1 + its scale (the larger sup of the two) is within tolerance."""
+    each gap over 1 + its scale (the larger sup of the two) is within PHI_PSI_TOL."""
 
     phi_gap: float
     psi_gap: float
     phi_scale: float
     psi_scale: float
-    tolerance: float = PHI_PSI_TOL
 
     @property
     def phi_resid(self) -> float:
@@ -435,10 +434,10 @@ class PhiPsiGaps:
 
     @property
     def holds(self) -> bool:
-        return max(self.phi_resid, self.psi_resid) <= self.tolerance
+        return max(self.phi_resid, self.psi_resid) <= PHI_PSI_TOL
 
     def as_dict(self) -> dict:
-        return {**dataclasses.asdict(self), "holds": self.holds}
+        return {**dataclasses.asdict(self), "tolerance": PHI_PSI_TOL, "holds": self.holds}
 
 
 def check_phi_psi(pairA: FunctionPair, pairB: FunctionPair, grid: GridSpec) -> PhiPsiGaps:

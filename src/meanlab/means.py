@@ -586,12 +586,10 @@ def cauchy(phi: Union[ex.Expr, str], psi: Union[ex.Expr, str], x: float, y: floa
 
 def m_curve(spec: MeanSpec, x: float, u: float) -> float:
     """Diagonal section through x: the mean of x + (1-m1)u and x - m1*u,
-    with m1 the measure's first raw moment. u = 0 returns x exactly."""
-    return _section(spec, float(x), float(u), moments(spec.measure, 1).mu_hat1)
-
-
-def _section(spec: MeanSpec, x: float, u: float, mu_hat1: float) -> float:
-    """m_curve with the first raw moment mu_hat1 already read."""
+    with m1 the measure's first raw moment (memoized in moments). u = 0
+    returns x exactly."""
+    x, u = float(x), float(u)
+    mu_hat1 = moments(spec.measure).mu_hat1
     a = x + (1.0 - mu_hat1) * u
     b = x - mu_hat1 * u
     for point in (a, b):

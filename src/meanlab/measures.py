@@ -185,13 +185,15 @@ class MomentData:
     mu: tuple[float, ...]
 
 
+@lru_cache(maxsize=ex.KERNEL_SHAPE_CACHE_SIZE)
 def moments(m: Measure, nmax: int = 6) -> MomentData:
     """Centralized moments mu_n = integral of (t - mu_hat1)^n, n <= nmax.
 
     The Lebesgue measure gets its closed form, mu_hat1 = 1/2 and
     mu_n = 1/((n+1) 2^n) for even n, 0 for odd n, so its moments are exact
     and do not depend on the quadrature order or on numpy's Gauss-Legendre
-    nodes. Other measures are integrated with their own nodes.
+    nodes. Other measures are integrated with their own nodes. The result is
+    memoized per (m, nmax) as passed; classify and m_curve pass the default.
     """
     if not (0 <= nmax <= MAX_MOMENT_ORDER):
         raise ValueError(f"nmax must be between 0 and {MAX_MOMENT_ORDER}")
@@ -254,9 +256,10 @@ def _is_zero(value: float, n: int, mu2: float) -> bool:
     return abs(value) <= MOMENT_ZERO_TOL * max(1.0, mu2 ** (n / 2.0))
 
 
+@lru_cache(maxsize=ex.KERNEL_SHAPE_CACHE_SIZE)
 def classify(m: Measure) -> RegimeInfo:
-    """The regime and every moment condition, each decided once, from moments up to order 6."""
-    md = moments(m, 6)
+    """The regime and every moment condition, decided once per measure, from moments to order 6."""
+    md = moments(m)
     mu2, mu3, mu4, mu5, mu6 = md.mu[2:7]
     if mu2 <= DEGENERATE_TOL:
         raise DegenerateMeasure(mu2)

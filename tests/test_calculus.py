@@ -20,7 +20,7 @@ from meanlab.errors import (
     OutOfInterval,
     WronskianVanishes,
 )
-from meanlab.measures import Discrete, Lebesgue, classify
+from meanlab.measures import Discrete, Lebesgue, Measure, classify, moments
 
 from conftest import PAIR_FAMILIES, random_admissible_pair
 
@@ -30,6 +30,19 @@ LINEAR = ex.validate_pair("x", "1", (0.25, 4.0))
 LOG = ex.validate_pair("log(x)", "1", (0.25, 4.0))
 SINCOS = ex.validate_pair("sin(x)", "cos(x)", (-1.0, 1.0))
 EXP = ex.validate_pair("exp(x)", "1", (-2.0, 2.0))
+SKEWED = Discrete(((0.0, 0.3), (0.7, 0.7)))
+
+
+@pytest.fixture
+def integrals(monkeypatch):
+    """Empties the moment and regime memos, then records the measure of
+    each Measure.integrate call."""
+    moments.cache_clear()
+    classify.cache_clear()
+    seen = []
+    real = Measure.integrate
+    monkeypatch.setattr(Measure, "integrate", lambda m, f: seen.append(m) or real(m, f))
+    return seen
 
 
 class TestWronskian:
@@ -416,6 +429,14 @@ class TestDiagonalDerivatives:
         with pytest.raises(DegenerateMeasure):
             ca.diagonal_derivatives(LOG, Discrete(((0.4, 1.0),)), 1.0)
 
+    def test_moments_and_regime_are_computed_once_per_measure(self, integrals):
+        first = ca.diagonal_derivatives(SINCOS, SKEWED, 0.2)
+        # mu_hat1, then mu_0 to mu_6
+        assert integrals == [SKEWED] * 8
+        assert ca.diagonal_derivatives(SINCOS, SKEWED, 0.2) == first
+        assert len(integrals) == 8
+        assert classify(SKEWED) is classify(SKEWED)
+
     def test_equivalent_pairs_agree(self, rng):
         base = ex.validate_pair("sinh(x)", "cosh(x)", (-1.0, 1.0))
         fimg = ex.parse("sinh(x) + 0.3 * cosh(x)")
@@ -452,21 +473,14 @@ class TestNumericOracle:
         assert len(seen) == ca.ORACLE_NODES
         assert all(a == -b for a, b in seen)
 
-    def test_moments_read_once_with_m_curve_bits(self, monkeypatch):
-        skewed = Discrete(((0.0, 0.3), (0.7, 0.7)))
-        calls = []
-
-        def counted(m, nmax=6, _real=ca.moments):
-            calls.append(nmax)
-            return _real(m, nmax)
-
-        monkeypatch.setattr(ca, "moments", counted)
-        monkeypatch.setattr(mn, "moments", counted)
-        got = ca.diagonal_derivatives_numeric(SINCOS, skewed, 0.2)
-        assert calls == [1]
-        monkeypatch.setattr(ca, "_section", lambda spec, x, u, _: mn.m_curve(spec, x, u))
-        assert ca.diagonal_derivatives_numeric(SINCOS, skewed, 0.2) == got
-        assert len(calls) == 2 + ca.ORACLE_NODES
+    def test_samples_through_m_curve_and_integrates_moments_once(self, integrals, monkeypatch):
+        got = ca.diagonal_derivatives_numeric(SINCOS, SKEWED, 0.2)
+        assert integrals == [SKEWED] * 8
+        sections = []
+        monkeypatch.setattr(ca, "m_curve", lambda spec, x, u: sections.append(u) or mn.m_curve(spec, x, u))
+        assert ca.diagonal_derivatives_numeric(SINCOS, SKEWED, 0.2) == got
+        assert len(sections) == ca.ORACLE_NODES
+        assert len(integrals) == 8
 
     def test_trig_lebesgue_cross_check(self):
         want = ca.diagonal_derivatives(SINCOS, Lebesgue(), 0.3)
