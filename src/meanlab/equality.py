@@ -26,16 +26,16 @@ from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
-from . import calculus, jets
+from . import calculus
 from . import expr as ex
 from .calculus import GridSamples, sample
-from .errors import IllConditionedFit, NotApplicable, OutOfInterval, QuadratureNonFinite
+from .errors import IllConditionedFit, NotApplicable, OutOfInterval
 from .expr import FunctionPair, interior_grid
 from .means import MeanSpec, mean_eval, mean_table, quasiarithmetic_table
-from .measures import Discrete, Lebesgue, Measure, Regime, RegimeInfo, classify, preset_measure
+from .measures import (
+    CumulativeIntegral, Discrete, Lebesgue, Measure, Regime, RegimeInfo, classify, preset_measure,
+)
 
-PANEL_WIDTH = 0.1
-PANEL_POINTS = 16
 EQUIVALENCE_TOL = 1e-9
 DETERMINANT_FLOOR = 1e-10
 PHI_PSI_TOL = 1e-9
@@ -46,8 +46,6 @@ DEFAULT_BATTERY_GRID = 50
 _BRANCH_TOLERANCES = {"phi_psi_gap": PHI_PSI_TOL, "fit_residual": FIT_TOL}
 
 GridSpec = Union[int, Sequence[float]]
-
-_GL_PANEL = np.polynomial.legendre.leggauss(PANEL_POINTS)
 
 
 # ------------------------------------------------------------------- types
@@ -279,67 +277,6 @@ def _fit(design: np.ndarray, target: np.ndarray, context: str) -> tuple[list[flo
 
 
 # ------------------------------------------------------------ antiderivative
-
-
-def _panel_sums(
-    func: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray
-) -> np.ndarray:
-    """16-point Gauss-Legendre integrals of func over the panels [a[k], b[k]].
-
-    All nodes go to func in one call; each panel's weights are summed in
-    node order, as a scalar loop over the nodes would.
-    """
-    nodes, weights = _GL_PANEL
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    ts = mid[:, None] + half[:, None] * nodes
-    vs = func(ts)
-    jets.reject(~np.isfinite(vs), lambda k: QuadratureNonFinite(float(ts.flat[k]), float(vs.flat[k])))
-    total = np.zeros(len(a))
-    for k, w in enumerate(weights):
-        total += w * vs[:, k]
-    return half * total
-
-
-class CumulativeIntegral:
-    """Antiderivative of func anchored to 0 at x0.
-
-    func is elementwise on numpy arrays. The quadrature is composite
-    Gauss-Legendre with 16 points per panel of width at most PANEL_WIDTH,
-    exact for polynomial integrands up to degree 31. The instance takes a
-    float or an array of points. Values at a fixed panel lattice rooted at
-    x0 are cached, so repeated evaluation costs one remainder panel per
-    point; the lattice depends only on x0, never on the evaluation order or
-    on how points are batched.
-    """
-
-    def __init__(self, func: Callable[[np.ndarray], np.ndarray], x0: float):
-        self.func = func
-        self.x0 = float(x0)
-        self._fwd = [0.0]
-        self._bwd = [0.0]
-
-    def _extend(self, prefix: list[float], k: int, sign: float) -> None:
-        if len(prefix) > k:
-            return
-        a = self.x0 + sign * np.arange(len(prefix) - 1, k) * PANEL_WIDTH
-        for s in _panel_sums(self.func, a, a + sign * PANEL_WIDTH).tolist():
-            prefix.append(prefix[-1] + s)
-
-    def __call__(self, x: float | np.ndarray) -> float | np.ndarray:
-        xa = np.asarray(x, dtype=float)
-        xs = xa.ravel()
-        fwd = xs >= self.x0
-        k = (np.abs(xs - self.x0) / PANEL_WIDTH).astype(int)
-        start = np.empty_like(xs)
-        base = np.empty_like(xs)
-        for mask, prefix, sign in ((fwd, self._fwd, 1.0), (~fwd, self._bwd, -1.0)):
-            if mask.any():
-                self._extend(prefix, int(k[mask].max()), sign)
-                start[mask] = self.x0 + sign * k[mask] * PANEL_WIDTH
-                base[mask] = np.asarray(prefix)[k[mask]]
-        out = base + _panel_sums(self.func, start, xs)
-        return float(out[0]) if xa.ndim == 0 else out.reshape(xa.shape)
 
 
 def _phi3_w_integral(

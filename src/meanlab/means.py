@@ -430,10 +430,13 @@ def _mean_factory(shapes: tuple) -> Callable:
 def mean_table(spec: MeanSpec, xs: Sequence[float]) -> np.ndarray:
     """The n x n table T[i, j] = mean_eval(spec, xs[i], xs[j]).
 
-    The segment integrals of all pairs are taken node by node, with
-    mean_eval's arithmetic, and the off-diagonal roots are found in one
-    batched solve: of the upper triangle only, copied to its mirror, when
-    the measure is symmetric under t -> 1 - t. The diagonal is exact. Each
+    The segment integrals of all pairs are the measure's
+    segment_integrals: node by node, with mean_eval's arithmetic, for
+    atoms and densities, and exact integrals for the Lebesgue measure,
+    which agree with mean_eval's node sums to within their rule's error.
+    The off-diagonal roots are found in one batched solve: of the upper
+    triangle only, copied to its mirror, when the measure is symmetric
+    under t -> 1 - t. The diagonal is exact. Each
     element, solved or copied, must pass mean_eval's residual certificate
     against its own ratio; one that does not bracket, converge or certify
     is recomputed by mean_eval, which keeps its endpoint fallback and
@@ -445,10 +448,7 @@ def mean_table(spec: MeanSpec, xs: Sequence[float]) -> np.ndarray:
             raise OutOfInterval(float(x), spec.pair.interval)
     f = ex.compile_array(spec.pair.f)
     g = ex.compile_array(spec.pair.g)
-    X, Y = xs[:, None], xs[None, :]
-    num = spec.measure.integrate(lambda t: f(t * X + (1.0 - t) * Y))
-    den = spec.measure.integrate(lambda t: g(t * X + (1.0 - t) * Y))
-    r = num / den
+    r = spec.measure.segment_integrals(f, xs) / spec.measure.segment_integrals(g, xs)
     mirror = _symmetric(spec.measure)
     solve, lo, hi = _brackets(xs, mirror)
     z, ok = _bracketed_roots(lambda z, r: f(z) - r * g(z), lo, hi, r[solve])

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from meanlab import calculus as ca
+from meanlab import cli
 from meanlab import expr as ex
 from meanlab import means as mn
 from meanlab.errors import (
@@ -436,6 +437,14 @@ class TestDiagonalDerivatives:
         assert ca.diagonal_derivatives(SINCOS, SKEWED, 0.2) == first
         assert len(integrals) == 8
         assert classify(SKEWED) is classify(SKEWED)
+
+    def test_cli_moments_and_classify_share_one_entry(self, integrals, capsys):
+        measure = '{"type": "atoms", "atoms": [[0, 0.3], [0.7, 0.7]]}'
+        assert cli.main(["moments", "--measure", measure, "--nmax", "6"]) == 0
+        assert "mu6 = " in capsys.readouterr().out
+        # mu_hat1, then mu_0 to mu_6: moments(m, 6) and classify's moments(m) are one entry
+        assert integrals == [SKEWED] * 8
+        assert moments(SKEWED) is moments(SKEWED, 6)
 
     def test_equivalent_pairs_agree(self, rng):
         base = ex.validate_pair("sinh(x)", "cosh(x)", (-1.0, 1.0))

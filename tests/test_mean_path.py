@@ -1,5 +1,7 @@
 """The scalar mean path: bit identity with the node-by-node route, a 50-digit
-reference, and properties of every mean.
+reference, and properties of every mean. Also the Lebesgue tables, whose
+segment integrals are exact rather than node sums: against a 50-digit
+reference of the exact integrals, and against the node loop.
 
 mean_eval runs the pair's printed mean kernel: the segment sums over
 plain-float nodes and the Brent steps in one function. _node_by_node_mean_eval
@@ -297,6 +299,79 @@ def test_mean_table_matches_50_digit_reference(measure):
                     ref = _mp_mean(spec, x, y)
                     got = table[i, j]
                     assert abs(got - ref) <= 1e-14 * max(1.0, abs(ref)), (fam, x, y, got, ref)
+
+
+# --------------------------------------------------------------- Lebesgue tables
+
+def _mp_lebesgue_mean(pair, x, y):
+    """The Lebesgue mean from the exact segment integrals, at 50 digits:
+    mpmath.quad of f and g from y to x, then findroot. Returns the mean
+    and the two segment integrals."""
+    with mpmath.workdps(50):
+        X, Y = mpmath.mpf(x), mpmath.mpf(y)
+        num, den = (mpmath.quad(lambda s: mp_value(e, s), [Y, X]) / (X - Y) for e in (pair.f, pair.g))
+        r = num / den
+        z = mpmath.findroot(lambda z: mp_value(pair.f, z) - r * mp_value(pair.g, z),
+                            (min(X, Y), max(X, Y)), solver="anderson")
+        return float(z), float(num), float(den)
+
+
+def _close_grid(pair):
+    """Seven unsorted points: pairs 1e-12, 1e-9 and 1e-6 apart, one point twice."""
+    lo, hi = pair.interval
+    a, b, c = (lo + (hi - lo) * u for u in (0.2, 0.5, 0.8))
+    return np.array([b + 1e-9, a, c + 1e-6, b, a + 1e-12, c, b])
+
+
+@pytest.mark.parametrize("grid", ["100", "close"])
+def test_lebesgue_table_matches_exact_50_digit_reference(grid):
+    rng = random.Random(8)
+    for fam, pair, _ in _cases(6):
+        spec = MeanSpec(pair, Lebesgue())
+        lo, hi = pair.interval
+        if grid == "100":
+            xs = lo + (hi - lo) * (np.arange(100) + 0.5) / 100
+            cells = [(rng.randrange(100), rng.randrange(100)) for _ in range(20)]
+        else:
+            xs = _close_grid(pair)
+            cells = [(i, j) for i in range(len(xs)) for j in range(len(xs))]
+        table = mn.mean_table(spec, xs)
+        f, g = ex.compile_array(pair.f), ex.compile_array(pair.g)
+        num, den = (spec.measure.segment_integrals(e, xs) for e in (f, g))
+        for i, j in cells:
+            x, y = xs[i], xs[j]
+            if x == y:
+                assert table[i, j] == x
+                continue
+            ref, ref_num, ref_den = _mp_lebesgue_mean(pair, x, y)
+            assert abs(table[i, j] - ref) <= 1e-14 * max(1.0, abs(ref)), (fam, x, y, table[i, j], ref)
+            # the running cell sums keep the integrals exact to rounding at any gap
+            for got, want in ((num[i, j], ref_num), (den[i, j], ref_den)):
+                assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (fam, x, y, got, want)
+
+
+@pytest.mark.parametrize("fam", PAIR_FAMILIES)
+def test_lebesgue_segment_integrals_match_the_node_loop(fam):
+    pair = random_admissible_pair(random.Random(9), fam)
+    lo, hi = pair.interval
+    xs = lo + (hi - lo) * np.array([0.9, 0.02, 0.5, 0.31, 0.5, 0.98, 0.5 + 1e-9, 0.13, 0.77])
+    m = Lebesgue()
+    for e in (pair.f, pair.g):
+        fn = ex.compile_array(e)
+        got, want = m.segment_integrals(fn, xs), ms.Measure.segment_integrals(m, fn, xs)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want))), fam
+
+
+def test_lebesgue_table_raises_at_a_non_finite_panel_point():
+    # 1e308 (2 - (x - 1)^2) overflows for |x - 1| < 0.45, so g is inf - inf + 1, a
+    # nan, there and 1 at both grid points
+    g = ex.parse("1e308 * (2 - (x - 1)^2) - 1e308 * (2 - (x - 1)^2) + 1")
+    spec = MeanSpec(FunctionPair(ex.parse("x"), g, (0.0, 3.0), 6), Lebesgue())
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.array_equal(ex.compile_array(g)(np.array([0.5, 1.5])), [1.0, 1.0])
+        with pytest.raises(QuadratureNonFinite) as got:
+            mn.mean_table(spec, [0.5, 1.5])
+    assert 0.5 < got.value.node < 1.5 and math.isnan(got.value.value)
 
 
 # --------------------------------------------------------------- properties
