@@ -256,10 +256,10 @@ def _resolve_grid(
 
 
 def _spread(values: np.ndarray) -> float:
-    """Relative spread max - min over the mean magnitude."""
+    """Spread max - min over max(|mean|, 1): relative, or absolute near a 0 mean."""
     center = abs(float(np.mean(values)))
     width = float(np.max(values) - np.min(values))
-    return width / max(center, 1e-300)
+    return width / max(center, 1.0)
 
 
 def _fit(design: np.ndarray, target: np.ndarray, context: str) -> tuple[list[float], float]:

@@ -81,12 +81,12 @@ class NonSmooth(MeanLabError):
 # ---------------------------------------------------------------- measures
 
 class QuadratureNonFinite(MeanLabError):
-    """Integrand produced a non-finite value under the measure."""
+    """Integrand not finite at a quadrature node t, or at a panel or grid point x."""
 
-    def __init__(self, node: float, value: float):
+    def __init__(self, node: float, value: float, at: str = "quadrature node"):
         self.node = node
         self.value = value
-        super().__init__(f"integrand returned {value!r} at quadrature node {node!r}")
+        super().__init__(f"integrand returned {value!r} at {at} {node!r}")
 
 
 class DegenerateMeasure(MeanLabError):

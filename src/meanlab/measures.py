@@ -90,7 +90,7 @@ def _panel_sums(
     half = 0.5 * (b - a)
     ts = mid[:, None] + half[:, None] * nodes
     vs = func(ts)
-    jets.reject(~np.isfinite(vs), lambda k: QuadratureNonFinite(float(ts.flat[k]), float(vs.flat[k])))
+    jets.reject(~np.isfinite(vs), lambda k: QuadratureNonFinite(float(ts.flat[k]), float(vs.flat[k]), "point"))
     total = np.zeros(len(a))
     for k, w in enumerate(weights):
         total += w * vs[:, k]
@@ -233,7 +233,7 @@ class Lebesgue(Measure):
         """
         u, back = np.unique(xs, return_inverse=True)
         at = fn(u)
-        jets.reject(~np.isfinite(at), lambda k: QuadratureNonFinite(float(u[k]), float(at[k])))
+        jets.reject(~np.isfinite(at), lambda k: QuadratureNonFinite(float(u[k]), float(at[k]), "point"))
         table = np.diag(at)
         m = len(u)
         if m > 1:

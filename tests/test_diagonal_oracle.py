@@ -58,12 +58,6 @@ CAUCHY_KEYS = [
     for phi in ("x + 0.3*x^2", "sinh(x)", "2 * x")
     for a, b in ((-1.0, 0.0), (0.0, 0.5), (-1.0, 0.5), (-2.0, 1.0))
 ]
-# the ECM exp row divides by a mean near 1e-16 where t = 0 meets a
-# non-linear phi, and fails; ROADMAP item 2 mends it
-EXP_ROW_FAILS = {
-    f"{phi}/{a}/{b}" for phi in ("x + 0.3*x^2", "sinh(x)") for a, b in ((-1.0, 0.0), (0.0, 0.5))
-}
-EXP_ROW_XFAIL = pytest.mark.xfail(strict=True, reason="the ECM exp row fails on a mean near 0 (ROADMAP item 2)")
 
 
 def _cauchy_pairs(key: str):
@@ -143,9 +137,7 @@ def test_cauchy_witnesses_have_equal_diagonal_jets(key):
     assert diagonal_jet_gap(pairA, pairB, Lebesgue(), interior_grid(CAUCHY_INTERVAL, 12)) <= GAP_TOL
 
 
-@pytest.mark.parametrize("key", [
-    pytest.param(k, id=k, marks=[EXP_ROW_XFAIL] if k in EXP_ROW_FAILS else []) for k in CAUCHY_KEYS
-])
+@pytest.mark.parametrize("key", CAUCHY_KEYS)
 def test_cauchy_witnesses_hold_under_ecm(key):
     report = eq.check_ECM(*_cauchy_pairs(key), grid=12)
     assert report.all_hold, report.failing

@@ -148,7 +148,7 @@ class TestAntiderivative:
         assert got == pytest.approx(exact, abs=1e-14)
 
     def test_non_finite_integrand(self):
-        with pytest.raises(QuadratureNonFinite, match="^integrand returned nan at quadrature node"):
+        with pytest.raises(QuadratureNonFinite, match="^integrand returned nan at point "):
             eq.CumulativeIntegral(lambda t: np.full_like(t, np.nan), 0.0)(0.3)
 
 

@@ -369,8 +369,12 @@ def test_lebesgue_table_raises_at_a_non_finite_panel_point():
     spec = MeanSpec(FunctionPair(ex.parse("x"), g, (0.0, 3.0), 6), Lebesgue())
     with np.errstate(over="ignore", invalid="ignore"):
         assert np.array_equal(ex.compile_array(g)(np.array([0.5, 1.5])), [1.0, 1.0])
-        with pytest.raises(QuadratureNonFinite) as got:
+        # the text names a point of the interval, as the base class's node
+        # loop names a quadrature node t in [0, 1]
+        with pytest.raises(QuadratureNonFinite, match=r"nan at point 0\.5547506254918819$") as got:
             mn.mean_table(spec, [0.5, 1.5])
+        with pytest.raises(QuadratureNonFinite, match=r"nan at quadrature node 0\.05183942211697"):
+            ms.Measure.segment_integrals(Lebesgue(), ex.compile_array(g), np.array([0.5, 1.5]))
     assert 0.5 < got.value.node < 1.5 and math.isnan(got.value.value)
 
 

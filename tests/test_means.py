@@ -416,7 +416,8 @@ def _full_square_table(spec: MeanSpec, xs) -> tuple[np.ndarray, np.ndarray]:
     den = spec.measure.integrate(lambda t: g(t * X + (1.0 - t) * Y))
     off = X != Y
     lo, hi, r = np.minimum(X, Y)[off], np.maximum(X, Y)[off], (num / den)[off]
-    z, ok = mn._bracketed_roots(lambda z, r: f(z) - r * g(z), lo, hi, r)
+    resid = lambda z, r: f(z) - r * g(z)  # noqa: E731
+    z, ok = mn.chandrupatla(resid, lo, hi, resid(lo, r), resid(hi, r), (r,))
     assert ok.all()
     table = np.repeat(xs[:, None], len(xs), axis=1)
     table[off] = z
@@ -492,10 +493,8 @@ class TestMirroredTables:
         p = phi(xs)
         X, Y = xs[:, None], xs[None, :]
         off = X != Y
-        z, ok = mn._bracketed_roots(
-            lambda z, c: phi(z) - c, np.minimum(X, Y)[off], np.maximum(X, Y)[off],
-            (0.5 * (p[:, None] + p[None, :]))[off],
-        )
+        lo, hi, c = np.minimum(X, Y)[off], np.maximum(X, Y)[off], (0.5 * (p[:, None] + p[None, :]))[off]
+        z, ok = mn.chandrupatla(lambda z, c: phi(z) - c, lo, hi, phi(lo) - c, phi(hi) - c, (c,))
         assert ok.all()
         want = np.repeat(xs[:, None], 15, axis=1)
         want[off] = z

@@ -2,9 +2,10 @@
 
 The scalar route is means.brentq behind means._solve_bracketed (mean_eval,
 quasiarithmetic, bajraktarevic, cauchy); the batched route is
-means.chandrupatla behind means._bracketed_roots (mean_table,
-quasiarithmetic_table). Both keep an exactly zero end as the root, and
-both stop after means._MAXITER steps.
+means.chandrupatla, which mean_table and quasiarithmetic_table call with
+the residuals at the ends. Both keep an exactly zero end as the root (the
+lower one where both ends are 0), both fail ends of one sign or a nan end,
+and both stop after means._MAXITER steps.
 """
 
 from __future__ import annotations
@@ -42,12 +43,17 @@ class TestExactZeroEnd:
         assert mn._solve_bracketed(lambda z: -z, 0.0, -1.0) == 0.0
 
     def test_batched_returns_the_end(self):
-        lo, hi = np.array([0.0, 0.1, -1.0, 0.5]), np.array([1.0, 2.0, 0.7, 0.9])
-        roots = np.array([0.0, 2.0, 0.3, 0.9])  # at lo, at hi, inside, at hi
-        z, ok = mn._bracketed_roots(lambda x, c: x - c, lo, hi, roots)
+        lo, hi = np.array([0.0, 0.1, -1.0, 0.5, 0.2]), np.array([1.0, 2.0, 0.7, 0.9, 0.6])
+        roots = np.array([0.0, 2.0, 0.3, 0.9, 0.4])  # at lo, at hi, inside, at hi
+        # the last residual is 0 on its whole bracket, so at both ends
+        scale = np.array([1.0, 1.0, 1.0, 1.0, 0.0])
+        f = lambda x, c, s: s * (x - c)  # noqa: E731
+        z, ok = mn.chandrupatla(f, lo, hi, f(lo, roots, scale), f(hi, roots, scale), (roots, scale))
         assert ok.all()
         assert z[0] == 0.0 and z[1] == 2.0 and z[3] == 0.9
         assert abs(z[2] - 0.3) <= 1e-15
+        # both ends 0: the lower end, as _solve_bracketed returns
+        assert z[4] == 0.2
 
     def test_batched_value_below_smallest_normal_is_a_root(self):
         fa = np.array([-5e-324])
@@ -65,7 +71,8 @@ class TestNoSignChange:
         # x^2 - c brackets a root on [0.1, 2] only for c = 1
         c = np.array([1.0, 5.0, 0.001, 1.0])
         lo, hi = np.array([0.1, 0.1, 0.1, -2.0]), np.array([2.0, 2.0, 2.0, 2.0])
-        z, ok = mn._bracketed_roots(lambda x, c: x * x - c, lo, hi, c)
+        f = lambda x, c: x * x - c  # noqa: E731
+        z, ok = mn.chandrupatla(f, lo, hi, f(lo, c), f(hi, c), (c,))
         assert ok.tolist() == [True, False, False, False]
         assert abs(z[0] - 1.0) <= 1e-15
         assert np.isnan(z[1:]).all()
@@ -103,6 +110,15 @@ class TestNan:
         z, ok = mn.chandrupatla(f, a, b, f(a), np.array([0.5, np.nan]))
         assert not ok.any()
         assert np.isnan(z).all()
+
+    def test_batched_nan_end_fails_unless_the_other_is_zero(self):
+        # as _solve_bracketed: a nan end fails whatever the other end's sign,
+        # and an exactly zero end is the root before a nan is looked at
+        a, b = np.zeros(3), np.ones(3)
+        fa, fb = np.array([np.nan, -1.0, np.nan]), np.array([1.0, np.nan, 0.0])
+        z, ok = mn.chandrupatla(lambda x: x - 0.5, a, b, fa, fb)
+        assert ok.tolist() == [False, False, True]
+        assert np.isnan(z[:2]).all() and z[2] == 1.0
 
     def test_batched_table_falls_back_and_raises(self):
         def phi(x):

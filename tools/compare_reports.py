@@ -14,11 +14,15 @@ tolerance sets, plus explicit grids, direct battery calls on the wrong
 measure, N3 at a measure on its mu6 = 5 mu2 mu4 boundary, and fixed failing
 library calls (validate_pair, compile_array, eval_jet, compile_scalar and
 Density on inputs whose checks fail, integer powers that overflow and
-intervals with an infinite end or width among them). Each
-case records the report's JSON (``as_dict``, sorted keys, indent 2) and its
-CLI text, or the type and text of the error it raised. The script prints
-every case whose JSON, text or error differs between the trees and exits 1
-if any does.
+intervals with an infinite end or width among them), plus the mean tables
+of nine pairs under EBM, the atoms [[0, 0.3], [0.7, 0.7]] and Lebesgue, and three
+quasi-arithmetic tables, on a regular grid and on an unsorted grid with
+repeated points and gaps from one ulp to 1e-6, where bracket ends have
+residuals of exactly 0 or of one sign. Each case records the report's
+JSON (``as_dict``, sorted keys, indent 2) and its CLI text, the
+``float.hex`` of every table element, or the type and text of the error
+it raised. The script prints every case whose JSON, text, table or error
+differs between the trees and exits 1 if any does.
 """
 
 from __future__ import annotations
@@ -104,7 +108,8 @@ def matrix():
 
 
 def _cases():
-    """(key, thunk, pair) for every case; the thunk returns a report or raises."""
+    """(key, thunk, pair) for every case; the thunk returns a report, or a
+    table where pair is None, or raises."""
     from meanlab import equality as eq
     from meanlab.measures import Discrete
 
@@ -137,6 +142,40 @@ def _cases():
     yield "sincos-linear/sixth_boundary/20/default", case(sincos, linear, boundary, 20), sincos
     for key, call in _failing_calls():
         yield key, call, None
+    yield from _table_cases(combos, measures)
+
+
+def _table_grids(lo: float, hi: float) -> dict:
+    """A regular interior grid, and an unsorted one about the point c at 0.6
+    of the interval, with points one and two ulps apart, gaps of 1e-12, 1e-9
+    and 1e-6, repeated points and two far points."""
+    c = lo + 0.6 * (hi - lo)
+    up, down = math.nextafter(c, hi), math.nextafter(c, lo)
+    close = [up, c, math.nextafter(up, hi), down, c + 1e-12, c - 1e-9, c + 1e-6, c, c + 0.2 * (hi - lo),
+             c + 1e-12, c - 0.5 * (hi - lo), down, c + 1e-6 + 1e-12]
+    return {"regular": [lo + (hi - lo) * (k + 0.5) / 12 for k in range(12)], "close": close}
+
+
+def _table_cases(combos: dict, measures: dict):
+    """(key, thunk, None) for mean_table and quasiarithmetic_table; the thunk
+    returns the table."""
+    import numpy as np
+
+    from meanlab import means as mn
+    from meanlab.measures import CumulativeIntegral
+
+    pairs = {name.split("-")[0]: a for name, (a, _) in combos.items()}
+    for pname, pair in pairs.items():
+        for gname, xs in _table_grids(*pair.interval).items():
+            for mname in ("ebm", "asymmetric", "lebesgue"):
+                spec = mn.MeanSpec(pair, measures[mname])
+                yield f"mean_table/{pname}/{mname}/{gname}", lambda s=spec, xs=xs: mn.mean_table(s, xs), None
+    # each phi is strictly increasing on the floats of the close grid
+    phis = {"cumulative-cos": CumulativeIntegral(np.cos, 0.1), "identity": lambda x: x,
+            "cubic": lambda x: x + 0.5 * x * x * x}
+    for name, phi in phis.items():
+        for gname, xs in _table_grids(*INTERVAL).items():
+            yield f"quasiarithmetic_table/{name}/{gname}", lambda p=phi, xs=xs: mn.quasiarithmetic_table(p, xs), None
 
 
 def _failing_calls():
@@ -191,6 +230,9 @@ def emit(src: str) -> None:
         except Exception as exc:  # the error text is part of the comparison
             out[key] = {"error": f"{type(exc).__name__}: {exc}"}
             continue
+        if pair is None:  # a table
+            out[key] = {"table": [v.hex() for v in report.ravel().tolist()]}
+            continue
         lo, hi = pair.interval
         out[key] = {
             "json": json.dumps(report.as_dict(), sort_keys=True, indent=2),
@@ -222,7 +264,7 @@ def main(argv: list[str]) -> int:
     differing = 0
     for key in sorted(old.keys() | new.keys()):
         a, b = old.get(key, {}), new.get(key, {})
-        parts = [p for p in ("json", "text", "error") if a.get(p) != b.get(p)]
+        parts = [p for p in ("json", "text", "table", "error") if a.get(p) != b.get(p)]
         if parts:
             differing += 1
             print(f"{key}: {', '.join(parts)} differ")
