@@ -2,7 +2,8 @@
 
 Given two admissible generator pairs, the checks in this module decide, at
 grid resolution, whether the associated means coincide and why: a direct
-2x2 equivalence fit between the pairs, power-law relations between their
+2x2 equivalence fit between the pairs, confirmed only by the pairs sharing
+the Phi and Psi of y'' = Phi y' + Psi y, power-law relations between their
 Psi coefficient functions with exponents driven by the measure's moments,
 and two full assertion ladders for the binary-symmetric measure
 (delta_0 + delta_1)/2 and for the Lebesgue measure. check_equality picks
@@ -31,13 +32,12 @@ from . import expr as ex
 from .calculus import GridSamples, sample
 from .errors import IllConditionedFit, NotApplicable, OutOfInterval
 from .expr import FunctionPair, interior_grid
-from .means import MeanSpec, mean_eval, mean_table, quasiarithmetic_table
+from .means import MeanSpec, mean_table, quasiarithmetic_table
 from .measures import (
     CumulativeIntegral, Discrete, Lebesgue, Measure, Regime, RegimeInfo, classify, preset_measure,
 )
 
 EQUIVALENCE_TOL = 1e-9
-DETERMINANT_FLOOR = 1e-10
 PHI_PSI_TOL = 1e-9
 FIT_TOL = 1e-8
 DEFAULT_FIT_GRID = 101
@@ -96,7 +96,7 @@ class Matrix2:
 
 @dataclass(frozen=True)
 class NotEquivalent:
-    """Outcome value of a failed equivalence fit; not an error."""
+    """Outcome value of a failed equivalence decision, with the fit residual; not an error."""
 
     residual: float
 
@@ -295,11 +295,10 @@ def _phi3_w_integral(
 
 
 def _fit_matrix(
-    pairA: FunctionPair, pairB: FunctionPair, xs: Sequence[float], tol: float
-) -> tuple[Union[Matrix2, NotEquivalent], float]:
+    pairA: FunctionPair, pairB: FunctionPair, xs: Sequence[float]
+) -> tuple[Matrix2, float]:
     """Normalized least-squares transform of pairA onto pairB and its
-    relative residual. The transform is accepted only when the residual is
-    at most tol and the matrix is nonsingular; otherwise NotEquivalent."""
+    relative residual."""
     (fa, ga), (fb, gb) = ((j.value for j in ex.pair_jets(p, np.asarray(xs), 0)) for p in (pairA, pairB))
     design = np.column_stack([fa, ga])
     ab, *_ = np.linalg.lstsq(design, fb, rcond=None)
@@ -307,43 +306,31 @@ def _fit_matrix(
     rss = float(np.sum((design @ ab - fb) ** 2) + np.sum((design @ cd - gb) ** 2))
     scale = float(np.sum(fb**2) + np.sum(gb**2))
     residual = math.sqrt(rss / max(scale, 1e-300))
-    m = Matrix2(float(ab[0]), float(ab[1]), float(cd[0]), float(cd[1])).normalized()
-    if residual <= tol and abs(m.det()) >= DETERMINANT_FLOOR:
-        return m, residual
-    return NotEquivalent(residual), residual
+    return Matrix2(float(ab[0]), float(ab[1]), float(cd[0]), float(cd[1])).normalized(), residual
 
 
 def _equivalence(
     pairA: FunctionPair, pairB: FunctionPair, grid_size: int, tol: float
 ) -> tuple[Union[Matrix2, NotEquivalent], float]:
     """The one decider of equivalence: the fit of _fit_matrix on grid_size
-    interior points, then, for an accepted matrix, the two means under
-    (delta_0 + delta_1)/2 at a 3 x 3 spot grid, since equivalent pairs must
-    generate the same mean. Returns the matrix or NotEquivalent, with the
-    fit residual, or the first spot gap that exceeds its tolerance."""
-    interval = _common_interval(pairA, pairB)
-    m, residual = _fit_matrix(pairA, pairB, interior_grid(interval, grid_size), tol)
-    if isinstance(m, NotEquivalent):
+    interior points, accepted when its residual is at most tol and the pairs
+    share Phi and Psi on those points (PhiPsiGaps.holds). Returns the matrix
+    or NotEquivalent, with the fit residual. det M = W10_B / W10_A, nonzero
+    on validated pairs, so an accepted matrix is nonsingular."""
+    xs = interior_grid(_common_interval(pairA, pairB), grid_size)
+    m, residual = _fit_matrix(pairA, pairB, xs)
+    if residual <= tol and _phi_psi_gaps(sample(pairA, xs, 0), sample(pairB, xs, 0)).holds:
         return m, residual
-    spot = preset_measure("ebm")
-    sa, sb = MeanSpec(pairA, spot), MeanSpec(pairB, spot)
-    pts = interior_grid(interval, 3)
-    tol_spot = 1e-8 * (1.0 + max(abs(interval[0]), abs(interval[1])))
-    for x in pts:
-        for y in pts:
-            gap = abs(mean_eval(sa, x, y) - mean_eval(sb, x, y))
-            if gap > tol_spot:
-                return NotEquivalent(gap), gap
-    return m, residual
+    return NotEquivalent(residual), residual
 
 
 def fit_equivalence(pairA: FunctionPair, pairB: FunctionPair) -> Union[Matrix2, NotEquivalent]:
     """The 2x2 matrix sending (f, g) to (F, G), or NotEquivalent, fitted on
     DEFAULT_FIT_GRID interior points.
 
-    Accepts only when the relative fit residual is at most EQUIVALENCE_TOL,
-    the normalized matrix is nonsingular and the two means agree on a
-    coarse spot grid; the batteries decide equivalence the same way.
+    Accepts only when the relative fit residual is at most EQUIVALENCE_TOL
+    and the two pairs share Phi and Psi on the fit's points; the batteries
+    decide equivalence the same way.
     """
     return _equivalence(pairA, pairB, DEFAULT_FIT_GRID, EQUIVALENCE_TOL)[0]
 

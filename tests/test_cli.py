@@ -158,6 +158,13 @@ class TestMoments:
         assert (code, out) == (2, "")
         assert err.strip() == "error (ValueError): quadrature order 101 is above 100"
 
+    @pytest.mark.parametrize("order", ["1", "101", "true", '"7"'])
+    def test_bad_lebesgue_order_exits_2(self, capsys, order):
+        spec = f'{{"type": "lebesgue", "order": {order}}}'
+        code, out, err = run_cli(capsys, ["moments", "--measure", spec])
+        assert (code, out) == (2, "")
+        assert err.startswith("error (ValueError): ")
+
     def test_boolean_atom_location_exits_2(self, capsys):
         spec = '{"type": "atoms", "atoms": [[true, 0.5], [0, 0.5]]}'
         argv = [a if a != "ebm" else spec for a in EBM_WITNESS]

@@ -22,7 +22,7 @@ from meanlab.means import MeanSpec, mean_eval, quasiarithmetic
 from meanlab import measures
 from meanlab.measures import Discrete, Lebesgue, classify, preset_measure
 
-from conftest import mp_value, random_admissible_pair
+from conftest import PAIR_FAMILIES, mp_value, random_admissible_pair
 
 INTERVAL = (-0.7, 0.7)
 SINCOS = ex.validate_pair("sin(x)", "cos(x)", INTERVAL)
@@ -523,6 +523,26 @@ class TestFitEquivalence:
             done += 1
 
 
+    def test_fit_and_phi_psi_agree(self, rng):
+        # Matrix2 images and second draws of each family: the fit accepts
+        # exactly where the pairs share Phi and Psi on the fit's points
+        outcomes = set()
+        for family in PAIR_FAMILIES:
+            for _ in range(20):
+                pair, other = random_admissible_pair(rng, family), random_admissible_pair(rng, family)
+                xs = ex.interior_grid(pair.interval, eq.DEFAULT_FIT_GRID)
+                m = eq.Matrix2(*(rng.uniform(-2.0, 2.0) for _ in range(4)))
+                try:
+                    others = [other, m.apply(pair)] if abs(m.det()) >= 0.1 else [other]
+                except NotPositive:
+                    others = [other]
+                for b in others:
+                    accepted = eq._fit_matrix(pair, b, xs)[1] <= eq.EQUIVALENCE_TOL
+                    assert accepted == eq.check_phi_psi(pair, b, eq.DEFAULT_FIT_GRID).holds, (family, b.f, b.g)
+                    assert isinstance(eq.fit_equivalence(pair, b), eq.Matrix2) == accepted
+                    outcomes.add(accepted)
+        assert outcomes == {True, False}
+
     @pytest.mark.parametrize("check", [
         lambda a, b: eq.check_EBM(a, b, grid=12),
         lambda a, b: eq.check_ECM(a, b, grid=12),
@@ -535,10 +555,13 @@ class TestFitEquivalence:
         rep = check(SINCOS, image)
         assert isinstance(rep.equivalence, eq.Matrix2)
         assert rep.equivalence == eq.fit_equivalence(SINCOS, image)
-        # and both reject an accepted fit whose spot means differ
-        monkeypatch.setattr(eq, "mean_eval", lambda spec, x, y: float(spec.pair is image))
-        assert eq.fit_equivalence(SINCOS, image) == eq.NotEquivalent(1.0)
-        assert check(SINCOS, image).equivalence == eq.NotEquivalent(1.0)
+        # and both reject an accepted fit whose pairs do not share Phi and
+        # Psi, with the fit residual
+        residual = eq._fit_matrix(SINCOS, image, ex.interior_grid(INTERVAL, eq.DEFAULT_FIT_GRID))[1]
+        assert residual <= eq.EQUIVALENCE_TOL
+        monkeypatch.setattr(eq, "_phi_psi_gaps", lambda sa, sb: eq.PhiPsiGaps(1.0, 0.0, 0.0, 0.0))
+        assert eq.fit_equivalence(SINCOS, image) == eq.NotEquivalent(residual)
+        assert check(SINCOS, image).equivalence == eq.NotEquivalent(residual)
 
 
 class TestPhiPsi:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -275,16 +276,31 @@ class TestSerialization:
             {"type": "atoms", "atoms": [[0.5, True]]},
             {"type": "density", "rho": "2 * x", "order": True},
             {"type": "atoms", "atoms": []},
+            # a Lebesgue order is read as a density's is
+            {"type": "lebesgue", "order": 1},
+            {"type": "lebesgue", "order": 101},
+            {"type": "lebesgue", "order": True},
+            {"type": "lebesgue", "order": "7"},
         ],
         ids=[
             "cantor", "atoms_missing", "rho_missing", "atoms_int", "atom_short", "rho_int",
             "order_null", "list", "atom_location_bool", "atom_weight_bool", "order_bool",
-            "atoms_empty",
+            "atoms_empty", "lebesgue_order_1", "lebesgue_order_101", "lebesgue_order_bool",
+            "lebesgue_order_str",
         ],
     )
     def test_unknown_type(self, data):
         with pytest.raises(ValueError):
             ms.measure_from_json(data)
+
+    # the default order is left out of the JSON, which keeps its bytes
+    @pytest.mark.parametrize("m, data", [
+        (Lebesgue(), {"type": "lebesgue"}),
+        (Lebesgue(7), {"type": "lebesgue", "order": 7}),
+    ], ids=["default", "order7"])
+    def test_lebesgue_order_round_trips(self, m, data):
+        assert ms.measure_to_json(m) == data
+        assert ms.measure_from_json(json.dumps(data)) == m
 
     def test_booleans_are_named_in_the_error(self):
         with pytest.raises(ValueError, match=r"pairs, not \[True, 0\.5\]"):
