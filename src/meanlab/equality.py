@@ -2,8 +2,7 @@
 
 Given two admissible generator pairs, the checks in this module decide, at
 grid resolution, whether the associated means coincide and why: a direct
-2x2 equivalence fit between the pairs, confirmed only by the pairs sharing
-the Phi and Psi of y'' = Phi y' + Psi y, power-law relations between their
+2x2 equivalence fit between the pairs, power-law relations between their
 Psi coefficient functions with exponents driven by the measure's moments,
 and two full assertion ladders for the binary-symmetric measure
 (delta_0 + delta_1)/2 and for the Lebesgue measure. check_equality picks
@@ -313,24 +312,20 @@ def _equivalence(
     pairA: FunctionPair, pairB: FunctionPair, grid_size: int, tol: float
 ) -> tuple[Union[Matrix2, NotEquivalent], float]:
     """The one decider of equivalence: the fit of _fit_matrix on grid_size
-    interior points, accepted when its residual is at most tol and the pairs
-    share Phi and Psi on those points (PhiPsiGaps.holds). Returns the matrix
-    or NotEquivalent, with the fit residual. det M = W10_B / W10_A, nonzero
-    on validated pairs, so an accepted matrix is nonsingular."""
-    xs = interior_grid(_common_interval(pairA, pairB), grid_size)
-    m, residual = _fit_matrix(pairA, pairB, xs)
-    if residual <= tol and _phi_psi_gaps(sample(pairA, xs, 0), sample(pairB, xs, 0)).holds:
-        return m, residual
-    return NotEquivalent(residual), residual
+    interior points, accepted when its residual is at most tol. Returns the
+    matrix or NotEquivalent, with the fit residual. det M = W10_B / W10_A,
+    nonzero on validated pairs, so an accepted matrix is nonsingular."""
+    m, residual = _fit_matrix(pairA, pairB, interior_grid(_common_interval(pairA, pairB), grid_size))
+    return (m if residual <= tol else NotEquivalent(residual)), residual
 
 
 def fit_equivalence(pairA: FunctionPair, pairB: FunctionPair) -> Union[Matrix2, NotEquivalent]:
     """The 2x2 matrix sending (f, g) to (F, G), or NotEquivalent, fitted on
     DEFAULT_FIT_GRID interior points.
 
-    Accepts only when the relative fit residual is at most EQUIVALENCE_TOL
-    and the two pairs share Phi and Psi on the fit's points; the batteries
-    decide equivalence the same way.
+    Accepts exactly when the relative fit residual is at most
+    EQUIVALENCE_TOL, using function values only, so a pair validated to any
+    order is accepted; the batteries decide equivalence the same way.
     """
     return _equivalence(pairA, pairB, DEFAULT_FIT_GRID, EQUIVALENCE_TOL)[0]
 

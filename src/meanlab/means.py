@@ -36,15 +36,11 @@ Both root solvers live here and share one pair of root tolerances:
   into every mean kernel.
 
 The scalar route stays Brent rather than a one-element Chandrupatla, though
-not for speed. Measured on a 2-core host (py3.11.7, numpy 2.4.6) over 3,600
-mean brackets of six generator families under EBM and Lebesgue, a scalar
-step in chandrupatla's arithmetic order takes the one-element array solve's
-iterates bit for bit, and 50 passes cost 0.589 s against brentq's 0.603 s
-(13,509 residual evaluations against 14,277). But the two methods stop at
-points a few ulps apart, and the polynomial-fit derivative oracle divides
-differenced means by h^k: switching moved 208 of 2,160 sampled derivatives
-of the recorded perfbench reference past its oracle allowance, by up to
-6.7 times. The switch waits for that reference to be re-recorded.
+not for speed: the two methods stop at points a few ulps apart, and the
+polynomial-fit derivative oracle divides differenced means by h^k, which
+moves the recorded perfbench reference's derivatives past their allowance.
+The switch waits for that reference to be re-recorded (ROADMAP items 2 and
+10, with the measurements).
 """
 
 from __future__ import annotations

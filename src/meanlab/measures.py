@@ -422,8 +422,9 @@ def measure_to_json(m: Measure) -> dict:
     if isinstance(m, Discrete):
         return {"type": "atoms", "atoms": [[t, w] for t, w in m.atoms]}
     if isinstance(m, Lebesgue):
-        # the default order is left out, so its envelopes keep their bytes
-        return {"type": "lebesgue"} if m.order == 32 else {"type": "lebesgue", "order": m.order}
+        if m.order != 32:
+            raise ValueError(f"a Lebesgue measure of order {m.order} has no JSON form; only order 32 has")
+        return {"type": "lebesgue"}
     if isinstance(m, Density):
         return {"type": "density", "rho": ex.to_string(m.rho), "order": m.order}
     raise TypeError(f"not a measure: {m!r}")
@@ -444,9 +445,13 @@ def measure_from_json(data: Union[str, dict]) -> Measure:
                     isinstance(v, (int, float)) and not isinstance(v, bool) for v in atom)):
                 raise ValueError(f"measure key 'atoms' holds [location, weight] pairs, not {atom!r}")
         return Discrete(tuple((t, w) for t, w in atoms))
-    if kind in ("lebesgue", "density"):
+    if kind == "lebesgue":
+        if "order" in data:
+            raise ValueError("measure type 'lebesgue' takes no key 'order'; its order is 32")
+        return Lebesgue()
+    if kind == "density":
         order = _json_key(data, "order", int) if "order" in data else 32
-        return Lebesgue(order) if kind == "lebesgue" else Density(_json_key(data, "rho", str), order=order)
+        return Density(_json_key(data, "rho", str), order=order)
     raise ValueError(f"unknown measure type {kind!r}")
 
 

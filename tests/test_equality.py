@@ -522,6 +522,13 @@ class TestFitEquivalence:
                 assert g == pytest.approx(w, abs=1e-8)
             done += 1
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_pairs_validated_below_order_2(self, n):
+        # the fit reads function values alone, so a pair of any validated
+        # order is fitted
+        pair = ex.validate_pair("sin(x)", "cos(x)", INTERVAL, n=n)
+        m = eq.Matrix2(1.5, -0.5, 0.25, 2.0)
+        assert isinstance(eq.fit_equivalence(pair, m.apply(pair)), eq.Matrix2)
 
     def test_fit_and_phi_psi_agree(self, rng):
         # Matrix2 images and second draws of each family: the fit accepts
@@ -555,13 +562,12 @@ class TestFitEquivalence:
         rep = check(SINCOS, image)
         assert isinstance(rep.equivalence, eq.Matrix2)
         assert rep.equivalence == eq.fit_equivalence(SINCOS, image)
-        # and both reject an accepted fit whose pairs do not share Phi and
-        # Psi, with the fit residual
-        residual = eq._fit_matrix(SINCOS, image, ex.interior_grid(INTERVAL, eq.DEFAULT_FIT_GRID))[1]
-        assert residual <= eq.EQUIVALENCE_TOL
-        monkeypatch.setattr(eq, "_phi_psi_gaps", lambda sa, sb: eq.PhiPsiGaps(1.0, 0.0, 0.0, 0.0))
-        assert eq.fit_equivalence(SINCOS, image) == eq.NotEquivalent(residual)
-        assert check(SINCOS, image).equivalence == eq.NotEquivalent(residual)
+        # and both reject a fit whose residual exceeds the tolerance, with
+        # that residual
+        fit = eq._fit_matrix
+        monkeypatch.setattr(eq, "_fit_matrix", lambda a, b, xs: (fit(a, b, xs)[0], 1.0))
+        assert eq.fit_equivalence(SINCOS, image) == eq.NotEquivalent(1.0)
+        assert check(SINCOS, image).equivalence == eq.NotEquivalent(1.0)
 
 
 class TestPhiPsi:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -276,7 +275,8 @@ class TestSerialization:
             {"type": "atoms", "atoms": [[0.5, True]]},
             {"type": "density", "rho": "2 * x", "order": True},
             {"type": "atoms", "atoms": []},
-            # a Lebesgue order is read as a density's is
+            # JSON names the Lebesgue measure at order 32 alone; an order key is rejected
+            {"type": "lebesgue", "order": 32},
             {"type": "lebesgue", "order": 1},
             {"type": "lebesgue", "order": 101},
             {"type": "lebesgue", "order": True},
@@ -285,7 +285,7 @@ class TestSerialization:
         ids=[
             "cantor", "atoms_missing", "rho_missing", "atoms_int", "atom_short", "rho_int",
             "order_null", "list", "atom_location_bool", "atom_weight_bool", "order_bool",
-            "atoms_empty", "lebesgue_order_1", "lebesgue_order_101", "lebesgue_order_bool",
+            "atoms_empty", "lebesgue_order_32", "lebesgue_order_1", "lebesgue_order_101", "lebesgue_order_bool",
             "lebesgue_order_str",
         ],
     )
@@ -293,14 +293,13 @@ class TestSerialization:
         with pytest.raises(ValueError):
             ms.measure_from_json(data)
 
-    # the default order is left out of the JSON, which keeps its bytes
-    @pytest.mark.parametrize("m, data", [
-        (Lebesgue(), {"type": "lebesgue"}),
-        (Lebesgue(7), {"type": "lebesgue", "order": 7}),
-    ], ids=["default", "order7"])
-    def test_lebesgue_order_round_trips(self, m, data):
-        assert ms.measure_to_json(m) == data
-        assert ms.measure_from_json(json.dumps(data)) == m
+    def test_lebesgue_json_has_order_32_alone(self):
+        assert ms.measure_to_json(Lebesgue()) == {"type": "lebesgue"}
+        assert ms.measure_from_json('{"type": "lebesgue"}') == Lebesgue()
+        with pytest.raises(ValueError, match="order 7 has no JSON form"):
+            ms.measure_to_json(Lebesgue(7))
+        with pytest.raises(ValueError, match="takes no key 'order'"):
+            ms.measure_from_json('{"type": "lebesgue", "order": 7}')
 
     def test_booleans_are_named_in_the_error(self):
         with pytest.raises(ValueError, match=r"pairs, not \[True, 0\.5\]"):

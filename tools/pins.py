@@ -14,7 +14,6 @@ CLI pins run ``meanlab.cli.main`` in-process. The pin groups:
 - batteries: each battery keeps its report keys, and N2.5 and N3 their verdicts.
 - CLI: eval and derivatives run the float route that check-equality never runs;
   failures keep their texts, and N3 at a moment boundary keeps a report.
-- Lebesgue order: a JSON measure's quadrature order reaches mean_eval.
 - ladder verdicts: numpy's AVX-512 exp, log, sinh and cosh must not move a verdict.
 """
 
@@ -26,7 +25,7 @@ import json
 import shlex
 import sys
 
-from meanlab import Lebesgue, MeanSpec, check_equality, mean_eval, preset_measure, validate_pair
+from meanlab import MeanSpec, check_equality, mean_eval, preset_measure, validate_pair
 from meanlab.calculus import phi_psi, recursion_seq
 from meanlab.cli import main
 from meanlab.expr import compile_scalar, eval_jet, pair_jets, parse
@@ -166,20 +165,6 @@ def pin_cli() -> None:
         assert all(w is None or g == w for g, w in zip(got, want)), (command, got)
 
 
-def pin_lebesgue_order() -> None:
-    """A Lebesgue measure's quadrature order survives its JSON: eval echoes
-    order 7 in its config and gives mean_eval's value under Lebesgue(7),
-    not the 2.018312235596486 of the default order 32."""
-    measure = '{"type": "lebesgue", "order": 7}'
-    code, out, err = run(*shlex.split("eval --f 'log(x)' --g 1.3 --x 1.25 --y 2.9 --lo 1.2 --hi 3.0 --format json"),
-                         "--measure", measure)
-    assert code == 0, err
-    report = json.loads(out)
-    want = mean_eval(MeanSpec(validate_pair("log(x)", "1.3", (1.2, 3.0)), Lebesgue(7)), 1.25, 2.9)
-    assert report["config"]["measure"] == json.loads(measure), report["config"]
-    assert repr(report["result"]["value"]) == repr(want) == "2.0183122356535437", (report["result"], want)
-
-
 ROWS = ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix")
 
 
@@ -207,7 +192,6 @@ if __name__ == "__main__":
     pin_recursion_and_pair_jets()
     pin_batteries()
     pin_cli()
-    pin_lebesgue_order()
     pin_ladder_verdicts()
     # the runtime needs numpy alone, after a full CLI run as after the import
     assert not [m for m in sys.modules if m.partition(".")[0] == "scipy"], "scipy was imported"
