@@ -430,8 +430,8 @@ def mean_table(spec: MeanSpec, xs: Sequence[float]) -> np.ndarray:
     f, g = ex.compile_array(spec.pair.f), ex.compile_array(spec.pair.g)
     r = spec.measure.segment_integrals(f, xs) / spec.measure.segment_integrals(g, xs)
     mirror = _symmetric(spec.measure)
-    solve, lo, hi = _brackets(xs, mirror)
-    rs = r[solve]
+    solve, ilo, ihi = _brackets(xs, mirror)
+    lo, hi, rs = xs[ilo], xs[ihi], r[solve]
 
     def resid(z: np.ndarray, r: np.ndarray) -> np.ndarray:
         return f(z) - r * g(z)
@@ -460,26 +460,31 @@ def quasiarithmetic_table(
 
     phi must be elementwise on arrays and also accept floats. The target
     and bracket of (i, j) and (j, i) are the same, so the upper triangle is
-    solved in one batch and copied to its mirror. An element that does not
+    solved in one batch and copied to its mirror, with phi at the bracket
+    ends read from phi(xs): an elementwise phi, as a CumulativeIntegral is,
+    gives a point the same bits in any batch. An element that does not
     bracket or converge is recomputed, in each order, by quasiarithmetic,
     which raises its BracketFailure.
     """
     xs = np.asarray(xs, dtype=float)
     p = np.asarray(phi(xs), dtype=float)
-    solve, lo, hi = _brackets(xs, True)
+    solve, ilo, ihi = _brackets(xs, True)
     target = 0.5 * (p[:, None] + p[None, :])
     c = target[solve]
-    z, ok = chandrupatla(lambda z, c: phi(z) - c, lo, hi, phi(lo) - c, phi(hi) - c, (c,))
+    z, ok = chandrupatla(lambda z, c: phi(z) - c, xs[ilo], xs[ihi], p[ilo] - c, p[ihi] - c, (c,))
     ok &= (p[:, None] != p[None, :])[solve]
     return _fill_table(xs, solve, z, ok, lambda x, y: quasiarithmetic(phi, x, y), ok)
 
 
 def _brackets(xs: np.ndarray, upper: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The mask of the elements to solve, xs[i] != xs[j] (only i < j with
-    upper), and their brackets in row-major order."""
+    upper), and the indices in xs of their brackets' lower and upper ends,
+    in row-major order."""
     X, Y = xs[:, None], xs[None, :]
     solve = np.triu(X != Y, 1) if upper else X != Y
-    return solve, np.minimum(X, Y)[solve], np.maximum(X, Y)[solve]
+    i, j = np.nonzero(solve)
+    lower = xs[i] < xs[j]
+    return solve, np.where(lower, i, j), np.where(lower, j, i)
 
 
 def _fill_table(

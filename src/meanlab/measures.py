@@ -82,8 +82,10 @@ def _panel_sums(
 ) -> np.ndarray:
     """16-point Gauss-Legendre integrals of func over the panels [a[k], b[k]].
 
-    All nodes go to func in one call; each panel's weights are summed in
-    node order, as a scalar loop over the nodes would.
+    All nodes go to func in one call, laid out (panel, node). Each panel's
+    products w * v are summed in node order from 0.0 by a running sum along
+    the node axis, with the bits of a loop over the nodes (np.sum's pairwise
+    sum would move them).
     """
     nodes, weights = _GL_PANEL
     mid = 0.5 * (a + b)
@@ -91,10 +93,10 @@ def _panel_sums(
     ts = mid[:, None] + half[:, None] * nodes
     vs = func(ts)
     jets.reject(~np.isfinite(vs), lambda k: QuadratureNonFinite(float(ts.flat[k]), float(vs.flat[k]), "point"))
-    total = np.zeros(len(a))
-    for k, w in enumerate(weights):
-        total += w * vs[:, k]
-    return half * total
+    # the leading 0.0 column is the loop's start: 0.0 + -0.0 is 0.0
+    terms = np.zeros((len(a), PANEL_POINTS + 1))
+    np.multiply(vs, weights, out=terms[:, 1:])
+    return half * np.cumsum(terms, axis=1, out=terms)[:, -1]
 
 
 class CumulativeIntegral:
@@ -228,8 +230,10 @@ class Lebesgue(Measure):
         wider than PANEL_WIDTH. The integral from u_p to u_q is the running
         sum of cells p, ..., q-1 along row p, not a difference of
         antiderivative values, so close points lose nothing to
-        cancellation. A non-finite value raises QuadratureNonFinite at its
-        grid or panel point.
+        cancellation; one masked running sum gives the upper triangle,
+        whose transpose is the lower. The table is indexed back to xs
+        unless xs is u. A non-finite value raises QuadratureNonFinite at
+        its grid or panel point.
         """
         u, back = np.unique(xs, return_inverse=True)
         at = fn(u)
@@ -244,10 +248,13 @@ class Lebesgue(Measure):
             # panel k of cell c starts at u_c + k (u_c+1 - u_c) / count_c
             edges = np.append(u[cell] + (np.arange(len(cell)) - first[cell]) * (gap / count)[cell], u[-1])
             cells = np.add.reduceat(_panel_sums(fn, edges[:-1], edges[1:]), first)
-            run = np.cumsum(np.triu(np.broadcast_to(np.r_[0.0, cells], (m, m)), 1), axis=1)
-            i, j = np.triu_indices(m, 1)
-            table[i, j] = table[j, i] = run[i, j] / (u[j] - u[i])
-        return table[np.ix_(back, back)]
+            upper = np.arange(m)[:, None] < np.arange(m)
+            run = np.cumsum(np.where(upper, np.r_[0.0, cells], 0.0), axis=1)
+            with np.errstate(invalid="ignore"):  # the diagonal is 0 / 0 until fill_diagonal
+                quotient = run / (u - u[:, None])
+            table = np.where(upper, quotient, quotient.T)
+            np.fill_diagonal(table, at)
+        return table if np.array_equal(u, xs) else table[np.ix_(back, back)]
 
 
 @dataclass(frozen=True)
@@ -431,12 +438,17 @@ def measure_to_json(m: Measure) -> dict:
 
 
 def measure_from_json(data: Union[str, dict]) -> Measure:
-    """The measure of a JSON object; a missing or ill-typed key raises ValueError."""
+    """The measure of a JSON object; a missing, ill-typed or unknown key raises ValueError."""
     if isinstance(data, str):
         data = json.loads(data)
     if not isinstance(data, dict):
         raise ValueError(f"a measure is a JSON object, not {type(data).__name__}")
     kind = data.get("type")
+    if not (isinstance(kind, str) and kind in _JSON_KEYS):
+        raise ValueError(f"unknown measure type {kind!r}")
+    for key in data:
+        if key not in _JSON_KEYS[kind]:
+            raise ValueError(f"measure type {kind!r} takes no key {key!r}; its keys are {_JSON_KEYS[kind]}")
     if kind == "atoms":
         atoms = _json_key(data, "atoms", list)
         for atom in atoms:
@@ -446,13 +458,12 @@ def measure_from_json(data: Union[str, dict]) -> Measure:
                 raise ValueError(f"measure key 'atoms' holds [location, weight] pairs, not {atom!r}")
         return Discrete(tuple((t, w) for t, w in atoms))
     if kind == "lebesgue":
-        if "order" in data:
-            raise ValueError("measure type 'lebesgue' takes no key 'order'; its order is 32")
         return Lebesgue()
-    if kind == "density":
-        order = _json_key(data, "order", int) if "order" in data else 32
-        return Density(_json_key(data, "rho", str), order=order)
-    raise ValueError(f"unknown measure type {kind!r}")
+    order = _json_key(data, "order", int) if "order" in data else 32
+    return Density(_json_key(data, "rho", str), order=order)
+
+
+_JSON_KEYS = {"atoms": ("type", "atoms"), "lebesgue": ("type",), "density": ("type", "rho", "order")}
 
 
 def _json_key(data: dict, key: str, kind: type):

@@ -165,6 +165,13 @@ class TestMoments:
         assert (code, out) == (2, "")
         assert err.startswith("error (ValueError): ")
 
+    def test_unknown_measure_key_exits_2(self, capsys):
+        argv = ["eval", "--f", "log(x)", "--g", "1.3", "--x", "1.25", "--y", "2.9",
+                "--lo", "1.2", "--hi", "3.0", "--measure", '{"type": "lebesgue", "ordr": 7}']
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error (ValueError): measure type 'lebesgue' takes no key 'ordr'")
+
     def test_boolean_atom_location_exits_2(self, capsys):
         spec = '{"type": "atoms", "atoms": [[true, 0.5], [0, 0.5]]}'
         argv = [a if a != "ebm" else spec for a in EBM_WITNESS]

@@ -436,6 +436,11 @@ def _recorded_chandrupatla(monkeypatch) -> list:
     return sizes
 
 
+# an unsorted grid with a repeated point, points on both sides of the
+# anchor 0.1 and gaps from one ulp to several panels
+UNSORTED = (0.7, -1.2, 0.7, 0.1, np.nextafter(0.1, 1.0), 1.3, -0.35, 0.7 + 1e-9)
+
+
 class TestMirroredTables:
     @pytest.mark.parametrize("measure, symmetric", [
         (EBM, True), (Lebesgue(), True),
@@ -501,3 +506,26 @@ class TestMirroredTables:
         sizes = _recorded_chandrupatla(monkeypatch)
         assert np.array_equal(quasiarithmetic_table(phi, xs), want)
         assert sizes == [15 * 14 // 2]
+
+    @pytest.mark.parametrize("upper", [True, False], ids=["triangle", "square"])
+    def test_brackets_index_the_ends_of_distinct_points(self, upper):
+        xs = np.array(UNSORTED)
+        solve, ilo, ihi = mn._brackets(xs, upper)
+        X, Y = xs[:, None], xs[None, :]
+        assert not solve[X == Y].any()
+        assert solve.sum() == (np.triu(X != Y, 1) if upper else X != Y).sum()
+        i, j = np.nonzero(solve)
+        assert np.all(xs[ilo] < xs[ihi])
+        # the ends of element (i, j) are i and j, in either order
+        assert np.array_equal(np.minimum(ilo, ihi), np.minimum(i, j))
+        assert np.array_equal(np.maximum(ilo, ihi), np.maximum(i, j))
+
+    @pytest.mark.parametrize("integrand", [np.cos, np.exp, lambda t: np.cbrt(t * t + 0.1)])
+    def test_cumulative_integral_does_not_depend_on_batching(self, integrand):
+        # quasiarithmetic_table reads phi at its bracket ends from phi(xs)
+        # because a point gives the same bits alone as in the batch
+        xs = np.array(UNSORTED)
+        p = CumulativeIntegral(integrand, 0.1)(xs)
+        for k in range(len(xs)):
+            assert p[k] == CumulativeIntegral(integrand, 0.1)(xs[k : k + 1])[0]
+            assert p[k] == CumulativeIntegral(integrand, 0.1)(float(xs[k]))

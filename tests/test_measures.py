@@ -140,6 +140,55 @@ class TestSegmentSum:
         assert (got.value.node, got.value.value) == (ts[first], kernel(points[first]))
 
 
+def _node_loop(func, a, b):
+    """_panel_sums as a 16-step loop over the nodes, one panel column at a time."""
+    nodes, weights = ms._GL_PANEL
+    half = 0.5 * (b - a)
+    vs = func(0.5 * (a + b)[:, None] + half[:, None] * nodes)
+    total = np.zeros(len(a))
+    for k, w in enumerate(weights):
+        total += w * vs[:, k]
+    return half * total
+
+
+class TestPanelSums:
+    """_panel_sums adds each panel's nodes by a running sum along the node
+    axis; its bits are those of the node loop, signed zeros included."""
+
+    @pytest.mark.parametrize("panels", [1, 2, 78, 1248])
+    def test_equals_the_node_loop(self, panels):
+        gen = np.random.default_rng(panels)
+        a = gen.uniform(-2.0, 2.0, panels)
+        # some panels run backwards, so half < 0 and a zero sum keeps its sign
+        b = a + gen.uniform(-0.1, 0.1, panels)
+        # signed values, with magnitudes spread over 10 decades within a panel
+        values = gen.standard_normal((panels, ms.PANEL_POINTS)) * 10.0 ** gen.uniform(-5, 5, (panels, ms.PANEL_POINTS))
+        values[0] = -0.0
+        func = lambda ts: values
+        got, want = ms._panel_sums(func, a, b), _node_loop(func, a, b)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert got[0] == 0.0
+
+    def test_a_pairwise_sum_would_differ(self):
+        # the property above is not vacuous: np.sum over the node axis moves bits
+        gen = np.random.default_rng(7)
+        values = gen.standard_normal((78, ms.PANEL_POINTS)) * 10.0 ** gen.uniform(-5, 5, (78, ms.PANEL_POINTS))
+        _, weights = ms._GL_PANEL
+        # panels [0, 2] have half-width 1, so the loop returns the bare sums
+        loop = _node_loop(lambda ts: values, np.zeros(78), np.full(78, 2.0))
+        assert not np.array_equal((values * weights).sum(axis=1), loop)
+
+    def test_lebesgue_table_of_a_sorted_grid_is_that_of_any_order(self):
+        fn = ex.compile_array(ex.parse("exp(x) + sin(3 * x)"))
+        xs = np.array([0.4, -0.3, 0.4, 1.1, -0.9, 0.0, 2.5])
+        u, back = np.unique(xs, return_inverse=True)
+        sorted_table = Lebesgue().segment_integrals(fn, u)
+        assert np.array_equal(Lebesgue().segment_integrals(fn, xs), sorted_table[np.ix_(back, back)])
+        assert np.array_equal(np.diag(sorted_table), fn(u))
+        assert np.array_equal(sorted_table, sorted_table.T)
+
+
 class TestMoments:
     def test_two_atom_moments(self):
         md = ms.moments(EBM, 6)
@@ -300,6 +349,18 @@ class TestSerialization:
             ms.measure_to_json(Lebesgue(7))
         with pytest.raises(ValueError, match="takes no key 'order'"):
             ms.measure_from_json('{"type": "lebesgue", "order": 7}')
+
+    @pytest.mark.parametrize("data, key", [
+        ({"type": "lebesgue", "ordr": 7}, "ordr"),
+        ({"type": "density", "rho": "2 * x", "weights": [1.0]}, "weights"),
+        ({"type": "atoms", "atoms": [[0.5, 1.0]], "order": 7}, "order"),
+    ])
+    def test_unknown_key_is_named(self, data, key):
+        # keys outside the type's set are refused, not dropped
+        with pytest.raises(ValueError, match=f"measure type '{data['type']}' takes no key '{key}'"):
+            ms.measure_from_json(data)
+        # the same object without the key is a valid measure
+        ms.measure_from_json({k: v for k, v in data.items() if k != key})
 
     def test_booleans_are_named_in_the_error(self):
         with pytest.raises(ValueError, match=r"pairs, not \[True, 0\.5\]"):
